@@ -168,11 +168,10 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     b = _read_state(args.b)
     report = plan_common_stabilization(a, b, args.rs_bound)
     _write_text(args.output, plan_report_to_text(report))
-    moves_a = sum(len(getattr(report.a, name)) for name in report.a.__dataclass_fields__)
-    moves_b = sum(len(getattr(report.b, name)) for name in report.b.__dataclass_fields__)
     _note(
         f"plan: rs_bound={report.rs_bound}; final profile {report.final_profile} "
-        f"(a: {moves_a} records, b: {moves_b} records)"
+        f"(a: {len(report.a.concatenated())} records, "
+        f"b: {len(report.b.concatenated())} records)"
     )
     return 0
 
@@ -192,7 +191,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         _write_text(None, script_to_text(script))
         _note(f"explore: shortest script has {len(script)} moves")
         return 0
-    reachable = bfs_reachable(start, args.max_sum, threads=args.threads)
+    reachable = bfs_reachable(start, args.max_sum)
     for node, depth in reachable.items():
         print(f"({node.g12},{node.g13},{node.g23};b={node.b}) depth={depth}")
     _note(f"explore: {len(reachable)} nodes reachable within sum_h <= {args.max_sum}")
@@ -200,7 +199,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = verify_properties(args.max_sum, threads=args.threads)
+    report = verify_properties(args.max_sum)
     _write_text(args.output, verification_report_to_text(report))
     for entry in report.entries:
         status = "PASS" if entry.passed else "FAIL"
@@ -274,12 +273,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-sum", type=int, required=True,
                    help="bound on h1+h2+h3 of visited nodes")
     p.add_argument("--shortest-to", help="state file; emit a shortest script to it")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility and ignored")
 
     p = add("verify", _cmd_verify, "check engine properties over a node range")
     p.add_argument("--max-sum", type=int, required=True)
     p.add_argument("-o", "--output", help="report file (default: stdout)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility and ignored")
 
     p = add("replay", _cmd_replay, "replay a move script against a state")
     p.add_argument("file", help="state file ('-' for stdin)")

@@ -58,7 +58,7 @@ class SurfaceGenera:
     def __post_init__(self) -> None:
         for name in ("g12", "g13", "g23"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
+            if not _is_count(value, 0):
                 raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
 
     def between(self, i: int, j: int) -> int:
@@ -70,14 +70,16 @@ class SurfaceGenera:
         j, k = other_two(i)
         return self.between(j, k)
 
-    def with_between(self, i: int, j: int, value: int) -> SurfaceGenera:
-        return replace(self, **{_pair_field(i, j): value})
-
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.g12, self.g13, self.g23)
 
     def total(self) -> int:
         return self.g12 + self.g13 + self.g23
+
+
+def _is_count(value, least: int) -> bool:
+    # bool is an int subclass, but True is not a genus.
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 def _pair_field(i: int, j: int) -> str:
@@ -99,9 +101,9 @@ class Profile:
     def __post_init__(self) -> None:
         for name in ("h1", "h2", "h3"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
+            if not _is_count(value, 0):
                 raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-        if not isinstance(self.b, int) or self.b < 1:
+        if not _is_count(self.b, 1):
             raise ValueError(f"b must be a positive integer, got {self.b!r}")
 
     def genus(self, i: int) -> int:
@@ -170,8 +172,7 @@ class LinkComponentSet:
         if len(set(self.components)) != len(self.components):
             raise ValueError("component identifiers must be unique")
         for label in self.components:
-            number = _id_number(label)
-            if number >= self.next_id:
+            if component_number(label) >= self.next_id:
                 raise ValueError(f"component {label!r} is not below next_id={self.next_id}")
 
     @classmethod
@@ -233,7 +234,8 @@ class LinkComponentSet:
         return tuple(current)
 
 
-def _id_number(label: str) -> int:
+def component_number(label: str) -> int:
+    """The counter value ``n`` of a component identifier ``c<n>``."""
     match = _ID_PATTERN.match(label)
     if match is None:
         raise ValueError(f"component identifiers look like 'c12', got {label!r}")
@@ -253,19 +255,6 @@ class TrisectionState:
     link: LinkComponentSet
     history: tuple = field(default=())
     label: str = ""
-
-    def __post_init__(self) -> None:
-        # h_i >= 0 holds automatically (genera >= 0, b >= 1); the Euler
-        # count below is an algebraic identity.  Both are tripwires for
-        # corrupted construction, not reachable failure modes.  Spelled
-        # out arithmetically: states are built once per applied move.
-        g, b = self.genera, self.link.b
-        h_sum = 2 * (g.g12 + g.g13 + g.g23) + 3 * (b - 1)
-        if min(g.g12 + g.g13, g.g12 + g.g23, g.g13 + g.g23) + b - 1 < 0:
-            raise ValueError("derived handlebody genus is negative")
-        chi_sum = 3 * 2 - 2 * (g.g12 + g.g13 + g.g23) - 3 * b
-        if (3 - h_sum) - chi_sum != 0:
-            raise ValueError("Euler-characteristic bookkeeping is inconsistent")
 
     @property
     def b(self) -> int:

@@ -2,11 +2,10 @@
 
 Component labels never affect which moves are legal or how genera move,
 so for search the engine shrinks a state to its parameter shadow: the
-node (g12, g13, g23, b).  Each node has at most six successors (per
-handlebody: one SameComponent move when the opposite surface has genus,
-one DistinctComponents move when b >= 2), and every move raises
-h1 + h2 + h3 by exactly 1, so the move graph is graded by that sum and
-breadth-first search depth equals the sum difference.
+node (g12, g13, g23, b).  Each node has at most six successors, one per
+legal row of :data:`~trisections.moves.STAB_DELTAS`, and every move
+raises h1 + h2 + h3 by exactly 1, so the move graph is graded by that
+sum and breadth-first search depth equals the sum difference.
 
 The full labeled engine reappears only when a parameter path is realized
 as a replayable :class:`~trisections.moves.MoveScript` on canonical
@@ -16,9 +15,8 @@ labels.
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Iterable
 
 from .core import (
     LinkComponentSet,
@@ -30,21 +28,28 @@ from .core import (
     other_two,
 )
 from .moves import (
+    PARAM_FLOORS,
+    STAB_DELTAS,
     MoveScript,
     StabMove,
     apply_stabilization,
     balance,
+    balance_capped,
     build_heegaard,
-    canonical_balance_move,
     canonical_distinct_arc,
     canonical_same_arc,
+    raise_balanced,
 )
 
 # A parameter-level move: (handlebody index, "same" | "distinct").
 ParamMove = tuple[int, str]
 
-_T = TypeVar("_T")
-_U = TypeVar("_U")
+# STAB_DELTAS in the form successors() reads: every row lowers exactly one
+# coordinate, so a row applies when that coordinate clears its floor.
+_SUCCESSOR_ROWS = tuple(
+    (move, delta, delta.index(-1), PARAM_FLOORS[delta.index(-1)] + 1)
+    for move, delta in STAB_DELTAS.items()
+)
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -88,27 +93,12 @@ class MoveGraphNode:
         return (self.g12, self.g13, self.g23, self.b) == (0, 0, 0, 1)
 
     def successors(self) -> list[tuple[ParamMove, MoveGraphNode]]:
-        """Legal parameter moves and their targets, in a fixed order.
-
-        Per handlebody: the SameComponent effect (opposite genus down, b
-        up) when the opposite surface has genus, then the
-        DistinctComponents effect (both adjacent genera up, b down) when
-        b >= 2.  Spelled out per index because search spends its time here.
-        """
-        g12, g13, g23, b = self.g12, self.g13, self.g23, self.b
+        """Legal parameter moves and their targets, in STAB_DELTAS row order."""
+        params = g12, g13, g23, b = self.g12, self.g13, self.g23, self.b
         out: list[tuple[ParamMove, MoveGraphNode]] = []
-        if g23 >= 1:
-            out.append(((1, "same"), MoveGraphNode(g12, g13, g23 - 1, b + 1)))
-        if b >= 2:
-            out.append(((1, "distinct"), MoveGraphNode(g12 + 1, g13 + 1, g23, b - 1)))
-        if g13 >= 1:
-            out.append(((2, "same"), MoveGraphNode(g12, g13 - 1, g23, b + 1)))
-        if b >= 2:
-            out.append(((2, "distinct"), MoveGraphNode(g12 + 1, g13, g23 + 1, b - 1)))
-        if g12 >= 1:
-            out.append(((3, "same"), MoveGraphNode(g12 - 1, g13, g23, b + 1)))
-        if b >= 2:
-            out.append(((3, "distinct"), MoveGraphNode(g12, g13 + 1, g23 + 1, b - 1)))
+        for move, (d12, d13, d23, db), falling, least in _SUCCESSOR_ROWS:
+            if params[falling] >= least:
+                out.append((move, MoveGraphNode(g12 + d12, g13 + d13, g23 + d23, b + db)))
         return out
 
 
@@ -126,18 +116,7 @@ def feasible_nodes(max_sum: int) -> list[MoveGraphNode]:
     return out
 
 
-def _pmap(fn: Callable[[_T], _U], items: Sequence[_T], threads: int) -> list[_U]:
-    # Order-preserving map; the thread pool is an opt-in that must not
-    # change any output.
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def bfs_reachable(
-    start: MoveGraphNode, max_sum: int, threads: int = 1
-) -> dict[MoveGraphNode, int]:
+def bfs_reachable(start: MoveGraphNode, max_sum: int) -> dict[MoveGraphNode, int]:
     """All nodes reachable from ``start`` by stabilizations with sum_h <= max_sum.
 
     Returns a mapping from node to breadth-first depth (equal to the
@@ -149,17 +128,13 @@ def bfs_reachable(
         return depths
     depths[start] = 0
     frontier = [start]
-    depth = 0
-    while frontier:
-        depth += 1
-        expansions = _pmap(MoveGraphNode.successors, frontier, threads)
+    for depth in range(1, max_sum - start.sum_h() + 1):
         next_frontier: list[MoveGraphNode] = []
-        for successors in expansions:
-            for _, node in successors:
-                if node.sum_h() > max_sum or node in depths:
-                    continue
-                depths[node] = depth
-                next_frontier.append(node)
+        for parent in frontier:
+            for _, node in parent.successors():
+                if node not in depths:
+                    depths[node] = depth
+                    next_frontier.append(node)
         frontier = next_frontier
     return {node: depths[node] for node in sorted(depths)}
 
@@ -205,7 +180,7 @@ def shortest_path(
         if depth == distance:
             continue
         for move, successor in node.successors():
-            if successor in seen or successor.sum_h() > goal.sum_h():
+            if successor in seen:
                 continue
             seen.add(successor)
             parents[successor] = (node, move)
@@ -283,7 +258,7 @@ class VerificationReport:
         return all(entry.passed for entry in self.entries)
 
 
-def verify_properties(max_sum: int, threads: int = 1) -> VerificationReport:
+def verify_properties(max_sum: int) -> VerificationReport:
     """Check the engine's structural properties over all nodes with sum_h <= max_sum.
 
     Five properties: feasibility matches brute-force enumeration of
@@ -296,10 +271,10 @@ def verify_properties(max_sum: int, threads: int = 1) -> VerificationReport:
     nodes = feasible_nodes(max_sum)
     entries = (
         _check_feasibility_enumeration(max_sum, nodes),
-        _check_balance_postconditions(max_sum, nodes, threads),
-        _check_built_splitting_counts(max_sum, nodes, threads),
+        _check_balance_postconditions(max_sum, nodes),
+        _check_built_splitting_counts(max_sum, nodes),
         _check_trivial_only_moveless(max_sum, nodes),
-        _check_common_stabilization(max_sum, nodes, threads),
+        _check_common_stabilization(max_sum, nodes),
     )
     return VerificationReport(max_sum, entries)
 
@@ -331,7 +306,7 @@ def _check_feasibility_enumeration(
 
 
 def _check_balance_postconditions(
-    max_sum: int, nodes: list[MoveGraphNode], threads: int
+    max_sum: int, nodes: list[MoveGraphNode]
 ) -> PropertyResult:
     def check(node: MoveGraphNode) -> bool:
         before = node.profile()
@@ -344,13 +319,12 @@ def _check_balance_postconditions(
             and len(script) == 3 * top - before.sum_h()
         )
 
-    flags = _pmap(check, nodes, threads)
-    bad = tuple(node for node, good in zip(nodes, flags) if not good)
+    bad = tuple(node for node in nodes if not check(node))
     return PropertyResult("balance-postconditions", max_sum, not bad, bad)
 
 
 def _check_built_splitting_counts(
-    max_sum: int, nodes: list[MoveGraphNode], threads: int
+    max_sum: int, nodes: list[MoveGraphNode]
 ) -> PropertyResult:
     def check(node: MoveGraphNode) -> bool:
         before = node.to_state()
@@ -363,8 +337,7 @@ def _check_built_splitting_counts(
                 return False
         return True
 
-    flags = _pmap(check, nodes, threads)
-    bad = tuple(node for node, good in zip(nodes, flags) if not good)
+    bad = tuple(node for node in nodes if not check(node))
     return PropertyResult("built-splitting-counts", max_sum, not bad, bad)
 
 
@@ -375,18 +348,8 @@ def _check_trivial_only_moveless(
     return PropertyResult("trivial-only-moveless", max_sum, not bad, bad)
 
 
-def _balanced_capped(state: TrisectionState) -> TrisectionState:
-    # Balance, then keep knocking b down to at most 2: one canonical
-    # two-component stabilization followed by re-balancing per round.
-    state, _ = balance(state)
-    while state.b > 2:
-        state = apply_stabilization(state, canonical_balance_move(state))
-        state, _ = balance(state)
-    return state
-
-
 def _check_common_stabilization(
-    max_sum: int, nodes: list[MoveGraphNode], threads: int
+    max_sum: int, nodes: list[MoveGraphNode]
 ) -> PropertyResult:
     # Constructive witness: every non-trivial node balances into b <= 2
     # and then climbs one genus per round, so all of them reach the one
@@ -396,17 +359,15 @@ def _check_common_stabilization(
     if not nontrivial:
         return PropertyResult("common-stabilization-exists", max_sum, True, (), 0)
 
-    reduced = _pmap(lambda node: _balanced_capped(node.to_state()), nontrivial, threads)
+    reduced = [balance_capped(node.to_state()) for node in nontrivial]
     hub_h = max(state.profile.h1 for state in reduced)
 
     def climbs_to_hub(state: TrisectionState) -> bool:
         while state.profile.h1 < hub_h:
-            state = apply_stabilization(state, canonical_balance_move(state))
-            state, _ = balance(state)
+            state = raise_balanced(state)
         profile = state.profile
         return (profile.h1, profile.h2, profile.h3) == (hub_h,) * 3 and profile.b <= 2
 
-    flags = _pmap(climbs_to_hub, reduced, threads)
-    bad = tuple(node for node, good in zip(nontrivial, flags) if not good)
+    bad = tuple(node for node, state in zip(nontrivial, reduced) if not climbs_to_hub(state))
     slack = 3 * hub_h - max_sum
     return PropertyResult("common-stabilization-exists", max_sum, not bad, bad, slack)

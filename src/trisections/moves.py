@@ -4,26 +4,23 @@ A stabilization enlarges one handlebody H_i by a neighbourhood of a
 boundary-parallel arc lying in the opposite surface S_jk.  At the level
 of the data kept here the move comes in two flavours, according to
 whether the arc ends on one component of the boundary link or on two:
+a ``SameComponent`` arc splits its component into two fresh ones, a
+``DistinctComponents`` arc merges its pair into one fresh component.
+Each of the six (handlebody, arc kind) pairs changes (g12, g13, g23, b)
+by one fixed row of :data:`STAB_DELTAS`, and a formal destabilization
+along the other arc kind subtracts that row.  Every row raises h_i by
+exactly 1 and leaves h_j and h_k unchanged.
 
-====================  ===========================  =========================
-arc                   legal when                   effect
-====================  ===========================  =========================
-SameComponent(c)      g_jk >= 1                    g_jk -= 1; c splits into
-                                                   two fresh components
-DistinctComponents    b >= 2                       g_ij += 1; g_ik += 1; the
-(c1, c2)                                           pair merges into one
-                                                   fresh component
-====================  ===========================  =========================
-
-Either way h_i grows by exactly 1 while h_j and h_k are unchanged, and b
-changes by exactly 1.  Formal destabilizations run the same arithmetic
-backwards; they certify nothing about an actual destabilizing disk, and
-every destabilized state carries that caveat in its label.
+One rule decides legality for both directions: a move is legal exactly
+when the components its arc names exist and the result has genera >= 0
+and b >= 1.  Formal destabilizations certify nothing about an actual
+destabilizing disk, and every destabilized state carries that caveat in
+its label.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 from .core import (
@@ -114,65 +111,116 @@ class MoveRecord:
 MoveScript = tuple[MoveRecord, ...]
 
 
-def legal_moves(state: TrisectionState) -> list[StabMove]:
-    """All legal stabilizations, in a fixed order.
+# (handlebody, arc kind) -> change to (g12, g13, g23, b).  A one-component
+# arc in S_jk cuts that surface (g_jk - 1, b + 1); a two-component arc adds
+# a handle to both surfaces touching H_i (g_ij + 1, g_ik + 1, b - 1).  The
+# row order is the enumeration order of legal_moves and of search.
+STAB_DELTAS: dict[tuple[int, str], tuple[int, int, int, int]] = {
+    (1, "same"): (0, 0, -1, 1),
+    (1, "distinct"): (1, 1, 0, -1),
+    (2, "same"): (0, -1, 0, 1),
+    (2, "distinct"): (1, 0, 1, -1),
+    (3, "same"): (-1, 0, 0, 1),
+    (3, "distinct"): (0, 1, 1, -1),
+}
 
-    For each handlebody index in ascending order: the SameComponent moves
-    (one per component, components sorted) when the opposite surface has
-    positive genus, then the DistinctComponents moves (one per unordered
-    pair, pairs sorted) when b >= 2.
+# Least legal value of each coordinate of (g12, g13, g23, b).
+PARAM_FLOORS = (0, 0, 0, 1)
+
+_PARAM_NAMES = ("g12", "g13", "g23", "b")
+
+
+def _fits(params: tuple[int, ...], delta: tuple[int, ...]) -> bool:
+    """Whether ``params + delta`` stays at or above :data:`PARAM_FLOORS`."""
+    return all(p + d >= f for p, d, f in zip(params, delta, PARAM_FLOORS))
+
+
+def legal_moves(state: TrisectionState) -> list[StabMove]:
+    """All legal stabilizations, in :data:`STAB_DELTAS` row order.
+
+    A SameComponent row yields one move per component (components
+    sorted), a DistinctComponents row one per unordered pair (pairs
+    sorted).
     """
-    moves: list[StabMove] = []
     labels = sorted(state.link.components)
-    for i in (1, 2, 3):
-        if state.genera.opposite(i) >= 1:
-            moves.extend(StabMove(i, SameComponent(c)) for c in labels)
-        if state.b >= 2:
-            moves.extend(
-                StabMove(i, DistinctComponents(lo, hi))
-                for lo, hi in combinations(labels, 2)
-            )
-    return moves
+    arcs = {
+        "same": [SameComponent(c) for c in labels],
+        "distinct": [DistinctComponents(lo, hi) for lo, hi in combinations(labels, 2)],
+    }
+    params = _params(state)
+    return [
+        StabMove(i, arc)
+        for (i, kind), delta in STAB_DELTAS.items()
+        if _fits(params, delta)
+        for arc in arcs[kind]
+    ]
 
 
 def is_legal(state: TrisectionState, move: StabMove | DestabMove) -> bool:
     try:
-        _check_legal(state, move)
+        _legal_delta(state, move)
     except IllegalMove:
         return False
     return True
 
 
-def _check_legal(state: TrisectionState, move: StabMove | DestabMove) -> None:
-    i = move.handlebody
-    j, k = other_two(i)
+def _params(state: TrisectionState) -> tuple[int, int, int, int]:
+    g = state.genera
+    return (g.g12, g.g13, g.g23, state.b)
+
+
+def _legal_delta(
+    state: TrisectionState, move: StabMove | DestabMove
+) -> tuple[int, int, int, int]:
+    # The move's change to (g12, g13, g23, b); raises IllegalMove unless legal.
     arc = move.arc
-    if isinstance(arc, SameComponent):
-        present = (arc.component,)
-    else:
-        present = (arc.first, arc.second)
-    for label in present:
+    same = isinstance(arc, SameComponent)
+    for label in (arc.component,) if same else (arc.first, arc.second):
         if label not in state.link.components:
             raise IllegalMove(f"component {label!r} is not in the boundary link")
-    if isinstance(move, StabMove):
-        if isinstance(arc, SameComponent) and state.genera.between(j, k) < 1:
-            raise IllegalMove(
-                f"stabilizing H{i} along a one-component arc needs g{j}{k} >= 1"
-            )
-        if isinstance(arc, DistinctComponents) and state.b < 2:
-            raise IllegalMove(
-                f"stabilizing H{i} along a two-component arc needs b >= 2"
-            )
+    i = move.handlebody
+    stab = isinstance(move, StabMove)
+    if stab:
+        delta = STAB_DELTAS[i, "same" if same else "distinct"]
     else:
-        if isinstance(arc, DistinctComponents) and state.b < 2:
-            raise IllegalMove(f"formal destab of H{i} merging components needs b >= 2")
-        if isinstance(arc, SameComponent) and (
-            state.genera.between(i, j) < 1 or state.genera.between(i, k) < 1
-        ):
-            raise IllegalMove(
-                f"formal destab of H{i} splitting a component needs "
-                f"g{min(i, j)}{max(i, j)} >= 1 and g{min(i, k)}{max(i, k)} >= 1"
+        delta = tuple(-d for d in STAB_DELTAS[i, "distinct" if same else "same"])
+    if not _fits(_params(state), delta):
+        if stab:
+            action = f"stabilizing H{i} along a {'one' if same else 'two'}-component arc"
+        else:
+            action = f"formal destab of H{i} " + (
+                "splitting a component" if same else "merging components"
             )
+        needs = " and ".join(
+            f"{name} >= {floor - d}"
+            for name, d, floor in zip(_PARAM_NAMES, delta, PARAM_FLOORS)
+            if d < 0
+        )
+        raise IllegalMove(f"{action} needs {needs}")
+    return delta
+
+
+def _apply(state: TrisectionState, move: StabMove | DestabMove) -> TrisectionState:
+    # Shared body of apply_stabilization and apply_destabilization.
+    d12, d13, d23, _ = _legal_delta(state, move)
+    arc = move.arc
+    if isinstance(arc, SameComponent):
+        link, created = state.link.split(arc.component)
+        removed: tuple[str, ...] = (arc.component,)
+    else:
+        link, merged = state.link.merge(arc.first, arc.second)
+        created, removed = (merged,), (arc.first, arc.second)
+    g = state.genera
+    genera = SurfaceGenera(g.g12 + d12, g.g13 + d13, g.g23 + d23)
+    label = state.label
+    if isinstance(move, StabMove):
+        op = "stab"
+    else:
+        op = "destab"
+        if DESTAB_CAVEAT not in label:
+            label = f"{label} | {DESTAB_CAVEAT}" if label else DESTAB_CAVEAT
+    record = MoveRecord(op, move.handlebody, arc, created, removed)
+    return TrisectionState(genera, link, state.history + (record,), label)
 
 
 def apply_stabilization(state: TrisectionState, move: StabMove) -> TrisectionState:
@@ -184,24 +232,7 @@ def apply_stabilization(state: TrisectionState, move: StabMove) -> TrisectionSta
     """
     if not isinstance(move, StabMove):
         raise IllegalMove(f"expected a StabMove, got {type(move).__name__}")
-    _check_legal(state, move)
-    i = move.handlebody
-    j, k = other_two(i)
-    arc = move.arc
-    if isinstance(arc, SameComponent):
-        link, created = state.link.split(arc.component)
-        genera = state.genera.with_between(j, k, state.genera.between(j, k) - 1)
-        removed: tuple[str, ...] = (arc.component,)
-    else:
-        link, merged = state.link.merge(arc.first, arc.second)
-        genera = state.genera.with_between(i, j, state.genera.between(i, j) + 1)
-        genera = genera.with_between(i, k, genera.between(i, k) + 1)
-        created = (merged,)
-        removed = (arc.first, arc.second)
-    record = MoveRecord("stab", i, arc, created, removed)
-    new = replace(state, genera=genera, link=link, history=state.history + (record,))
-    _assert_single_move_delta(state, new, i)
-    return new
+    return _apply(state, move)
 
 
 def apply_destabilization(state: TrisectionState, move: DestabMove) -> TrisectionState:
@@ -213,37 +244,7 @@ def apply_destabilization(state: TrisectionState, move: DestabMove) -> Trisectio
     """
     if not isinstance(move, DestabMove):
         raise IllegalMove(f"expected a DestabMove, got {type(move).__name__}")
-    _check_legal(state, move)
-    i = move.handlebody
-    j, k = other_two(i)
-    arc = move.arc
-    if isinstance(arc, DistinctComponents):
-        link, merged = state.link.merge(arc.first, arc.second)
-        genera = state.genera.with_between(j, k, state.genera.between(j, k) + 1)
-        created: tuple[str, ...] = (merged,)
-        removed: tuple[str, ...] = (arc.first, arc.second)
-    else:
-        link, created = state.link.split(arc.component)
-        genera = state.genera.with_between(i, j, state.genera.between(i, j) - 1)
-        genera = genera.with_between(i, k, genera.between(i, k) - 1)
-        removed = (arc.component,)
-    record = MoveRecord("destab", i, arc, created, removed)
-    label = state.label
-    if DESTAB_CAVEAT not in label:
-        label = f"{label} | {DESTAB_CAVEAT}" if label else DESTAB_CAVEAT
-    new = TrisectionState(genera, link, state.history + (record,), label)
-    _assert_single_move_delta(new, state, i)
-    return new
-
-
-def _assert_single_move_delta(before: TrisectionState, after: TrisectionState, i: int) -> None:
-    # Shared tripwire: ``after`` must sit exactly one stabilization above
-    # ``before`` on handlebody i.
-    j, k = other_two(i)
-    assert after.handlebody_genus(i) == before.handlebody_genus(i) + 1
-    assert after.handlebody_genus(j) == before.handlebody_genus(j)
-    assert after.handlebody_genus(k) == before.handlebody_genus(k)
-    assert abs(after.b - before.b) == 1
+    return _apply(state, move)
 
 
 def inverse_of(record: MoveRecord) -> StabMove | DestabMove:
@@ -304,13 +305,6 @@ def fake_heegaard_stab(state: TrisectionState) -> TrisectionState:
         mid = apply_stabilization(state, StabMove(2, canonical_distinct_arc(state)))
         fresh = mid.history[-1].created[0]
         result = apply_stabilization(mid, StabMove(1, SameComponent(fresh)))
-    delta = (
-        result.genera.g12 - state.genera.g12,
-        result.genera.g13 - state.genera.g13,
-        result.genera.g23 - state.genera.g23,
-        result.b - state.b,
-    )
-    assert delta == (1, 0, 0, 0)
     return result
 
 
@@ -350,6 +344,25 @@ def balance(state: TrisectionState) -> tuple[TrisectionState, MoveScript]:
     assert after.b <= max(before.b, 2)
     assert len(script) == 3 * expected_h - before.sum_h()
     return state, script
+
+
+def raise_balanced(state: TrisectionState) -> TrisectionState:
+    """Grow the common genus of a balanced state by one and re-balance."""
+    state = apply_stabilization(state, canonical_balance_move(state))
+    state, _ = balance(state)
+    return state
+
+
+def balance_capped(state: TrisectionState) -> TrisectionState:
+    """Balance, then raise the balanced genus until b <= 2.
+
+    While b >= 3 each round starts with a two-component arc and the
+    re-balance keeps b' <= max(b, 2), so b falls every round.
+    """
+    state, _ = balance(state)
+    while state.b > 2:
+        state = raise_balanced(state)
+    return state
 
 
 def drive_opposite_to_disk(

@@ -41,10 +41,10 @@ from .moves import (
     StabMove,
     apply_destabilization,
     apply_stabilization,
-    balance,
+    balance_capped,
     build_heegaard,
-    canonical_balance_move,
     fake_heegaard_stab,
+    raise_balanced,
 )
 
 
@@ -92,39 +92,29 @@ def replay(state: TrisectionState, script: MoveScript) -> TrisectionState:
 
     Record ops map to :func:`~trisections.moves.apply_stabilization`,
     :func:`~trisections.moves.apply_destabilization` and
-    :func:`~trisections.moves.fake_heegaard_stab`.  An illegal record
-    raises :class:`~trisections.moves.IllegalMove` naming the failing
-    step (1-based).
+    :func:`~trisections.moves.fake_heegaard_stab`.  The record each move
+    produces (for ``fake_stab``, the compound record) must equal the
+    script's record, created and removed labels included.  An illegal or
+    mismatching record raises :class:`~trisections.moves.IllegalMove`
+    naming the failing step (1-based).
     """
     for step, record in enumerate(script, start=1):
         try:
+            # MoveRecord admits only these three ops.
             if record.op == "stab":
-                state = apply_stabilization(state, StabMove(record.handlebody, record.arc))
+                after = apply_stabilization(state, StabMove(record.handlebody, record.arc))
+                applied = after.history[-1]
             elif record.op == "destab":
-                state = apply_destabilization(state, DestabMove(record.handlebody, record.arc))
-            elif record.op == "fake_stab":
-                state = fake_heegaard_stab(state)
+                after = apply_destabilization(state, DestabMove(record.handlebody, record.arc))
+                applied = after.history[-1]
             else:
-                raise IllegalMove(f"unknown op {record.op!r}")
+                after = fake_heegaard_stab(state)
+                applied = _compound_record(state, after)
+            if applied != record:
+                raise IllegalMove(f"the move applies as {applied}, not as recorded {record}")
         except IllegalMove as error:
             raise IllegalMove(f"script step {step}: {error}") from error
-    return state
-
-
-def _balance_capped(state: TrisectionState) -> TrisectionState:
-    # Step-1 core for one side: balance, then knock b down to at most 2,
-    # one canonical two-component stabilization plus re-balance per round.
-    state, _ = balance(state)
-    while state.b > 2:
-        state = apply_stabilization(state, canonical_balance_move(state))
-        state, _ = balance(state)
-    return state
-
-
-def _raise_balanced(state: TrisectionState) -> TrisectionState:
-    # One climb round: grow the common genus of a balanced state by one.
-    state = apply_stabilization(state, canonical_balance_move(state))
-    state, _ = balance(state)
+        state = after
     return state
 
 
@@ -160,13 +150,13 @@ def plan_common_stabilization(
     # Step 1: balance, cap b at 2, then equalize the balanced genera.
     # Raising the smaller side one genus per round must end with equal b
     # too: both b values lie in {1, 2} and share the parity opposite to h.
-    side_a = _balance_capped(a)
-    side_b = _balance_capped(b)
+    side_a = balance_capped(a)
+    side_b = balance_capped(b)
     while side_a.profile.h1 != side_b.profile.h1:
         if side_a.profile.h1 < side_b.profile.h1:
-            side_a = _raise_balanced(side_a)
+            side_a = raise_balanced(side_a)
         else:
-            side_b = _raise_balanced(side_b)
+            side_b = raise_balanced(side_b)
     assert side_a.profile == side_b.profile and side_a.b <= 2
     step1 = (
         side_a.history[len(a.history):],

@@ -29,13 +29,14 @@ also hold ``fake_stab`` records, replayed as the compound move.
 from __future__ import annotations
 
 import json
-import re
+from dataclasses import fields
 
 from .core import (
     GenealogyEvent,
     LinkComponentSet,
     SurfaceGenera,
     TrisectionState,
+    component_number,
 )
 from .explorer import MoveGraphNode, PropertyResult, VerificationReport
 from .moves import (
@@ -49,15 +50,7 @@ from .planner import PlanReport, PlanSteps
 
 FORMAT_VERSION = 1
 
-_ID_PATTERN = re.compile(r"^c(0|[1-9][0-9]*)$")
-
-_STEP_NAMES = (
-    "step1_balance",
-    "step2_build",
-    "step3_fake",
-    "step4_s12_to_disk",
-    "step5_s13_to_disk",
-)
+_STEP_NAMES = tuple(step.name for step in fields(PlanSteps))
 
 
 class StateFormatError(Exception):
@@ -207,13 +200,11 @@ def _as_string(value, context: str) -> str:
 
 def _as_id(value, context: str) -> str:
     label = _as_string(value, context)
-    if _ID_PATTERN.match(label) is None:
-        raise StateFormatError(f"{context}: component identifiers look like 'c12', got {label!r}")
+    try:
+        component_number(label)
+    except ValueError as error:
+        raise StateFormatError(f"{context}: {error}") from error
     return label
-
-
-def _id_number(label: str) -> int:
-    return int(label[1:])
 
 
 def _parse_arc(payload, context: str) -> Arc:
@@ -316,7 +307,7 @@ def _rebuild_link(
                     "still exists afterwards"
                 )
             current.add(label)
-    initial = sorted(current, key=_id_number)
+    initial = sorted(current, key=component_number)
     if initial != [f"c{n}" for n in range(len(initial))]:
         raise StateFormatError(
             f"{context}: the initial components implied by the history must be "

@@ -216,6 +216,18 @@ def test_replay_rejects_inapplicable_scripts(heegaard2, koda, tmp_path):
     assert "script step 1" in proc.stderr
 
 
+def test_replay_rejects_scripts_whose_labels_differ_from_the_moves(koda, tmp_path):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps([{
+        "op": "stab", "handlebody": 1, "arc": {"distinct": ["c0", "c1"]},
+        "created": ["c9"], "removed": ["c0", "c1"],
+    }]), encoding="utf-8")
+    proc = run_cli("replay", str(koda), str(script))
+    assert proc.returncode == 1
+    assert "script step 1" in proc.stderr
+    assert proc.stdout == ""
+
+
 # -- planning --------------------------------------------------------------------------
 
 

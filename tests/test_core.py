@@ -78,6 +78,19 @@ def test_profile_rejects_bad_values():
         Profile(-1, 0, 0, 1)
     with pytest.raises(ValueError):
         Profile(0, 0, 0, 0)
+    with pytest.raises(ValueError):
+        Profile(True, 1, 0, 1)
+    with pytest.raises(ValueError):
+        Profile(1, 1, 0, True)
+
+
+def test_surface_genera_rejects_bad_values():
+    with pytest.raises(ValueError):
+        SurfaceGenera(-1, 0, 0)
+    with pytest.raises(ValueError):
+        SurfaceGenera(True, 0, 0)
+    with pytest.raises(ValueError):
+        SurfaceGenera(0, 0, 1.0)
 
 
 @pytest.mark.parametrize(

@@ -162,10 +162,6 @@ def test_bfs_from_trivial_reaches_only_itself():
     assert bfs_reachable(TRIVIAL, 9) == {TRIVIAL: 0}
 
 
-def test_bfs_threads_do_not_change_the_answer():
-    assert bfs_reachable(KODA, 12, threads=4) == bfs_reachable(KODA, 12)
-
-
 # -- paths and scripts --------------------------------------------------------------
 
 
@@ -285,10 +281,6 @@ def test_verify_reports_hub_slack_only_for_common_stabilization():
             assert entry.slack is not None and entry.slack >= 0
         else:
             assert entry.slack is None
-
-
-def test_verify_threads_do_not_change_the_report():
-    assert verify_properties(7, threads=4) == verify_properties(7)
 
 
 def test_property_result_is_plain_data():

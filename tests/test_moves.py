@@ -16,12 +16,14 @@ from trisections.core import (
     is_feasible,
     koda_ozawa,
     open_book,
+    other_two,
     split_heegaard,
     state_from_profile,
     trivial,
 )
 from trisections.moves import (
     DESTAB_CAVEAT,
+    STAB_DELTAS,
     DestabMove,
     DistinctComponents,
     IllegalMove,
@@ -110,6 +112,62 @@ def test_is_legal_matches_enumeration():
                 move = StabMove(i, SameComponent(c))
                 assert is_legal(state, move) == (move in listed)
         assert is_legal(state, StabMove(1, SameComponent("c999"))) is False
+
+
+def test_stab_deltas_rows_are_single_stabilizations():
+    assert list(STAB_DELTAS) == [(i, k) for i in (1, 2, 3) for k in ("same", "distinct")]
+    for (i, kind), (d12, d13, d23, db) in STAB_DELTAS.items():
+        between = {(1, 2): d12, (1, 3): d13, (2, 3): d23}
+        dh = {
+            n: sum(between[min(n, m), max(n, m)] for m in other_two(n)) + db
+            for n in (1, 2, 3)
+        }
+        j, k = other_two(i)
+        assert (dh[i], dh[j], dh[k]) == (1, 0, 0)
+        assert db == (1 if kind == "same" else -1)
+        assert [d for d in (d12, d13, d23, db) if d < 0] == [-1]
+
+
+def test_stab_deltas_fake_stab_compositions_move_only_g12():
+    for first, second in (("same", "distinct"), ("distinct", "same")):
+        total = [a + b for a, b in zip(STAB_DELTAS[2, first], STAB_DELTAS[1, second])]
+        assert total == [1, 0, 0, 0]
+
+
+def test_legality_and_effects_match_the_four_arc_conditions():
+    # The conditions as originally written per move kind, checked against
+    # the table-driven rule and the applied parameter change.
+    for state in _feasible_states(12):
+        g = state.genera
+        labels = sorted(state.link.components)
+        arcs = [SameComponent(labels[0])]
+        if state.b >= 2:
+            arcs.append(DistinctComponents(labels[0], labels[1]))
+        before = (g.g12, g.g13, g.g23, state.b)
+        for i in (1, 2, 3):
+            j, k = other_two(i)
+            for arc in arcs:
+                same = isinstance(arc, SameComponent)
+                stab_ok = g.between(j, k) >= 1 if same else state.b >= 2
+                destab_ok = (
+                    g.between(i, j) >= 1 and g.between(i, k) >= 1 if same else state.b >= 2
+                )
+                cases = (
+                    (StabMove(i, arc), stab_ok, apply_stabilization, 1,
+                     STAB_DELTAS[i, "same" if same else "distinct"]),
+                    (DestabMove(i, arc), destab_ok, apply_destabilization, -1,
+                     STAB_DELTAS[i, "distinct" if same else "same"]),
+                )
+                for move, expected, apply, sign, row in cases:
+                    assert is_legal(state, move) == expected
+                    if not expected:
+                        with pytest.raises(IllegalMove):
+                            apply(state, move)
+                        continue
+                    after = apply(state, move)
+                    ag = after.genera
+                    change = [a - b for a, b in zip((ag.g12, ag.g13, ag.g23, after.b), before)]
+                    assert change == [sign * d for d in row]
 
 
 def test_apply_rejects_illegal_moves():

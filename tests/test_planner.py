@@ -21,7 +21,7 @@ from trisections.core import (
     open_book,
     trivial,
 )
-from trisections.moves import IllegalMove, MoveRecord, SameComponent
+from trisections.moves import DistinctComponents, IllegalMove, MoveRecord, SameComponent
 from trisections.planner import (
     PlanReport,
     PlanSteps,
@@ -145,6 +145,21 @@ def test_replay_reports_the_failing_step():
     )
     with pytest.raises(IllegalMove, match="script step 2"):
         replay(from_heegaard(2), script)
+
+
+def test_replay_rejects_a_stab_record_with_wrong_labels():
+    # the merge really creates c2; a record claiming c9 must not replay
+    record = MoveRecord("stab", 1, DistinctComponents("c0", "c1"), ("c9",), ("c0", "c1"))
+    with pytest.raises(IllegalMove, match="script step 1"):
+        replay(koda_ozawa(), (record,))
+    honest = MoveRecord("stab", 1, DistinctComponents("c0", "c1"), ("c2",), ("c0", "c1"))
+    assert replay(koda_ozawa(), (honest,)).history == (honest,)
+
+
+def test_replay_rejects_a_fake_stab_record_that_differs_from_the_compound():
+    forged = MoveRecord("fake_stab", 3, SameComponent("c0"), ("c7",), ("c5",))
+    with pytest.raises(IllegalMove, match="script step 1"):
+        replay(open_book(1), (forged,))
 
 
 def test_replay_of_an_empty_script_is_identity():
