@@ -1,4 +1,4 @@
-"""Brute-force exploration of the stabilization move graph.
+"""Exploration of the stabilization move graph.
 
 Component labels never affect which moves are legal or how genera move,
 so for search the engine shrinks a state to its parameter shadow: the
@@ -6,6 +6,35 @@ node (g12, g13, g23, b).  Each node has at most six successors, one per
 legal row of :data:`~trisections.moves.STAB_DELTAS`, and every move
 raises h1 + h2 + h3 by exactly 1, so the move graph is graded by that
 sum and breadth-first search depth equals the sum difference.
+
+Reachability has a closed form (:func:`reachable`).  Write h(n) for the
+heights (h1, h2, h3) of a node, h_i = g_ij + g_ik + b - 1.  A node t is
+reachable from s exactly when t == s, or s is not trivial, h(t) >= h(s)
+componentwise, min h(t) >= 1 and |b(t) - b(s)| <= sum(h(t) - h(s)).
+
+Necessity: every row raises one h_i by 1 and moves b by +-1, so along a
+path of n = sum(h(t) - h(s)) moves h never falls and b moves at most n.
+The trivial node has no moves, and every node a move produces has
+min h >= 1 (a SameComponent move leaves b >= 2, a DistinctComponents
+move leaves g_ij, g_ik >= 1).
+
+Sufficiency is constructive.  Let u != t be non-trivial and meet the
+conditions, d = h(t) - h(u) and n = sum(d) >= 1; parity of
+h1 + h2 + h3 + b makes n - |b(t) - b(u)| even.  Some h_i with d_i >= 1
+can be raised so that the result still meets them, one move closer:
+
+* b(t) = b(u) + n: then g_jk(t) = g_jk(u) - d_i, so g_jk(u) >= 1 and
+  the SameComponent move on H_i is legal;
+* b(t) = b(u) - n: b(u) > b(t) >= 1, so DistinctComponents is legal;
+* otherwise either kind may move b: DistinctComponents when b(u) >= 2,
+  and when b(u) = 1 some i with d_i >= 1 has g_jk(u) >= 1, since
+  otherwise u is trivial, h(t) has a zero or g_jk(t) < 0.
+
+Search uses the rule: a minimal common stabilization is found by
+enumerating the few candidate nodes above both inputs, level by level,
+and shortest paths only enter nodes that can still reach the goal.
+Breadth-first search (:func:`bfs_reachable`) remains as the ``explore``
+listing and as the reference the tests hold the rule to.
 
 The full labeled engine reappears only when a parameter path is realized
 as a replayable :class:`~trisections.moves.MoveScript` on canonical
@@ -16,12 +45,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core import (
     LinkComponentSet,
     Profile,
     SurfaceGenera,
+    TrisectionError,
     TrisectionState,
     genera_from_profile,
     is_feasible,
@@ -43,6 +73,11 @@ from .moves import (
 
 # A parameter-level move: (handlebody index, "same" | "distinct").
 ParamMove = tuple[int, str]
+
+
+class WitnessNotFound(TrisectionError):
+    """The move graph has no script to a node that :func:`reachable` accepts."""
+
 
 # STAB_DELTAS in the form successors() reads: every row lowers exactly one
 # coordinate, so a row applies when that coordinate clears its floor.
@@ -78,8 +113,13 @@ class MoveGraphNode:
     def genera(self) -> SurfaceGenera:
         return SurfaceGenera(self.g12, self.g13, self.g23)
 
+    def heights(self) -> tuple[int, int, int]:
+        """The handlebody genera (h1, h2, h3): h_i = g_ij + g_ik + b - 1."""
+        g12, g13, g23, extra = self.g12, self.g13, self.g23, self.b - 1
+        return (g12 + g13 + extra, g12 + g23 + extra, g13 + g23 + extra)
+
     def profile(self) -> Profile:
-        return self.to_state().profile
+        return Profile(*self.heights(), self.b)
 
     def to_state(self, label: str = "") -> TrisectionState:
         """The canonical labeled state for this node: components c0 .. c<b-1>."""
@@ -100,6 +140,33 @@ class MoveGraphNode:
             if params[falling] >= least:
                 out.append((move, MoveGraphNode(g12 + d12, g13 + d13, g23 + d23, b + db)))
         return out
+
+
+def reachable(start: MoveGraphNode, goal: MoveGraphNode) -> bool:
+    """Whether some sequence of stabilizations leads from ``start`` to ``goal``.
+
+    The closed form proved in the module docstring: ``goal == start``, or
+    ``start`` is not trivial, h(goal) >= h(start) componentwise,
+    min h(goal) >= 1 and |b(goal) - b(start)| <= sum(h(goal) - h(start)).
+    """
+    if goal == start:
+        return True
+    return not start.is_trivial and _reaches(start.heights(), start.b, goal.heights(), goal.b)
+
+
+def _reaches(
+    h_start: tuple[int, int, int], b_start: int, h_goal: tuple[int, int, int], b_goal: int
+) -> bool:
+    # The conditions of reachable() for a non-trivial start, on heights and b.
+    s1, s2, s3 = h_start
+    g1, g2, g3 = h_goal
+    return (
+        min(g1, g2, g3) >= 1
+        and g1 >= s1
+        and g2 >= s2
+        and g3 >= s3
+        and abs(b_goal - b_start) <= g1 + g2 + g3 - s1 - s2 - s3
+    )
 
 
 def feasible_nodes(max_sum: int) -> list[MoveGraphNode]:
@@ -164,25 +231,32 @@ def shortest_path(
 ) -> list[ParamMove] | None:
     """A shortest parameter-move path from ``start`` to ``goal``, or None.
 
-    Breadth-first search capped at ``depth_bound`` moves.  Realize the
-    result against a labeled state with :func:`realize_path`.
+    None when ``goal`` is not :func:`reachable` or lies more than
+    ``depth_bound`` moves up.  Otherwise breadth-first search that enters
+    only nodes from which ``goal`` is still reachable, all of them below
+    its level.  Every predecessor of such a node can reach ``goal`` too,
+    so each node kept has the BFS parent and discovery order it has in
+    the unpruned search, and the path is the one that search returns.
+    Realize the result against a labeled state with :func:`realize_path`.
     """
     if start == goal:
         return []
-    distance = goal.sum_h() - start.sum_h()
-    if distance <= 0 or distance > depth_bound:
+    if goal.sum_h() - start.sum_h() > depth_bound or not reachable(start, goal):
         return None
+    # start is not trivial and every node entered below is a move's result,
+    # so it differs from start and _reaches decides reachable() for it.
+    h_goal, b_goal = goal.heights(), goal.b
     parents: dict[MoveGraphNode, tuple[MoveGraphNode, ParamMove]] = {}
-    queue: deque[tuple[MoveGraphNode, int]] = deque([(start, 0)])
+    queue: deque[MoveGraphNode] = deque([start])
     seen = {start}
     while queue:
-        node, depth = queue.popleft()
-        if depth == distance:
-            continue
+        node = queue.popleft()
         for move, successor in node.successors():
             if successor in seen:
                 continue
             seen.add(successor)
+            if not _reaches(successor.heights(), successor.b, h_goal, b_goal):
+                continue
             parents[successor] = (node, move)
             if successor == goal:
                 path: list[ParamMove] = []
@@ -192,7 +266,7 @@ def shortest_path(
                     path.append(step)
                 path.reverse()
                 return path
-            queue.append((successor, depth + 1))
+            queue.append(successor)
     return None
 
 
@@ -209,8 +283,7 @@ def shortest_script(
     path = shortest_path(start, goal, depth_bound)
     if path is None:
         return None
-    final, script = realize_path(start.to_state(), path)
-    assert MoveGraphNode.from_state(final) == goal
+    _, script = realize_path(start.to_state(), path)
     return script
 
 
@@ -219,22 +292,56 @@ def common_stabilization_search(
 ) -> tuple[MoveGraphNode, MoveScript, MoveScript] | None:
     """A common stabilization of two nodes with minimal sum_h, plus witnesses.
 
-    Searches all nodes with sum_h <= max_sum reachable from both sides;
-    among common nodes the one with minimal sum_h (ties broken
-    lexicographically) is returned together with one shortest script
-    from each input, realized on the inputs' canonical labelings.
-    Returns None when no common node exists within the bound.
+    Among the nodes with sum_h <= max_sum reachable from both sides, the
+    one with minimal sum_h (ties broken lexicographically) is returned
+    together with one shortest script from each input, realized on the
+    inputs' canonical labelings.  Returns None when no common node exists
+    within the bound.  Raises :class:`WitnessNotFound` if the move graph
+    has no script to the node :func:`reachable` chose.
     """
-    from_a = bfs_reachable(a, max_sum)
-    from_b = bfs_reachable(b, max_sum)
-    common = sorted(set(from_a) & set(from_b), key=lambda n: (n.sum_h(), n))
-    if not common:
+    if a == b:
+        return (a, (), ()) if a.sum_h() <= max_sum else None
+    if a.is_trivial or b.is_trivial:
         return None
-    node = common[0]
-    script_a = shortest_script(a, node, from_a[node])
-    script_b = shortest_script(b, node, from_b[node])
-    assert script_a is not None and script_b is not None
+    # The inputs differ and neither is trivial, so _reaches on both sides is
+    # reachable() on both sides, also for a candidate equal to one input: the
+    # other side then needs min h >= 1, as _reaches does.  A common node has
+    # heights >= floor, so no level below sum(floor) holds one.
+    h_a, h_b = a.heights(), b.heights()
+    floor = tuple(map(max, h_a, h_b))
+    for level in range(sum(floor), max_sum + 1):
+        common = [
+            MoveGraphNode.from_profile(Profile(*heights, count))
+            for heights, count in _profiles_above(floor, level)
+            if _reaches(h_a, a.b, heights, count) and _reaches(h_b, b.b, heights, count)
+        ]
+        if common:
+            node = min(common)
+            break
+    else:
+        return None
+    script_a = shortest_script(a, node, node.sum_h() - a.sum_h())
+    script_b = shortest_script(b, node, node.sum_h() - b.sum_h())
+    if script_a is None or script_b is None:
+        raise WitnessNotFound(
+            f"no stabilization script from {a} and {b} to their common node {node}"
+        )
     return node, script_a, script_b
+
+
+def _profiles_above(
+    floor: tuple[int, ...], level: int
+) -> Iterator[tuple[tuple[int, int, int], int]]:
+    """Every feasible (heights, b) with heights >= ``floor`` summing to ``level``."""
+    f1, f2, f3 = floor
+    for h1 in range(f1, level - f2 - f3 + 1):
+        for h2 in range(f2, level - h1 - f3 + 1):
+            h3 = level - h1 - h2
+            # A node needs h1 + h2 + h3 + b odd and each g_ij >= 0, that is
+            # b - 1 <= h_i + h_j - h_k for every k.
+            least_gap = min(h1 + h2 - h3, h1 + h3 - h2, h2 + h3 - h1)
+            for b in range(1 + level % 2, least_gap + 2, 2):
+                yield (h1, h2, h3), b
 
 
 @dataclass(frozen=True, slots=True)

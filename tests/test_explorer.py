@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import pytest
 
-from trisections.core import Profile, is_feasible, koda_ozawa, state_from_profile
+from trisections import explorer
+from trisections.core import Profile, TrisectionError, is_feasible, koda_ozawa, state_from_profile
 from trisections.explorer import (
     MoveGraphNode,
     PropertyResult,
     VerificationReport,
+    WitnessNotFound,
     bfs_reachable,
     common_stabilization_search,
     feasible_nodes,
@@ -55,6 +57,7 @@ def test_node_round_trips_through_profiles_and_states():
         assert MoveGraphNode.from_profile(node.profile()) == node
         assert MoveGraphNode.from_state(node.to_state()) == node
         assert node.sum_h() == node.profile().sum_h()
+        assert node.profile() == node.to_state().profile
 
 
 def test_node_from_state_matches_koda_ozawa():
@@ -232,13 +235,20 @@ def test_common_stabilization_is_minimal():
     result = common_stabilization_search(HEEGAARD2, KODA, 12)
     assert result is not None
     node = result[0]
-    # no strictly smaller node is reachable from both inputs
-    for candidate in feasible_nodes(node.sum_h()):
-        if (candidate.sum_h(), candidate) < (node.sum_h(), node):
-            both = shortest_path(HEEGAARD2, candidate, 12) is not None and (
-                shortest_path(KODA, candidate, 12) is not None
-            )
-            assert not both
+    # no strictly smaller node is reached by breadth-first search from both inputs
+    common = set(bfs_reachable(HEEGAARD2, 12)) & set(bfs_reachable(KODA, 12))
+    assert node in common
+    assert min(common, key=lambda n: (n.sum_h(), n)) == node
+
+
+def test_common_stabilization_raises_when_the_move_graph_disagrees(monkeypatch):
+    # shortest_script is the move graph's word on the node reachable() chose
+    monkeypatch.setattr(explorer, "shortest_script", lambda start, goal, bound: None)
+    with pytest.raises(WitnessNotFound) as caught:
+        common_stabilization_search(HEEGAARD2, KODA, 12)
+    for node in (HEEGAARD2, KODA, MoveGraphNode(0, 0, 0, 3)):
+        assert repr(node) in str(caught.value)
+    assert issubclass(WitnessNotFound, TrisectionError)
 
 
 def test_common_stabilization_is_symmetric_in_its_node():

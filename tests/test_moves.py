@@ -136,7 +136,10 @@ def test_stab_deltas_fake_stab_compositions_move_only_g12():
 
 def test_legality_and_effects_match_the_four_arc_conditions():
     # The conditions as originally written per move kind, checked against
-    # the table-driven rule and the applied parameter change.
+    # the table-driven rule and the applied parameter change.  A labeled
+    # stabilization thus applies the same STAB_DELTAS row as
+    # MoveGraphNode.successors for its (handlebody, arc kind), which is why
+    # explorer.realize_path needs no check that a script lands on its goal.
     for state in _feasible_states(12):
         g = state.genera
         labels = sorted(state.link.components)

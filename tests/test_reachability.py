@@ -1,0 +1,157 @@
+"""The closed-form reachability rule, held to breadth-first search.
+
+``reachable`` and everything built on it (``shortest_path``'s pruning and
+``common_stabilization_search``) are checked here against references that
+use only ``bfs_reachable`` and ``successors``: an exhaustive sweep over
+small nodes, a property test over larger ones, and a BFS-intersection
+search written out in this file.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from trisections.explorer import (
+    MoveGraphNode,
+    bfs_reachable,
+    common_stabilization_search,
+    feasible_nodes,
+    realize_path,
+    reachable,
+)
+
+TRIVIAL = MoveGraphNode(0, 0, 0, 1)
+STARTS = feasible_nodes(24)
+# No change, or one coordinate of (g12, g13, g23, b) moved by 1.
+NUDGES = [(0, 0, 0, 0)] + [
+    tuple(sign if k == axis else 0 for k in range(4)) for axis in range(4) for sign in (1, -1)
+]
+
+
+def test_reachable_matches_bfs_on_every_pair_up_to_sum_12():
+    nodes = feasible_nodes(12)
+    for start in nodes:
+        reached = bfs_reachable(start, 12)
+        for goal in nodes:
+            assert reachable(start, goal) == (goal in reached), (start, goal)
+
+
+def test_reachable_examples():
+    heegaard2, openbook1, koda = (
+        MoveGraphNode(2, 0, 0, 1), MoveGraphNode(1, 1, 1, 1), MoveGraphNode(0, 0, 1, 2)
+    )
+    assert reachable(heegaard2, openbook1)
+    assert not reachable(openbook1, heegaard2)
+    assert reachable(TRIVIAL, TRIVIAL)
+    assert not reachable(TRIVIAL, koda)
+    # h(3,0,0,1) = (3,3,0): a zero height is out of reach of every other node
+    assert not reachable(heegaard2, MoveGraphNode(3, 0, 0, 1))
+    # h goes from (4,4,4) to (5,4,4) in one move, but b would fall by 3
+    many, few = MoveGraphNode(0, 0, 0, 5), MoveGraphNode(2, 2, 1, 2)
+    assert not reachable(many, few)
+    assert few not in bfs_reachable(many, few.sum_h())
+
+
+@st.composite
+def _node_pairs(draw) -> tuple[MoveGraphNode, MoveGraphNode]:
+    # A start with sum_h <= 24 and a goal with sum_h <= 30 in the start's
+    # cone or near its edge: a random walk of stabilizations, then a small
+    # nudge that may leave the cone.
+    start = draw(st.sampled_from(STARTS))
+    goal = start
+    for _ in range(draw(st.integers(1, 30 - start.sum_h()))):
+        successors = goal.successors()
+        if not successors:
+            break
+        goal = successors[draw(st.integers(0, len(successors) - 1))][1]
+    nudge = draw(st.sampled_from(NUDGES))
+    params = [x + d for x, d in zip((goal.g12, goal.g13, goal.g23, goal.b), nudge)]
+    if min(params[:3]) >= 0 and params[3] >= 1:
+        nudged = MoveGraphNode(*params)
+        if nudged.sum_h() <= 30:
+            goal = nudged
+    return start, goal
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_node_pairs())
+def test_reachable_matches_bfs_on_random_pairs_up_to_sum_30(pair):
+    start, goal = pair
+    assert reachable(start, goal) == (goal in bfs_reachable(start, goal.sum_h()))
+
+
+# -- common stabilizations against a BFS-intersection reference ----------------------
+
+
+def _bfs_path(start: MoveGraphNode, goal: MoveGraphNode) -> list[tuple[int, str]]:
+    # Unpruned breadth-first search, level by level; a node's parent is the
+    # first node of the previous level, in queue order, that reaches it.
+    parents: dict[MoveGraphNode, tuple[MoveGraphNode, tuple[int, str]] | None] = {start: None}
+    frontier = [start]
+    while goal not in parents:
+        next_frontier = []
+        for node in frontier:
+            for move, successor in node.successors():
+                if successor not in parents:
+                    parents[successor] = (node, move)
+                    next_frontier.append(successor)
+        frontier = next_frontier
+    path = []
+    while parents[goal] is not None:
+        goal, move = parents[goal]
+        path.append(move)
+    return path[::-1]
+
+
+def _reference_search(a, b, max_sum, reached):
+    common = set(reached(a, max_sum)) & set(reached(b, max_sum))
+    if not common:
+        return None
+    node = min(common, key=lambda n: (n.sum_h(), n))
+    scripts = [realize_path(x.to_state(), _bfs_path(x, node))[1] for x in (a, b)]
+    return node, *scripts
+
+
+def test_common_stabilization_matches_bfs_intersection_on_small_pairs():
+    cache: dict[tuple[MoveGraphNode, int], dict[MoveGraphNode, int]] = {}
+
+    def reached(node: MoveGraphNode, max_sum: int) -> dict[MoveGraphNode, int]:
+        if (node, max_sum) not in cache:
+            cache[node, max_sum] = bfs_reachable(node, max_sum)
+        return cache[node, max_sum]
+
+    nodes = feasible_nodes(6)
+    found_some = 0
+    for a, b in itertools.product(nodes, nodes):
+        expected = _reference_search(a, b, 12, reached)
+        bounds = [12]
+        if expected is not None:
+            level = expected[0].sum_h()
+            bounds += [level - 1, level, level + 2]  # level - 1 is too tight
+            found_some += 1
+        for max_sum in bounds:
+            want = _reference_search(a, b, max_sum, reached)
+            assert common_stabilization_search(a, b, max_sum) == want, (a, b, max_sum)
+    assert found_some == len(nodes) ** 2 - 2 * (len(nodes) - 1)
+
+
+def test_trivial_pairs_fail_at_once():
+    koda = MoveGraphNode(0, 0, 1, 2)
+    assert common_stabilization_search(TRIVIAL, TRIVIAL, 0) == (TRIVIAL, (), ())
+    assert common_stabilization_search(TRIVIAL, koda, 10**6) is None
+    assert common_stabilization_search(koda, TRIVIAL, 10**6) is None
+
+
+@pytest.mark.parametrize("a, b", [
+    (MoveGraphNode(2, 0, 0, 1), MoveGraphNode(0, 0, 1, 2)),
+    (MoveGraphNode(0, 5, 0, 1), MoveGraphNode(0, 0, 0, 4)),
+])
+def test_common_stabilization_does_not_depend_on_a_loose_bound(a, b):
+    bounded = common_stabilization_search(a, b, 40)
+    assert bounded is not None
+    assert common_stabilization_search(a, b, 10**6) == bounded
