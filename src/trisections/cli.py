@@ -4,7 +4,8 @@ State and report JSON goes to ``-o FILE`` when given and to standard
 output otherwise, so commands compose through pipes; human-readable
 summaries go to standard error.  Exit codes: 0 on success, 1 on domain
 errors (illegal move, infeasible or out-of-domain input, trivial input,
-nothing found within a search bound), 2 on usage or file format errors.
+nothing found within a search bound, a request over a size limit), 2 on
+usage or file format errors.
 """
 
 from __future__ import annotations
@@ -13,7 +14,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from .core import CONSTRUCTORS, TrisectionError, TrisectionState, construct
+from .core import (
+    CONSTRUCTORS,
+    TrisectionError,
+    TrisectionState,
+    construct,
+    construct_profile,
+)
 from .moves import (
     DESTAB_CAVEAT,
     DestabMove,
@@ -23,7 +30,9 @@ from .moves import (
     apply_destabilization,
     apply_stabilization,
     balance,
+    balance_length,
     build_heegaard,
+    disk_length,
     fake_heegaard_stab,
 )
 from .explorer import (
@@ -45,8 +54,24 @@ from .serialize import (
 )
 
 
+# Size limits, checked arithmetically before any work starts: one move
+# is cheap, but a request for billions of them or of components would
+# run for hours or exhaust memory.
+MAX_COMPONENTS = 100_000
+MAX_SCRIPT_MOVES = 100_000
+
+
 class _UsageError(Exception):
     pass
+
+
+class SizeLimitExceeded(TrisectionError):
+    """A request is larger than the CLI's size limits."""
+
+
+def _check_size(what: str, size: int, limit: int) -> None:
+    if size > limit:
+        raise SizeLimitExceeded(f"{what} would be {size}, over the limit of {limit}")
 
 
 def _read_text(path: str) -> str:
@@ -91,6 +116,8 @@ def _cmd_new(args: argparse.Namespace) -> int:
     if len(args.params) != len(names):
         wanted = " ".join(names) if names else "(none)"
         raise _UsageError(f"constructor {args.kind!r} takes parameters: {wanted}")
+    profile = construct_profile(args.kind, tuple(args.params))
+    _check_size(f"new {args.kind}: the number of boundary components", profile.b, MAX_COMPONENTS)
     state = construct(args.kind, tuple(args.params))
     _write_text(args.output, state_to_text(state))
     _note(f"new {args.kind}: profile {state.profile}")
@@ -134,6 +161,7 @@ def _cmd_destab(args: argparse.Namespace) -> int:
 
 def _cmd_balance(args: argparse.Namespace) -> int:
     state = _read_state(args.file)
+    _check_size("balance: the script length", balance_length(state), MAX_SCRIPT_MOVES)
     after, script = balance(state)
     _write_text(args.output, state_to_text(after))
     if args.script is not None:
@@ -144,6 +172,11 @@ def _cmd_balance(args: argparse.Namespace) -> int:
 
 def _cmd_build_heegaard(args: argparse.Namespace) -> int:
     state = _read_state(args.file)
+    _check_size(
+        f"build-heegaard H{args.handlebody}: the script length",
+        disk_length(state, args.handlebody),
+        MAX_SCRIPT_MOVES,
+    )
     after, genus, script = build_heegaard(state, args.handlebody)
     _write_text(args.output, state_to_text(after))
     if args.script is not None:

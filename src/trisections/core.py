@@ -12,12 +12,21 @@ This module keeps only that combinatorial shadow: the three surface
 genera, the named components of B, and everything derivable from them.
 It does not encode embeddings or attaching maps.  States are immutable;
 the move calculus in :mod:`trisections.moves` produces new states.
+
+A move costs O(1) Python-level work however long the state's past:
+``history`` and ``genealogy`` are :class:`Chain` objects, so a move
+appends one node to each and shares everything before it, and
+:meth:`LinkComponentSet.split` and :meth:`~LinkComponentSet.merge` build
+the new component tuple by C-level ``index`` and slicing and skip the
+full label check that every set built from outside gets.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from functools import wraps
+from typing import Iterable
 
 HANDLEBODIES = (1, 2, 3)
 
@@ -41,7 +50,8 @@ _OTHER_TWO = {1: (2, 3), 2: (1, 3), 3: (1, 2)}
 
 def other_two(i: int) -> tuple[int, int]:
     """Return the two handlebody indices distinct from ``i``, ascending."""
-    pair = _OTHER_TWO.get(i)
+    # True == 1 and 1.0 == 1 would find a pair too, but are no index.
+    pair = _OTHER_TWO.get(i) if type(i) is int else None
     if pair is None:
         raise ValueError(f"handlebody index must be 1, 2 or 3, got {i!r}")
     return pair
@@ -127,6 +137,98 @@ class Profile:
         return f"({self.h1},{self.h2},{self.h3};{self.b})"
 
 
+class Chain:
+    """An immutable sequence: a tuple of items, then items appended one by one.
+
+    A chain built from items holds them as one tuple.  :meth:`append`
+    makes one node that holds the new item, the length and the chain
+    before it, so it costs O(1), and chains appended to from one
+    ancestor share that ancestor.  A chain reads like a tuple: ``len``
+    and ``[-1]`` are O(1); an index or a slice that reaches k appended
+    items back from the end costs O(k), and slices are tuples; iteration
+    is O(n); and a chain equals, and hashes like, the tuple of its items.
+    """
+
+    # An appended node has its item in _last and the chain before it in
+    # _parent; a chain built from items has _parent None and the tuple
+    # of its items in _last.
+    __slots__ = ("_parent", "_last", "_len")
+
+    def __init__(self, items: Iterable = ()) -> None:
+        self._parent = None
+        self._last = tuple(items)
+        self._len = len(self._last)
+
+    def append(self, item) -> Chain:
+        """A new chain: this one followed by ``item``."""
+        node = object.__new__(Chain)
+        node._parent = self
+        node._last = item
+        node._len = self._len + 1
+        return node
+
+    def _run(self, skip: int, count: int) -> tuple:
+        # The ``count`` items that end ``skip`` items before the end.
+        node, items = self, []
+        while skip and node._parent is not None:
+            node, skip = node._parent, skip - 1
+        while count and node._parent is not None:
+            items.append(node._last)
+            node, count = node._parent, count - 1
+        items.reverse()
+        if not count:
+            return tuple(items)
+        stop = node._len - skip
+        return node._last[stop - count:stop] + tuple(items)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        n = self._len
+        if isinstance(index, slice):
+            start, stop, step = index.indices(n)
+            if step != 1:
+                return self._run(0, n)[index]
+            return self._run(n - stop, stop - start) if stop > start else ()
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError("chain index out of range")
+        node, back = self, n - 1 - index
+        while back and node._parent is not None:
+            node, back = node._parent, back - 1
+        return node._last if node._parent is not None else node._last[node._len - 1 - back]
+
+    def __iter__(self):
+        return iter(self._run(0, self._len))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, tuple):
+            return self._len == len(other) and self._run(0, self._len) == other
+        if not isinstance(other, Chain):
+            return NotImplemented
+        if self._len != other._len:
+            return False
+        mine, theirs = self, other
+        while mine is not theirs:  # a shared ancestor ends the walk: the rest is equal
+            if mine._parent is None or theirs._parent is None:
+                return mine._run(0, mine._len) == theirs._run(0, theirs._len)
+            if mine._last != theirs._last:
+                return False
+            mine, theirs = mine._parent, theirs._parent
+        return True
+
+    def __hash__(self) -> int:
+        return hash(self._run(0, self._len))
+
+    def __repr__(self) -> str:
+        return repr(self._run(0, self._len))
+
+
+_EVENT_SHAPES = {"genesis": None, "split": (1, 2), "merge": (2, 1)}
+
+
 @dataclass(frozen=True, slots=True)
 class GenealogyEvent:
     """One step in the life of the boundary link's components.
@@ -140,10 +242,9 @@ class GenealogyEvent:
     children: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        shapes = {"genesis": None, "split": (1, 2), "merge": (2, 1)}
-        if self.kind not in shapes:
+        if self.kind not in _EVENT_SHAPES:
             raise ValueError(f"unknown genealogy event kind {self.kind!r}")
-        shape = shapes[self.kind]
+        shape = _EVENT_SHAPES[self.kind]
         if self.kind == "genesis":
             if self.parents or not self.children:
                 raise ValueError("genesis events have no parents and at least one child")
@@ -158,13 +259,13 @@ class LinkComponentSet:
     Components carry opaque sequential identifiers ``c0``, ``c1``, ...;
     ``next_id`` is the counter for the next fresh label, and labels are
     never reused.  ``components`` is ordered by creation.  ``genealogy``
-    records every genesis/split/merge and replays to the current set,
-    which is what makes move scripts replayable.
+    is a :class:`Chain` of every genesis/split/merge and replays to the
+    current set, which is what makes move scripts replayable.
     """
 
     components: tuple[str, ...]
     next_id: int
-    genealogy: tuple[GenealogyEvent, ...]
+    genealogy: Chain
 
     def __post_init__(self) -> None:
         if len(self.components) < 1:
@@ -174,6 +275,8 @@ class LinkComponentSet:
         for label in self.components:
             if component_number(label) >= self.next_id:
                 raise ValueError(f"component {label!r} is not below next_id={self.next_id}")
+        if not isinstance(self.genealogy, Chain):
+            object.__setattr__(self, "genealogy", Chain(self.genealogy))
 
     @classmethod
     def fresh(cls, count: int) -> LinkComponentSet:
@@ -187,19 +290,34 @@ class LinkComponentSet:
     def b(self) -> int:
         return len(self.components)
 
+    def _successor(
+        self, components: tuple[str, ...], next_id: int, event: GenealogyEvent
+    ) -> LinkComponentSet:
+        # The set after ``event``, without __post_init__'s pass over every
+        # label.  Only the fresh labels are new, and they are c<self.next_id>
+        # and up: unique, since every old label is below self.next_id, and
+        # below the new next_id.  The kept labels satisfied both already.
+        link = object.__new__(LinkComponentSet)
+        object.__setattr__(link, "components", components)
+        object.__setattr__(link, "next_id", next_id)
+        object.__setattr__(link, "genealogy", self.genealogy.append(event))
+        return link
+
     def split(self, component: str) -> tuple[LinkComponentSet, tuple[str, str]]:
         """Replace ``component`` by two fresh components.
 
         Pre-condition: ``component`` is present.
         """
-        if component not in self.components:
-            raise ValueError(f"unknown component {component!r}")
+        components = self.components
+        try:
+            n = components.index(component)
+        except ValueError:
+            raise ValueError(f"unknown component {component!r}") from None
         first = f"c{self.next_id}"
         second = f"c{self.next_id + 1}"
-        kept = tuple(c for c in self.components if c != component)
         event = GenealogyEvent("split", (component,), (first, second))
-        new = LinkComponentSet(kept + (first, second), self.next_id + 2, self.genealogy + (event,))
-        return new, (first, second)
+        kept = components[:n] + components[n + 1:]
+        return self._successor(kept + (first, second), self.next_id + 2, event), (first, second)
 
     def merge(self, first: str, second: str) -> tuple[LinkComponentSet, str]:
         """Replace the two named components by one fresh component.
@@ -208,14 +326,16 @@ class LinkComponentSet:
         """
         if first == second:
             raise ValueError("cannot merge a component with itself")
-        for label in (first, second):
-            if label not in self.components:
-                raise ValueError(f"unknown component {label!r}")
+        components = self.components
+        try:
+            m, n = sorted((components.index(first), components.index(second)))
+        except ValueError:
+            missing = first if first not in components else second
+            raise ValueError(f"unknown component {missing!r}") from None
         merged = f"c{self.next_id}"
-        kept = tuple(c for c in self.components if c not in (first, second))
         event = GenealogyEvent("merge", (first, second), (merged,))
-        new = LinkComponentSet(kept + (merged,), self.next_id + 1, self.genealogy + (event,))
-        return new, merged
+        kept = components[:m] + components[m + 1:n] + components[n + 1:]
+        return self._successor(kept + (merged,), self.next_id + 1, event), merged
 
     def replay_genealogy(self) -> tuple[str, ...]:
         """Recompute the component set by replaying the genealogy."""
@@ -247,14 +367,19 @@ class TrisectionState:
     """A trisection presented by surface genera plus boundary components.
 
     ``history`` is the move script that produced this state from its
-    construction (see :mod:`trisections.moves` for the record type), and
+    construction (see :mod:`trisections.moves` for the record type), a
+    :class:`Chain` that also accepts any sequence of records, and
     ``label`` is a free-form description of where the state came from.
     """
 
     genera: SurfaceGenera
     link: LinkComponentSet
-    history: tuple = field(default=())
+    history: Chain = field(default=Chain())
     label: str = ""
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.history, Chain):
+            object.__setattr__(self, "history", Chain(self.history))
 
     @property
     def b(self) -> int:
@@ -339,7 +464,7 @@ def is_feasible(profile: Profile) -> bool:
 def state_from_profile(profile: Profile, label: str = "") -> TrisectionState:
     """A fresh state presenting ``profile``, components ``c0`` .. ``c<b-1>``."""
     genera = genera_from_profile(profile)
-    return TrisectionState(genera, LinkComponentSet.fresh(profile.b), (), label)
+    return TrisectionState(genera, LinkComponentSet.fresh(profile.b), label=label)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -347,52 +472,78 @@ def _require(condition: bool, message: str) -> None:
         raise OutOfDomain(message)
 
 
-def trivial() -> TrisectionState:
+# CLI-facing catalogue: kind -> (constructor, parameter names).
+CONSTRUCTORS: dict[str, tuple] = {}
+# kind -> the constructor's builder of (profile, label).
+_BUILDERS: dict = {}
+
+
+def _constructor(kind: str, *names: str):
+    """Register a builder of ``(profile, label)`` as the constructor ``kind``.
+
+    The decorated name is the state constructor.  :func:`construct_profile`
+    runs the builder alone, so a caller can size a request before its
+    boundary link is allocated.
+    """
+
+    def register(build):
+        @wraps(build)
+        def constructor(*args, **kwargs) -> TrisectionState:
+            return state_from_profile(*build(*args, **kwargs))
+
+        CONSTRUCTORS[kind] = (constructor, names)
+        _BUILDERS[kind] = build
+        return constructor
+
+    return register
+
+
+@_constructor("trivial")
+def trivial():
     """The trisection of the 3-sphere by three balls: profile (0,0,0;1)."""
-    return state_from_profile(Profile(0, 0, 0, 1), "trivial")
+    return Profile(0, 0, 0, 1), "trivial"
 
 
-def from_heegaard(genus: int) -> TrisectionState:
+@_constructor("from-heegaard", "genus")
+def from_heegaard(genus: int):
     """Thicken one side of a genus-g Heegaard splitting: profile (g,g,0;1)."""
     _require(genus >= 0, f"Heegaard genus must be >= 0, got {genus}")
-    return state_from_profile(
-        Profile(genus, genus, 0, 1), f"from-heegaard(genus={genus})"
-    )
+    return Profile(genus, genus, 0, 1), f"from-heegaard(genus={genus})"
 
 
-def split_heegaard(genus: int, lower: int) -> TrisectionState:
+@_constructor("split-heegaard", "genus", "lower")
+def split_heegaard(genus: int, lower: int):
     """Split a genus-g handlebody into genus-h and genus-(g-h) pieces: (g,h,g-h;1)."""
     _require(genus >= 0, f"Heegaard genus must be >= 0, got {genus}")
     _require(0 <= lower <= genus, f"need 0 <= lower <= genus, got lower={lower}")
-    return state_from_profile(
+    return (
         Profile(genus, lower, genus - lower, 1),
         f"split-heegaard(genus={genus},lower={lower})",
     )
 
 
-def open_book(page_genus: int) -> TrisectionState:
+@_constructor("open-book", "page_genus")
+def open_book(page_genus: int):
     """An open book with genus-g pages and connected binding: (2g,2g,2g;1)."""
     _require(page_genus >= 0, f"page genus must be >= 0, got {page_genus}")
     g = page_genus
-    return state_from_profile(
-        Profile(2 * g, 2 * g, 2 * g, 1), f"open-book(page-genus={g})"
-    )
+    return Profile(2 * g, 2 * g, 2 * g, 1), f"open-book(page-genus={g})"
 
 
-def tunnel_system(tunnels: int) -> TrisectionState:
+@_constructor("tunnel", "tunnels")
+def tunnel_system(tunnels: int):
     """A knot exterior with an m-tunnel unknotting system: (1,m,m+1;1)."""
     _require(tunnels >= 0, f"tunnel count must be >= 0, got {tunnels}")
     m = tunnels
-    return state_from_profile(Profile(1, m, m + 1, 1), f"tunnel(tunnels={m})")
+    return Profile(1, m, m + 1, 1), f"tunnel(tunnels={m})"
 
 
-def connect_sum_equal_genus(summand_genus: int) -> TrisectionState:
+@_constructor("connect-sum", "summand_genus")
+def connect_sum_equal_genus(summand_genus: int):
     """Connected sum of two genus-g pieces glued along g+1 spheres: (g,g,g;g+1)."""
     _require(summand_genus >= 0, f"summand genus must be >= 0, got {summand_genus}")
     g = summand_genus
-    return state_from_profile(
-        Profile(g, g, g, g + 1), f"connect-sum(summand-genus={g})"
-    )
+    return Profile(g, g, g, g + 1), f"connect-sum(summand-genus={g})"
 
 
 _SURFACE_BUNDLE_NOTE = (
@@ -402,7 +553,8 @@ _SURFACE_BUNDLE_NOTE = (
 )
 
 
-def surface_bundle(fiber_genus: int) -> TrisectionState:
+@_constructor("surface-bundle", "fiber_genus")
+def surface_bundle(fiber_genus: int):
     """A surface bundle over the circle with genus-g fibers.
 
     Profile (2g, g+1, g+1; 1) for even g and (2g, g+1, g+1; 3) for odd g.
@@ -414,43 +566,38 @@ def surface_bundle(fiber_genus: int) -> TrisectionState:
     g = fiber_genus
     label = f"surface-bundle(fiber-genus={g})"
     if g % 2 == 0:
-        return state_from_profile(Profile(2 * g, g + 1, g + 1, 1), label)
-    return state_from_profile(
-        Profile(2 * g, g + 1, g + 1, 3), f"{label}; {_SURFACE_BUNDLE_NOTE}"
-    )
+        return Profile(2 * g, g + 1, g + 1, 1), label
+    return Profile(2 * g, g + 1, g + 1, 3), f"{label}; {_SURFACE_BUNDLE_NOTE}"
 
 
-def koda_ozawa() -> TrisectionState:
+@_constructor("koda-ozawa")
+def koda_ozawa():
     """The (1,2,2;2) family whose middle surface is a twice-punctured torus.
 
     These states are known not to arise by stabilizing anything smaller,
     which makes them useful seeds for move-calculus experiments.
     """
-    return state_from_profile(Profile(1, 2, 2, 2), "koda-ozawa")
+    return Profile(1, 2, 2, 2), "koda-ozawa"
 
 
-# CLI-facing catalogue: kind -> (constructor, parameter names).
-CONSTRUCTORS: dict[str, tuple] = {
-    "trivial": (trivial, ()),
-    "from-heegaard": (from_heegaard, ("genus",)),
-    "split-heegaard": (split_heegaard, ("genus", "lower")),
-    "open-book": (open_book, ("page_genus",)),
-    "tunnel": (tunnel_system, ("tunnels",)),
-    "connect-sum": (connect_sum_equal_genus, ("summand_genus",)),
-    "surface-bundle": (surface_bundle, ("fiber_genus",)),
-    "koda-ozawa": (koda_ozawa, ()),
-}
-
-
-def construct(kind: str, params: tuple[int, ...] = ()) -> TrisectionState:
-    """Dispatch to the named constructor.  Raises OutOfDomain for bad input."""
+def _builder(kind: str, params: tuple[int, ...]):
     if kind not in CONSTRUCTORS:
         known = ", ".join(sorted(CONSTRUCTORS))
         raise OutOfDomain(f"unknown constructor {kind!r}; known kinds: {known}")
-    fn, names = CONSTRUCTORS[kind]
+    names = CONSTRUCTORS[kind][1]
     if len(params) != len(names):
         expected = ", ".join(names) if names else "none"
         raise OutOfDomain(
             f"constructor {kind!r} takes parameters ({expected}), got {len(params)}"
         )
-    return fn(*params)
+    return _BUILDERS[kind]
+
+
+def construct(kind: str, params: tuple[int, ...] = ()) -> TrisectionState:
+    """Dispatch to the named constructor.  Raises OutOfDomain for bad input."""
+    return state_from_profile(*_builder(kind, params)(*params))
+
+
+def construct_profile(kind: str, params: tuple[int, ...] = ()) -> Profile:
+    """The profile :func:`construct` would present, found without building it."""
+    return _builder(kind, params)(*params)[0]

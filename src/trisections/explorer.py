@@ -123,7 +123,7 @@ class MoveGraphNode:
 
     def to_state(self, label: str = "") -> TrisectionState:
         """The canonical labeled state for this node: components c0 .. c<b-1>."""
-        return TrisectionState(self.genera(), LinkComponentSet.fresh(self.b), (), label)
+        return TrisectionState(self.genera(), LinkComponentSet.fresh(self.b), label=label)
 
     def sum_h(self) -> int:
         return 2 * (self.g12 + self.g13 + self.g23) + 3 * (self.b - 1)

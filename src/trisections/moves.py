@@ -16,6 +16,13 @@ when the components its arc names exist and the result has genera >= 0
 and b >= 1.  Formal destabilizations certify nothing about an actual
 destabilizing disk, and every destabilized state carries that caveat in
 its label.
+
+One move costs O(1) Python-level work, whatever the length of the
+state's history: it appends one record to the history chain and one
+event to the genealogy chain (see :mod:`trisections.core`).  Only
+C-level passes over the b components remain (membership, slicing, and
+the ``min``/``sorted`` of the canonical arcs), so ``build_heegaard`` and
+``replay`` run in time linear in the script's length for bounded b.
 """
 
 from __future__ import annotations
@@ -220,7 +227,7 @@ def _apply(state: TrisectionState, move: StabMove | DestabMove) -> TrisectionSta
         if DESTAB_CAVEAT not in label:
             label = f"{label} | {DESTAB_CAVEAT}" if label else DESTAB_CAVEAT
     record = MoveRecord(op, move.handlebody, arc, created, removed)
-    return TrisectionState(genera, link, state.history + (record,), label)
+    return TrisectionState(genera, link, state.history.append(record), label)
 
 
 def apply_stabilization(state: TrisectionState, move: StabMove) -> TrisectionState:
@@ -328,22 +335,26 @@ def balance(state: TrisectionState) -> tuple[TrisectionState, MoveScript]:
     """Stabilize minimal handlebodies until all three genera agree.
 
     Each move raises the current minimum h by one, so the result has
-    h' = max(h1, h2, h3) and the script has length 3*max - (h1+h2+h3).
+    h' = max(h1, h2, h3) and the script has length 3*max - (h1+h2+h3)
+    (:func:`balance_length`).
     Two-component arcs are preferred whenever b >= 2, which keeps
     b' <= max(b, 2).  One-component arcs are always available in the
     remaining case: with b == 1 and h_i > h_k the shared surface S_ij
     satisfies 2*g_ij = h_i + h_j - h_k > 0.
     """
-    start = state
+    # The three claims above, and that only stabs are applied, are proven
+    # for every state with sum_h <= 12 by
+    # tests/test_moves.py::test_balance_postconditions_everywhere.
+    start = len(state.history)
     while not state.is_balanced:
         state = apply_stabilization(state, canonical_balance_move(state))
-    script = state.history[len(start.history):]
-    before, after = start.profile, state.profile
-    expected_h = max(before.h1, before.h2, before.h3)
-    assert (after.h1, after.h2, after.h3) == (expected_h,) * 3
-    assert after.b <= max(before.b, 2)
-    assert len(script) == 3 * expected_h - before.sum_h()
-    return state, script
+    return state, state.history[start:]
+
+
+def balance_length(state: TrisectionState) -> int:
+    """The length of :func:`balance`'s script: 3*max(h1, h2, h3) - (h1+h2+h3)."""
+    profile = state.profile
+    return 3 * max(profile.h1, profile.h2, profile.h3) - profile.sum_h()
 
 
 def raise_balanced(state: TrisectionState) -> TrisectionState:
@@ -365,27 +376,33 @@ def balance_capped(state: TrisectionState) -> TrisectionState:
     return state
 
 
+def disk_length(state: TrisectionState, i: int) -> int:
+    """The length of :func:`drive_opposite_to_disk`'s script: 2*g_jk + b - 1."""
+    return 2 * state.genera.opposite(i) + state.b - 1
+
+
 def drive_opposite_to_disk(
     state: TrisectionState, i: int
 ) -> tuple[TrisectionState, MoveScript]:
     """Stabilize H_i until its opposite surface S_jk is a disk (g_jk = 0, b = 1).
 
     Canonical order: a two-component arc whenever b >= 2, otherwise a
-    one-component arc.  The script has length 2*g_jk + b - 1, i.e. the
-    number of arcs in a maximal boundary-parallel system cutting S_jk
-    into a disk.
+    one-component arc.  The script has length 2*g_jk + b - 1
+    (:func:`disk_length`), i.e. the number of arcs in a maximal
+    boundary-parallel system cutting S_jk into a disk.
     """
+    # The script's length is proven for every state with sum_h <= 12 and
+    # every i by tests/test_moves.py::test_drive_opposite_to_disk_matches_build
+    # and ::test_build_heegaard_counts_everywhere.
     j, k = other_two(i)
-    start = state
+    start = len(state.history)
     while not (state.genera.between(j, k) == 0 and state.b == 1):
         if state.b >= 2:
             move = StabMove(i, canonical_distinct_arc(state))
         else:
             move = StabMove(i, canonical_same_arc(state))
         state = apply_stabilization(state, move)
-    script = state.history[len(start.history):]
-    assert len(script) == 2 * start.genera.between(j, k) + start.b - 1
-    return state, script
+    return state, state.history[start:]
 
 
 def build_heegaard(
@@ -399,8 +416,8 @@ def build_heegaard(
     (final state, splitting genus, script).  On a balanced (h;b) input
     the script has exactly h moves and the genus is 2h.
     """
-    j, k = other_two(i)
+    # genus == h_j + h_k of the input is proven for every state with
+    # sum_h <= 12 and every i by
+    # tests/test_moves.py::test_build_heegaard_counts_everywhere.
     final, script = drive_opposite_to_disk(state, i)
-    genus = final.handlebody_genus(i)
-    assert genus == state.handlebody_genus(j) + state.handlebody_genus(k)
-    return final, genus, script
+    return final, final.handlebody_genus(i), script

@@ -24,12 +24,21 @@ A move script is a bare JSON array of move records such as::
 State histories hold only ``stab`` and ``destab`` records (a compound
 fake Heegaard stabilization stores its two constituents); scripts may
 also hold ``fake_stab`` records, replayed as the compound move.
+
+The ``*_to_payload`` functions give the structured view of every
+document, and :func:`canonical_dumps` of a payload is its text.  The
+``*_to_text`` writers produce exactly that text, but write each move
+record from one template (:func:`_records_text`) instead of running the
+stdlib's pure-Python indenting encoder over it; everything else in a
+document still goes through :func:`canonical_dumps`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import fields
+from json.encoder import encode_basestring
+from typing import Iterable
 
 from .core import (
     GenealogyEvent,
@@ -92,7 +101,8 @@ def script_to_payload(script: MoveScript) -> list:
     return [record_to_payload(record) for record in script]
 
 
-def state_to_payload(state: TrisectionState) -> dict:
+def _state_head(state: TrisectionState) -> dict:
+    # A state's payload up to its history.
     return {
         "version": FORMAT_VERSION,
         "label": state.label,
@@ -105,16 +115,15 @@ def state_to_payload(state: TrisectionState) -> dict:
             "components": list(state.link.components),
             "next_id": state.link.next_id,
         },
-        "history": script_to_payload(state.history),
     }
 
 
-def plan_report_to_payload(report: PlanReport) -> dict:
-    def steps(side: PlanSteps) -> dict:
-        return {
-            "steps": {name: script_to_payload(getattr(side, name)) for name in _STEP_NAMES}
-        }
+def state_to_payload(state: TrisectionState) -> dict:
+    return _state_head(state) | {"history": script_to_payload(state.history)}
 
+
+def _plan_head(report: PlanReport) -> dict:
+    # A plan report's payload up to its two sides.
     return {
         "version": FORMAT_VERSION,
         "rs_bound": report.rs_bound,
@@ -124,9 +133,16 @@ def plan_report_to_payload(report: PlanReport) -> dict:
             "g13": report.final_genera.g13,
             "g23": report.final_genera.g23,
         },
-        "a": steps(report.a),
-        "b": steps(report.b),
     }
+
+
+def plan_report_to_payload(report: PlanReport) -> dict:
+    def steps(side: PlanSteps) -> dict:
+        return {
+            "steps": {name: script_to_payload(getattr(side, name)) for name in _STEP_NAMES}
+        }
+
+    return _plan_head(report) | {"a": steps(report.a), "b": steps(report.b)}
 
 
 def node_to_payload(node: MoveGraphNode) -> dict:
@@ -152,16 +168,72 @@ def verification_report_to_payload(report: VerificationReport) -> dict:
     }
 
 
+def _labels_text(labels: tuple[str, ...], pad: str) -> str:
+    # A list of labels whose key sits on a line indented by ``pad``.
+    if not labels:
+        return "[]"
+    items = ",\n".join([f"{pad}  {encode_basestring(label)}" for label in labels])
+    return f"[\n{items}\n{pad}]"
+
+
+def _records_text(script: Iterable[MoveRecord], depth: int) -> str:
+    """A list of move records, as :func:`canonical_dumps` writes it at ``depth``.
+
+    ``depth`` is the nesting depth of the list itself (0 for a bare
+    script).  Each record comes from one template, and every string in
+    it goes through the encoder's own ``encode_basestring``.
+    """
+    outer = "  " * depth
+    p = outer + "  "  # the record's braces
+    q = p + "  "  # the record's keys
+    r = q + "  "  # the arc's key
+    s = r + "  "  # the labels of a two-component arc
+    texts = []
+    for record in script:
+        arc = record.arc
+        if isinstance(arc, SameComponent):
+            arc_text = f'{{\n{r}"same": {encode_basestring(arc.component)}\n{q}}}'
+        else:
+            arc_text = (
+                f'{{\n{r}"distinct": [\n{s}{encode_basestring(arc.first)},\n'
+                f"{s}{encode_basestring(arc.second)}\n{r}]\n{q}}}"
+            )
+        texts.append(
+            f'{p}{{\n{q}"op": {encode_basestring(record.op)},\n'
+            f'{q}"handlebody": {record.handlebody},\n'
+            f'{q}"arc": {arc_text},\n'
+            f'{q}"created": {_labels_text(record.created, q)},\n'
+            f'{q}"removed": {_labels_text(record.removed, q)}\n{p}}}'
+        )
+    if not texts:
+        return "[]"
+    return "[\n" + ",\n".join(texts) + f"\n{outer}]"
+
+
+def _extend(head: str, members: str) -> str:
+    # Append members to the top-level object that ``head``, a
+    # canonical_dumps text, closes.
+    return f"{head[:-3]},\n{members}\n}}\n"
+
+
 def state_to_text(state: TrisectionState) -> str:
-    return canonical_dumps(state_to_payload(state))
+    head = canonical_dumps(_state_head(state))
+    return _extend(head, f'  "history": {_records_text(state.history, 1)}')
 
 
 def script_to_text(script: MoveScript) -> str:
-    return canonical_dumps(script_to_payload(script))
+    return _records_text(script, 0) + "\n"
 
 
 def plan_report_to_text(report: PlanReport) -> str:
-    return canonical_dumps(plan_report_to_payload(report))
+    def side_text(name: str, side: PlanSteps) -> str:
+        steps = ",\n".join(
+            f'      "{step}": {_records_text(getattr(side, step), 3)}' for step in _STEP_NAMES
+        )
+        return f'  "{name}": {{\n    "steps": {{\n{steps}\n    }}\n  }}'
+
+    head = canonical_dumps(_plan_head(report))
+    return _extend(head, f"{side_text('a', report.a)},\n{side_text('b', report.b)}")
 
 
 def verification_report_to_text(report: VerificationReport) -> str:

@@ -9,10 +9,13 @@ domain errors (1) from usage and format errors (2).
 from __future__ import annotations
 
 import json
+import resource
 import subprocess
 import sys
 
 import pytest
+
+from trisections.cli import MAX_COMPONENTS, MAX_SCRIPT_MOVES
 
 
 def run_cli(*args: str, stdin_text: str | None = None) -> subprocess.CompletedProcess:
@@ -331,6 +334,53 @@ def test_verify_passes_and_writes_a_report(tmp_path):
     assert proc.stderr.count("PASS") == 5
     report = json.loads(report_path.read_text())
     assert [entry["pass"] for entry in report["entries"]] == [True] * 5
+
+
+# -- size limits --------------------------------------------------------------------
+
+_CAPPED_BYTES = 256 * 2**20
+
+
+def run_capped_cli(*args: str, stdin_text: str | None = None) -> subprocess.CompletedProcess:
+    # A guard that is missing or comes too late runs into the address-space
+    # cap (MemoryError) or the timeout instead of exhausting the host.
+    def cap() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (_CAPPED_BYTES, _CAPPED_BYTES))
+
+    return subprocess.run(
+        [sys.executable, "-m", "trisections.cli", *args],
+        input=stdin_text, capture_output=True, text=True, preexec_fn=cap, timeout=60,
+    )
+
+
+def _assert_refused(proc: subprocess.CompletedProcess, what: str) -> None:
+    assert proc.returncode == 1, proc.stderr[-500:]
+    assert proc.stderr.startswith(f"SizeLimitExceeded: {what}"), proc.stderr[-500:]
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+def test_new_refuses_a_huge_boundary_link():
+    proc = run_capped_cli("new", "connect-sum", "1000000000")
+    _assert_refused(proc, "new connect-sum: the number of boundary components would be 1000000001")
+    _assert_refused(run_capped_cli("new", "connect-sum", str(MAX_COMPONENTS)), "new connect-sum")
+    assert run_capped_cli("new", "connect-sum", str(MAX_COMPONENTS - 1)).returncode == 0
+
+
+def test_build_heegaard_refuses_a_huge_script():
+    huge = run_cli("new", "open-book", "1000000000").stdout  # b = 1, small file
+    proc = run_capped_cli("build-heegaard", "--handlebody", "1", stdin_text=huge)
+    _assert_refused(proc, "build-heegaard H1: the script length would be 2000000000")
+    # open-book g builds along any handlebody in 2g moves.
+    g = MAX_SCRIPT_MOVES // 2 + 1
+    edge = run_cli("new", "open-book", str(g)).stdout
+    _assert_refused(run_capped_cli("build-heegaard", "--handlebody", "2", stdin_text=edge),
+                    f"build-heegaard H2: the script length would be {2 * g}")
+
+
+def test_balance_refuses_a_huge_script():
+    lopsided = run_cli("new", "split-heegaard", "1000000000", "1").stdout
+    proc = run_capped_cli("balance", stdin_text=lopsided)
+    _assert_refused(proc, "balance: the script length would be 1000000000")
 
 
 def test_help_exits_cleanly():

@@ -14,6 +14,7 @@ import pytest
 
 from trisections.core import (
     CONSTRUCTORS,
+    Chain,
     GenealogyEvent,
     Infeasible,
     LinkComponentSet,
@@ -23,12 +24,14 @@ from trisections.core import (
     TrisectionState,
     connect_sum_equal_genus,
     construct,
+    construct_profile,
     euler_defect,
     from_heegaard,
     genera_from_profile,
     is_feasible,
     koda_ozawa,
     open_book,
+    other_two,
     split_heegaard,
     state_from_profile,
     surface_bundle,
@@ -231,6 +234,58 @@ def test_genealogy_replay_reproduces_components():
     assert link.replay_genealogy() == link.components
 
 
+def test_split_and_merge_keep_the_full_check_invariants():
+    # split/merge skip __post_init__'s pass over every label; each result
+    # must pass it anyway and equal the set rebuilt from outside.
+    link = LinkComponentSet.fresh(4)
+    for step in range(300):
+        components = link.components
+        if step % 3 == 2 or len(components) == 1:
+            link, _ = link.split(components[(7 * step) % len(components)])
+        else:
+            first = components[step % len(components)]
+            second = components[(5 * step + 1) % len(components)]
+            if first == second:
+                second = components[(components.index(first) + 1) % len(components)]
+            link, _ = link.merge(first, second)
+        rebuilt = LinkComponentSet(link.components, link.next_id, tuple(link.genealogy))
+        assert rebuilt == link
+        assert link.replay_genealogy() == link.components
+
+
+def test_chain_reads_like_a_tuple():
+    items = tuple(range(6))
+    # All items appended one by one, and three built in then three appended.
+    for built in (0, 3):
+        chain = Chain(items[:built])
+        for item in items[built:]:
+            chain = chain.append(item)
+        assert len(chain) == 6 and chain[-1] == 5 and chain[0] == 0 and chain[-6] == 0
+        assert [chain[index] for index in range(-6, 6)] == list(items + items)
+        assert chain == items and items == chain and chain == Chain(items)
+        assert chain != items[:-1] and chain != Chain(items[:-1]) and chain != list(items)
+        assert chain != Chain(items[:-1] + (9,)) and Chain(items[:-1] + (9,)) != chain
+        assert tuple(chain) == items and list(chain) == list(items)
+        for start, stop in itertools.product((None, -100, -2, 0, 1, 4, 100), repeat=2):
+            for step in (None, 2, -1):
+                index = slice(start, stop, step)
+                assert chain[index] == items[index] and type(chain[index]) is tuple
+        for index in (6, -7):
+            with pytest.raises(IndexError):
+                chain[index]
+        assert hash(chain) == hash(items)
+    assert hash(Chain()) == hash(()) and Chain() == () and not Chain()
+    assert repr(chain) == repr(items)
+
+
+def test_chains_branch_without_touching_their_parent():
+    base = Chain((1, 2))
+    left, right = base.append(3), base.append(4)
+    assert base == (1, 2) and left == (1, 2, 3) and right == (1, 2, 4)
+    assert left != right and left[:2] == right[:2]
+    assert left == Chain((1, 2, 3)) and left.append(5)[-2:] == (3, 5)
+
+
 def test_genealogy_event_shape_validation():
     with pytest.raises(ValueError):
         GenealogyEvent("split", ("c0", "c1"), ("c2",))
@@ -340,6 +395,25 @@ def test_constructor_table_covers_every_kind():
         "trivial",
         "tunnel",
     ]
+
+
+def test_construct_profile_matches_the_constructed_state():
+    for kind, (constructor, names) in CONSTRUCTORS.items():
+        params = tuple(range(len(names) + 1, 1, -1))  # (), (2,) or (3, 2)
+        assert construct_profile(kind, params) == construct(kind, params).profile
+    # No link is built, so a huge request is cheap to size.
+    assert construct_profile("connect-sum", (10**9,)).b == 10**9 + 1
+    with pytest.raises(OutOfDomain):
+        construct_profile("connect-sum", (-1,))
+    with pytest.raises(OutOfDomain):
+        construct_profile("open-book", ())
+
+
+def test_handlebody_indices_are_exact_integers():
+    assert other_two(2) == (1, 3)
+    for index in (True, 1.0, 0, 4):
+        with pytest.raises(ValueError):
+            other_two(index)
 
 
 def test_constructor_states_are_all_feasible():

@@ -9,9 +9,14 @@ from __future__ import annotations
 
 import pytest
 
+from trisections import core
 from trisections.core import (
+    GenealogyEvent,
+    LinkComponentSet,
     Profile,
     SurfaceGenera,
+    TrisectionState,
+    connect_sum_equal_genus,
     from_heegaard,
     is_feasible,
     koda_ozawa,
@@ -33,10 +38,12 @@ from trisections.moves import (
     apply_destabilization,
     apply_stabilization,
     balance,
+    balance_length,
     build_heegaard,
     canonical_balance_move,
     canonical_distinct_arc,
     canonical_same_arc,
+    disk_length,
     drive_opposite_to_disk,
     fake_heegaard_stab,
     inverse_of,
@@ -393,14 +400,15 @@ def test_balance_is_idempotent_on_balanced_states():
 
 
 def test_balance_postconditions_everywhere():
-    for start in _feasible_states(9):
+    # balance() does not check these at run time; this test proves them.
+    for start in _feasible_states(12):
         before = start.profile
         state, script = balance(start)
         after = state.profile
         top = max(before.h1, before.h2, before.h3)
         assert (after.h1, after.h2, after.h3) == (top, top, top)
         assert after.b <= max(before.b, 2)
-        assert len(script) == 3 * top - before.sum_h()
+        assert len(script) == 3 * top - before.sum_h() == balance_length(start)
         assert all(record.op == "stab" for record in script)
 
 
@@ -440,12 +448,15 @@ def test_build_heegaard_is_a_no_op_when_opposite_surface_is_a_disk():
 
 
 def test_build_heegaard_counts_everywhere():
-    for start in _feasible_states(9):
+    # build_heegaard() and drive_opposite_to_disk() do not check these at
+    # run time; this test proves them.
+    for start in _feasible_states(12):
         for i in (1, 2, 3):
             j, k = [n for n in (1, 2, 3) if n != i]
             final, genus, script = build_heegaard(start, i)
             assert genus == start.profile.genus(j) + start.profile.genus(k)
             assert len(script) == 2 * start.genera.opposite(i) + start.b - 1
+            assert len(script) == disk_length(start, i)
             assert final.genera.opposite(i) == 0
             assert final.b == 1
 
@@ -459,8 +470,80 @@ def test_build_heegaard_on_balanced_states():
 
 
 def test_drive_opposite_to_disk_matches_build():
-    state = koda_ozawa()
-    driven, script = drive_opposite_to_disk(state, 1)
-    built, genus, build_script = build_heegaard(state, 1)
-    assert driven == built
-    assert script == build_script
+    for state in _feasible_states(12):
+        for i in (1, 2, 3):
+            driven, script = drive_opposite_to_disk(state, i)
+            built, genus, build_script = build_heegaard(state, i)
+            assert driven == built
+            assert script == build_script
+            assert len(script) == 2 * state.genera.opposite(i) + state.b - 1
+            assert script == driven.history[len(state.history):]
+
+
+# -- history and genealogy bookkeeping ------------------------------------------
+
+
+def test_moves_branched_from_one_older_state_share_its_past():
+    base = koda_ozawa()  # c0, c1
+    older = apply_stabilization(base, StabMove(1, DistinctComponents("c0", "c1")))  # c2
+    newer = apply_stabilization(older, StabMove(1, SameComponent("c2")))  # c3, c4
+    history, genealogy = tuple(older.history), tuple(older.link.genealogy)
+    left = apply_stabilization(older, StabMove(2, SameComponent("c2")))
+    right = apply_stabilization(older, StabMove(3, SameComponent("c2")))
+    left_record = MoveRecord("stab", 2, SameComponent("c2"), ("c3", "c4"), ("c2",))
+    right_record = MoveRecord("stab", 3, SameComponent("c2"), ("c3", "c4"), ("c2",))
+    assert left.history == history + (left_record,)
+    assert right.history == history + (right_record,)
+    split = GenealogyEvent("split", ("c2",), ("c3", "c4"))
+    assert left.link.genealogy == right.link.genealogy == genealogy + (split,)
+    assert left.link.components == right.link.components == ("c3", "c4")
+    # The older state and its first child are untouched by the branches.
+    assert older.history == history and older.link.genealogy == genealogy
+    assert older.link.components == ("c2",)
+    assert newer.history == history + (
+        MoveRecord("stab", 1, SameComponent("c2"), ("c3", "c4"), ("c2",)),
+    )
+    assert left != right and left.link == right.link
+
+
+def test_history_reads_like_a_tuple():
+    start = from_heegaard(2)
+    assert start.history == () and len(start.history) == 0
+    first = apply_stabilization(start, StabMove(3, SameComponent("c0")))
+    second = apply_stabilization(first, StabMove(3, DistinctComponents("c1", "c2")))
+    r1, r2 = first.history[-1], second.history[-1]
+    history = second.history
+    assert len(history) == 2
+    assert history == (r1, r2) and (r1, r2) == history and history != (r2, r1)
+    assert history[0] == r1 and history[-1] == r2 and history[-2] == r1
+    assert list(history) == [r1, r2]
+    assert history[1:] == (r2,) and history[:1] == (r1,) and history[5:] == ()
+    assert type(history[0:]) is tuple
+    assert hash(history) == hash((r1, r2))
+    with pytest.raises(IndexError):
+        history[2]
+    # A state rebuilt with a tuple history is the same state.
+    rebuilt = TrisectionState(second.genera, second.link, (r1, r2), second.label)
+    assert rebuilt == second and hash(rebuilt) == hash(second)
+    assert rebuilt != first
+
+
+def test_one_move_checks_a_constant_number_of_labels(monkeypatch):
+    # Counts calls instead of timing them: a move must not re-check every
+    # component label of the link.
+    state = connect_sum_equal_genus(4999)  # b = 5000
+    number = core.component_number
+    calls = []
+
+    def counting(label: str) -> int:
+        calls.append(label)
+        return number(label)
+
+    monkeypatch.setattr(core, "component_number", counting)
+    merged = apply_stabilization(state, StabMove(1, DistinctComponents("c7", "c4000")))
+    split = apply_stabilization(merged, StabMove(2, SameComponent("c5000")))
+    assert split.b == 5000
+    assert len(calls) <= 4
+    # The full check still runs for a link built from outside.
+    LinkComponentSet(split.link.components, split.link.next_id, split.link.genealogy)
+    assert len(calls) >= 5000

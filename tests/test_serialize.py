@@ -6,20 +6,36 @@ thing, and expect StateFormatError: the parser must never guess.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from trisections.core import from_heegaard, koda_ozawa, open_book, trivial
+from trisections.core import (
+    Profile,
+    from_heegaard,
+    is_feasible,
+    koda_ozawa,
+    open_book,
+    state_from_profile,
+    trivial,
+)
 from trisections.explorer import verify_properties
 from trisections.moves import (
     DestabMove,
+    DistinctComponents,
+    IllegalMove,
     SameComponent,
     apply_destabilization,
+    apply_stabilization,
     balance,
     fake_heegaard_stab,
+    is_legal,
+    legal_moves,
 )
-from trisections.planner import plan_common_stabilization
+from trisections.planner import _compound_record, plan_common_stabilization, replay
 from trisections.serialize import (
     FORMAT_VERSION,
     StateFormatError,
@@ -29,6 +45,7 @@ from trisections.serialize import (
     plan_report_to_payload,
     plan_report_to_text,
     script_from_text,
+    script_to_payload,
     script_to_text,
     state_from_text,
     state_to_payload,
@@ -101,6 +118,109 @@ def test_script_round_trips_including_fake_records():
         (),
     ):
         assert script_from_text(script_to_text(script)) == script
+
+
+def test_writers_equal_canonical_dumps_of_their_payloads():
+    # The record template is the only second way to write text; it must
+    # agree byte for byte with the payload view.
+    for state in _sample_states():
+        state = state.relabeled(state.label + ' "q" \\ \n\t\x00 é ☃ \u2028 𝄞')
+        assert state_to_text(state) == canonical_dumps(state_to_payload(state))
+        assert script_to_text(state.history) == canonical_dumps(script_to_payload(state.history))
+    for rs_bound in (0, 1, 2):
+        report = plan_common_stabilization(koda_ozawa(), open_book(1), rs_bound)
+        assert plan_report_to_text(report) == canonical_dumps(plan_report_to_payload(report))
+        fake = report.a.step3_fake
+        assert script_to_text(fake) == canonical_dumps(script_to_payload(fake))
+
+
+# -- property tests on random legal scripts ----------------------------------------
+
+_STARTS = [
+    Profile(h1, h2, h3, b)
+    for h1, h2, h3, b in itertools.product(range(5), range(5), range(5), range(1, 5))
+    if h1 + h2 + h3 <= 8 and (h1, h2, h3, b) != (0, 0, 0, 1)
+    and is_feasible(Profile(h1, h2, h3, b))
+]
+# Characters that JSON escapes, or that need more than one UTF-8 byte.
+_ODD_CHARACTERS = ['"', "\\", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", "é", "☃", "\u2028", "𝄞"]
+_LABELS = st.text(st.one_of(st.sampled_from(_ODD_CHARACTERS), st.characters()), max_size=12)
+
+
+def _destabs(state):
+    labels = sorted(state.link.components)
+    arcs = [SameComponent(c) for c in labels]
+    arcs += [DistinctComponents(lo, hi) for lo, hi in itertools.combinations(labels, 2)]
+    moves = (DestabMove(i, arc) for i in (1, 2, 3) for arc in arcs)
+    return [move for move in moves if is_legal(state, move)]
+
+
+@st.composite
+def _walks(draw):
+    """A labelled start state, a random legal script and the state it reaches.
+
+    Steps are stabs, formal destabs and compound fake stabs; the script
+    holds the records :func:`replay` expects.
+    """
+    start = state_from_profile(draw(st.sampled_from(_STARTS)), draw(_LABELS))
+    state, script = start, []
+    for _ in range(draw(st.integers(0, 10))):
+        options = [("stab", move) for move in legal_moves(state)]
+        options += [("destab", move) for move in _destabs(state)]
+        options.append(("fake_stab", None))
+        kind, move = draw(st.sampled_from(options))
+        if kind == "stab":
+            state = apply_stabilization(state, move)
+        elif kind == "destab":
+            state = apply_destabilization(state, move)
+        else:
+            try:
+                after = fake_heegaard_stab(state)
+            except IllegalMove:
+                continue
+            script.append(_compound_record(state, after))
+            state = after
+            continue
+        script.append(state.history[-1])
+    return start, tuple(script), state
+
+
+_PROPERTY_SETTINGS = settings(
+    max_examples=80, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@_PROPERTY_SETTINGS
+@given(_walks())
+def test_writers_equal_canonical_dumps_on_random_scripts(walk):
+    start, script, final = walk
+    for state in (start, final):
+        assert state_to_text(state) == canonical_dumps(state_to_payload(state))
+    assert script_to_text(script) == canonical_dumps(script_to_payload(script))
+    assert script_to_text(final.history) == canonical_dumps(script_to_payload(final.history))
+
+
+@_PROPERTY_SETTINGS
+@given(_walks())
+def test_dump_parse_replay_lands_on_an_equal_state(walk):
+    start, script, final = walk
+    parsed_start = state_from_text(state_to_text(start))
+    parsed_script = script_from_text(script_to_text(script))
+    assert parsed_start == start and parsed_script == script
+    assert replay(parsed_start, parsed_script) == final
+    assert state_from_text(state_to_text(final)) == final
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_walks(), _walks(), st.integers(0, 2))
+def test_plan_report_text_equals_canonical_dumps_on_random_plans(walk_a, walk_b, rs_bound):
+    a, b = walk_a[2], walk_b[2]
+    if a.is_trivial or b.is_trivial:
+        return
+    report = plan_common_stabilization(a, b, rs_bound)
+    assert plan_report_to_text(report) == canonical_dumps(plan_report_to_payload(report))
 
 
 # -- strict state parsing ----------------------------------------------------------
