@@ -36,7 +36,6 @@ from .moves import (
     fake_heegaard_stab,
 )
 from .explorer import (
-    MoveGraphNode,
     bfs_reachable,
     realize_path,
     shortest_path,
@@ -197,6 +196,7 @@ def _cmd_fake_stab(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
+    _check_size("plan: the fake stabilizations per side", args.rs_bound, MAX_SCRIPT_MOVES)
     a = _read_state(args.a)
     b = _read_state(args.b)
     report = plan_common_stabilization(a, b, args.rs_bound)
@@ -211,9 +211,9 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 def _cmd_explore(args: argparse.Namespace) -> int:
     state = _read_state(args.start)
-    start = MoveGraphNode.from_state(state)
+    start = state.genera
     if args.shortest_to is not None:
-        goal = MoveGraphNode.from_state(_read_state(args.shortest_to))
+        goal = _read_state(args.shortest_to).genera
         path = None
         if goal.sum_h() <= args.max_sum:
             path = shortest_path(start, goal, goal.sum_h() - start.sum_h())

@@ -28,8 +28,6 @@ from dataclasses import dataclass, field, replace
 from functools import wraps
 from typing import Iterable
 
-HANDLEBODIES = (1, 2, 3)
-
 _ID_PATTERN = re.compile(r"^c(0|[1-9][0-9]*)$")
 
 
@@ -57,46 +55,9 @@ def other_two(i: int) -> tuple[int, int]:
     return pair
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class SurfaceGenera:
-    """Genera of the three pairwise intersection surfaces S12, S13, S23."""
-
-    g12: int
-    g13: int
-    g23: int
-
-    def __post_init__(self) -> None:
-        for name in ("g12", "g13", "g23"):
-            value = getattr(self, name)
-            if not _is_count(value, 0):
-                raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-
-    def between(self, i: int, j: int) -> int:
-        """Genus of the surface where handlebodies ``i`` and ``j`` meet."""
-        return getattr(self, _pair_field(i, j))
-
-    def opposite(self, i: int) -> int:
-        """Genus of the surface not touching handlebody ``i``."""
-        j, k = other_two(i)
-        return self.between(j, k)
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.g12, self.g13, self.g23)
-
-    def total(self) -> int:
-        return self.g12 + self.g13 + self.g23
-
-
 def _is_count(value, least: int) -> bool:
     # bool is an int subclass, but True is not a genus.
     return isinstance(value, int) and not isinstance(value, bool) and value >= least
-
-
-def _pair_field(i: int, j: int) -> str:
-    if i == j or i not in HANDLEBODIES or j not in HANDLEBODIES:
-        raise ValueError(f"expected two distinct handlebody indices, got {i!r}, {j!r}")
-    lo, hi = sorted((i, j))
-    return f"g{lo}{hi}"
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -129,12 +90,103 @@ class Profile:
     def is_balanced(self) -> bool:
         return self.h1 == self.h2 == self.h3
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.as_tuple() == (0, 0, 0, 1)
-
     def __str__(self) -> str:
         return f"({self.h1},{self.h2},{self.h3};{self.b})"
+
+
+# Least legal value of each coordinate of (g12, g13, g23, b).
+PARAM_FLOORS = (0, 0, 0, 1)
+_LEAST_G12, _LEAST_G13, _LEAST_G23, _LEAST_B = PARAM_FLOORS
+
+# (handlebody, arc kind) -> change to (g12, g13, g23, b).  A one-component
+# arc in S_jk cuts that surface (g_jk - 1, b + 1); a two-component arc adds
+# a handle to both surfaces touching H_i (g_ij + 1, g_ik + 1, b - 1).  The
+# row order is the enumeration order of legal moves and of search.
+STAB_DELTAS: dict[tuple[int, str], tuple[int, int, int, int]] = {
+    (1, "same"): (0, 0, -1, 1),
+    (1, "distinct"): (1, 1, 0, -1),
+    (2, "same"): (0, -1, 0, 1),
+    (2, "distinct"): (1, 0, 1, -1),
+    (3, "same"): (-1, 0, 0, 1),
+    (3, "distinct"): (0, 1, 1, -1),
+}
+
+# A parameter-level move: (handlebody index, "same" | "distinct").
+ParamMove = tuple[int, str]
+
+# STAB_DELTAS in the form successors() reads: every row lowers exactly one
+# coordinate, so a row applies when that coordinate clears its floor.
+_SUCCESSOR_ROWS = tuple(
+    (move, delta, delta.index(-1), PARAM_FLOORS[delta.index(-1)] + 1)
+    for move, delta in STAB_DELTAS.items()
+)
+
+
+@dataclass(frozen=True, slots=True, order=True)
+class MoveGraphNode:
+    """The parameters of a trisection: surface genera g12, g13, g23 and b.
+
+    This is a state with its component labels erased, the node of the
+    move graph that search walks, and the ``genera`` of every
+    :class:`TrisectionState`.  Every field is an exact integer at or
+    above :data:`PARAM_FLOORS`.
+    """
+
+    g12: int
+    g13: int
+    g23: int
+    b: int
+
+    def __post_init__(self) -> None:
+        g12, g13, g23, b = self.g12, self.g13, self.g23, self.b
+        # type() is int rejects bool, an int subclass: True is not a genus.
+        if not (
+            type(g12) is type(g13) is type(g23) is type(b) is int
+            and g12 >= _LEAST_G12
+            and g13 >= _LEAST_G13
+            and g23 >= _LEAST_G23
+            and b >= _LEAST_B
+        ):
+            raise ValueError(f"not a valid parameter node: {self!r}")
+
+    @classmethod
+    def from_state(cls, state: TrisectionState) -> MoveGraphNode:
+        """The node of ``state``, which is its ``genera``."""
+        return state.genera
+
+    def heights(self) -> tuple[int, int, int]:
+        """The handlebody genera (h1, h2, h3): h_i = g_ij + g_ik + b - 1."""
+        g12, g13, g23, extra = self.g12, self.g13, self.g23, self.b - 1
+        return (g12 + g13 + extra, g12 + g23 + extra, g13 + g23 + extra)
+
+    def profile(self) -> Profile:
+        return Profile(*self.heights(), self.b)
+
+    def sum_h(self) -> int:
+        return sum(self.heights())
+
+    @property
+    def is_trivial(self) -> bool:
+        """Whether every coordinate is at its floor: the node with no moves."""
+        return (self.g12, self.g13, self.g23, self.b) == PARAM_FLOORS
+
+    def opposite(self, i: int) -> int:
+        """Genus of S_jk, the surface that does not touch handlebody ``i``."""
+        other_two(i)  # rejects anything but 1, 2 and 3
+        return (self.g23, self.g13, self.g12)[i - 1]
+
+    def to_state(self, label: str = "") -> TrisectionState:
+        """The canonical labeled state for this node: components c0 .. c<b-1>."""
+        return TrisectionState(self, LinkComponentSet.fresh(self.b), label=label)
+
+    def successors(self) -> list[tuple[ParamMove, MoveGraphNode]]:
+        """Legal parameter moves and their targets, in STAB_DELTAS row order."""
+        params = g12, g13, g23, b = self.g12, self.g13, self.g23, self.b
+        out: list[tuple[ParamMove, MoveGraphNode]] = []
+        for move, (d12, d13, d23, db), falling, least in _SUCCESSOR_ROWS:
+            if params[falling] >= least:
+                out.append((move, MoveGraphNode(g12 + d12, g13 + d13, g23 + d23, b + db)))
+        return out
 
 
 class Chain:
@@ -268,7 +320,7 @@ class LinkComponentSet:
     genealogy: Chain
 
     def __post_init__(self) -> None:
-        if len(self.components) < 1:
+        if len(self.components) < _LEAST_B:
             raise ValueError("the boundary link must have at least one component")
         if len(set(self.components)) != len(self.components):
             raise ValueError("component identifiers must be unique")
@@ -281,7 +333,7 @@ class LinkComponentSet:
     @classmethod
     def fresh(cls, count: int) -> LinkComponentSet:
         """A brand new set of ``count`` components ``c0`` .. ``c<count-1>``."""
-        if count < 1:
+        if count < _LEAST_B:
             raise ValueError("need at least one component")
         labels = tuple(f"c{n}" for n in range(count))
         return cls(labels, count, (GenealogyEvent("genesis", (), labels),))
@@ -372,31 +424,28 @@ class TrisectionState:
     ``label`` is a free-form description of where the state came from.
     """
 
-    genera: SurfaceGenera
+    genera: MoveGraphNode
     link: LinkComponentSet
     history: Chain = field(default=Chain())
     label: str = ""
 
     def __post_init__(self) -> None:
+        if self.genera.b != self.link.b:
+            raise ValueError(f"genera {self.genera} disagree with the link's b={self.link.b}")
         if not isinstance(self.history, Chain):
             object.__setattr__(self, "history", Chain(self.history))
 
     @property
     def b(self) -> int:
-        return self.link.b
+        return self.genera.b
 
     def handlebody_genus(self, i: int) -> int:
-        j, k = other_two(i)
-        return self.genera.between(i, j) + self.genera.between(i, k) + self.b - 1
+        other_two(i)  # rejects anything but 1, 2 and 3
+        return self.genera.heights()[i - 1]
 
     @property
     def profile(self) -> Profile:
-        return Profile(
-            self.handlebody_genus(1),
-            self.handlebody_genus(2),
-            self.handlebody_genus(3),
-            self.b,
-        )
+        return self.genera.profile()
 
     @property
     def is_balanced(self) -> bool:
@@ -404,32 +453,14 @@ class TrisectionState:
 
     @property
     def is_trivial(self) -> bool:
-        return self.profile.is_trivial
-
-    def surface_euler_characteristic(self, i: int, j: int) -> int:
-        """Euler characteristic of S_ij: a genus-g surface with b boundary circles."""
-        return 2 - 2 * self.genera.between(i, j) - self.b
+        return self.genera.is_trivial
 
     def relabeled(self, label: str) -> TrisectionState:
         return replace(self, label=label)
 
 
-def euler_defect(state: TrisectionState) -> int:
-    """sum_i (1 - h_i) - sum_{i<j} chi(S_ij); zero for every valid state."""
-    profile_sum = sum(state.handlebody_genus(i) for i in HANDLEBODIES)
-    chi_sum = sum(
-        state.surface_euler_characteristic(i, j) for i, j in ((1, 2), (1, 3), (2, 3))
-    )
-    return (3 - profile_sum) - chi_sum
-
-
-def profile_of(state: TrisectionState) -> Profile:
-    """The ``(h1,h2,h3;b)`` quadruple presented by ``state``."""
-    return state.profile
-
-
-def genera_from_profile(profile: Profile) -> SurfaceGenera:
-    """Invert the genus formula, recovering (g12, g13, g23) from (h1,h2,h3;b).
+def genera_from_profile(profile: Profile) -> MoveGraphNode:
+    """Invert the genus formula, recovering the node of (h1,h2,h3;b).
 
     Adding the defining relations pairwise gives
 
@@ -439,17 +470,15 @@ def genera_from_profile(profile: Profile) -> SurfaceGenera:
     when any right-hand side is negative or fails to be an integer (the
     three share one parity, tied to h1 + h2 + h3 + b being odd).
     """
-    h = {1: profile.h1, 2: profile.h2, 3: profile.h3}
-    if (profile.h1 + profile.h2 + profile.h3 + profile.b) % 2 == 0:
+    h1, h2, h3, b = profile.as_tuple()
+    if (h1 + h2 + h3 + b) % 2 == 0:
         raise Infeasible(f"profile {profile} fails the parity condition")
-    values: dict[str, int] = {}
-    for i, j in ((1, 2), (1, 3), (2, 3)):
-        (k,) = {1, 2, 3} - {i, j}
-        doubled = h[i] + h[j] - h[k] + 1 - profile.b
-        if doubled < 0:
-            raise Infeasible(f"profile {profile} forces g{i}{j} = {doubled}/2 < 0")
-        values[f"g{i}{j}"] = doubled // 2
-    return SurfaceGenera(**values)
+    doubled = (h1 + h2 - h3 + 1 - b, h1 + h3 - h2 + 1 - b, h2 + h3 - h1 + 1 - b)
+    for name, value in zip(("g12", "g13", "g23"), doubled):
+        if value < 0:
+            raise Infeasible(f"profile {profile} forces {name} = {value}/2 < 0")
+    d12, d13, d23 = doubled
+    return MoveGraphNode(d12 // 2, d13 // 2, d23 // 2, b)
 
 
 def is_feasible(profile: Profile) -> bool:
@@ -463,8 +492,7 @@ def is_feasible(profile: Profile) -> bool:
 
 def state_from_profile(profile: Profile, label: str = "") -> TrisectionState:
     """A fresh state presenting ``profile``, components ``c0`` .. ``c<b-1>``."""
-    genera = genera_from_profile(profile)
-    return TrisectionState(genera, LinkComponentSet.fresh(profile.b), label=label)
+    return genera_from_profile(profile).to_state(label)
 
 
 def _require(condition: bool, message: str) -> None:

@@ -1,11 +1,12 @@
 """Exploration of the stabilization move graph.
 
 Component labels never affect which moves are legal or how genera move,
-so for search the engine shrinks a state to its parameter shadow: the
-node (g12, g13, g23, b).  Each node has at most six successors, one per
-legal row of :data:`~trisections.moves.STAB_DELTAS`, and every move
-raises h1 + h2 + h3 by exactly 1, so the move graph is graded by that
-sum and breadth-first search depth equals the sum difference.
+so search walks a state's parameter node, its ``genera``
+(:class:`~trisections.core.MoveGraphNode`).  Each node has at most six
+successors, one per legal row of :data:`~trisections.core.STAB_DELTAS`,
+and every move raises h1 + h2 + h3 by exactly 1, so the move graph is
+graded by that sum and breadth-first search depth equals the sum
+difference.
 
 Reachability has a closed form (:func:`reachable`).  Write h(n) for the
 heights (h1, h2, h3) of a node, h_i = g_ij + g_ik + b - 1.  A node t is
@@ -48,9 +49,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .core import (
-    LinkComponentSet,
+    MoveGraphNode,
+    ParamMove,
     Profile,
-    SurfaceGenera,
     TrisectionError,
     TrisectionState,
     genera_from_profile,
@@ -58,88 +59,22 @@ from .core import (
     other_two,
 )
 from .moves import (
-    PARAM_FLOORS,
-    STAB_DELTAS,
     MoveScript,
     StabMove,
     apply_stabilization,
     balance,
     balance_capped,
+    balance_length,
     build_heegaard,
     canonical_distinct_arc,
     canonical_same_arc,
+    disk_length,
     raise_balanced,
 )
-
-# A parameter-level move: (handlebody index, "same" | "distinct").
-ParamMove = tuple[int, str]
 
 
 class WitnessNotFound(TrisectionError):
     """The move graph has no script to a node that :func:`reachable` accepts."""
-
-
-# STAB_DELTAS in the form successors() reads: every row lowers exactly one
-# coordinate, so a row applies when that coordinate clears its floor.
-_SUCCESSOR_ROWS = tuple(
-    (move, delta, delta.index(-1), PARAM_FLOORS[delta.index(-1)] + 1)
-    for move, delta in STAB_DELTAS.items()
-)
-
-
-@dataclass(frozen=True, slots=True, order=True)
-class MoveGraphNode:
-    """A trisection state with its component labels erased."""
-
-    g12: int
-    g13: int
-    g23: int
-    b: int
-
-    def __post_init__(self) -> None:
-        if min(self.g12, self.g13, self.g23) < 0 or self.b < 1:
-            raise ValueError(f"not a valid parameter node: {self!r}")
-
-    @classmethod
-    def from_state(cls, state: TrisectionState) -> MoveGraphNode:
-        g = state.genera
-        return cls(g.g12, g.g13, g.g23, state.b)
-
-    @classmethod
-    def from_profile(cls, profile: Profile) -> MoveGraphNode:
-        g = genera_from_profile(profile)
-        return cls(g.g12, g.g13, g.g23, profile.b)
-
-    def genera(self) -> SurfaceGenera:
-        return SurfaceGenera(self.g12, self.g13, self.g23)
-
-    def heights(self) -> tuple[int, int, int]:
-        """The handlebody genera (h1, h2, h3): h_i = g_ij + g_ik + b - 1."""
-        g12, g13, g23, extra = self.g12, self.g13, self.g23, self.b - 1
-        return (g12 + g13 + extra, g12 + g23 + extra, g13 + g23 + extra)
-
-    def profile(self) -> Profile:
-        return Profile(*self.heights(), self.b)
-
-    def to_state(self, label: str = "") -> TrisectionState:
-        """The canonical labeled state for this node: components c0 .. c<b-1>."""
-        return TrisectionState(self.genera(), LinkComponentSet.fresh(self.b), label=label)
-
-    def sum_h(self) -> int:
-        return 2 * (self.g12 + self.g13 + self.g23) + 3 * (self.b - 1)
-
-    @property
-    def is_trivial(self) -> bool:
-        return (self.g12, self.g13, self.g23, self.b) == (0, 0, 0, 1)
-
-    def successors(self) -> list[tuple[ParamMove, MoveGraphNode]]:
-        """Legal parameter moves and their targets, in STAB_DELTAS row order."""
-        params = g12, g13, g23, b = self.g12, self.g13, self.g23, self.b
-        out: list[tuple[ParamMove, MoveGraphNode]] = []
-        for move, (d12, d13, d23, db), falling, least in _SUCCESSOR_ROWS:
-            if params[falling] >= least:
-                out.append((move, MoveGraphNode(g12 + d12, g13 + d13, g23 + d23, b + db)))
-        return out
 
 
 def reachable(start: MoveGraphNode, goal: MoveGraphNode) -> bool:
@@ -311,7 +246,7 @@ def common_stabilization_search(
     floor = tuple(map(max, h_a, h_b))
     for level in range(sum(floor), max_sum + 1):
         common = [
-            MoveGraphNode.from_profile(Profile(*heights, count))
+            genera_from_profile(Profile(*heights, count))
             for heights, count in _profiles_above(floor, level)
             if _reaches(h_a, a.b, heights, count) and _reaches(h_b, b.b, heights, count)
         ]
@@ -402,7 +337,7 @@ def _check_feasibility_enumeration(
                     profile = Profile(h1, h2, h3, b)
                     if is_feasible(profile) != (profile in presented):
                         ok = False
-                        bad.append(MoveGraphNode.from_profile(profile))
+                        bad.append(genera_from_profile(profile))
     for h in range(max_sum + 1):
         for b in range(1, max_sum + 2):
             profile = Profile(h, h, h, b)
@@ -416,14 +351,14 @@ def _check_balance_postconditions(
     max_sum: int, nodes: list[MoveGraphNode]
 ) -> PropertyResult:
     def check(node: MoveGraphNode) -> bool:
-        before = node.profile()
-        top = max(before.h1, before.h2, before.h3)
-        state, script = balance(node.to_state())
+        top = max(node.heights())
+        before = node.to_state()
+        state, script = balance(before)
         after = state.profile
         return (
             (after.h1, after.h2, after.h3) == (top, top, top)
             and after.b <= max(before.b, 2)
-            and len(script) == 3 * top - before.sum_h()
+            and len(script) == balance_length(before)
         )
 
     bad = tuple(node for node in nodes if not check(node))
@@ -440,7 +375,7 @@ def _check_built_splitting_counts(
             _, genus, script = build_heegaard(before, i)
             if genus != before.handlebody_genus(j) + before.handlebody_genus(k):
                 return False
-            if len(script) != 2 * before.genera.between(j, k) + before.b - 1:
+            if len(script) != disk_length(before, i):
                 return False
         return True
 

@@ -6,10 +6,10 @@ of the data kept here the move comes in two flavours, according to
 whether the arc ends on one component of the boundary link or on two:
 a ``SameComponent`` arc splits its component into two fresh ones, a
 ``DistinctComponents`` arc merges its pair into one fresh component.
-Each of the six (handlebody, arc kind) pairs changes (g12, g13, g23, b)
-by one fixed row of :data:`STAB_DELTAS`, and a formal destabilization
-along the other arc kind subtracts that row.  Every row raises h_i by
-exactly 1 and leaves h_j and h_k unchanged.
+Each of the six (handlebody, arc kind) pairs changes the parameter node
+(g12, g13, g23, b) by one fixed row of :data:`~trisections.core.STAB_DELTAS`,
+and a formal destabilization along the other arc kind subtracts that row.
+Every row raises h_i by exactly 1 and leaves h_j and h_k unchanged.
 
 One rule decides legality for both directions: a move is legal exactly
 when the components its arc names exist and the result has genera >= 0
@@ -31,7 +31,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .core import (
-    SurfaceGenera,
+    PARAM_FLOORS,
+    STAB_DELTAS,
+    MoveGraphNode,
     TrisectionError,
     TrisectionState,
     other_two,
@@ -118,27 +120,12 @@ class MoveRecord:
 MoveScript = tuple[MoveRecord, ...]
 
 
-# (handlebody, arc kind) -> change to (g12, g13, g23, b).  A one-component
-# arc in S_jk cuts that surface (g_jk - 1, b + 1); a two-component arc adds
-# a handle to both surfaces touching H_i (g_ij + 1, g_ik + 1, b - 1).  The
-# row order is the enumeration order of legal_moves and of search.
-STAB_DELTAS: dict[tuple[int, str], tuple[int, int, int, int]] = {
-    (1, "same"): (0, 0, -1, 1),
-    (1, "distinct"): (1, 1, 0, -1),
-    (2, "same"): (0, -1, 0, 1),
-    (2, "distinct"): (1, 0, 1, -1),
-    (3, "same"): (-1, 0, 0, 1),
-    (3, "distinct"): (0, 1, 1, -1),
-}
-
-# Least legal value of each coordinate of (g12, g13, g23, b).
-PARAM_FLOORS = (0, 0, 0, 1)
-
 _PARAM_NAMES = ("g12", "g13", "g23", "b")
 
 
-def _fits(params: tuple[int, ...], delta: tuple[int, ...]) -> bool:
-    """Whether ``params + delta`` stays at or above :data:`PARAM_FLOORS`."""
+def _fits(node: MoveGraphNode, delta: tuple[int, ...]) -> bool:
+    """Whether ``node + delta`` stays at or above :data:`PARAM_FLOORS`."""
+    params = (node.g12, node.g13, node.g23, node.b)
     return all(p + d >= f for p, d, f in zip(params, delta, PARAM_FLOORS))
 
 
@@ -154,11 +141,10 @@ def legal_moves(state: TrisectionState) -> list[StabMove]:
         "same": [SameComponent(c) for c in labels],
         "distinct": [DistinctComponents(lo, hi) for lo, hi in combinations(labels, 2)],
     }
-    params = _params(state)
     return [
         StabMove(i, arc)
         for (i, kind), delta in STAB_DELTAS.items()
-        if _fits(params, delta)
+        if _fits(state.genera, delta)
         for arc in arcs[kind]
     ]
 
@@ -169,11 +155,6 @@ def is_legal(state: TrisectionState, move: StabMove | DestabMove) -> bool:
     except IllegalMove:
         return False
     return True
-
-
-def _params(state: TrisectionState) -> tuple[int, int, int, int]:
-    g = state.genera
-    return (g.g12, g.g13, g.g23, state.b)
 
 
 def _legal_delta(
@@ -191,7 +172,7 @@ def _legal_delta(
         delta = STAB_DELTAS[i, "same" if same else "distinct"]
     else:
         delta = tuple(-d for d in STAB_DELTAS[i, "distinct" if same else "same"])
-    if not _fits(_params(state), delta):
+    if not _fits(state.genera, delta):
         if stab:
             action = f"stabilizing H{i} along a {'one' if same else 'two'}-component arc"
         else:
@@ -209,7 +190,7 @@ def _legal_delta(
 
 def _apply(state: TrisectionState, move: StabMove | DestabMove) -> TrisectionState:
     # Shared body of apply_stabilization and apply_destabilization.
-    d12, d13, d23, _ = _legal_delta(state, move)
+    d12, d13, d23, db = _legal_delta(state, move)
     arc = move.arc
     if isinstance(arc, SameComponent):
         link, created = state.link.split(arc.component)
@@ -218,7 +199,7 @@ def _apply(state: TrisectionState, move: StabMove | DestabMove) -> TrisectionSta
         link, merged = state.link.merge(arc.first, arc.second)
         created, removed = (merged,), (arc.first, arc.second)
     g = state.genera
-    genera = SurfaceGenera(g.g12 + d12, g.g13 + d13, g.g23 + d23)
+    genera = MoveGraphNode(g.g12 + d12, g.g13 + d13, g.g23 + d23, g.b + db)
     label = state.label
     if isinstance(move, StabMove):
         op = "stab"
@@ -394,9 +375,8 @@ def drive_opposite_to_disk(
     # The script's length is proven for every state with sum_h <= 12 and
     # every i by tests/test_moves.py::test_drive_opposite_to_disk_matches_build
     # and ::test_build_heegaard_counts_everywhere.
-    j, k = other_two(i)
     start = len(state.history)
-    while not (state.genera.between(j, k) == 0 and state.b == 1):
+    while disk_length(state, i):  # S_jk is a disk once no move is left
         if state.b >= 2:
             move = StabMove(i, canonical_distinct_arc(state))
         else:

@@ -25,13 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
+    MoveGraphNode,
     OutOfDomain,
     Profile,
-    SurfaceGenera,
     TrisectionError,
     TrisectionState,
     is_feasible,
-    profile_of,
 )
 from .moves import (
     DestabMove,
@@ -82,7 +81,7 @@ class PlanReport:
 
     rs_bound: int
     final_profile: Profile
-    final_genera: SurfaceGenera
+    final_genera: MoveGraphNode
     a: PlanSteps
     b: PlanSteps
 
@@ -140,16 +139,23 @@ def plan_common_stabilization(
     if not isinstance(rs_bound, int) or rs_bound < 0:
         raise OutOfDomain(f"rs_bound must be a nonnegative integer, got {rs_bound!r}")
     for name, state in (("a", a), ("b", b)):
-        if not is_feasible(profile_of(state)):
+        if not is_feasible(state.profile):
             raise InfeasibleInput(f"input {name} has an infeasible profile")
         if state.is_trivial:
             raise TrivialInput(
                 f"input {name} is the trivial trisection; it admits no stabilization"
             )
 
-    # Step 1: balance, cap b at 2, then equalize the balanced genera.
-    # Raising the smaller side one genus per round must end with equal b
-    # too: both b values lie in {1, 2} and share the parity opposite to h.
+    # The postconditions named in steps 1 and 2 are proven for every
+    # non-trivial pair with sum_h <= 8 by
+    # tests/test_planner.py::test_plan_postconditions_everywhere, and that
+    # both sides end on one node by
+    # tests/test_acceptance.py::test_acceptance_07_pairwise_common_stabilization.
+
+    # Step 1: balance, cap b at 2, then equalize the balanced genera, so
+    # that both sides present one profile.  Raising the smaller side one
+    # genus per round must end with equal b too: both b values lie in
+    # {1, 2} and share the parity opposite to h.
     side_a = balance_capped(a)
     side_b = balance_capped(b)
     while side_a.profile.h1 != side_b.profile.h1:
@@ -157,18 +163,15 @@ def plan_common_stabilization(
             side_a = raise_balanced(side_a)
         else:
             side_b = raise_balanced(side_b)
-    assert side_a.profile == side_b.profile and side_a.b <= 2
     step1 = (
         side_a.history[len(a.history):],
         side_b.history[len(b.history):],
     )
 
-    # Step 2: collapse each side onto a Heegaard splitting along S23.
+    # Step 2: collapse each side onto a Heegaard splitting along S23
+    # (g23 = 0 and b = 1, with at least one move on each side).
     side_a, _, step2_a = build_heegaard(side_a, 1)
     side_b, _, step2_b = build_heegaard(side_b, 1)
-    for side in (side_a, side_b):
-        assert side.genera.g23 == 0 and side.b == 1
-    assert len(step2_a) >= 1 and len(step2_b) >= 1
 
     # Step 3: the caller-supplied number of fake Heegaard stabilizations.
     step3_a: list[MoveRecord] = []
@@ -188,11 +191,9 @@ def plan_common_stabilization(
     side_a, _, step5_a = build_heegaard(side_a, 2)
     side_b, _, step5_b = build_heegaard(side_b, 2)
 
-    assert side_a.genera == side_b.genera
-    assert profile_of(side_a) == profile_of(side_b)
     return PlanReport(
         rs_bound=rs_bound,
-        final_profile=profile_of(side_a),
+        final_profile=side_a.profile,
         final_genera=side_a.genera,
         a=PlanSteps(step1[0], step2_a, tuple(step3_a), step4_a, step5_a),
         b=PlanSteps(step1[1], step2_b, tuple(step3_b), step4_b, step5_b),

@@ -41,13 +41,12 @@ from json.encoder import encode_basestring
 from typing import Iterable
 
 from .core import (
-    GenealogyEvent,
     LinkComponentSet,
-    SurfaceGenera,
+    MoveGraphNode,
     TrisectionState,
     component_number,
 )
-from .explorer import MoveGraphNode, PropertyResult, VerificationReport
+from .explorer import PropertyResult, VerificationReport
 from .moves import (
     Arc,
     DistinctComponents,
@@ -71,9 +70,11 @@ def canonical_dumps(payload) -> str:
 
 
 def _loads(text: str, context: str):
+    # JSONDecodeError is a ValueError, and so is an integer past the
+    # interpreter's digit limit; deep nesting exhausts the recursion limit.
     try:
         return json.loads(text)
-    except json.JSONDecodeError as error:
+    except (ValueError, RecursionError) as error:
         raise StateFormatError(f"{context}: not valid JSON ({error})") from error
 
 
@@ -101,16 +102,17 @@ def script_to_payload(script: MoveScript) -> list:
     return [record_to_payload(record) for record in script]
 
 
+def _genera_payload(node: MoveGraphNode) -> dict:
+    # The surface genera of a node; b is stored with the link.
+    return {"g12": node.g12, "g13": node.g13, "g23": node.g23}
+
+
 def _state_head(state: TrisectionState) -> dict:
     # A state's payload up to its history.
     return {
         "version": FORMAT_VERSION,
         "label": state.label,
-        "genera": {
-            "g12": state.genera.g12,
-            "g13": state.genera.g13,
-            "g23": state.genera.g23,
-        },
+        "genera": _genera_payload(state.genera),
         "link": {
             "components": list(state.link.components),
             "next_id": state.link.next_id,
@@ -128,11 +130,7 @@ def _plan_head(report: PlanReport) -> dict:
         "version": FORMAT_VERSION,
         "rs_bound": report.rs_bound,
         "final_profile": list(report.final_profile.as_tuple()),
-        "final_genera": {
-            "g12": report.final_genera.g12,
-            "g13": report.final_genera.g13,
-            "g23": report.final_genera.g23,
-        },
+        "final_genera": _genera_payload(report.final_genera),
     }
 
 
@@ -146,7 +144,7 @@ def plan_report_to_payload(report: PlanReport) -> dict:
 
 
 def node_to_payload(node: MoveGraphNode) -> dict:
-    return {"g12": node.g12, "g13": node.g13, "g23": node.g23, "b": node.b}
+    return _genera_payload(node) | {"b": node.b}
 
 
 def verification_report_to_payload(report: VerificationReport) -> dict:
@@ -358,64 +356,41 @@ def script_from_text(text: str) -> MoveScript:
 def _rebuild_link(
     components: tuple[str, ...], next_id: int, history: MoveScript, context: str
 ) -> LinkComponentSet:
-    # Recover the initial component set by undoing the history, then
-    # replay it forwards.  The forward pass pins every fresh label to the
-    # sequential counter, rebuilds the genealogy, and must land exactly
-    # on the stored component list.
-    current = set(components)
-    for index in range(len(history) - 1, -1, -1):
-        record = history[index]
-        for label in record.created:
-            if label not in current:
-                raise StateFormatError(
-                    f"{context}: history step {index + 1} creates {label!r} which "
-                    "later steps neither keep nor remove"
-                )
-            current.remove(label)
-        for label in record.removed:
-            if label in current:
-                raise StateFormatError(
-                    f"{context}: history step {index + 1} removes {label!r} which "
-                    "still exists afterwards"
-                )
-            current.add(label)
-    initial = sorted(current, key=component_number)
-    if initial != [f"c{n}" for n in range(len(initial))]:
+    # Replay the history on the fresh link it must start from: every record
+    # splits one component or merges two, creating exactly the labels the
+    # link hands out, and the replay must land on the stored link.
+    count = len(components) - sum(len(r.created) - len(r.removed) for r in history)
+    try:
+        link = LinkComponentSet.fresh(count)
+    except ValueError as error:
         raise StateFormatError(
-            f"{context}: the initial components implied by the history must be "
-            f"c0..c{max(len(initial) - 1, 0)}, got {initial}"
-        )
-
-    ordered = list(initial)
-    counter = len(initial)
-    genealogy = [GenealogyEvent("genesis", (), tuple(initial))]
+            f"{context}: the history implies {count} initial components ({error})"
+        ) from error
     for step, record in enumerate(history, start=1):
-        for label in record.removed:
-            if label not in ordered:
-                raise StateFormatError(
-                    f"{context}: history step {step} removes missing component {label!r}"
-                )
-            ordered.remove(label)
-        expected = tuple(f"c{counter + n}" for n in range(len(record.created)))
-        if record.created != expected:
+        try:
+            if len(record.removed) == 1:
+                link, created = link.split(*record.removed)
+            else:
+                link, merged = link.merge(*record.removed)
+                created = (merged,)
+        except ValueError as error:
+            raise StateFormatError(f"{context}: history step {step}: {error}") from error
+        if created != record.created:
             raise StateFormatError(
-                f"{context}: history step {step} must create {list(expected)}, "
+                f"{context}: history step {step} must create {list(created)}, "
                 f"got {list(record.created)}"
             )
-        counter += len(record.created)
-        ordered.extend(record.created)
-        kind = "split" if len(record.created) == 2 else "merge"
-        genealogy.append(GenealogyEvent(kind, record.removed, record.created))
-    if tuple(ordered) != components:
+    if link.components != components:
         raise StateFormatError(
             f"{context}: stored components {list(components)} do not match the "
-            f"history replay {ordered}"
+            f"history replay {list(link.components)}"
         )
-    if counter != next_id:
+    if link.next_id != next_id:
         raise StateFormatError(
-            f"{context}: next_id is {next_id} but the history consumed labels up to c{counter - 1}"
+            f"{context}: next_id is {next_id} but the history consumed labels "
+            f"up to c{link.next_id - 1}"
         )
-    return LinkComponentSet(components, next_id, tuple(genealogy))
+    return link
 
 
 def parse_state(payload) -> TrisectionState:
@@ -425,10 +400,9 @@ def parse_state(payload) -> TrisectionState:
         raise StateFormatError(f"state.version: expected {FORMAT_VERSION}, got {version}")
     label = _as_string(obj["label"], "state.label")
     genera_obj = _as_object(obj["genera"], "state.genera", ("g12", "g13", "g23"))
-    genera = SurfaceGenera(
-        _as_int(genera_obj["g12"], "state.genera.g12", minimum=0),
-        _as_int(genera_obj["g13"], "state.genera.g13", minimum=0),
-        _as_int(genera_obj["g23"], "state.genera.g23", minimum=0),
+    g12, g13, g23 = (
+        _as_int(genera_obj[name], f"state.genera.{name}", minimum=0)
+        for name in ("g12", "g13", "g23")
     )
     link_obj = _as_object(obj["link"], "state.link", ("components", "next_id"))
     components = _parse_id_list(link_obj["components"], "state.link.components")
@@ -443,7 +417,7 @@ def parse_state(payload) -> TrisectionState:
         for n, item in enumerate(history_payload)
     )
     link = _rebuild_link(components, next_id, history, "state")
-    return TrisectionState(genera, link, history, label)
+    return TrisectionState(MoveGraphNode(g12, g13, g23, link.b), link, history, label)
 
 
 def state_from_text(text: str) -> TrisectionState:

@@ -22,6 +22,7 @@ from trisections.core import (
     Profile,
     connect_sum_equal_genus,
     from_heegaard,
+    genera_from_profile,
     is_feasible,
     koda_ozawa,
     open_book,
@@ -146,7 +147,7 @@ def test_acceptance_03_balance_postconditions_and_reachability(criterion):
             assert after.b <= max(profile.b, 2)
             assert len(script) == 3 * top - profile.sum_h()
         for profile in _feasible_profiles(12):
-            start = MoveGraphNode.from_profile(profile)
+            start = genera_from_profile(profile)
             state, script = balance(state_from_profile(profile))
             target = MoveGraphNode.from_state(state)
             top = max(profile.h1, profile.h2, profile.h3)

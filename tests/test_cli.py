@@ -15,7 +15,10 @@ import sys
 
 import pytest
 
+from trisections import cli
 from trisections.cli import MAX_COMPONENTS, MAX_SCRIPT_MOVES
+from trisections.core import from_heegaard
+from trisections.serialize import state_to_text
 
 
 def run_cli(*args: str, stdin_text: str | None = None) -> subprocess.CompletedProcess:
@@ -211,6 +214,30 @@ def test_replay_rejects_malformed_scripts(heegaard2, tmp_path):
     assert run_cli("replay", str(heegaard2), str(script)).returncode == 2
 
 
+@pytest.mark.parametrize(
+    "hostile",
+    ["[" * 100_000, "9" * 5_001, '[{"op": "stab", "handlebody": ' + "1" * 5_001 + "}]"],
+    ids=["deep-nesting", "long-integer", "long-integer-in-a-record"],
+)
+def test_hostile_json_is_a_format_error(tmp_path, capsys, hostile):
+    # In-process, so the nesting reaches the JSON decoder's recursion limit.
+    bad = tmp_path / "hostile.json"
+    bad.write_text(hostile, encoding="utf-8")
+    state = tmp_path / "state.json"
+    state.write_text(state_to_text(from_heegaard(2)), encoding="utf-8")
+    script = tmp_path / "script.json"
+    script.write_text("[]\n", encoding="utf-8")
+    for argv, context in (
+        (["show", str(bad)], "state"),
+        (["replay", str(bad), str(script)], "state"),
+        (["replay", str(state), str(bad)], "script"),
+    ):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.startswith(f"StateFormatError: {context}: not valid JSON ("), err[:200]
+
+
 def test_replay_rejects_inapplicable_scripts(heegaard2, koda, tmp_path):
     script = tmp_path / "script.json"
     run_cli("balance", str(koda), "-o", "/dev/null", "--script", str(script))
@@ -381,6 +408,14 @@ def test_balance_refuses_a_huge_script():
     lopsided = run_cli("new", "split-heegaard", "1000000000", "1").stdout
     proc = run_capped_cli("balance", stdin_text=lopsided)
     _assert_refused(proc, "balance: the script length would be 1000000000")
+
+
+def test_plan_refuses_a_huge_rs_bound(koda, heegaard2):
+    proc = run_capped_cli("plan", str(koda), str(heegaard2), "--rs-bound", "100000000")
+    _assert_refused(proc, "plan: the fake stabilizations per side would be 100000000")
+    over = str(MAX_SCRIPT_MOVES + 1)
+    _assert_refused(run_capped_cli("plan", str(koda), str(heegaard2), "--rs-bound", over),
+                    f"plan: the fake stabilizations per side would be {over}")
 
 
 def test_help_exits_cleanly():

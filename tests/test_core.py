@@ -18,14 +18,13 @@ from trisections.core import (
     GenealogyEvent,
     Infeasible,
     LinkComponentSet,
+    MoveGraphNode,
     OutOfDomain,
     Profile,
-    SurfaceGenera,
     TrisectionState,
     connect_sum_equal_genus,
     construct,
     construct_profile,
-    euler_defect,
     from_heegaard,
     genera_from_profile,
     is_feasible,
@@ -40,7 +39,7 @@ from trisections.core import (
 )
 
 
-def _oracle_genera(profile: Profile, search_bound: int = 12) -> list[SurfaceGenera]:
+def _oracle_genera(profile: Profile, search_bound: int = 12) -> list[MoveGraphNode]:
     """All genus triples matching the profile, by exhaustive scan.
 
     The bound 12 covers every profile with h1+h2+h3 <= 10: each genus is
@@ -54,7 +53,7 @@ def _oracle_genera(profile: Profile, search_bound: int = 12) -> list[SurfaceGene
             and g12 + g23 + b - 1 == h2
             and g13 + g23 + b - 1 == h3
         ):
-            found.append(SurfaceGenera(g12=g12, g13=g13, g23=g23))
+            found.append(MoveGraphNode(g12, g13, g23, b))
     return found
 
 
@@ -87,22 +86,24 @@ def test_profile_rejects_bad_values():
         Profile(1, 1, 0, True)
 
 
-def test_surface_genera_rejects_bad_values():
-    with pytest.raises(ValueError):
-        SurfaceGenera(-1, 0, 0)
-    with pytest.raises(ValueError):
-        SurfaceGenera(True, 0, 0)
-    with pytest.raises(ValueError):
-        SurfaceGenera(0, 0, 1.0)
+def test_node_rejects_bad_values():
+    for bad in (
+        (-1, 0, 0, 1), (0, -1, 0, 1), (0, 0, -1, 1), (0, 0, 0, 0), (0, 0, 0, -1),
+        (True, 0, 0, 1), (0, True, 0, 1), (0, 0, False, 1), (0, 0, 0, True),
+        (1.0, 0, 0, 1), (0, 0, 1.0, 1), (0, 0, 0, 1.0), (0.5, 0, 0, 1), ("1", 0, 0, 1),
+    ):
+        with pytest.raises(ValueError):
+            MoveGraphNode(*bad)
+    assert MoveGraphNode(0, 0, 0, 1).is_trivial
 
 
 @pytest.mark.parametrize(
     "profile, expected",
     [
-        (Profile(2, 2, 0, 1), SurfaceGenera(g12=2, g13=0, g23=0)),
-        (Profile(1, 2, 2, 2), SurfaceGenera(g12=0, g13=0, g23=1)),
-        (Profile(0, 0, 0, 1), SurfaceGenera(g12=0, g13=0, g23=0)),
-        (Profile(4, 10, 6, 1), SurfaceGenera(g12=4, g13=0, g23=6)),
+        (Profile(2, 2, 0, 1), MoveGraphNode(2, 0, 0, 1)),
+        (Profile(1, 2, 2, 2), MoveGraphNode(0, 0, 1, 2)),
+        (Profile(0, 0, 0, 1), MoveGraphNode(0, 0, 0, 1)),
+        (Profile(4, 10, 6, 1), MoveGraphNode(4, 0, 6, 1)),
     ],
 )
 def test_genera_from_profile_frozen_examples(profile, expected):
@@ -153,12 +154,6 @@ def test_balanced_feasibility_boundary():
     assert not is_feasible(Profile(1, 1, 1, 4))
 
 
-def test_euler_defect_vanishes_on_states():
-    for profile in _all_profiles(9):
-        if is_feasible(profile):
-            assert euler_defect(state_from_profile(profile)) == 0
-
-
 def test_state_from_profile_round_trips():
     for profile in _all_profiles(8):
         if not is_feasible(profile):
@@ -180,12 +175,6 @@ def test_handlebody_genus_matches_defining_formula():
     assert state.handlebody_genus(1) == g.g12 + g.g13 + state.b - 1
     assert state.handlebody_genus(2) == g.g12 + g.g23 + state.b - 1
     assert state.handlebody_genus(3) == g.g13 + g.g23 + state.b - 1
-
-
-def test_surface_euler_characteristic():
-    state = state_from_profile(Profile(1, 2, 2, 2))  # genera (0,0,1)
-    assert state.surface_euler_characteristic(1, 2) == 2 - 0 - 2
-    assert state.surface_euler_characteristic(2, 3) == 2 - 2 - 2
 
 
 # -- link component bookkeeping -----------------------------------------------
@@ -299,7 +288,7 @@ def test_genealogy_event_shape_validation():
 def test_trivial_state():
     state = trivial()
     assert state.profile == Profile(0, 0, 0, 1)
-    assert state.genera == SurfaceGenera(g12=0, g13=0, g23=0)
+    assert state.genera == MoveGraphNode(0, 0, 0, 1)
     assert state.is_trivial
 
 
@@ -307,7 +296,7 @@ def test_trivial_state():
 def test_from_heegaard_profile(g):
     state = from_heegaard(g)
     assert state.profile == Profile(g, g, 0, 1)
-    assert state.genera == SurfaceGenera(g12=g, g13=0, g23=0)
+    assert state.genera == MoveGraphNode(g, 0, 0, 1)
 
 
 @pytest.mark.parametrize("g,h", [(g, h) for g in range(7) for h in range(g + 1)])
@@ -324,7 +313,7 @@ def test_split_heegaard_rejects_oversized_split():
 def test_open_book_profile(g):
     state = open_book(g)
     assert state.profile == Profile(2 * g, 2 * g, 2 * g, 1)
-    assert state.genera == SurfaceGenera(g12=g, g13=g, g23=g)
+    assert state.genera == MoveGraphNode(g, g, g, 1)
 
 
 @pytest.mark.parametrize("m", range(7))
@@ -336,7 +325,7 @@ def test_tunnel_system_profile(m):
 def test_connect_sum_equal_genus_profile(g):
     state = connect_sum_equal_genus(g)
     assert state.profile == Profile(g, g, g, g + 1)
-    assert state.genera == SurfaceGenera(g12=0, g13=0, g23=0)
+    assert state.genera == MoveGraphNode(0, 0, 0, g + 1)
 
 
 @pytest.mark.parametrize("g", range(1, 7))
@@ -361,7 +350,7 @@ def test_surface_bundle_rejects_zero_fiber_genus():
 def test_koda_ozawa_profile():
     state = koda_ozawa()
     assert state.profile == Profile(1, 2, 2, 2)
-    assert state.genera == SurfaceGenera(g12=0, g13=0, g23=1)
+    assert state.genera == MoveGraphNode(0, 0, 1, 2)
 
 
 def test_construct_dispatch_matches_direct_calls():
@@ -411,9 +400,14 @@ def test_construct_profile_matches_the_constructed_state():
 
 def test_handlebody_indices_are_exact_integers():
     assert other_two(2) == (1, 3)
+    node = MoveGraphNode(1, 2, 3, 1)
+    state = node.to_state()
+    assert [node.opposite(i) for i in (1, 2, 3)] == [3, 2, 1]
+    assert [state.handlebody_genus(i) for i in (1, 2, 3)] == [3, 4, 5]
     for index in (True, 1.0, 0, 4):
-        with pytest.raises(ValueError):
-            other_two(index)
+        for lookup in (other_two, node.opposite, state.handlebody_genus):
+            with pytest.raises(ValueError):
+                lookup(index)
 
 
 def test_constructor_states_are_all_feasible():
@@ -445,7 +439,18 @@ def test_states_start_with_empty_history():
 def test_state_equality_includes_link():
     a = from_heegaard(2)
     assert a == from_heegaard(2)
-    widened = TrisectionState(
-        genera=a.genera, link=LinkComponentSet.fresh(2), history=(), label=a.label
-    )
-    assert a != widened
+    # Same genera and b, other labels: c0 split into c1, c2 and merged back.
+    link, created = a.link.split("c0")
+    relabeled, _ = link.merge(*created)
+    assert relabeled.b == a.b and relabeled.components == ("c3",)
+    moved = TrisectionState(genera=a.genera, link=relabeled, history=(), label=a.label)
+    assert a != moved
+
+
+def test_state_rejects_genera_whose_b_disagrees_with_its_link():
+    genera = MoveGraphNode(2, 0, 0, 1)
+    with pytest.raises(ValueError, match="b=1"):
+        TrisectionState(genera, LinkComponentSet.fresh(2))
+    with pytest.raises(ValueError):
+        TrisectionState(MoveGraphNode(0, 0, 1, 3), LinkComponentSet.fresh(2))
+    assert TrisectionState(genera, LinkComponentSet.fresh(1)).profile == Profile(2, 2, 0, 1)

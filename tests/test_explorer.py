@@ -10,7 +10,14 @@ from __future__ import annotations
 import pytest
 
 from trisections import explorer
-from trisections.core import Profile, TrisectionError, is_feasible, koda_ozawa, state_from_profile
+from trisections.core import (
+    Profile,
+    TrisectionError,
+    genera_from_profile,
+    is_feasible,
+    koda_ozawa,
+    state_from_profile,
+)
 from trisections.explorer import (
     MoveGraphNode,
     PropertyResult,
@@ -54,7 +61,7 @@ def _all_profiles(max_sum: int) -> list[Profile]:
 
 def test_node_round_trips_through_profiles_and_states():
     for node in feasible_nodes(8):
-        assert MoveGraphNode.from_profile(node.profile()) == node
+        assert genera_from_profile(node.profile()) == node
         assert MoveGraphNode.from_state(node.to_state()) == node
         assert node.sum_h() == node.profile().sum_h()
         assert node.profile() == node.to_state().profile

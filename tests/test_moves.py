@@ -13,8 +13,8 @@ from trisections import core
 from trisections.core import (
     GenealogyEvent,
     LinkComponentSet,
+    MoveGraphNode,
     Profile,
-    SurfaceGenera,
     TrisectionState,
     connect_sum_equal_genus,
     from_heegaard,
@@ -158,9 +158,10 @@ def test_legality_and_effects_match_the_four_arc_conditions():
             j, k = other_two(i)
             for arc in arcs:
                 same = isinstance(arc, SameComponent)
-                stab_ok = g.between(j, k) >= 1 if same else state.b >= 2
+                # S_jk is opposite H_i; S_ij and S_ik are opposite H_k and H_j.
+                stab_ok = g.opposite(i) >= 1 if same else state.b >= 2
                 destab_ok = (
-                    g.between(i, j) >= 1 and g.between(i, k) >= 1 if same else state.b >= 2
+                    g.opposite(k) >= 1 and g.opposite(j) >= 1 if same else state.b >= 2
                 )
                 cases = (
                     (StabMove(i, arc), stab_ok, apply_stabilization, 1,
@@ -204,7 +205,7 @@ def test_apply_rejects_wrong_move_type():
 def test_same_component_stab_effect():
     state = from_heegaard(2)
     after = apply_stabilization(state, StabMove(3, SameComponent("c0")))
-    assert after.genera == SurfaceGenera(g12=1, g13=0, g23=0)
+    assert after.genera == MoveGraphNode(1, 0, 0, 2)
     assert after.link.components == ("c1", "c2")
     assert after.profile == Profile(2, 2, 1, 2)
     assert after.history == (
@@ -215,7 +216,7 @@ def test_same_component_stab_effect():
 def test_distinct_components_stab_effect():
     state = apply_stabilization(from_heegaard(2), StabMove(3, SameComponent("c0")))
     after = apply_stabilization(state, StabMove(3, DistinctComponents("c1", "c2")))
-    assert after.genera == SurfaceGenera(g12=1, g13=1, g23=1)
+    assert after.genera == MoveGraphNode(1, 1, 1, 1)
     assert after.link.components == ("c3",)
     assert after.profile == Profile(2, 2, 2, 1)
     assert after.history[-1] == MoveRecord(
@@ -253,7 +254,7 @@ def test_moves_preserve_genealogy_replay():
 def test_destab_merging_pair_effect_and_caveat():
     state = koda_ozawa()  # genera (0,0,1), b = 2
     after = apply_destabilization(state, DestabMove(1, DistinctComponents("c0", "c1")))
-    assert after.genera == SurfaceGenera(g12=0, g13=0, g23=2)
+    assert after.genera == MoveGraphNode(0, 0, 2, 1)
     assert after.profile == Profile(0, 2, 2, 1)
     assert DESTAB_CAVEAT in after.label
     assert after.history[-1].op == "destab"
@@ -262,7 +263,7 @@ def test_destab_merging_pair_effect_and_caveat():
 def test_destab_splitting_component_effect():
     state = open_book(1)  # genera (1,1,1), b = 1
     after = apply_destabilization(state, DestabMove(1, SameComponent("c0")))
-    assert after.genera == SurfaceGenera(g12=0, g13=0, g23=1)
+    assert after.genera == MoveGraphNode(0, 0, 1, 2)
     assert after.profile == Profile(1, 2, 2, 2)
 
 
@@ -332,7 +333,7 @@ def test_inverse_of_rejects_compound_records():
 def test_fake_stab_connected_boundary_variant():
     state = open_book(1)  # genera (1,1,1), b = 1
     after = fake_heegaard_stab(state)
-    assert after.genera == SurfaceGenera(g12=2, g13=1, g23=1)
+    assert after.genera == MoveGraphNode(2, 1, 1, 1)
     assert after.b == 1
     assert after.profile == Profile(3, 3, 2, 1)
     ops = [record.op for record in after.history]
@@ -343,7 +344,7 @@ def test_fake_stab_connected_boundary_variant():
 def test_fake_stab_disconnected_boundary_variant():
     state = koda_ozawa()  # genera (0,0,1), b = 2
     after = fake_heegaard_stab(state)
-    assert after.genera == SurfaceGenera(g12=1, g13=0, g23=1)
+    assert after.genera == MoveGraphNode(1, 0, 1, 2)
     assert after.b == 2
     # the second arc runs through the component the first move created
     second = after.history[-1]

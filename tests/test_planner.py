@@ -12,15 +12,16 @@ from __future__ import annotations
 import pytest
 
 from trisections.core import (
+    MoveGraphNode,
     OutOfDomain,
     Profile,
-    SurfaceGenera,
     connect_sum_equal_genus,
     from_heegaard,
     koda_ozawa,
     open_book,
     trivial,
 )
+from trisections.explorer import feasible_nodes
 from trisections.moves import DistinctComponents, IllegalMove, MoveRecord, SameComponent
 from trisections.planner import (
     PlanReport,
@@ -44,7 +45,7 @@ def _step_lengths(steps: PlanSteps) -> tuple[int, ...]:
 def test_plan_same_input_both_sides():
     report = plan_common_stabilization(from_heegaard(2), from_heegaard(2), 0)
     assert report.final_profile == Profile(4, 10, 6, 1)
-    assert report.final_genera == SurfaceGenera(g12=4, g13=0, g23=6)
+    assert report.final_genera == MoveGraphNode(4, 0, 6, 1)
     assert _step_lengths(report.a) == (2, 2, 0, 4, 8)
     assert report.a == report.b
 
@@ -52,7 +53,7 @@ def test_plan_same_input_both_sides():
 def test_plan_heegaard_vs_koda_with_one_fake():
     report = plan_common_stabilization(koda_ozawa(), from_heegaard(2), 1)
     assert report.final_profile == Profile(5, 13, 8, 1)
-    assert report.final_genera == SurfaceGenera(g12=5, g13=0, g23=8)
+    assert report.final_genera == MoveGraphNode(5, 0, 8, 1)
     assert _step_lengths(report.a) == (1, 2, 1, 6, 10)
     assert _step_lengths(report.b) == (2, 2, 1, 6, 10)
 
@@ -83,6 +84,30 @@ def test_plan_step2_collapses_onto_a_heegaard_splitting():
     assert side.genera.g23 == 0 and side.b == 1
     assert len(report.a.step2_build) >= 1
     assert len(report.b.step2_build) >= 1
+
+
+def test_plan_postconditions_everywhere():
+    # Proves what plan_common_stabilization states without checking, for
+    # every ordered pair of non-trivial nodes with sum_h <= 8: after step 1
+    # both sides are balanced with b <= 2 and one profile, and after step 2
+    # each side is a Heegaard splitting (g23 = 0, b = 1) reached by at
+    # least one move.  Both sides then end on the reported node, for
+    # rs_bound 0, 1 and 2, by tests/test_acceptance.py::
+    # test_acceptance_07_pairwise_common_stabilization.
+    states = [node.to_state() for node in feasible_nodes(8) if not node.is_trivial]
+    assert len(states) == 48
+    for a in states:
+        for b in states:
+            report = plan_common_stabilization(a, b, 0)
+            profiles = []
+            for start, steps in ((a, report.a), (b, report.b)):
+                balanced = replay(start, steps.step1_balance)
+                assert balanced.is_balanced and balanced.b <= 2
+                built = replay(balanced, steps.step2_build)
+                assert built.genera.g23 == 0 and built.b == 1
+                assert len(steps.step2_build) >= 1
+                profiles.append(balanced.profile)
+            assert profiles[0] == profiles[1]
 
 
 def test_plan_step3_emits_one_compound_record_per_fake():

@@ -28,6 +28,7 @@ from trisections.moves import (
     DistinctComponents,
     IllegalMove,
     SameComponent,
+    StabMove,
     apply_destabilization,
     apply_stabilization,
     balance,
@@ -318,6 +319,15 @@ def test_parse_rejects_history_that_does_not_replay():
     payload = json.loads(json.dumps(good))
     payload["history"][0]["arc"] = {"distinct": ["c5", "c6"]}
     payload["history"][0]["removed"] = ["c5", "c6"]
+    _expect_rejected(payload)
+    # the stored components in another order than the replay leaves them
+    payload = _payload(koda_ozawa())
+    payload["link"]["components"] = ["c1", "c0"]
+    _expect_rejected(payload)
+    # a split record naming its two fresh labels in the other order
+    payload = _payload(apply_stabilization(from_heegaard(2), StabMove(3, SameComponent("c0"))))
+    assert payload["history"][0]["created"] == ["c1", "c2"]
+    payload["history"][0]["created"] = ["c2", "c1"]
     _expect_rejected(payload)
 
 
