@@ -43,6 +43,8 @@ from .explorer import (
 )
 from .planner import plan_common_stabilization, replay
 from .serialize import (
+    INT_BOUND,
+    MAX_DIGITS,
     StateFormatError,
     plan_report_to_text,
     script_from_text,
@@ -116,6 +118,10 @@ def _cmd_new(args: argparse.Namespace) -> int:
         wanted = " ".join(names) if names else "(none)"
         raise _UsageError(f"constructor {args.kind!r} takes parameters: {wanted}")
     profile = construct_profile(args.kind, tuple(args.params))
+    if max(profile.as_tuple()) >= INT_BOUND:
+        raise SizeLimitExceeded(
+            f"new {args.kind}: the profile would have an entry of more than {MAX_DIGITS} digits"
+        )
     _check_size(f"new {args.kind}: the number of boundary components", profile.b, MAX_COMPONENTS)
     state = construct(args.kind, tuple(args.params))
     _write_text(args.output, state_to_text(state))

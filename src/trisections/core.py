@@ -14,16 +14,20 @@ It does not encode embeddings or attaching maps.  States are immutable;
 the move calculus in :mod:`trisections.moves` produces new states.
 
 A move costs O(1) Python-level work however long the state's past:
-``history`` and ``genealogy`` are :class:`Chain` objects, so a move
-appends one node to each and shares everything before it, and
-:meth:`LinkComponentSet.split` and :meth:`~LinkComponentSet.merge` build
-the new component tuple by C-level ``index`` and slicing and skip the
-full label check that every set built from outside gets.
+``history`` is a :class:`Chain`, so a move appends one record and shares
+everything before it, and that history is also the whole past of the
+boundary link.  :meth:`LinkComponentSet.split` and
+:meth:`~LinkComponentSet.merge` build the new component tuple and skip
+the full label check that every set built from outside gets.  The only
+passes over the b components left in a move are C-level: ``index``
+finds each named label once, and the new tuple is a copy of the old
+one less those labels.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import wraps
 from typing import Iterable
@@ -278,132 +282,98 @@ class Chain:
         return repr(self._run(0, self._len))
 
 
-_EVENT_SHAPES = {"genesis": None, "split": (1, 2), "merge": (2, 1)}
-
-
-@dataclass(frozen=True, slots=True)
-class GenealogyEvent:
-    """One step in the life of the boundary link's components.
-
-    ``kind`` is ``genesis`` (initial components, no parents), ``split``
-    (one parent, two children) or ``merge`` (two parents, one child).
-    """
-
-    kind: str
-    parents: tuple[str, ...]
-    children: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if self.kind not in _EVENT_SHAPES:
-            raise ValueError(f"unknown genealogy event kind {self.kind!r}")
-        shape = _EVENT_SHAPES[self.kind]
-        if self.kind == "genesis":
-            if self.parents or not self.children:
-                raise ValueError("genesis events have no parents and at least one child")
-        elif (len(self.parents), len(self.children)) != shape:
-            raise ValueError(f"{self.kind} event must have shape {shape}")
-
-
 @dataclass(frozen=True, slots=True)
 class LinkComponentSet:
-    """The components of the boundary link B, with their genealogy.
+    """The components of the boundary link B.
 
     Components carry opaque sequential identifiers ``c0``, ``c1``, ...;
     ``next_id`` is the counter for the next fresh label, and labels are
-    never reused.  ``components`` is ordered by creation.  ``genealogy``
-    is a :class:`Chain` of every genesis/split/merge and replays to the
-    current set, which is what makes move scripts replayable.
+    never reused.  ``components`` is in creation order, which is
+    ascending label number, and every label is below ``next_id``.  The
+    link's past is the history of the state that holds it.
     """
 
     components: tuple[str, ...]
     next_id: int
-    genealogy: Chain
 
     def __post_init__(self) -> None:
         if len(self.components) < _LEAST_B:
             raise ValueError("the boundary link must have at least one component")
-        if len(set(self.components)) != len(self.components):
-            raise ValueError("component identifiers must be unique")
-        for label in self.components:
-            if component_number(label) >= self.next_id:
-                raise ValueError(f"component {label!r} is not below next_id={self.next_id}")
-        if not isinstance(self.genealogy, Chain):
-            object.__setattr__(self, "genealogy", Chain(self.genealogy))
+        numbers = [component_number(label) for label in self.components]
+        if any(m >= n for m, n in zip(numbers, numbers[1:])):
+            raise ValueError(
+                f"components {list(self.components)} must be unique and in creation "
+                "order (ascending label number)"
+            )
+        if numbers[-1] >= self.next_id:
+            last = self.components[-1]
+            raise ValueError(f"component {last!r} is not below next_id={self.next_id}")
 
     @classmethod
     def fresh(cls, count: int) -> LinkComponentSet:
         """A brand new set of ``count`` components ``c0`` .. ``c<count-1>``."""
         if count < _LEAST_B:
             raise ValueError("need at least one component")
-        labels = tuple(f"c{n}" for n in range(count))
-        return cls(labels, count, (GenealogyEvent("genesis", (), labels),))
+        return cls(tuple(f"c{n}" for n in range(count)), count)
 
     @property
     def b(self) -> int:
         return len(self.components)
 
-    def _successor(
-        self, components: tuple[str, ...], next_id: int, event: GenealogyEvent
-    ) -> LinkComponentSet:
-        # The set after ``event``, without __post_init__'s pass over every
-        # label.  Only the fresh labels are new, and they are c<self.next_id>
-        # and up: unique, since every old label is below self.next_id, and
-        # below the new next_id.  The kept labels satisfied both already.
+    def least(self, count: int) -> tuple[str, ...]:
+        """The ``count`` lexicographically smallest labels, ascending.
+
+        Labels ascend by number, hence by length, and within one length
+        string order is number order.  So the answer lies among the
+        first ``count`` labels of each run of one length, and it costs
+        one ``bisect`` per run instead of a pass over all b labels.
+        """
+        components = self.components
+        if len(components[0]) == len(components[-1]):
+            return components[:count]
+        candidates, start = [], 0
+        while start < len(components):
+            stop = bisect_left(components, len(components[start]) + 1, start, key=len)
+            candidates += components[start:min(start + count, stop)]
+            start = stop
+        return tuple(sorted(candidates)[:count])
+
+    def _successor(self, components: list[str], next_id: int) -> LinkComponentSet:
+        # The set after a split or merge, without __post_init__'s pass over
+        # every label.  Only the fresh labels are new, and they are
+        # c<self.next_id> and up, appended at the end: unique, ascending
+        # after every old label and below the new next_id.  The kept labels
+        # satisfied all three already.
         link = object.__new__(LinkComponentSet)
-        object.__setattr__(link, "components", components)
+        object.__setattr__(link, "components", tuple(components))
         object.__setattr__(link, "next_id", next_id)
-        object.__setattr__(link, "genealogy", self.genealogy.append(event))
         return link
 
     def split(self, component: str) -> tuple[LinkComponentSet, tuple[str, str]]:
-        """Replace ``component`` by two fresh components.
-
-        Pre-condition: ``component`` is present.
-        """
-        components = self.components
+        """Replace ``component`` by two fresh components (ValueError if missing)."""
+        components = list(self.components)
         try:
-            n = components.index(component)
+            del components[components.index(component)]
         except ValueError:
             raise ValueError(f"unknown component {component!r}") from None
-        first = f"c{self.next_id}"
-        second = f"c{self.next_id + 1}"
-        event = GenealogyEvent("split", (component,), (first, second))
-        kept = components[:n] + components[n + 1:]
-        return self._successor(kept + (first, second), self.next_id + 2, event), (first, second)
+        first, second = f"c{self.next_id}", f"c{self.next_id + 1}"
+        components += first, second
+        return self._successor(components, self.next_id + 2), (first, second)
 
     def merge(self, first: str, second: str) -> tuple[LinkComponentSet, str]:
-        """Replace the two named components by one fresh component.
-
-        Pre-condition: both components are present and distinct.
-        """
+        """Replace two distinct present components by one fresh component."""
         if first == second:
             raise ValueError("cannot merge a component with itself")
-        components = self.components
+        components = list(self.components)
         try:
             m, n = sorted((components.index(first), components.index(second)))
         except ValueError:
             missing = first if first not in components else second
             raise ValueError(f"unknown component {missing!r}") from None
+        del components[n], components[m]
         merged = f"c{self.next_id}"
-        event = GenealogyEvent("merge", (first, second), (merged,))
-        kept = components[:m] + components[m + 1:n] + components[n + 1:]
-        return self._successor(kept + (merged,), self.next_id + 1, event), merged
-
-    def replay_genealogy(self) -> tuple[str, ...]:
-        """Recompute the component set by replaying the genealogy."""
-        current: list[str] = []
-        seen: set[str] = set()
-        for event in self.genealogy:
-            for parent in event.parents:
-                if parent not in current:
-                    raise ValueError(f"genealogy replays a missing parent {parent!r}")
-                current.remove(parent)
-            for child in event.children:
-                if child in seen:
-                    raise ValueError(f"genealogy reuses identifier {child!r}")
-                seen.add(child)
-                current.append(child)
-        return tuple(current)
+        components.append(merged)
+        return self._successor(components, self.next_id + 1), merged
 
 
 def component_number(label: str) -> int:

@@ -17,12 +17,13 @@ and b >= 1.  Formal destabilizations certify nothing about an actual
 destabilizing disk, and every destabilized state carries that caveat in
 its label.
 
-One move costs O(1) Python-level work, whatever the length of the
-state's history: it appends one record to the history chain and one
-event to the genealogy chain (see :mod:`trisections.core`).  Only
-C-level passes over the b components remain (membership, slicing, and
-the ``min``/``sorted`` of the canonical arcs), so ``build_heegaard`` and
-``replay`` run in time linear in the script's length for bounded b.
+One move costs one record and one legality check: it appends one record
+to the history chain (see :mod:`trisections.core`) and builds the new
+node, record and state from checked parts.  Only C-level passes over the
+b components remain: one ``index`` per label of the arc, in ``split`` or
+``merge``, and the copy that rebuilds the component tuple; the canonical
+arcs read a few labels per digit length.  So ``build_heegaard`` and
+``replay`` run in time linear in the script's length.
 """
 
 from __future__ import annotations
@@ -121,12 +122,33 @@ MoveScript = tuple[MoveRecord, ...]
 
 
 _PARAM_NAMES = ("g12", "g13", "g23", "b")
+_LEAST_G12, _LEAST_G13, _LEAST_G23, _LEAST_B = PARAM_FLOORS
 
 
-def _fits(node: MoveGraphNode, delta: tuple[int, ...]) -> bool:
-    """Whether ``node + delta`` stays at or above :data:`PARAM_FLOORS`."""
-    params = (node.g12, node.g13, node.g23, node.b)
-    return all(p + d >= f for p, d, f in zip(params, delta, PARAM_FLOORS))
+def _move_rule(op: str, i: int, same: bool) -> tuple[tuple[int, int, int, int], str]:
+    # The change a move makes to (g12, g13, g23, b), and the IllegalMove
+    # message for a result below PARAM_FLOORS.  A formal destab along one
+    # arc kind subtracts the stab row of the other kind.
+    if op == "stab":
+        delta = STAB_DELTAS[i, "same" if same else "distinct"]
+        action = f"stabilizing H{i} along a {'one' if same else 'two'}-component arc"
+    else:
+        delta = tuple(-d for d in STAB_DELTAS[i, "distinct" if same else "same"])
+        action = f"formal destab of H{i} " + (
+            "splitting a component" if same else "merging components"
+        )
+    needs = " and ".join(
+        f"{name} >= {floor - d}" for name, d, floor in zip(_PARAM_NAMES, delta, PARAM_FLOORS) if d < 0
+    )
+    return delta, f"{action} needs {needs}"
+
+
+# (op, handlebody, one-component arc?) -> (delta, message): STAB_DELTAS in
+# the form a move reads, as _SUCCESSOR_ROWS is in the form search reads.
+_MOVE_RULES = {
+    (op, i, same): _move_rule(op, i, same)
+    for op in ("stab", "destab") for i in (1, 2, 3) for same in (True, False)
+}
 
 
 def legal_moves(state: TrisectionState) -> list[StabMove]:
@@ -141,74 +163,67 @@ def legal_moves(state: TrisectionState) -> list[StabMove]:
         "same": [SameComponent(c) for c in labels],
         "distinct": [DistinctComponents(lo, hi) for lo, hi in combinations(labels, 2)],
     }
-    return [
-        StabMove(i, arc)
-        for (i, kind), delta in STAB_DELTAS.items()
-        if _fits(state.genera, delta)
-        for arc in arcs[kind]
-    ]
+    return [StabMove(i, arc) for (i, kind), _ in state.genera.successors() for arc in arcs[kind]]
 
 
 def is_legal(state: TrisectionState, move: StabMove | DestabMove) -> bool:
     try:
-        _legal_delta(state, move)
+        _apply(state, move, "stab" if isinstance(move, StabMove) else "destab")
     except IllegalMove:
         return False
     return True
 
 
-def _legal_delta(
-    state: TrisectionState, move: StabMove | DestabMove
-) -> tuple[int, int, int, int]:
-    # The move's change to (g12, g13, g23, b); raises IllegalMove unless legal.
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _apply(state: TrisectionState, move: StabMove | DestabMove, op: str) -> TrisectionState:
+    # Shared body of apply_stabilization and apply_destabilization.  The
+    # one legality check: split or merge finds the arc's labels, and then
+    # the result must clear PARAM_FLOORS.  The node, record and state are
+    # built from checked parts, without their __post_init__, whose checks
+    # all hold already: the node's fields are ints at or above the floors;
+    # the record's op is "stab" or "destab" and its handlebody was checked
+    # when the move was made; and genera.b equals link.b, because every
+    # row changes b by as much as its split or merge does.
     arc = move.arc
     same = isinstance(arc, SameComponent)
-    for label in (arc.component,) if same else (arc.first, arc.second):
-        if label not in state.link.components:
-            raise IllegalMove(f"component {label!r} is not in the boundary link")
-    i = move.handlebody
-    stab = isinstance(move, StabMove)
-    if stab:
-        delta = STAB_DELTAS[i, "same" if same else "distinct"]
-    else:
-        delta = tuple(-d for d in STAB_DELTAS[i, "distinct" if same else "same"])
-    if not _fits(state.genera, delta):
-        if stab:
-            action = f"stabilizing H{i} along a {'one' if same else 'two'}-component arc"
+    removed = (arc.component,) if same else (arc.first, arc.second)
+    try:
+        if same:
+            link, created = state.link.split(arc.component)
         else:
-            action = f"formal destab of H{i} " + (
-                "splitting a component" if same else "merging components"
-            )
-        needs = " and ".join(
-            f"{name} >= {floor - d}"
-            for name, d, floor in zip(_PARAM_NAMES, delta, PARAM_FLOORS)
-            if d < 0
-        )
-        raise IllegalMove(f"{action} needs {needs}")
-    return delta
-
-
-def _apply(state: TrisectionState, move: StabMove | DestabMove) -> TrisectionState:
-    # Shared body of apply_stabilization and apply_destabilization.
-    d12, d13, d23, db = _legal_delta(state, move)
-    arc = move.arc
-    if isinstance(arc, SameComponent):
-        link, created = state.link.split(arc.component)
-        removed: tuple[str, ...] = (arc.component,)
-    else:
-        link, merged = state.link.merge(arc.first, arc.second)
-        created, removed = (merged,), (arc.first, arc.second)
+            link, merged = state.link.merge(arc.first, arc.second)
+            created = (merged,)
+    except ValueError:
+        missing = next(label for label in removed if label not in state.link.components)
+        raise IllegalMove(f"component {missing!r} is not in the boundary link") from None
+    (d12, d13, d23, db), message = _MOVE_RULES[op, move.handlebody, same]
     g = state.genera
-    genera = MoveGraphNode(g.g12 + d12, g.g13 + d13, g.g23 + d23, g.b + db)
+    g12, g13, g23, b = g.g12 + d12, g.g13 + d13, g.g23 + d23, g.b + db
+    if g12 < _LEAST_G12 or g13 < _LEAST_G13 or g23 < _LEAST_G23 or b < _LEAST_B:
+        raise IllegalMove(message)
+    genera = _new(MoveGraphNode)
+    _set(genera, "g12", g12)
+    _set(genera, "g13", g13)
+    _set(genera, "g23", g23)
+    _set(genera, "b", b)
+    record = _new(MoveRecord)
+    _set(record, "op", op)
+    _set(record, "handlebody", move.handlebody)
+    _set(record, "arc", arc)
+    _set(record, "created", created)
+    _set(record, "removed", removed)
     label = state.label
-    if isinstance(move, StabMove):
-        op = "stab"
-    else:
-        op = "destab"
-        if DESTAB_CAVEAT not in label:
-            label = f"{label} | {DESTAB_CAVEAT}" if label else DESTAB_CAVEAT
-    record = MoveRecord(op, move.handlebody, arc, created, removed)
-    return TrisectionState(genera, link, state.history.append(record), label)
+    if op == "destab" and DESTAB_CAVEAT not in label:
+        label = f"{label} | {DESTAB_CAVEAT}" if label else DESTAB_CAVEAT
+    after = _new(TrisectionState)
+    _set(after, "genera", genera)
+    _set(after, "link", link)
+    _set(after, "history", state.history.append(record))
+    _set(after, "label", label)
+    return after
 
 
 def apply_stabilization(state: TrisectionState, move: StabMove) -> TrisectionState:
@@ -220,7 +235,7 @@ def apply_stabilization(state: TrisectionState, move: StabMove) -> TrisectionSta
     """
     if not isinstance(move, StabMove):
         raise IllegalMove(f"expected a StabMove, got {type(move).__name__}")
-    return _apply(state, move)
+    return _apply(state, move, "stab")
 
 
 def apply_destabilization(state: TrisectionState, move: DestabMove) -> TrisectionState:
@@ -232,7 +247,7 @@ def apply_destabilization(state: TrisectionState, move: DestabMove) -> Trisectio
     """
     if not isinstance(move, DestabMove):
         raise IllegalMove(f"expected a DestabMove, got {type(move).__name__}")
-    return _apply(state, move)
+    return _apply(state, move, "destab")
 
 
 def inverse_of(record: MoveRecord) -> StabMove | DestabMove:
@@ -255,12 +270,13 @@ def inverse_of(record: MoveRecord) -> StabMove | DestabMove:
 
 def canonical_same_arc(state: TrisectionState) -> SameComponent:
     """The SameComponent arc on the lexicographically smallest component."""
-    return SameComponent(min(state.link.components))
+    (least,) = state.link.least(1)
+    return SameComponent(least)
 
 
 def canonical_distinct_arc(state: TrisectionState) -> DistinctComponents:
     """The DistinctComponents arc on the lexicographically smallest pair."""
-    lo, hi = sorted(state.link.components)[:2]
+    lo, hi = state.link.least(2)
     return DistinctComponents(lo, hi)
 
 

@@ -2,9 +2,9 @@
 
 All formats are UTF-8 JSON with fixed key order, so identical inputs
 produce byte-identical files.  Parsing is strict: unknown fields,
-missing fields, malformed identifiers and histories that do not replay
-to the stored component list are all rejected with
-:class:`StateFormatError`.
+missing fields, integers of more than :data:`MAX_DIGITS` digits,
+malformed identifiers and histories that do not replay to the stored
+component list are all rejected with :class:`StateFormatError`.
 
 A state file looks like::
 
@@ -57,6 +57,12 @@ from .moves import (
 from .planner import PlanReport, PlanSteps
 
 FORMAT_VERSION = 1
+
+# Every integer in a document has at most this many digits, so that every
+# height derived from the genera (h_i = g_ij + g_ik + b - 1) prints within
+# the interpreter's default limit of 4,300 digits for int-to-str conversion.
+MAX_DIGITS = 4000
+INT_BOUND = 10**MAX_DIGITS  # every integer lies strictly between -INT_BOUND and INT_BOUND
 
 _STEP_NAMES = tuple(step.name for step in fields(PlanSteps))
 
@@ -257,6 +263,8 @@ def _as_object(value, context: str, keys: tuple[str, ...]) -> dict:
 def _as_int(value, context: str, minimum: int | None = None) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise StateFormatError(f"{context}: expected an integer")
+    if not -INT_BOUND < value < INT_BOUND:
+        raise StateFormatError(f"{context}: has more than {MAX_DIGITS} digits")
     if minimum is not None and value < minimum:
         raise StateFormatError(f"{context}: must be >= {minimum}, got {value}")
     return value

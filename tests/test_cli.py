@@ -238,6 +238,25 @@ def test_hostile_json_is_a_format_error(tmp_path, capsys, hostile):
         assert err.startswith(f"StateFormatError: {context}: not valid JSON ("), err[:200]
 
 
+def test_huge_integers_are_refused_without_a_traceback(tmp_path, capsys):
+    # Within the JSON decoder's digit limit, but h1 = g12 + g13 would not
+    # print: a format error for a document, a size error for ``new``.
+    nines = int("9" * 4300)
+    state = json.loads(state_to_text(from_heegaard(2)))
+    state["genera"] |= {"g12": nines, "g13": nines}
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(state), encoding="utf-8")
+    assert cli.main(["show", str(huge)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err == "StateFormatError: state.genera.g12: has more than 4000 digits\n"
+    for kind in ("open-book", "connect-sum"):
+        assert cli.main(["new", kind, "9" * 4300]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.startswith(f"SizeLimitExceeded: new {kind}: "), err[:200]
+
+
 def test_replay_rejects_inapplicable_scripts(heegaard2, koda, tmp_path):
     script = tmp_path / "script.json"
     run_cli("balance", str(koda), "-o", "/dev/null", "--script", str(script))

@@ -1,4 +1,4 @@
-"""Profile arithmetic, feasibility, link genealogy, and the constructor catalogue.
+"""Profile arithmetic, feasibility, the boundary link, and the constructor catalogue.
 
 The genus solver is checked against a brute-force enumeration oracle: for a
 given profile we scan all small genus triples and keep those satisfying the
@@ -11,17 +11,20 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from genealogy import genealogy, replay_genealogy
 from trisections.core import (
     CONSTRUCTORS,
     Chain,
-    GenealogyEvent,
     Infeasible,
     LinkComponentSet,
     MoveGraphNode,
     OutOfDomain,
     Profile,
     TrisectionState,
+    component_number,
     connect_sum_equal_genus,
     construct,
     construct_profile,
@@ -36,6 +39,14 @@ from trisections.core import (
     surface_bundle,
     trivial,
     tunnel_system,
+)
+from trisections.moves import (
+    DestabMove,
+    DistinctComponents,
+    SameComponent,
+    StabMove,
+    apply_destabilization,
+    apply_stabilization,
 )
 
 
@@ -205,22 +216,29 @@ def test_link_operations_validate_their_arguments():
 
 
 def test_link_genealogy_records_every_event():
-    link = LinkComponentSet.fresh(2)
-    link, (first, second) = link.split("c0")
-    link, merged = link.merge(first, "c1")
-    assert link.genealogy == (
-        GenealogyEvent("genesis", (), ("c0", "c1")),
-        GenealogyEvent("split", ("c0",), (first, second)),
-        GenealogyEvent("merge", (first, "c1"), (merged,)),
+    # The genealogy is the genesis labels plus one event per history record.
+    state = koda_ozawa()  # c0, c1
+    state = apply_stabilization(state, StabMove(1, SameComponent("c0")))  # c2, c3
+    state = apply_stabilization(state, StabMove(1, DistinctComponents("c2", "c1")))  # c4
+    assert state.link.components == ("c3", "c4")
+    assert genealogy(state) == (
+        ((), ("c0", "c1")),
+        (("c0",), ("c2", "c3")),
+        (("c1", "c2"), ("c4",)),
     )
 
 
 def test_genealogy_replay_reproduces_components():
-    link = LinkComponentSet.fresh(3)
-    link, _ = link.split("c1")
-    link, _ = link.merge("c0", "c2")
-    link, _ = link.split("c5")
-    assert link.replay_genealogy() == link.components
+    state = construct("connect-sum", (2,))  # c0, c1, c2
+    for move in (
+        StabMove(1, DistinctComponents("c0", "c2")),  # c1, c3
+        StabMove(2, SameComponent("c1")),  # c3, c4, c5
+        StabMove(1, DistinctComponents("c3", "c5")),  # c4, c6
+        DestabMove(3, DistinctComponents("c4", "c6")),  # c7
+    ):
+        apply = apply_stabilization if isinstance(move, StabMove) else apply_destabilization
+        state = apply(state, move)
+        assert replay_genealogy(genealogy(state)) == state.link.components
 
 
 def test_split_and_merge_keep_the_full_check_invariants():
@@ -237,9 +255,40 @@ def test_split_and_merge_keep_the_full_check_invariants():
             if first == second:
                 second = components[(components.index(first) + 1) % len(components)]
             link, _ = link.merge(first, second)
-        rebuilt = LinkComponentSet(link.components, link.next_id, tuple(link.genealogy))
+        rebuilt = LinkComponentSet(link.components, link.next_id)
         assert rebuilt == link
-        assert link.replay_genealogy() == link.components
+        numbers = [component_number(label) for label in link.components]
+        assert numbers == sorted(numbers) and numbers[-1] < link.next_id
+
+
+def test_link_components_must_be_in_creation_order():
+    with pytest.raises(ValueError, match="creation order"):
+        LinkComponentSet(("c5", "c1"), 6)
+    with pytest.raises(ValueError, match="unique and in creation order"):
+        LinkComponentSet(("c1", "c1"), 6)
+    with pytest.raises(ValueError, match="below next_id"):
+        LinkComponentSet(("c1", "c5"), 5)
+    assert LinkComponentSet(("c1", "c5", "c10"), 11).b == 3
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    st.sampled_from((9, 99, 999)).flatmap(
+        lambda edge: st.lists(
+            st.integers(min_value=max(0, edge - 12), max_value=edge * 10 + 12),
+            min_size=1,
+            max_size=30,
+            unique=True,
+        )
+    )
+)
+def test_least_labels_are_the_lexicographic_minima(numbers):
+    # Labels crossing the c9/c10, c99/c100 and c999/c1000 boundaries,
+    # where string order and number order part.
+    labels = tuple(f"c{n}" for n in sorted(numbers))
+    link = LinkComponentSet(labels, max(numbers) + 1)
+    assert link.least(1) == (min(labels),)
+    assert link.least(2) == tuple(sorted(labels)[:2])
 
 
 def test_chain_reads_like_a_tuple():
@@ -273,13 +322,6 @@ def test_chains_branch_without_touching_their_parent():
     assert base == (1, 2) and left == (1, 2, 3) and right == (1, 2, 4)
     assert left != right and left[:2] == right[:2]
     assert left == Chain((1, 2, 3)) and left.append(5)[-2:] == (3, 5)
-
-
-def test_genealogy_event_shape_validation():
-    with pytest.raises(ValueError):
-        GenealogyEvent("split", ("c0", "c1"), ("c2",))
-    with pytest.raises(ValueError):
-        GenealogyEvent("twist", ("c0",), ("c1", "c2"))
 
 
 # -- constructor catalogue ----------------------------------------------------

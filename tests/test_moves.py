@@ -7,11 +7,13 @@ boundaries (b == 1, vanishing opposite genus, ties between handlebodies).
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
+from genealogy import genealogy, replay_genealogy
 from trisections import core
 from trisections.core import (
-    GenealogyEvent,
     LinkComponentSet,
     MoveGraphNode,
     Profile,
@@ -181,6 +183,37 @@ def test_legality_and_effects_match_the_four_arc_conditions():
                     assert change == [sign * d for d in row]
 
 
+def test_moves_build_what_the_validating_constructors_build():
+    # _apply builds the node, record and state without __post_init__.
+    # Rebuilding each through its validating constructor must succeed and
+    # give an equal object, for every legal stab and destab with sum_h <= 12.
+    applied = 0
+    for state in _feasible_states(12):
+        labels = state.link.components
+        arcs = [SameComponent(c) for c in labels]
+        arcs += [DistinctComponents(lo, hi) for lo, hi in combinations(labels, 2)]
+        for i in (1, 2, 3):
+            for arc in arcs:
+                for move, apply in (
+                    (StabMove(i, arc), apply_stabilization),
+                    (DestabMove(i, arc), apply_destabilization),
+                ):
+                    if not is_legal(state, move):
+                        continue
+                    after = apply(state, move)
+                    g, record, link = after.genera, after.history[-1], after.link
+                    assert MoveGraphNode(g.g12, g.g13, g.g23, g.b) == g
+                    assert MoveRecord(
+                        record.op, record.handlebody, record.arc, record.created, record.removed
+                    ) == record
+                    assert record.op == ("stab" if apply is apply_stabilization else "destab")
+                    assert LinkComponentSet(link.components, link.next_id) == link
+                    assert TrisectionState(g, link, tuple(after.history), after.label) == after
+                    assert after.history[:-1] == tuple(state.history)
+                    applied += 1
+    assert applied > 1_000
+
+
 def test_apply_rejects_illegal_moves():
     state = from_heegaard(2)  # genera (2,0,0), b = 1
     with pytest.raises(IllegalMove):
@@ -245,7 +278,7 @@ def test_moves_preserve_genealogy_replay():
         StabMove(2, DistinctComponents("c3", "c4")),
     ):
         state = apply_stabilization(state, move)
-        assert state.link.replay_genealogy() == state.link.components
+        assert replay_genealogy(genealogy(state)) == state.link.components
 
 
 # -- formal destabilization -----------------------------------------------------
@@ -428,6 +461,21 @@ def test_canonical_arcs_pick_lexicographic_minima():
     assert canonical_distinct_arc(state) == DistinctComponents("c0", "c1")
 
 
+@pytest.mark.parametrize("i", (1, 2, 3))
+def test_canonical_arcs_across_digit_lengths(i):
+    # Along build_heegaard of connect-sum 1..60 the labels run past c9 and
+    # c99, where string order and number order part.
+    for g in range(1, 61):
+        state = connect_sum_equal_genus(g)
+        _, _, script = build_heegaard(state, i)
+        for record in script:
+            labels = state.link.components
+            assert canonical_same_arc(state) == SameComponent(min(labels))
+            if len(labels) >= 2:
+                assert canonical_distinct_arc(state) == DistinctComponents(*sorted(labels)[:2])
+            state = apply_stabilization(state, StabMove(record.handlebody, record.arc))
+
+
 # -- collapsing to a Heegaard splitting --------------------------------------------
 
 
@@ -481,25 +529,25 @@ def test_drive_opposite_to_disk_matches_build():
             assert script == driven.history[len(state.history):]
 
 
-# -- history and genealogy bookkeeping ------------------------------------------
+# -- history bookkeeping -------------------------------------------------------
 
 
 def test_moves_branched_from_one_older_state_share_its_past():
     base = koda_ozawa()  # c0, c1
     older = apply_stabilization(base, StabMove(1, DistinctComponents("c0", "c1")))  # c2
     newer = apply_stabilization(older, StabMove(1, SameComponent("c2")))  # c3, c4
-    history, genealogy = tuple(older.history), tuple(older.link.genealogy)
+    history, past = tuple(older.history), genealogy(older)
     left = apply_stabilization(older, StabMove(2, SameComponent("c2")))
     right = apply_stabilization(older, StabMove(3, SameComponent("c2")))
     left_record = MoveRecord("stab", 2, SameComponent("c2"), ("c3", "c4"), ("c2",))
     right_record = MoveRecord("stab", 3, SameComponent("c2"), ("c3", "c4"), ("c2",))
     assert left.history == history + (left_record,)
     assert right.history == history + (right_record,)
-    split = GenealogyEvent("split", ("c2",), ("c3", "c4"))
-    assert left.link.genealogy == right.link.genealogy == genealogy + (split,)
+    split = (("c2",), ("c3", "c4"))
+    assert genealogy(left) == genealogy(right) == past + (split,)
     assert left.link.components == right.link.components == ("c3", "c4")
     # The older state and its first child are untouched by the branches.
-    assert older.history == history and older.link.genealogy == genealogy
+    assert older.history == history and genealogy(older) == past
     assert older.link.components == ("c2",)
     assert newer.history == history + (
         MoveRecord("stab", 1, SameComponent("c2"), ("c3", "c4"), ("c2",)),
@@ -546,5 +594,5 @@ def test_one_move_checks_a_constant_number_of_labels(monkeypatch):
     assert split.b == 5000
     assert len(calls) <= 4
     # The full check still runs for a link built from outside.
-    LinkComponentSet(split.link.components, split.link.next_id, split.link.genealogy)
+    LinkComponentSet(split.link.components, split.link.next_id)
     assert len(calls) >= 5000

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from genealogy import genealogy, replay_genealogy
 from trisections.core import (
     Profile,
     from_heegaard,
@@ -76,7 +77,8 @@ def test_state_round_trips_exactly():
     for state in _sample_states():
         recovered = state_from_text(state_to_text(state))
         assert recovered == state
-        assert recovered.link.genealogy == state.link.genealogy
+        assert genealogy(recovered) == genealogy(state)
+        assert replay_genealogy(genealogy(recovered)) == recovered.link.components
 
 
 def test_state_text_is_deterministic_and_newline_terminated():
