@@ -75,10 +75,11 @@ def _check_size(what: str, size: int, limit: int) -> None:
         raise SizeLimitExceeded(f"{what} would be {size}, over the limit of {limit}")
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+def _read_text(path: str, context: str) -> str:
+    try:
+        return sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as error:
+        raise StateFormatError(f"{context}: not valid UTF-8 ({error})") from error
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -89,7 +90,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _read_state(path: str) -> TrisectionState:
-    return state_from_text(_read_text(path))
+    return state_from_text(_read_text(path, "state"))
 
 
 def _note(message: str) -> None:
@@ -249,7 +250,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     state = _read_state(args.file)
-    script = script_from_text(_read_text(args.script))
+    script = script_from_text(_read_text(args.script, "script"))
     after = replay(state, script)
     _write_text(args.output, state_to_text(after))
     _note(f"replay: {len(script)} records -> profile {after.profile}")

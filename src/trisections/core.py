@@ -312,8 +312,6 @@ class LinkComponentSet:
     @classmethod
     def fresh(cls, count: int) -> LinkComponentSet:
         """A brand new set of ``count`` components ``c0`` .. ``c<count-1>``."""
-        if count < _LEAST_B:
-            raise ValueError("need at least one component")
         return cls(tuple(f"c{n}" for n in range(count)), count)
 
     @property
@@ -352,24 +350,17 @@ class LinkComponentSet:
     def split(self, component: str) -> tuple[LinkComponentSet, tuple[str, str]]:
         """Replace ``component`` by two fresh components (ValueError if missing)."""
         components = list(self.components)
-        try:
-            del components[components.index(component)]
-        except ValueError:
-            raise ValueError(f"unknown component {component!r}") from None
+        del components[components.index(component)]
         first, second = f"c{self.next_id}", f"c{self.next_id + 1}"
         components += first, second
         return self._successor(components, self.next_id + 2), (first, second)
 
     def merge(self, first: str, second: str) -> tuple[LinkComponentSet, str]:
-        """Replace two distinct present components by one fresh component."""
+        """Replace two distinct present components by one fresh one (ValueError if not)."""
         if first == second:
             raise ValueError("cannot merge a component with itself")
         components = list(self.components)
-        try:
-            m, n = sorted((components.index(first), components.index(second)))
-        except ValueError:
-            missing = first if first not in components else second
-            raise ValueError(f"unknown component {missing!r}") from None
+        m, n = sorted((components.index(first), components.index(second)))
         del components[n], components[m]
         merged = f"c{self.next_id}"
         components.append(merged)
@@ -382,6 +373,14 @@ def component_number(label: str) -> int:
     if match is None:
         raise ValueError(f"component identifiers look like 'c12', got {label!r}")
     return int(match.group(1))
+
+
+def are_component_ids(labels: list) -> bool:
+    """Whether :func:`component_number` reads every item, in one pass over them."""
+    try:
+        return all(map(_ID_PATTERN.match, labels))
+    except TypeError:  # an item that is not a string
+        return False
 
 
 @dataclass(frozen=True, slots=True)

@@ -122,7 +122,7 @@ MoveScript = tuple[MoveRecord, ...]
 
 
 _PARAM_NAMES = ("g12", "g13", "g23", "b")
-_LEAST_G12, _LEAST_G13, _LEAST_G23, _LEAST_B = PARAM_FLOORS
+_LEAST_G12, _LEAST_G13, _LEAST_G23, _ = PARAM_FLOORS
 
 
 def _move_rule(op: str, i: int, same: bool) -> tuple[tuple[int, int, int, int], str]:
@@ -179,14 +179,14 @@ _set = object.__setattr__
 
 
 def _apply(state: TrisectionState, move: StabMove | DestabMove, op: str) -> TrisectionState:
-    # Shared body of apply_stabilization and apply_destabilization.  The
-    # one legality check: split or merge finds the arc's labels, and then
-    # the result must clear PARAM_FLOORS.  The node, record and state are
-    # built from checked parts, without their __post_init__, whose checks
-    # all hold already: the node's fields are ints at or above the floors;
-    # the record's op is "stab" or "destab" and its handlebody was checked
-    # when the move was made; and genera.b equals link.b, because every
-    # row changes b by as much as its split or merge does.
+    # Shared body of apply_stabilization and apply_destabilization.  The one
+    # legality check: split or merge finds the arc's labels, then the genera
+    # must clear PARAM_FLOORS (b does: every rule lowering it merges two labels).
+    # The node, record and state are built from checked parts, without their
+    # __post_init__, whose checks all hold already: the node's fields are ints
+    # at or above the floors; the record's op is "stab" or "destab" and its
+    # handlebody was checked when the move was made; and genera.b equals
+    # link.b, as every row changes b by as much as its split or merge does.
     arc = move.arc
     same = isinstance(arc, SameComponent)
     removed = (arc.component,) if same else (arc.first, arc.second)
@@ -202,7 +202,7 @@ def _apply(state: TrisectionState, move: StabMove | DestabMove, op: str) -> Tris
     (d12, d13, d23, db), message = _MOVE_RULES[op, move.handlebody, same]
     g = state.genera
     g12, g13, g23, b = g.g12 + d12, g.g13 + d13, g.g23 + d23, g.b + db
-    if g12 < _LEAST_G12 or g13 < _LEAST_G13 or g23 < _LEAST_G23 or b < _LEAST_B:
+    if g12 < _LEAST_G12 or g13 < _LEAST_G13 or g23 < _LEAST_G23:
         raise IllegalMove(message)
     genera = _new(MoveGraphNode)
     _set(genera, "g12", g12)

@@ -4,7 +4,9 @@ All formats are UTF-8 JSON with fixed key order, so identical inputs
 produce byte-identical files.  Parsing is strict: unknown fields,
 missing fields, integers of more than :data:`MAX_DIGITS` digits,
 malformed identifiers and histories that do not replay to the stored
-component list are all rejected with :class:`StateFormatError`.
+component list are all rejected with :class:`StateFormatError`.  One
+pass reads each record, checking its labels in one call, and a state's
+history is replayed once on a dict of live labels.
 
 A state file looks like::
 
@@ -44,6 +46,7 @@ from .core import (
     LinkComponentSet,
     MoveGraphNode,
     TrisectionState,
+    are_component_ids,
     component_number,
 )
 from .explorer import PropertyResult, VerificationReport
@@ -53,6 +56,8 @@ from .moves import (
     MoveRecord,
     MoveScript,
     SameComponent,
+    _new,
+    _set,
 )
 from .planner import PlanReport, PlanSteps
 
@@ -245,17 +250,15 @@ def verification_report_to_text(report: VerificationReport) -> str:
 
 
 # ---------------------------------------------------------------------------
-# strict parsing
+# strict reading
 
 
-def _as_object(value, context: str, keys: tuple[str, ...]) -> dict:
+def _as_object(value, context: str, keys: Iterable[str]) -> dict:
     if not isinstance(value, dict):
         raise StateFormatError(f"{context}: expected an object")
-    unknown = set(value) - set(keys)
-    if unknown:
+    if unknown := set(value) - set(keys):
         raise StateFormatError(f"{context}: unknown field(s) {sorted(unknown)}")
-    missing = set(keys) - set(value)
-    if missing:
+    if missing := set(keys) - set(value):
         raise StateFormatError(f"{context}: missing field(s) {sorted(missing)}")
     return value
 
@@ -276,129 +279,106 @@ def _as_string(value, context: str) -> str:
     return value
 
 
-def _as_id(value, context: str) -> str:
-    label = _as_string(value, context)
-    try:
-        component_number(label)
-    except ValueError as error:
-        raise StateFormatError(f"{context}: {error}") from error
-    return label
+def _check_ids(labels, context: str) -> None:
+    # Names the first label component_number does not read, the n-th in context.format(n).
+    for n, label in enumerate(labels):
+        try:
+            component_number(_as_string(label, context.format(n)))
+        except ValueError as error:
+            raise StateFormatError(f"{context.format(n)}: {error}") from error
 
 
-def _parse_arc(payload, context: str) -> Arc:
-    if not isinstance(payload, dict) or len(payload) != 1:
-        raise StateFormatError(f"{context}: an arc is one of {{'same': id}} or {{'distinct': [id, id]}}")
-    if "same" in payload:
-        return SameComponent(_as_id(payload["same"], f"{context}.same"))
-    if "distinct" in payload:
-        pair = payload["distinct"]
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise StateFormatError(f"{context}.distinct: expected a list of two identifiers")
-        first = _as_id(pair[0], f"{context}.distinct[0]")
-        second = _as_id(pair[1], f"{context}.distinct[1]")
-        if first == second:
-            raise StateFormatError(f"{context}.distinct: the two components must differ")
-        return DistinctComponents(first, second)
-    raise StateFormatError(f"{context}: unknown arc kind {sorted(payload)}")
-
-
-def _parse_id_list(payload, context: str) -> tuple[str, ...]:
-    if not isinstance(payload, list):
+def _read_ids(value, context: str, checked: bool = False) -> tuple[str, ...]:
+    # A list of unique identifiers; ``checked`` if its labels passed already.
+    if type(value) is not list:
         raise StateFormatError(f"{context}: expected a list of identifiers")
-    labels = tuple(_as_id(item, f"{context}[{n}]") for n, item in enumerate(payload))
-    if len(set(labels)) != len(labels):
+    if not checked and not are_component_ids(value):
+        _check_ids(value, context + "[{}]")
+    if len(value) > 1 and len(set(value)) < len(value):
         raise StateFormatError(f"{context}: identifiers must be unique")
-    return labels
+    return tuple(value)
 
 
-def parse_record(payload, context: str, allow_fake: bool) -> MoveRecord:
-    obj = _as_object(payload, context, ("op", "handlebody", "arc", "created", "removed"))
-    op = _as_string(obj["op"], f"{context}.op")
-    if op not in ("stab", "destab", "fake_stab"):
-        raise StateFormatError(f"{context}.op: unknown op {op!r}")
-    if op == "fake_stab" and not allow_fake:
-        raise StateFormatError(
-            f"{context}: state histories store the two constituent moves of a "
-            "compound fake_stab, never the compound record itself"
-        )
-    handlebody = _as_int(obj["handlebody"], f"{context}.handlebody")
-    if handlebody not in (1, 2, 3):
-        raise StateFormatError(f"{context}.handlebody: must be 1, 2 or 3")
-    arc = _parse_arc(obj["arc"], f"{context}.arc")
-    created = _parse_id_list(obj["created"], f"{context}.created")
-    removed = _parse_id_list(obj["removed"], f"{context}.removed")
-    if op in ("stab", "destab"):
-        if isinstance(arc, SameComponent):
-            if removed != (arc.component,) or len(created) != 2:
-                raise StateFormatError(
-                    f"{context}: a one-component arc removes exactly the named "
-                    "component and creates two"
-                )
-        else:
-            if removed != (arc.first, arc.second) or len(created) != 1:
-                raise StateFormatError(
-                    f"{context}: a two-component arc removes exactly the named "
-                    "pair and creates one component"
-                )
+_RECORD_FIELDS = frozenset(("op", "handlebody", "arc", "created", "removed"))
+# The setters of MoveRecord's slots, which skip its frozen __setattr__.
+_set_op, _set_handlebody, _set_arc, _set_created, _set_removed = (
+    getattr(MoveRecord, name).__set__ for name in ("op", "handlebody", "arc", "created", "removed"))
+
+
+def _read_record(item, ops: tuple[str, ...]) -> MoveRecord:
+    # A record as json.loads returns it, checked in field order with exact types
+    # and built from the checked parts; its labels one by one only to name a fault.
+    if type(item) is not dict or item.keys() != _RECORD_FIELDS:
+        _as_object(item, "", _RECORD_FIELDS)
+    op, handlebody, arc = item["op"], item["handlebody"], item["arc"]
+    if op not in ops:
+        if op == "fake_stab":
+            raise StateFormatError(": state histories store the two constituent moves of a "
+                                   "compound fake_stab, never the compound record itself")
+        raise StateFormatError(f".op: unknown op {_as_string(op, '.op')!r}")
+    if type(handlebody) is not int or not 0 < handlebody < 4:
+        _as_int(handlebody, ".handlebody")
+        raise StateFormatError(".handlebody: must be 1, 2 or 3")
+    if type(arc) is not dict or len(arc) != 1:
+        raise StateFormatError(".arc: an arc is one of {'same': id} or {'distinct': [id, id]}")
+    if "same" in arc:
+        ends = (arc["same"],)
+    elif "distinct" in arc:
+        ends = arc["distinct"]
+        if type(ends) is not list or len(ends) != 2:
+            raise StateFormatError(".arc.distinct: expected a list of two identifiers")
     else:
+        raise StateFormatError(f".arc: unknown arc kind {sorted(arc)}")
+    created, removed = item["created"], item["removed"]
+    checked = type(created) is list and are_component_ids([*ends, *created])
+    if not checked:
+        _check_ids(ends, ".arc.same" if len(ends) == 1 else ".arc.distinct[{}]")
+    if len(ends) == 1:
+        arc = SameComponent(ends[0])
+    elif ends[0] == ends[1]:
+        raise StateFormatError(".arc.distinct: the two components must differ")
+    else:  # in the order a DistinctComponents keeps
+        ends = (ends[0], ends[1]) if ends[0] < ends[1] else (ends[1], ends[0])
+        arc = _new(DistinctComponents)
+        _set(arc, "first", ends[0])
+        _set(arc, "second", ends[1])
+    created = _read_ids(created, ".created", checked)
+    # The removed labels of a sound record are its arc's, checked already.
+    removed = ends if checked and removed == [*ends] else _read_ids(removed, ".removed")
+    if op == "fake_stab":
         if len(created) != len(removed) or len(created) not in (1, 2):
-            raise StateFormatError(
-                f"{context}: a fake_stab record nets one-for-one or two-for-two components"
-            )
-    return MoveRecord(op, handlebody, arc, created, removed)
+            raise StateFormatError(": a fake_stab record nets one-for-one or two-for-two components")
+    elif removed != ends or len(created) != 3 - len(ends):
+        raise StateFormatError(": a " + (
+            "one-component arc removes exactly the named component and creates two" if len(ends) == 1
+            else "two-component arc removes exactly the named pair and creates one component"))
+    record = _new(MoveRecord)
+    _set_op(record, op)
+    _set_handlebody(record, handlebody)
+    _set_arc(record, arc)
+    _set_created(record, created)
+    _set_removed(record, removed)
+    return record
+
+
+def _read_records(items: list, context: str, ops: tuple[str, ...]) -> MoveScript:
+    records: list = []
+    try:
+        for item in items:
+            records.append(_read_record(item, ops))
+    except StateFormatError as error:
+        raise StateFormatError(f"{context}[{len(records)}]{error}") from None
+    return tuple(records)
 
 
 def parse_script(payload, context: str = "script") -> MoveScript:
     if not isinstance(payload, list):
         raise StateFormatError(f"{context}: expected a JSON array of move records")
-    return tuple(
-        parse_record(item, f"{context}[{n}]", allow_fake=True)
-        for n, item in enumerate(payload)
-    )
+    return _read_records(payload, context, ("stab", "destab", "fake_stab"))
 
 
 def script_from_text(text: str) -> MoveScript:
     return parse_script(_loads(text, "script"))
-
-
-def _rebuild_link(
-    components: tuple[str, ...], next_id: int, history: MoveScript, context: str
-) -> LinkComponentSet:
-    # Replay the history on the fresh link it must start from: every record
-    # splits one component or merges two, creating exactly the labels the
-    # link hands out, and the replay must land on the stored link.
-    count = len(components) - sum(len(r.created) - len(r.removed) for r in history)
-    try:
-        link = LinkComponentSet.fresh(count)
-    except ValueError as error:
-        raise StateFormatError(
-            f"{context}: the history implies {count} initial components ({error})"
-        ) from error
-    for step, record in enumerate(history, start=1):
-        try:
-            if len(record.removed) == 1:
-                link, created = link.split(*record.removed)
-            else:
-                link, merged = link.merge(*record.removed)
-                created = (merged,)
-        except ValueError as error:
-            raise StateFormatError(f"{context}: history step {step}: {error}") from error
-        if created != record.created:
-            raise StateFormatError(
-                f"{context}: history step {step} must create {list(created)}, "
-                f"got {list(record.created)}"
-            )
-    if link.components != components:
-        raise StateFormatError(
-            f"{context}: stored components {list(components)} do not match the "
-            f"history replay {list(link.components)}"
-        )
-    if link.next_id != next_id:
-        raise StateFormatError(
-            f"{context}: next_id is {next_id} but the history consumed labels "
-            f"up to c{link.next_id - 1}"
-        )
-    return link
 
 
 def parse_state(payload) -> TrisectionState:
@@ -408,23 +388,43 @@ def parse_state(payload) -> TrisectionState:
         raise StateFormatError(f"state.version: expected {FORMAT_VERSION}, got {version}")
     label = _as_string(obj["label"], "state.label")
     genera_obj = _as_object(obj["genera"], "state.genera", ("g12", "g13", "g23"))
-    g12, g13, g23 = (
-        _as_int(genera_obj[name], f"state.genera.{name}", minimum=0)
-        for name in ("g12", "g13", "g23")
-    )
+    g12, g13, g23 = (_as_int(genera_obj[name], f"state.genera.{name}", minimum=0)
+                     for name in ("g12", "g13", "g23"))
     link_obj = _as_object(obj["link"], "state.link", ("components", "next_id"))
-    components = _parse_id_list(link_obj["components"], "state.link.components")
+    components = _read_ids(link_obj["components"], "state.link.components")
     if not components:
         raise StateFormatError("state.link.components: the boundary link is never empty")
     next_id = _as_int(link_obj["next_id"], "state.link.next_id", minimum=1)
     history_payload = obj["history"]
     if not isinstance(history_payload, list):
         raise StateFormatError("state.history: expected a list of move records")
-    history = tuple(
-        parse_record(item, f"state.history[{n}]", allow_fake=False)
-        for n, item in enumerate(history_payload)
-    )
-    link = _rebuild_link(components, next_id, history, "state")
+    history = _read_records(history_payload, "state.history", ("stab", "destab"))
+    # Replay on an insertion-ordered dict of live labels, from the fresh link.
+    fresh = len(components) - sum([len(r.created) - len(r.removed) for r in history])
+    if fresh < 1:
+        raise StateFormatError(f"state: the history implies {fresh} initial components "
+                               "(need at least one component)")
+    live = dict.fromkeys([f"c{n}" for n in range(fresh)])
+    for step, record in enumerate(history, start=1):
+        try:
+            for removed in record.removed:
+                del live[removed]
+        except KeyError:
+            raise StateFormatError(f"state: history step {step}: unknown component {removed!r}") from None
+        created = (f"c{fresh}", f"c{fresh + 1}") if len(record.removed) == 1 else (f"c{fresh}",)
+        if record.created != created:
+            raise StateFormatError(f"state: history step {step} must create {list(created)}, "
+                                   f"got {list(record.created)}")
+        fresh += len(created)
+        for name in created:
+            live[name] = None
+    if tuple(live) != components:
+        raise StateFormatError(f"state: stored components {list(components)} do not match the "
+                               f"history replay {list(live)}")
+    if fresh != next_id:
+        raise StateFormatError(f"state: next_id is {next_id} but the history consumed labels "
+                               f"up to c{fresh - 1}")
+    link = LinkComponentSet(components, next_id)
     return TrisectionState(MoveGraphNode(g12, g13, g23, link.b), link, history, label)
 
 

@@ -12,7 +12,7 @@ from itertools import combinations
 import pytest
 
 from genealogy import genealogy, replay_genealogy
-from trisections import core
+from trisections import core, moves
 from trisections.core import (
     LinkComponentSet,
     MoveGraphNode,
@@ -141,6 +141,30 @@ def test_stab_deltas_fake_stab_compositions_move_only_g12():
     for first, second in (("same", "distinct"), ("distinct", "same")):
         total = [a + b for a, b in zip(STAB_DELTAS[2, first], STAB_DELTAS[1, second])]
         assert total == [1, 0, 0, 0]
+
+
+def test_only_two_component_arcs_lower_b():
+    # moves._apply tests a result's genera against PARAM_FLOORS, not its b.
+    # Every rule that lowers b is a two-component arc, and lowers it by
+    # one: its two distinct labels must both exist, so b >= 2 before the
+    # move and b >= 1 after it.
+    rules = moves._MOVE_RULES
+    assert sorted(rules) == sorted(
+        (op, i, same) for op in ("stab", "destab") for i in (1, 2, 3) for same in (True, False)
+    )
+    lowering = [key for key, (delta, _) in rules.items() if delta[3] < 0]
+    assert sorted(lowering) == sorted(
+        (op, i, False) for op in ("stab", "destab") for i in (1, 2, 3)
+    )
+    assert all(rules[key][0][3] == -1 for key in lowering)
+    # At b = 1 such a move fails on membership, before any floor.
+    state = from_heegaard(2)
+    for move, apply in (
+        (StabMove(1, DistinctComponents("c0", "c1")), apply_stabilization),
+        (DestabMove(2, DistinctComponents("c0", "c1")), apply_destabilization),
+    ):
+        with pytest.raises(IllegalMove, match="component 'c1' is not in the boundary link"):
+            apply(state, move)
 
 
 def test_legality_and_effects_match_the_four_arc_conditions():

@@ -8,14 +8,17 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import reference_parser
 from genealogy import genealogy, replay_genealogy
 from trisections.core import (
     Profile,
+    connect_sum_equal_genus,
     from_heegaard,
     is_feasible,
     koda_ozawa,
@@ -33,6 +36,7 @@ from trisections.moves import (
     apply_destabilization,
     apply_stabilization,
     balance,
+    build_heegaard,
     fake_heegaard_stab,
     is_legal,
     legal_moves,
@@ -110,6 +114,50 @@ def test_history_survives_the_round_trip():
         "created": ["c1", "c2"],
         "removed": ["c0"],
     }
+
+
+def walk_at_b(b: int, moves: int, seed: int):
+    """connect-sum (b - 1), then ``moves`` stabilizations that keep about b components.
+
+    The moves alternate a merge (H1, two random labels) and a split (H3,
+    one random label), so the history mixes both kinds at high b.
+    """
+    rng = random.Random(seed)
+    state = connect_sum_equal_genus(b - 1)
+    for k in range(moves):
+        labels = state.link.components
+        if k % 2 == 0:
+            move = StabMove(1, DistinctComponents(*rng.sample(labels, 2)))
+        else:
+            move = StabMove(3, SameComponent(rng.choice(labels)))
+        state = apply_stabilization(state, move)
+    return state
+
+
+def test_high_b_states_round_trip_byte_for_byte():
+    built = build_heegaard(connect_sum_equal_genus(2000), 1)[0]  # 2,000 merges from b = 2,001
+    mixed = walk_at_b(2001, 600, seed=11)
+    assert mixed.b >= 2000
+    assert {len(r.removed) for r in mixed.history} == {1, 2}
+    for state in (built, mixed):
+        text = state_to_text(state)
+        recovered = state_from_text(text)
+        assert recovered == state
+        assert state_to_text(recovered) == text
+
+
+def test_a_high_b_history_that_reuses_a_removed_label_names_the_step():
+    payload = json.loads(state_to_text(walk_at_b(2001, 600, seed=11)))
+    history = payload["history"]
+    # The first split after step 300 takes the first label merged away.
+    gone = history[0]["removed"][0]
+    step = next(n for n in range(300, len(history)) if "same" in history[n]["arc"])
+    history[step] |= {"arc": {"same": gone}, "removed": [gone]}
+    message = f"state: history step {step + 1}: unknown component {gone!r}"
+    for parse in (parse_state, reference_parser.parse_state):
+        with pytest.raises(StateFormatError) as error:
+            parse(payload)
+        assert str(error.value) == message
 
 
 def test_script_round_trips_including_fake_records():
