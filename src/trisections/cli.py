@@ -223,7 +223,9 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         goal = _read_state(args.shortest_to).genera
         path = None
         if goal.sum_h() <= args.max_sum:
-            path = shortest_path(start, goal, goal.sum_h() - start.sum_h())
+            length = goal.sum_h() - start.sum_h()
+            _check_size("explore: the script length", length, MAX_SCRIPT_MOVES)
+            path = shortest_path(start, goal, length)
         if path is None:
             _note(f"NotFound: no stabilization script from {start} to {goal} within sum_h <= {args.max_sum}")
             return 1
@@ -308,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="number of fake Heegaard stabilizations per side")
     p.add_argument("-o", "--output", help="report file (default: stdout)")
 
-    p = add("explore", _cmd_explore, "breadth-first search of the move graph")
+    p = add("explore", _cmd_explore, "list reachable nodes, or a shortest script to one")
     p.add_argument("--start", required=True, help="state file ('-' for stdin)")
     p.add_argument("--max-sum", type=int, required=True,
                    help="bound on h1+h2+h3 of visited nodes")

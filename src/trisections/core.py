@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from functools import wraps
 from typing import Iterable
 
-_ID_PATTERN = re.compile(r"^c(0|[1-9][0-9]*)$")
+_ID_PATTERN = re.compile(r"c(0|[1-9][0-9]*)\Z")
 
 
 class TrisectionError(Exception):

@@ -5,8 +5,8 @@ so search walks a state's parameter node, its ``genera``
 (:class:`~trisections.core.MoveGraphNode`).  Each node has at most six
 successors, one per legal row of :data:`~trisections.core.STAB_DELTAS`,
 and every move raises h1 + h2 + h3 by exactly 1, so the move graph is
-graded by that sum and breadth-first search depth equals the sum
-difference.
+graded by that sum and the distance between two nodes, when one reaches
+the other, equals their sum difference.
 
 Reachability has a closed form (:func:`reachable`).  Write h(n) for the
 heights (h1, h2, h3) of a node, h_i = g_ij + g_ik + b - 1.  A node t is
@@ -31,11 +31,13 @@ can be raised so that the result still meets them, one move closer:
   and when b(u) = 1 some i with d_i >= 1 has g_jk(u) >= 1, since
   otherwise u is trivial, h(t) has a zero or g_jk(t) < 0.
 
-Search uses the rule: a minimal common stabilization is found by
-enumerating the few candidate nodes above both inputs, level by level,
-and shortest paths only enter nodes that can still reach the goal.
-Breadth-first search (:func:`bfs_reachable`) remains as the ``explore``
-listing and as the reference the tests hold the rule to.
+Search uses the rule and nothing else.  A minimal common stabilization
+is found by enumerating the few candidate nodes above both inputs, level
+by level; the ``explore`` listing (:func:`bfs_reachable`) enumerates the
+nodes above one input the same way; and a shortest path is walked
+greedily, one move per level, through nodes that can still reach the
+goal.  Breadth-first search survives only in the tests, as the
+reference they hold the rule to.
 
 The full labeled engine reappears only when a parameter path is realized
 as a replayable :class:`~trisections.moves.MoveScript` on canonical
@@ -44,7 +46,6 @@ labels.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -121,24 +122,24 @@ def feasible_nodes(max_sum: int) -> list[MoveGraphNode]:
 def bfs_reachable(start: MoveGraphNode, max_sum: int) -> dict[MoveGraphNode, int]:
     """All nodes reachable from ``start`` by stabilizations with sum_h <= max_sum.
 
-    Returns a mapping from node to breadth-first depth (equal to the
-    sum_h difference, since every move adds 1).  Keys iterate in
-    lexicographic order.
+    Returns a mapping from node to depth (the sum_h difference, since
+    every move adds 1), keys in lexicographic order: the nodes above
+    ``start``'s heights that :func:`reachable` accepts, level by level.
     """
-    depths: dict[MoveGraphNode, int] = {}
-    if start.sum_h() > max_sum:
-        return depths
-    depths[start] = 0
-    frontier = [start]
-    for depth in range(1, max_sum - start.sum_h() + 1):
-        next_frontier: list[MoveGraphNode] = []
-        for parent in frontier:
-            for _, node in parent.successors():
-                if node not in depths:
-                    depths[node] = depth
-                    next_frontier.append(node)
-        frontier = next_frontier
-    return {node: depths[node] for node in sorted(depths)}
+    level = start.sum_h()
+    if level > max_sum:
+        return {}
+    nodes = [start]
+    if not start.is_trivial:
+        # Above start's level _reaches decides reachable().
+        h, b = start.heights(), start.b
+        nodes += [
+            genera_from_profile(Profile(*heights, count))
+            for top in range(level + 1, max_sum + 1)
+            for heights, count in _profiles_above(h, top)
+            if _reaches(h, b, heights, count)
+        ]
+    return {node: node.sum_h() - level for node in sorted(nodes)}
 
 
 def realize_path(
@@ -167,42 +168,31 @@ def shortest_path(
     """A shortest parameter-move path from ``start`` to ``goal``, or None.
 
     None when ``goal`` is not :func:`reachable` or lies more than
-    ``depth_bound`` moves up.  Otherwise breadth-first search that enters
-    only nodes from which ``goal`` is still reachable, all of them below
-    its level.  Every predecessor of such a node can reach ``goal`` too,
-    so each node kept has the BFS parent and discovery order it has in
-    the unpruned search, and the path is the one that search returns.
-    Realize the result against a labeled state with :func:`realize_path`.
+    ``depth_bound`` moves up.  Otherwise a greedy walk, one move per
+    level: each step takes the first successor, in row order, that can
+    still reach ``goal`` (else :class:`WitnessNotFound`).  By the proof
+    above every such prefix extends to ``goal``, so this is the least
+    shortest path in row order, the one breadth-first search returns.
+    Realize it against a labeled state with :func:`realize_path`.
     """
     if start == goal:
         return []
     if goal.sum_h() - start.sum_h() > depth_bound or not reachable(start, goal):
         return None
-    # start is not trivial and every node entered below is a move's result,
-    # so it differs from start and _reaches decides reachable() for it.
+    # start is not trivial and every later node is a move's result, so it
+    # differs from start and _reaches decides reachable() for it.
     h_goal, b_goal = goal.heights(), goal.b
-    parents: dict[MoveGraphNode, tuple[MoveGraphNode, ParamMove]] = {}
-    queue: deque[MoveGraphNode] = deque([start])
-    seen = {start}
-    while queue:
-        node = queue.popleft()
+    path: list[ParamMove] = []
+    node = start
+    while node != goal:
         for move, successor in node.successors():
-            if successor in seen:
-                continue
-            seen.add(successor)
-            if not _reaches(successor.heights(), successor.b, h_goal, b_goal):
-                continue
-            parents[successor] = (node, move)
-            if successor == goal:
-                path: list[ParamMove] = []
-                cursor = successor
-                while cursor != start:
-                    cursor, step = parents[cursor]
-                    path.append(step)
-                path.reverse()
-                return path
-            queue.append(successor)
-    return None
+            if _reaches(successor.heights(), successor.b, h_goal, b_goal):
+                path.append(move)
+                node = successor
+                break
+        else:
+            raise WitnessNotFound(f"no stabilization of {node} can still reach {goal}")
+    return path
 
 
 def shortest_script(

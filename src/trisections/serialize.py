@@ -387,6 +387,10 @@ def parse_state(payload) -> TrisectionState:
     if version != FORMAT_VERSION:
         raise StateFormatError(f"state.version: expected {FORMAT_VERSION}, got {version}")
     label = _as_string(obj["label"], "state.label")
+    try:  # a lone surrogate escape reads into a str that no writer can encode
+        label.encode("utf-8")
+    except UnicodeEncodeError as error:
+        raise StateFormatError(f"state.label: not valid UTF-8 ({error})") from error
     genera_obj = _as_object(obj["genera"], "state.genera", ("g12", "g13", "g23"))
     g12, g13, g23 = (_as_int(genera_obj[name], f"state.genera.{name}", minimum=0)
                      for name in ("g12", "g13", "g23"))

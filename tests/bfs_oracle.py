@@ -1,0 +1,66 @@
+"""Breadth-first search of the move graph, kept as the reference for search.
+
+:mod:`trisections.explorer` lists reachable nodes and walks shortest
+paths in closed form.  This module does the same work the plain way, by
+breadth-first search over :meth:`MoveGraphNode.successors`, with a FIFO
+queue and successors in :data:`~trisections.core.STAB_DELTAS` row order.
+It reads nothing of the closed form, so tests that hold the engine to it
+do not compare the rule with itself.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+
+from trisections.core import MoveGraphNode, ParamMove
+
+
+def bfs_reachable(start: MoveGraphNode, max_sum: int) -> dict[MoveGraphNode, int]:
+    """Every node reachable from ``start`` with sum_h <= max_sum, to its BFS depth.
+
+    Keys iterate in lexicographic order; empty when ``start`` lies above
+    ``max_sum``.
+    """
+    depths: dict[MoveGraphNode, int] = {}
+    if start.sum_h() > max_sum:
+        return depths
+    depths[start] = 0
+    frontier = [start]
+    for depth in range(1, max_sum - start.sum_h() + 1):
+        next_frontier: list[MoveGraphNode] = []
+        for parent in frontier:
+            for _, node in parent.successors():
+                if node not in depths:
+                    depths[node] = depth
+                    next_frontier.append(node)
+        frontier = next_frontier
+    return {node: depths[node] for node in sorted(depths)}
+
+
+def bfs_shortest_path(
+    start: MoveGraphNode, goal: MoveGraphNode, depth_bound: int
+) -> list[ParamMove] | None:
+    """The path unpruned FIFO search finds from ``start`` to ``goal``, or None.
+
+    A node's parent is the first node dequeued that reaches it, so the path
+    is the least shortest path in row order.  Nodes above the goal's
+    level are not entered, since every move climbs one level.  None when
+    no path of at most ``depth_bound`` moves exists.
+    """
+    parents: dict[MoveGraphNode, tuple[MoveGraphNode, ParamMove] | None] = {start: None}
+    queue: deque[MoveGraphNode] = deque([start])
+    while queue and goal not in parents:
+        node = queue.popleft()
+        for move, successor in node.successors():
+            if successor not in parents and successor.sum_h() <= goal.sum_h():
+                parents[successor] = (node, move)
+                queue.append(successor)
+    if goal not in parents:
+        return None
+    path: list[ParamMove] = []
+    cursor = goal
+    while (step := parents[cursor]) is not None:
+        cursor, move = step
+        path.append(move)
+    path.reverse()
+    return path if len(path) <= depth_bound else None

@@ -18,6 +18,7 @@ from time import perf_counter
 
 import pytest
 
+from bfs_oracle import bfs_reachable
 from trisections.core import (
     Profile,
     connect_sum_equal_genus,
@@ -34,7 +35,6 @@ from trisections.core import (
 )
 from trisections.explorer import (
     MoveGraphNode,
-    bfs_reachable,
     common_stabilization_search,
     feasible_nodes,
 )

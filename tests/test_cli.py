@@ -214,12 +214,24 @@ def test_replay_rejects_malformed_scripts(heegaard2, tmp_path):
     assert run_cli("replay", str(heegaard2), str(script)).returncode == 2
 
 
-@pytest.mark.parametrize(
-    "hostile",
-    ["[" * 100_000, "9" * 5_001, '[{"op": "stab", "handlebody": ' + "1" * 5_001 + "}]"],
-    ids=["deep-nesting", "long-integer", "long-integer-in-a-record"],
+_SURROGATE_LABEL = state_to_text(from_heegaard(2)).replace(
+    '"from-heegaard(genus=2)"', '"\\ud800"'
 )
-def test_hostile_json_is_a_format_error(tmp_path, capsys, hostile):
+
+
+@pytest.mark.parametrize(
+    "hostile, state_error, script_error",
+    [
+        ("[" * 100_000, "state: not valid JSON (", "script: not valid JSON ("),
+        ("9" * 5_001, "state: not valid JSON (", "script: not valid JSON ("),
+        ('[{"op": "stab", "handlebody": ' + "1" * 5_001 + "}]",
+         "state: not valid JSON (", "script: not valid JSON ("),
+        (_SURROGATE_LABEL, "state.label: not valid UTF-8 (",
+         "script: expected a JSON array of move records"),
+    ],
+    ids=["deep-nesting", "long-integer", "long-integer-in-a-record", "lone-surrogate-label"],
+)
+def test_hostile_json_is_a_format_error(tmp_path, capsys, hostile, state_error, script_error):
     # In-process, so the nesting reaches the JSON decoder's recursion limit.
     bad = tmp_path / "hostile.json"
     bad.write_text(hostile, encoding="utf-8")
@@ -227,15 +239,15 @@ def test_hostile_json_is_a_format_error(tmp_path, capsys, hostile):
     state.write_text(state_to_text(from_heegaard(2)), encoding="utf-8")
     script = tmp_path / "script.json"
     script.write_text("[]\n", encoding="utf-8")
-    for argv, context in (
-        (["show", str(bad)], "state"),
-        (["replay", str(bad), str(script)], "state"),
-        (["replay", str(state), str(bad)], "script"),
+    for argv, error in (
+        (["show", str(bad)], state_error),
+        (["replay", str(bad), str(script)], state_error),
+        (["replay", str(state), str(bad)], script_error),
     ):
         assert cli.main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and "Traceback" not in err
-        assert err.startswith(f"StateFormatError: {context}: not valid JSON ("), err[:200]
+        assert err.startswith(f"StateFormatError: {error}"), err[:200]
 
 
 def test_huge_integers_are_refused_without_a_traceback(tmp_path, capsys):
@@ -275,6 +287,21 @@ def test_replay_rejects_scripts_whose_labels_differ_from_the_moves(koda, tmp_pat
     assert proc.returncode == 1
     assert "script step 1" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_replay_refuses_labels_with_a_trailing_newline(koda, tmp_path, capsys):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps([{
+        "op": "stab", "handlebody": 1, "arc": {"distinct": ["c0\n", "c1"]},
+        "created": ["c2"], "removed": ["c0\n", "c1"],
+    }]), encoding="utf-8")
+    assert cli.main(["replay", str(koda), str(script)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "StateFormatError: script[0].arc.distinct[0]: "
+        "component identifiers look like 'c12', got 'c0\\n'\n"
+    )
 
 
 # -- planning --------------------------------------------------------------------------
@@ -435,6 +462,21 @@ def test_plan_refuses_a_huge_rs_bound(koda, heegaard2):
     over = str(MAX_SCRIPT_MOVES + 1)
     _assert_refused(run_capped_cli("plan", str(koda), str(heegaard2), "--rs-bound", over),
                     f"plan: the fake stabilizations per side would be {over}")
+
+
+def test_explore_refuses_a_huge_shortest_script(koda, tmp_path):
+    far = tmp_path / "far.json"
+    far.write_text(run_cli("new", "open-book", "1000000000").stdout, encoding="utf-8")
+    proc = run_capped_cli("explore", "--start", str(koda), "--max-sum", "10000000000",
+                          "--shortest-to", str(far))
+    _assert_refused(proc, "explore: the script length would be 5999999995")
+    # split-heegaard g 2 is (g,2,g-2;1), 2g - 5 moves above koda-ozawa's (1,2,2;2).
+    g = (MAX_SCRIPT_MOVES + 6) // 2
+    edge = tmp_path / "edge.json"
+    edge.write_text(run_cli("new", "split-heegaard", str(g), "2").stdout, encoding="utf-8")
+    proc = run_capped_cli("explore", "--start", str(koda), "--max-sum", str(2 * g),
+                          "--shortest-to", str(edge))
+    _assert_refused(proc, f"explore: the script length would be {MAX_SCRIPT_MOVES + 1}")
 
 
 def test_help_exits_cleanly():

@@ -24,6 +24,7 @@ from trisections.core import (
     OutOfDomain,
     Profile,
     TrisectionState,
+    are_component_ids,
     component_number,
     connect_sum_equal_genus,
     construct,
@@ -213,6 +214,14 @@ def test_link_operations_validate_their_arguments():
         link.merge("c0", "c9")
     with pytest.raises(ValueError):
         link.merge("c0", "c0")
+
+
+@pytest.mark.parametrize("label", ["c1\n", "c0\n", "c12\n\n", "c1\r", " c1", "c01"])
+def test_component_ids_refuse_stray_characters(label):
+    with pytest.raises(ValueError, match="component identifiers look like"):
+        component_number(label)
+    assert not are_component_ids([label])
+    assert not are_component_ids(["c0", label])
 
 
 def test_link_genealogy_records_every_event():

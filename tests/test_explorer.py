@@ -1,4 +1,4 @@
-"""Parameter-level move graph: enumeration, BFS, shortest scripts, verification.
+"""Parameter-level move graph: enumeration, listings, shortest scripts, verification.
 
 The parameter shadow must agree with the labeled engine move for move,
 so several tests cross-check node successors against legal_moves applied
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+import bfs_oracle
 from trisections import explorer
 from trisections.core import (
     Profile,
@@ -205,6 +206,27 @@ def test_shortest_path_respects_depth_bound():
     assert shortest_path(HEEGAARD2, OPENBOOK1, 1) is None
 
 
+def test_shortest_path_makes_one_successor_call_per_move(monkeypatch):
+    start, goal = MoveGraphNode(0, 1, 0, 1), MoveGraphNode(50, 50, 48, 3)
+    calls = []
+    successors = MoveGraphNode.successors
+    monkeypatch.setattr(
+        MoveGraphNode, "successors", lambda node: calls.append(node) or successors(node)
+    )
+    path = shortest_path(start, goal, 300)
+    monkeypatch.undo()
+    assert len(path) == 300 and len(calls) == 300
+    _, script = realize_path(start.to_state(), path)
+    assert _replay_records(start, script) == goal
+
+
+def test_shortest_path_never_loops_when_no_successor_qualifies(monkeypatch):
+    # By the proof some successor always can; a move graph that disagrees fails loudly.
+    monkeypatch.setattr(MoveGraphNode, "successors", lambda node: [])
+    with pytest.raises(WitnessNotFound):
+        shortest_path(HEEGAARD2, OPENBOOK1, 8)
+
+
 def test_shortest_script_replays_to_the_goal():
     script = shortest_script(HEEGAARD2, OPENBOOK1, 8)
     assert script is not None and len(script) == 2
@@ -212,7 +234,7 @@ def test_shortest_script_replays_to_the_goal():
 
 
 def test_shortest_paths_exist_exactly_for_reachable_nodes():
-    reached = bfs_reachable(KODA, 9)
+    reached = bfs_oracle.bfs_reachable(KODA, 9)
     for node in feasible_nodes(9):
         path = shortest_path(KODA, node, 9)
         if node in reached:
@@ -243,7 +265,9 @@ def test_common_stabilization_is_minimal():
     assert result is not None
     node = result[0]
     # no strictly smaller node is reached by breadth-first search from both inputs
-    common = set(bfs_reachable(HEEGAARD2, 12)) & set(bfs_reachable(KODA, 12))
+    common = set(bfs_oracle.bfs_reachable(HEEGAARD2, 12)) & set(
+        bfs_oracle.bfs_reachable(KODA, 12)
+    )
     assert node in common
     assert min(common, key=lambda n: (n.sum_h(), n)) == node
 

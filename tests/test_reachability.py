@@ -1,8 +1,9 @@
-"""The closed-form reachability rule, held to breadth-first search.
+"""The closed-form search, held to breadth-first search.
 
-``reachable`` and everything built on it (``shortest_path``'s pruning and
-``common_stabilization_search``) are checked here against references that
-use only ``bfs_reachable`` and ``successors``: an exhaustive sweep over
+``reachable`` and everything built on it (the ``explore`` listing
+``bfs_reachable``, the greedy ``shortest_path`` and
+``common_stabilization_search``) are checked here against the BFS in
+``bfs_oracle``, which uses only ``successors``: exhaustive sweeps over
 small nodes, a property test over larger ones, and a BFS-intersection
 search written out in this file.
 """
@@ -15,13 +16,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from bfs_oracle import bfs_reachable, bfs_shortest_path
+from trisections import explorer
 from trisections.explorer import (
     MoveGraphNode,
-    bfs_reachable,
     common_stabilization_search,
     feasible_nodes,
     realize_path,
     reachable,
+    shortest_path,
 )
 
 TRIVIAL = MoveGraphNode(0, 0, 0, 1)
@@ -56,6 +59,26 @@ def test_reachable_examples():
     assert few not in bfs_reachable(many, few.sum_h())
 
 
+def test_listing_matches_bfs_for_every_start_up_to_sum_15():
+    for start in feasible_nodes(15):
+        listed = explorer.bfs_reachable(start, 15)
+        expected = bfs_reachable(start, 15)
+        assert listed == expected and list(listed) == list(expected), start
+
+
+def test_shortest_path_matches_bfs_on_every_pair_up_to_sum_13():
+    nodes = feasible_nodes(13)
+    found = 0
+    for start, goal in itertools.product(nodes, nodes):
+        distance = goal.sum_h() - start.sum_h()
+        path = shortest_path(start, goal, distance)
+        assert path == bfs_shortest_path(start, goal, distance), (start, goal)
+        if path:
+            found += 1
+            assert shortest_path(start, goal, distance - 1) is None, (start, goal)
+    assert found == 5_651
+
+
 @st.composite
 def _node_pairs(draw) -> tuple[MoveGraphNode, MoveGraphNode]:
     # A start with sum_h <= 24 and a goal with sum_h <= 30 in the start's
@@ -88,32 +111,15 @@ def test_reachable_matches_bfs_on_random_pairs_up_to_sum_30(pair):
 # -- common stabilizations against a BFS-intersection reference ----------------------
 
 
-def _bfs_path(start: MoveGraphNode, goal: MoveGraphNode) -> list[tuple[int, str]]:
-    # Unpruned breadth-first search, level by level; a node's parent is the
-    # first node of the previous level, in queue order, that reaches it.
-    parents: dict[MoveGraphNode, tuple[MoveGraphNode, tuple[int, str]] | None] = {start: None}
-    frontier = [start]
-    while goal not in parents:
-        next_frontier = []
-        for node in frontier:
-            for move, successor in node.successors():
-                if successor not in parents:
-                    parents[successor] = (node, move)
-                    next_frontier.append(successor)
-        frontier = next_frontier
-    path = []
-    while parents[goal] is not None:
-        goal, move = parents[goal]
-        path.append(move)
-    return path[::-1]
-
-
 def _reference_search(a, b, max_sum, reached):
     common = set(reached(a, max_sum)) & set(reached(b, max_sum))
     if not common:
         return None
     node = min(common, key=lambda n: (n.sum_h(), n))
-    scripts = [realize_path(x.to_state(), _bfs_path(x, node))[1] for x in (a, b)]
+    scripts = [
+        realize_path(x.to_state(), bfs_shortest_path(x, node, node.sum_h() - x.sum_h()))[1]
+        for x in (a, b)
+    ]
     return node, *scripts
 
 

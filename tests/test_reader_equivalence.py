@@ -286,7 +286,7 @@ _LABEL_ITEMS = st.one_of(
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(st.lists(_LABEL_ITEMS, max_size=6))
-@example(["c1\n"])  # component_number's ``$`` matches before a final newline
+@example(["c1\n"])  # a pattern ending in ``$`` would match before a final newline
 @example(["c0\n", "c12"])
 @example(["c1\n\n"])
 @example(["c0", b"c1"])
