@@ -11,6 +11,7 @@ usage or file format errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -37,6 +38,8 @@ from .moves import (
 )
 from .explorer import (
     bfs_reachable,
+    listing_bound,
+    node_count,
     realize_path,
     shortest_path,
     verify_properties,
@@ -60,6 +63,13 @@ from .serialize import (
 # run for hours or exhaust memory.
 MAX_COMPONENTS = 100_000
 MAX_SCRIPT_MOVES = 100_000
+# Nodes that explore may list or verify checks (verify accepts max_sum up to 82).
+MAX_NODES = 100_000
+# The largest document read: a history or script of MAX_SCRIPT_MOVES
+# records and a link of MAX_COMPONENTS labels, at up to 320 bytes a record
+# and 32 a label (this program writes a record with eight-character labels
+# in a state's history in at most 272 bytes, such a label in 16).
+MAX_INPUT_BYTES = 320 * MAX_SCRIPT_MOVES + 32 * MAX_COMPONENTS
 
 
 class _UsageError(Exception):
@@ -76,8 +86,22 @@ def _check_size(what: str, size: int, limit: int) -> None:
 
 
 def _read_text(path: str, context: str) -> str:
+    # A file over MAX_INPUT_BYTES is refused by its size, and no more than
+    # MAX_INPUT_BYTES + 1 bytes are read from anywhere.  The bytes decode as
+    # a read in text mode would: a file as UTF-8 with universal newlines,
+    # standard input by its own stream's settings.
+    limit = MAX_INPUT_BYTES
+    if path == "-":
+        data = sys.stdin.buffer.read(limit + 1)
+    else:
+        with open(path, "rb") as file:
+            data = file.read(limit + 1) if os.fstat(file.fileno()).st_size <= limit else None
+    if data is None or len(data) > limit:
+        raise SizeLimitExceeded(f"{context}: the input is over the limit of {limit} bytes")
     try:
-        return sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+        if path == "-":
+            return data.decode(sys.stdin.encoding, sys.stdin.errors)
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as error:
         raise StateFormatError(f"{context}: not valid UTF-8 ({error})") from error
 
@@ -233,6 +257,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         _write_text(None, script_to_text(script))
         _note(f"explore: shortest script has {len(script)} moves")
         return 0
+    bound = listing_bound(start, args.max_sum)
+    _check_size("explore: a bound on the nodes listed", bound, MAX_NODES)
     reachable = bfs_reachable(start, args.max_sum)
     for node, depth in reachable.items():
         print(f"({node.g12},{node.g13},{node.g23};b={node.b}) depth={depth}")
@@ -241,6 +267,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    what = f"verify: the nodes with sum_h <= {args.max_sum}"
+    _check_size(what, node_count(args.max_sum), MAX_NODES)
     report = verify_properties(args.max_sum)
     _write_text(args.output, verification_report_to_text(report))
     for entry in report.entries:

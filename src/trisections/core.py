@@ -16,12 +16,10 @@ the move calculus in :mod:`trisections.moves` produces new states.
 A move costs O(1) Python-level work however long the state's past:
 ``history`` is a :class:`Chain`, so a move appends one record and shares
 everything before it, and that history is also the whole past of the
-boundary link.  :meth:`LinkComponentSet.split` and
-:meth:`~LinkComponentSet.merge` build the new component tuple and skip
-the full label check that every set built from outside gets.  The only
-passes over the b components left in a move are C-level: ``index``
-finds each named label once, and the new tuple is a copy of the old
-one less those labels.
+boundary link.  The move calculus applies a run of moves to one mutable
+list of labels and builds one state at the end (see
+:mod:`trisections.moves`); the link it builds skips the full label check
+that every set built from outside gets.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import wraps
-from typing import Iterable
+from typing import Iterable, Sequence
 
 _ID_PATTERN = re.compile(r"c(0|[1-9][0-9]*)\Z")
 
@@ -318,53 +316,24 @@ class LinkComponentSet:
     def b(self) -> int:
         return len(self.components)
 
-    def least(self, count: int) -> tuple[str, ...]:
-        """The ``count`` lexicographically smallest labels, ascending.
 
-        Labels ascend by number, hence by length, and within one length
-        string order is number order.  So the answer lies among the
-        first ``count`` labels of each run of one length, and it costs
-        one ``bisect`` per run instead of a pass over all b labels.
-        """
-        components = self.components
-        if len(components[0]) == len(components[-1]):
-            return components[:count]
-        candidates, start = [], 0
-        while start < len(components):
-            stop = bisect_left(components, len(components[start]) + 1, start, key=len)
-            candidates += components[start:min(start + count, stop)]
-            start = stop
-        return tuple(sorted(candidates)[:count])
+def least_labels(labels: Sequence[str], count: int) -> tuple[str, ...]:
+    """The ``count`` lexicographically smallest of ``labels``, ascending.
 
-    def _successor(self, components: list[str], next_id: int) -> LinkComponentSet:
-        # The set after a split or merge, without __post_init__'s pass over
-        # every label.  Only the fresh labels are new, and they are
-        # c<self.next_id> and up, appended at the end: unique, ascending
-        # after every old label and below the new next_id.  The kept labels
-        # satisfied all three already.
-        link = object.__new__(LinkComponentSet)
-        object.__setattr__(link, "components", tuple(components))
-        object.__setattr__(link, "next_id", next_id)
-        return link
-
-    def split(self, component: str) -> tuple[LinkComponentSet, tuple[str, str]]:
-        """Replace ``component`` by two fresh components (ValueError if missing)."""
-        components = list(self.components)
-        del components[components.index(component)]
-        first, second = f"c{self.next_id}", f"c{self.next_id + 1}"
-        components += first, second
-        return self._successor(components, self.next_id + 2), (first, second)
-
-    def merge(self, first: str, second: str) -> tuple[LinkComponentSet, str]:
-        """Replace two distinct present components by one fresh one (ValueError if not)."""
-        if first == second:
-            raise ValueError("cannot merge a component with itself")
-        components = list(self.components)
-        m, n = sorted((components.index(first), components.index(second)))
-        del components[n], components[m]
-        merged = f"c{self.next_id}"
-        components.append(merged)
-        return self._successor(components, self.next_id + 1), merged
+    ``labels`` are component labels in creation order, as a link holds
+    them.  They ascend by number, hence by length, and within one length
+    string order is number order.  So the answer lies among the first
+    ``count`` labels of each run of one length, and it costs one
+    ``bisect`` per run instead of a pass over all of them.
+    """
+    if len(labels[0]) == len(labels[-1]):
+        return tuple(labels[:count])
+    candidates, start = [], 0
+    while start < len(labels):
+        stop = bisect_left(labels, len(labels[start]) + 1, start, key=len)
+        candidates += labels[start:min(start + count, stop)]
+        start = stop
+    return tuple(sorted(candidates)[:count])
 
 
 def component_number(label: str) -> int:

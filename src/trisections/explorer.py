@@ -47,6 +47,7 @@ labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Iterator
 
 from .core import (
@@ -61,14 +62,11 @@ from .core import (
 )
 from .moves import (
     MoveScript,
-    StabMove,
-    apply_stabilization,
+    _Walk,
     balance,
     balance_capped,
     balance_length,
     build_heegaard,
-    canonical_distinct_arc,
-    canonical_same_arc,
     disk_length,
     raise_balanced,
 )
@@ -119,6 +117,48 @@ def feasible_nodes(max_sum: int) -> list[MoveGraphNode]:
     return out
 
 
+def _cubic_sum(f, n: int) -> int:
+    # f(0) + ... + f(n) for a polynomial f of degree <= 3, by Newton's
+    # forward differences: the sum is that of (D^d f)(0) * C(n + 1, d + 1).
+    values = [f(i) for i in range(4)]
+    total = 0
+    for d in range(4):
+        total += values[0] * comb(n + 1, d + 1)
+        values = [after - before for before, after in zip(values, values[1:])]
+    return total
+
+
+def node_count(max_sum: int) -> int:
+    """``len(feasible_nodes(max_sum))``, in closed form.
+
+    A node has h1 + h2 + h3 = 2G + 3k for G = g12 + g13 + g23 and
+    k = b - 1, and C(T + 3, 3) genus triples have G <= T, so the count
+    is the sum over k of C(floor((max_sum - 3k) / 2) + 3, 3).  The floor
+    is floor(max_sum / 2) - 3j for k = 2j and floor((max_sum - 3) / 2) - 3j
+    for k = 2j + 1, so each half sums a cubic in j.
+    """
+
+    def half(top: int) -> int:  # C(m + 3, 3) summed over m = top, top - 3, ... >= 0
+        return _cubic_sum(lambda j: comb(top % 3 + 3 * j + 3, 3), top // 3) if top >= 0 else 0
+
+    return half(max_sum // 2) + half((max_sum - 3) // 2)
+
+
+def listing_bound(start: MoveGraphNode, max_sum: int) -> int:
+    """An upper bound on ``len(bfs_reachable(start, max_sum))``, in closed form.
+
+    The listing holds nodes with sum_h <= max_sum, and every one above
+    ``start`` has heights at least start's: one of the C(m + 3, 3) height
+    triples within m = max_sum - sum_h(start) of them, with at most
+    max_sum // 6 + 1 values of b (b - 1 <= min h_i + h_j - h_k <= max_sum / 3,
+    at one parity).
+    """
+    above = max_sum - start.sum_h()
+    if above < 0:
+        return 0
+    return min(node_count(max_sum), comb(above + 3, 3) * (max_sum // 6 + 1))
+
+
 def bfs_reachable(start: MoveGraphNode, max_sum: int) -> dict[MoveGraphNode, int]:
     """All nodes reachable from ``start`` by stabilizations with sum_h <= max_sum.
 
@@ -150,16 +190,14 @@ def realize_path(
     SameComponent moves take the lexicographically smallest component,
     DistinctComponents moves the smallest pair.
     """
-    start_length = len(state.history)
+    walk = _Walk(state)
     for i, kind in path:
-        if kind == "distinct":
-            arc = canonical_distinct_arc(state)
-        elif kind == "same":
-            arc = canonical_same_arc(state)
-        else:
+        if kind not in ("same", "distinct"):
             raise ValueError(f"unknown parameter move kind {kind!r}")
-        state = apply_stabilization(state, StabMove(i, arc))
-    return state, state.history[start_length:]
+        other_two(i)  # rejects anything but 1, 2 and 3
+        walk.move("stab", i, walk.arc(kind == "same"))
+    after = walk.state()
+    return after, after.history[len(state.history):]
 
 
 def shortest_path(

@@ -17,11 +17,15 @@ and b >= 1.  Formal destabilizations certify nothing about an actual
 destabilizing disk, and every destabilized state carries that caveat in
 its label.
 
-One move costs one record and one legality check: it appends one record
-to the history chain (see :mod:`trisections.core`) and builds the new
-node, record and state from checked parts.  Only C-level passes over the
-b components remain: one ``index`` per label of the arc, in ``split`` or
-``merge``, and the copy that rebuilds the component tuple; the canonical
+Moves run in walks (``_Walk``).  A walk copies a state's labels into one
+list, applies a run of moves to it in place, each with one legality
+check and one appended history record, and builds one state at the end.
+``balance``, ``raise_balanced``, ``drive_opposite_to_disk``,
+``fake_heegaard_stab``, :func:`trisections.planner.replay` and
+:func:`trisections.explorer.realize_path` each run one walk per script,
+and a single move is a walk of one.  Only C-level passes over the b
+components remain: one ``index`` per label of the arc, the ``del`` that
+closes the gap, and the copies into and out of the walk; the canonical
 arcs read a few labels per digit length.  So ``build_heegaard`` and
 ``replay`` run in time linear in the script's length.
 """
@@ -34,9 +38,11 @@ from itertools import combinations
 from .core import (
     PARAM_FLOORS,
     STAB_DELTAS,
+    LinkComponentSet,
     MoveGraphNode,
     TrisectionError,
     TrisectionState,
+    least_labels,
     other_two,
 )
 
@@ -167,8 +173,9 @@ def legal_moves(state: TrisectionState) -> list[StabMove]:
 
 
 def is_legal(state: TrisectionState, move: StabMove | DestabMove) -> bool:
+    op = "stab" if isinstance(move, StabMove) else "destab"
     try:
-        _apply(state, move, "stab" if isinstance(move, StabMove) else "destab")
+        _Walk(state).move(op, move.handlebody, move.arc)
     except IllegalMove:
         return False
     return True
@@ -178,52 +185,171 @@ _new = object.__new__
 _set = object.__setattr__
 
 
-def _apply(state: TrisectionState, move: StabMove | DestabMove, op: str) -> TrisectionState:
-    # Shared body of apply_stabilization and apply_destabilization.  The one
-    # legality check: split or merge finds the arc's labels, then the genera
-    # must clear PARAM_FLOORS (b does: every rule lowering it merges two labels).
-    # The node, record and state are built from checked parts, without their
-    # __post_init__, whose checks all hold already: the node's fields are ints
-    # at or above the floors; the record's op is "stab" or "destab" and its
-    # handlebody was checked when the move was made; and genera.b equals
-    # link.b, as every row changes b by as much as its split or merge does.
-    arc = move.arc
-    same = isinstance(arc, SameComponent)
-    removed = (arc.component,) if same else (arc.first, arc.second)
-    try:
+def _compound_record(first: MoveRecord, second: MoveRecord) -> MoveRecord:
+    # One fake_stab record for two consecutive moves: the net turnover of
+    # labels, each side in creation order, and the second move's arc.  The
+    # created labels are the first move's that the second keeps, then the
+    # second's.  The removed ones all predate the first move; labels c<n>
+    # ascend by number, hence by length, and within one length string
+    # order is number order.
+    removed = first.removed + tuple(c for c in second.removed if c not in first.created)
+    created = tuple(c for c in first.created if c not in second.removed) + second.created
+    removed = tuple(sorted(removed, key=lambda label: (len(label), label)))
+    return MoveRecord("fake_stab", 1, second.arc, created, removed)
+
+
+def _balance_target(h1: int, h2: int, h3: int) -> int:
+    # The smallest handlebody, the largest index on ties.
+    if h3 <= h1 and h3 <= h2:
+        return 3
+    return 2 if h2 <= h1 else 1
+
+
+class _Walk:
+    """A run of labeled moves on mutable parts, built into one state at the end.
+
+    It holds the live labels as a list in creation order, the next label
+    number, the node's coordinates as plain ints, the history chain and
+    the label.  :meth:`move` makes a move's one legality check, edits the
+    list in place and appends one record to the chain; :meth:`state`
+    builds the node, link and state once.  Every labeled move goes
+    through a walk, so a script of n moves costs n records and one state.
+    """
+
+    __slots__ = ("labels", "next_id", "g12", "g13", "g23", "b", "history", "label")
+
+    def __init__(self, state: TrisectionState) -> None:
+        genera, link = state.genera, state.link
+        self.labels = list(link.components)
+        self.next_id = link.next_id
+        self.g12, self.g13, self.g23, self.b = genera.g12, genera.g13, genera.g23, genera.b
+        self.history = state.history
+        self.label = state.label
+
+    def _edit(self, op: str, i: int, arc: Arc) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        # The one legality check, then the edit: the arc's labels must be
+        # live, then the genera must clear PARAM_FLOORS (b does: every rule
+        # lowering it merges two live labels).  Returns (created, removed).
+        labels = self.labels
+        same = isinstance(arc, SameComponent)
+        try:
+            if same:
+                removed = (arc.component,)
+                spot = labels.index(arc.component)
+            else:
+                removed = (arc.first, arc.second)
+                spot, other = labels.index(arc.first), labels.index(arc.second)
+        except ValueError:
+            missing = next(label for label in removed if label not in labels)
+            raise IllegalMove(f"component {missing!r} is not in the boundary link") from None
+        (d12, d13, d23, db), message = _MOVE_RULES[op, i, same]
+        g12, g13, g23 = self.g12 + d12, self.g13 + d13, self.g23 + d23
+        if g12 < _LEAST_G12 or g13 < _LEAST_G13 or g23 < _LEAST_G23:
+            raise IllegalMove(message)
+        self.g12, self.g13, self.g23, self.b = g12, g13, g23, self.b + db
+        n = self.next_id
         if same:
-            link, created = state.link.split(arc.component)
+            del labels[spot]
+            created = (f"c{n}", f"c{n + 1}")
+            self.next_id = n + 2
         else:
-            link, merged = state.link.merge(arc.first, arc.second)
-            created = (merged,)
-    except ValueError:
-        missing = next(label for label in removed if label not in state.link.components)
-        raise IllegalMove(f"component {missing!r} is not in the boundary link") from None
-    (d12, d13, d23, db), message = _MOVE_RULES[op, move.handlebody, same]
-    g = state.genera
-    g12, g13, g23, b = g.g12 + d12, g.g13 + d13, g.g23 + d23, g.b + db
-    if g12 < _LEAST_G12 or g13 < _LEAST_G13 or g23 < _LEAST_G23:
-        raise IllegalMove(message)
-    genera = _new(MoveGraphNode)
-    _set(genera, "g12", g12)
-    _set(genera, "g13", g13)
-    _set(genera, "g23", g23)
-    _set(genera, "b", b)
-    record = _new(MoveRecord)
-    _set(record, "op", op)
-    _set(record, "handlebody", move.handlebody)
-    _set(record, "arc", arc)
-    _set(record, "created", created)
-    _set(record, "removed", removed)
-    label = state.label
-    if op == "destab" and DESTAB_CAVEAT not in label:
-        label = f"{label} | {DESTAB_CAVEAT}" if label else DESTAB_CAVEAT
-    after = _new(TrisectionState)
-    _set(after, "genera", genera)
-    _set(after, "link", link)
-    _set(after, "history", state.history.append(record))
-    _set(after, "label", label)
-    return after
+            if spot < other:
+                spot, other = other, spot
+            del labels[spot], labels[other]
+            created = (f"c{n}",)
+            self.next_id = n + 1
+        labels += created
+        if op == "destab" and DESTAB_CAVEAT not in self.label:
+            self.label = f"{self.label} | {DESTAB_CAVEAT}" if self.label else DESTAB_CAVEAT
+        return created, removed
+
+    def move(self, op: str, i: int, arc: Arc) -> MoveRecord:
+        """Apply one stab or formal destab and return its record, or raise IllegalMove."""
+        created, removed = self._edit(op, i, arc)
+        # Built from checked parts, without __post_init__: op is "stab" or
+        # "destab" and the handlebody was checked by the caller.
+        record = _new(MoveRecord)
+        _set(record, "op", op)
+        _set(record, "handlebody", i)
+        _set(record, "arc", arc)
+        _set(record, "created", created)
+        _set(record, "removed", removed)
+        self.history = self.history.append(record)
+        return record
+
+    def follow(self, record: MoveRecord) -> None:
+        """Apply a stab or destab record, which must name the labels its move turns over."""
+        created, removed = self._edit(record.op, record.handlebody, record.arc)
+        if created != record.created or removed != record.removed:
+            applied = MoveRecord(record.op, record.handlebody, record.arc, created, removed)
+            raise IllegalMove(f"the move applies as {applied}, not as recorded {record}")
+        self.history = self.history.append(record)
+
+    def arc(self, same: bool) -> Arc:
+        """The canonical arc: the smallest label, or the smallest pair."""
+        if same:
+            (least,) = least_labels(self.labels, 1)
+            return SameComponent(least)
+        lo, hi = least_labels(self.labels, 2)
+        arc = _new(DistinctComponents)  # lo < hi already
+        _set(arc, "first", lo)
+        _set(arc, "second", hi)
+        return arc
+
+    def stab(self, i: int) -> None:
+        """Stabilize H_i along the canonical arc, two-component whenever b >= 2."""
+        self.move("stab", i, self.arc(self.b < 2))
+
+    # The genus formula, read off the walk's own g12, g13, g23 and b.
+    heights = MoveGraphNode.heights
+
+    def balance(self) -> None:
+        """Stabilize the smallest handlebody until all three genera agree."""
+        h1, h2, h3 = self.heights()
+        while not h1 == h2 == h3:
+            self.stab(_balance_target(h1, h2, h3))
+            h1, h2, h3 = self.heights()
+
+    def fake_stab(self) -> MoveRecord:
+        """The two moves of :func:`fake_heegaard_stab`; returns their compound record."""
+        if self.b == 1:
+            if self.g13 < 1:
+                raise IllegalMove("fake Heegaard stabilization with b == 1 needs g13 >= 1")
+            first = self.move("stab", 2, self.arc(True))
+            second = self.move("stab", 1, self.arc(False))
+        else:
+            first = self.move("stab", 2, self.arc(False))
+            second = self.move("stab", 1, SameComponent(first.created[0]))
+        return _compound_record(first, second)
+
+    def state(self) -> TrisectionState:
+        """The state the walk has reached."""
+        # Built from checked parts, without __post_init__: the coordinates
+        # are ints at or above the floors; b is the number of live labels,
+        # as every move changes both by as much; and the labels are unique,
+        # in creation order and below next_id, since each move removes live
+        # labels and appends c<next_id> and up.
+        genera = _new(MoveGraphNode)
+        _set(genera, "g12", self.g12)
+        _set(genera, "g13", self.g13)
+        _set(genera, "g23", self.g23)
+        _set(genera, "b", self.b)
+        link = _new(LinkComponentSet)
+        _set(link, "components", tuple(self.labels))
+        _set(link, "next_id", self.next_id)
+        after = _new(TrisectionState)
+        _set(after, "genera", genera)
+        _set(after, "link", link)
+        _set(after, "history", self.history)
+        _set(after, "label", self.label)
+        return after
+
+
+def _apply(state: TrisectionState, move: StabMove | DestabMove, op: str) -> TrisectionState:
+    # Shared body of apply_stabilization and apply_destabilization: a walk of one move.
+    walk = _Walk(state)
+    walk.move(op, move.handlebody, move.arc)
+    return walk.state()
 
 
 def apply_stabilization(state: TrisectionState, move: StabMove) -> TrisectionState:
@@ -270,13 +396,13 @@ def inverse_of(record: MoveRecord) -> StabMove | DestabMove:
 
 def canonical_same_arc(state: TrisectionState) -> SameComponent:
     """The SameComponent arc on the lexicographically smallest component."""
-    (least,) = state.link.least(1)
+    (least,) = least_labels(state.link.components, 1)
     return SameComponent(least)
 
 
 def canonical_distinct_arc(state: TrisectionState) -> DistinctComponents:
     """The DistinctComponents arc on the lexicographically smallest pair."""
-    lo, hi = state.link.least(2)
+    lo, hi = least_labels(state.link.components, 2)
     return DistinctComponents(lo, hi)
 
 
@@ -298,18 +424,9 @@ def fake_heegaard_stab(state: TrisectionState) -> TrisectionState:
     :class:`IllegalMove` when neither variant applies (b == 1 and
     g13 == 0, as in the trivial state).
     """
-    if state.b == 1:
-        if state.genera.g13 < 1:
-            raise IllegalMove(
-                "fake Heegaard stabilization with b == 1 needs g13 >= 1"
-            )
-        mid = apply_stabilization(state, StabMove(2, canonical_same_arc(state)))
-        result = apply_stabilization(mid, StabMove(1, canonical_distinct_arc(mid)))
-    else:
-        mid = apply_stabilization(state, StabMove(2, canonical_distinct_arc(state)))
-        fresh = mid.history[-1].created[0]
-        result = apply_stabilization(mid, StabMove(1, SameComponent(fresh)))
-    return result
+    walk = _Walk(state)
+    walk.fake_stab()
+    return walk.state()
 
 
 def canonical_balance_move(state: TrisectionState) -> StabMove:
@@ -320,9 +437,7 @@ def canonical_balance_move(state: TrisectionState) -> StabMove:
     :func:`balance` repeats, and on an already balanced state it is the
     canonical way to grow the common genus by one.
     """
-    profile = state.profile
-    ordered = sorted((1, 2, 3), key=lambda i: (-profile.genus(i), i))
-    target = ordered[-1]
+    target = _balance_target(*state.genera.heights())
     if state.b >= 2:
         return StabMove(target, canonical_distinct_arc(state))
     return StabMove(target, canonical_same_arc(state))
@@ -342,10 +457,10 @@ def balance(state: TrisectionState) -> tuple[TrisectionState, MoveScript]:
     # The three claims above, and that only stabs are applied, are proven
     # for every state with sum_h <= 12 by
     # tests/test_moves.py::test_balance_postconditions_everywhere.
-    start = len(state.history)
-    while not state.is_balanced:
-        state = apply_stabilization(state, canonical_balance_move(state))
-    return state, state.history[start:]
+    walk = _Walk(state)
+    walk.balance()
+    after = walk.state()
+    return after, after.history[len(state.history):]
 
 
 def balance_length(state: TrisectionState) -> int:
@@ -356,9 +471,10 @@ def balance_length(state: TrisectionState) -> int:
 
 def raise_balanced(state: TrisectionState) -> TrisectionState:
     """Grow the common genus of a balanced state by one and re-balance."""
-    state = apply_stabilization(state, canonical_balance_move(state))
-    state, _ = balance(state)
-    return state
+    walk = _Walk(state)
+    walk.stab(_balance_target(*state.genera.heights()))
+    walk.balance()
+    return walk.state()
 
 
 def balance_capped(state: TrisectionState) -> TrisectionState:
@@ -391,14 +507,13 @@ def drive_opposite_to_disk(
     # The script's length is proven for every state with sum_h <= 12 and
     # every i by tests/test_moves.py::test_drive_opposite_to_disk_matches_build
     # and ::test_build_heegaard_counts_everywhere.
-    start = len(state.history)
-    while disk_length(state, i):  # S_jk is a disk once no move is left
-        if state.b >= 2:
-            move = StabMove(i, canonical_distinct_arc(state))
-        else:
-            move = StabMove(i, canonical_same_arc(state))
-        state = apply_stabilization(state, move)
-    return state, state.history[start:]
+    # Each move lowers disk_length by one: a two-component arc lowers b,
+    # a one-component arc (b == 1, so g_jk >= 1) trades 1 of g_jk for 1 of b.
+    walk = _Walk(state)
+    for _ in range(disk_length(state, i)):
+        walk.stab(i)
+    after = walk.state()
+    return after, after.history[len(state.history):]
 
 
 def build_heegaard(

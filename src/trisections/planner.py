@@ -33,13 +33,11 @@ from .core import (
     is_feasible,
 )
 from .moves import (
-    DestabMove,
     IllegalMove,
     MoveRecord,
     MoveScript,
-    StabMove,
-    apply_destabilization,
-    apply_stabilization,
+    _compound_record,
+    _Walk,
     balance_capped,
     build_heegaard,
     fake_heegaard_stab,
@@ -87,42 +85,28 @@ class PlanReport:
 
 
 def replay(state: TrisectionState, script: MoveScript) -> TrisectionState:
-    """Fold a script over a state, one record at a time.
+    """Fold a script over a state, one record at a time, and build one state.
 
-    Record ops map to :func:`~trisections.moves.apply_stabilization`,
-    :func:`~trisections.moves.apply_destabilization` and
-    :func:`~trisections.moves.fake_heegaard_stab`.  The record each move
-    produces (for ``fake_stab``, the compound record) must equal the
-    script's record, created and removed labels included.  An illegal or
-    mismatching record raises :class:`~trisections.moves.IllegalMove`
+    ``stab`` and ``destab`` records apply as
+    :func:`~trisections.moves.apply_stabilization` and
+    :func:`~trisections.moves.apply_destabilization` would, ``fake_stab``
+    records as :func:`~trisections.moves.fake_heegaard_stab`.  The record
+    each move produces (for ``fake_stab``, the compound record) must equal
+    the script's record, created and removed labels included.  An illegal
+    or mismatching record raises :class:`~trisections.moves.IllegalMove`
     naming the failing step (1-based).
     """
+    walk = _Walk(state)
     for step, record in enumerate(script, start=1):
         try:
-            # MoveRecord admits only these three ops.
-            if record.op == "stab":
-                after = apply_stabilization(state, StabMove(record.handlebody, record.arc))
-                applied = after.history[-1]
-            elif record.op == "destab":
-                after = apply_destabilization(state, DestabMove(record.handlebody, record.arc))
-                applied = after.history[-1]
-            else:
-                after = fake_heegaard_stab(state)
-                applied = _compound_record(state, after)
-            if applied != record:
+            # MoveRecord admits only three ops.
+            if record.op != "fake_stab":
+                walk.follow(record)
+            elif (applied := walk.fake_stab()) != record:
                 raise IllegalMove(f"the move applies as {applied}, not as recorded {record}")
         except IllegalMove as error:
             raise IllegalMove(f"script step {step}: {error}") from error
-        state = after
-    return state
-
-
-def _compound_record(before: TrisectionState, after: TrisectionState) -> MoveRecord:
-    # One fake_stab record summarizing the two constituent moves between
-    # ``before`` and ``after``: net component turnover, the H1 arc.
-    removed = tuple(c for c in before.link.components if c not in after.link.components)
-    created = tuple(c for c in after.link.components if c not in before.link.components)
-    return MoveRecord("fake_stab", 1, after.history[-1].arc, created, removed)
+    return walk.state()
 
 
 def plan_common_stabilization(
@@ -177,13 +161,11 @@ def plan_common_stabilization(
     step3_a: list[MoveRecord] = []
     step3_b: list[MoveRecord] = []
     for _ in range(rs_bound):
-        after = fake_heegaard_stab(side_a)
-        step3_a.append(_compound_record(side_a, after))
-        side_a = after
+        side_a = fake_heegaard_stab(side_a)
+        step3_a.append(_compound_record(side_a.history[-2], side_a.history[-1]))
     for _ in range(rs_bound):
-        after = fake_heegaard_stab(side_b)
-        step3_b.append(_compound_record(side_b, after))
-        side_b = after
+        side_b = fake_heegaard_stab(side_b)
+        step3_b.append(_compound_record(side_b.history[-2], side_b.history[-1]))
 
     # Steps 4 and 5: make S12 and then S13 into disks.
     side_a, _, step4_a = build_heegaard(side_a, 3)

@@ -4,9 +4,9 @@ This is the strict parser :mod:`trisections.serialize` used before its
 one-pass reader: every field goes through its own helper, every label
 through :func:`~trisections.core.component_number`, every record through
 the validating constructors, and the history is replayed through
-:meth:`LinkComponentSet.split` and :meth:`~LinkComponentSet.merge`.  Only
-its replay's error texts are written out instead of read from those
-methods.
+:func:`_split` and :func:`_merge`, the link methods that replay used
+(``LinkComponentSet`` no longer has them).  Only its replay's error
+texts are written out instead of read from those functions.
 ``tests/test_reader_equivalence.py`` requires the reader to accept exactly the
 documents this parser accepts, to return equal states and scripts, and
 to raise the same message on every document with one fault.
@@ -154,6 +154,27 @@ def script_from_text(text: str) -> MoveScript:
     return parse_script(_loads(text, "script"))
 
 
+def _split(link: LinkComponentSet, component: str) -> tuple[LinkComponentSet, tuple[str, str]]:
+    # Replace ``component`` by two fresh components (ValueError if missing).
+    components = list(link.components)
+    del components[components.index(component)]
+    first, second = f"c{link.next_id}", f"c{link.next_id + 1}"
+    components += first, second
+    return LinkComponentSet(tuple(components), link.next_id + 2), (first, second)
+
+
+def _merge(link: LinkComponentSet, first: str, second: str) -> tuple[LinkComponentSet, str]:
+    # Replace two distinct present components by one fresh one (ValueError if not).
+    if first == second:
+        raise ValueError("cannot merge a component with itself")
+    components = list(link.components)
+    m, n = sorted((components.index(first), components.index(second)))
+    del components[n], components[m]
+    merged = f"c{link.next_id}"
+    components.append(merged)
+    return LinkComponentSet(tuple(components), link.next_id + 1), merged
+
+
 def _rebuild_link(
     components: tuple[str, ...], next_id: int, history: MoveScript, context: str
 ) -> LinkComponentSet:
@@ -175,9 +196,9 @@ def _rebuild_link(
         if missing:
             raise StateFormatError(f"{context}: history step {step}: unknown component {missing[0]!r}")
         if len(record.removed) == 1:
-            link, created = link.split(*record.removed)
+            link, created = _split(link, *record.removed)
         else:
-            link, merged = link.merge(*record.removed)
+            link, merged = _merge(link, *record.removed)
             created = (merged,)
         if created != record.created:
             raise StateFormatError(

@@ -16,8 +16,16 @@ import sys
 import pytest
 
 from trisections import cli
-from trisections.cli import MAX_COMPONENTS, MAX_SCRIPT_MOVES
-from trisections.core import from_heegaard
+from trisections.cli import MAX_COMPONENTS, MAX_INPUT_BYTES, MAX_NODES, MAX_SCRIPT_MOVES
+from trisections.core import (
+    connect_sum_equal_genus,
+    from_heegaard,
+    koda_ozawa,
+    open_book,
+    split_heegaard,
+    tunnel_system,
+)
+from trisections.explorer import listing_bound, node_count
 from trisections.serialize import state_to_text
 
 
@@ -477,6 +485,55 @@ def test_explore_refuses_a_huge_shortest_script(koda, tmp_path):
     proc = run_capped_cli("explore", "--start", str(koda), "--max-sum", str(2 * g),
                           "--shortest-to", str(edge))
     _assert_refused(proc, f"explore: the script length would be {MAX_SCRIPT_MOVES + 1}")
+
+
+def test_explore_refuses_a_huge_listing(koda, tmp_path):
+    proc = run_capped_cli("explore", "--start", str(koda), "--max-sum", "10000000000")
+    bound = listing_bound(koda_ozawa().genera, 10**10)
+    _assert_refused(proc, f"explore: a bound on the nodes listed would be {bound}, over")
+    # The edge: node_count(82) is the last count within the limit.
+    assert node_count(82) <= MAX_NODES < node_count(83)
+    _assert_refused(run_capped_cli("explore", "--start", str(koda), "--max-sum", "83"),
+                    f"explore: a bound on the nodes listed would be {node_count(83)}, over")
+    # A start high up lists few nodes, however large max_sum.
+    high = tmp_path / "high.json"
+    high.write_text(run_cli("new", "open-book", "100").stdout, encoding="utf-8")  # sum_h 600
+    proc = run_capped_cli("explore", "--start", str(high), "--max-sum", "606")
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert proc.stderr == "explore: 256 nodes reachable within sum_h <= 606\n"
+
+
+def test_verify_refuses_a_huge_node_range():
+    proc = run_capped_cli("verify", "--max-sum", "1000000000")
+    _assert_refused(proc, f"verify: the nodes with sum_h <= 1000000000 would be {node_count(10**9)}")
+    _assert_refused(run_capped_cli("verify", "--max-sum", "83"),
+                    f"verify: the nodes with sum_h <= 83 would be {node_count(83)}, over")
+
+
+def test_benchmark_requests_are_well_under_the_node_limit():
+    # The listings at max_sum 30 and 36 and verify at 10 that the
+    # benchmark runs, from its five starts.
+    for start in (koda_ozawa(), tunnel_system(1), split_heegaard(2, 1), open_book(1),
+                  connect_sum_equal_genus(1)):
+        assert listing_bound(start.genera, 36) <= MAX_NODES // 20
+    assert node_count(10) <= MAX_NODES // 1000
+
+
+def test_oversized_inputs_are_refused_before_reading(koda, tmp_path):
+    big = tmp_path / "big.json"
+    with open(big, "wb") as file:  # sparse: no bytes are written
+        file.truncate(MAX_INPUT_BYTES + 1)
+    limit = f"the input is over the limit of {MAX_INPUT_BYTES} bytes"
+    _assert_refused(run_capped_cli("show", str(big)), f"state: {limit}")
+    _assert_refused(run_capped_cli("replay", str(koda), str(big)), f"script: {limit}")
+    padded = "[" + " " * MAX_INPUT_BYTES + "]"
+    _assert_refused(run_capped_cli("show", "-", stdin_text=padded), f"state: {limit}")
+    # At the limit a document is read: here, one that is not JSON.
+    with open(big, "wb") as file:
+        file.truncate(MAX_INPUT_BYTES)
+    proc = run_capped_cli("show", str(big))
+    assert proc.returncode == 2 and proc.stderr.startswith("StateFormatError: state: not valid JSON")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_help_exits_cleanly():

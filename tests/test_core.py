@@ -33,6 +33,7 @@ from trisections.core import (
     genera_from_profile,
     is_feasible,
     koda_ozawa,
+    least_labels,
     open_book,
     other_two,
     split_heegaard,
@@ -44,6 +45,7 @@ from trisections.core import (
 from trisections.moves import (
     DestabMove,
     DistinctComponents,
+    IllegalMove,
     SameComponent,
     StabMove,
     apply_destabilization,
@@ -193,27 +195,31 @@ def test_handlebody_genus_matches_defining_formula():
 
 
 def test_link_split_and_merge_generate_fresh_labels():
-    link = LinkComponentSet.fresh(1)
-    assert link.components == ("c0",)
-    link, created = link.split("c0")
-    assert created == ("c1", "c2")
-    assert link.components == ("c1", "c2")
-    link, merged = link.merge("c1", "c2")
-    assert merged == "c3"
-    assert link.components == ("c3",)
+    # A one-component arc splits its label into two fresh ones, a
+    # two-component arc merges its pair into one fresh one.
+    state = open_book(1)  # genera (1,1,1), b = 1
+    assert state.link.components == ("c0",)
+    state = apply_stabilization(state, StabMove(1, SameComponent("c0")))
+    assert state.history[-1].created == ("c1", "c2")
+    assert state.link.components == ("c1", "c2") and state.link.next_id == 3
+    state = apply_stabilization(state, StabMove(1, DistinctComponents("c1", "c2")))
+    assert state.history[-1].created == ("c3",)
+    assert state.link.components == ("c3",) and state.link.next_id == 4
     # identifiers are never reused even after their component is gone
-    link, created = link.split("c3")
-    assert created == ("c4", "c5")
+    state = apply_stabilization(state, StabMove(3, SameComponent("c3")))
+    assert state.history[-1].created == ("c4", "c5")
+    assert state.link.components == ("c4", "c5") and state.link.next_id == 6
 
 
 def test_link_operations_validate_their_arguments():
-    link = LinkComponentSet.fresh(2)
+    state = koda_ozawa()  # c0, c1
+    with pytest.raises(IllegalMove, match="component 'c9' is not in the boundary link"):
+        apply_stabilization(state, StabMove(1, SameComponent("c9")))
+    with pytest.raises(IllegalMove, match="component 'c9' is not in the boundary link"):
+        apply_stabilization(state, StabMove(1, DistinctComponents("c0", "c9")))
     with pytest.raises(ValueError):
-        link.split("c9")
-    with pytest.raises(ValueError):
-        link.merge("c0", "c9")
-    with pytest.raises(ValueError):
-        link.merge("c0", "c0")
+        apply_stabilization(state, StabMove(1, DistinctComponents("c0", "c0")))
+    assert state.link.components == ("c0", "c1") and state.history == ()
 
 
 @pytest.mark.parametrize("label", ["c1\n", "c0\n", "c12\n\n", "c1\r", " c1", "c01"])
@@ -251,21 +257,27 @@ def test_genealogy_replay_reproduces_components():
 
 
 def test_split_and_merge_keep_the_full_check_invariants():
-    # split/merge skip __post_init__'s pass over every label; each result
-    # must pass it anyway and equal the set rebuilt from outside.
-    link = LinkComponentSet.fresh(4)
+    # Moves build their links and states without __post_init__'s pass over
+    # every label; each result must pass it anyway and equal the objects
+    # rebuilt from outside.  The genera are large enough for every move.
+    state = MoveGraphNode(1000, 1000, 1000, 4).to_state()
     for step in range(300):
-        components = link.components
+        components = state.link.components
         if step % 3 == 2 or len(components) == 1:
-            link, _ = link.split(components[(7 * step) % len(components)])
+            arc = SameComponent(components[(7 * step) % len(components)])
         else:
             first = components[step % len(components)]
             second = components[(5 * step + 1) % len(components)]
             if first == second:
                 second = components[(components.index(first) + 1) % len(components)]
-            link, _ = link.merge(first, second)
+            arc = DistinctComponents(first, second)
+        state = apply_stabilization(state, StabMove(1 + step % 3, arc))
+        link, g = state.link, state.genera
         rebuilt = LinkComponentSet(link.components, link.next_id)
         assert rebuilt == link
+        assert TrisectionState(
+            MoveGraphNode(g.g12, g.g13, g.g23, g.b), rebuilt, tuple(state.history), state.label
+        ) == state
         numbers = [component_number(label) for label in link.components]
         assert numbers == sorted(numbers) and numbers[-1] < link.next_id
 
@@ -295,9 +307,8 @@ def test_least_labels_are_the_lexicographic_minima(numbers):
     # Labels crossing the c9/c10, c99/c100 and c999/c1000 boundaries,
     # where string order and number order part.
     labels = tuple(f"c{n}" for n in sorted(numbers))
-    link = LinkComponentSet(labels, max(numbers) + 1)
-    assert link.least(1) == (min(labels),)
-    assert link.least(2) == tuple(sorted(labels)[:2])
+    assert least_labels(labels, 1) == least_labels(list(labels), 1) == (min(labels),)
+    assert least_labels(labels, 2) == least_labels(list(labels), 2) == tuple(sorted(labels)[:2])
 
 
 def test_chain_reads_like_a_tuple():
@@ -491,9 +502,8 @@ def test_state_equality_includes_link():
     a = from_heegaard(2)
     assert a == from_heegaard(2)
     # Same genera and b, other labels: c0 split into c1, c2 and merged back.
-    link, created = a.link.split("c0")
-    relabeled, _ = link.merge(*created)
-    assert relabeled.b == a.b and relabeled.components == ("c3",)
+    relabeled = LinkComponentSet(("c3",), 4)
+    assert relabeled.b == a.b
     moved = TrisectionState(genera=a.genera, link=relabeled, history=(), label=a.label)
     assert a != moved
 

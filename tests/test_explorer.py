@@ -27,6 +27,8 @@ from trisections.explorer import (
     bfs_reachable,
     common_stabilization_search,
     feasible_nodes,
+    listing_bound,
+    node_count,
     realize_path,
     shortest_path,
     shortest_script,
@@ -121,6 +123,21 @@ def test_feasible_nodes_matches_profile_enumeration():
         )
         assert len(nodes) == feasible_count
         assert all(node.sum_h() <= max_sum for node in nodes)
+
+
+def test_node_count_is_the_length_of_the_node_range():
+    for max_sum in range(-2, 61):
+        assert node_count(max_sum) == len(feasible_nodes(max_sum))
+
+
+def test_listing_bound_bounds_every_listing():
+    for start in feasible_nodes(10):
+        for max_sum in range(start.sum_h() - 1, 23):
+            bound = listing_bound(start, max_sum)
+            assert len(bfs_reachable(start, max_sum)) <= bound <= node_count(max_sum)
+    # Far above the start only the height triples above it count.
+    start = MoveGraphNode(100, 100, 100, 1)  # sum_h 600
+    assert listing_bound(start, 606) == 84 * 102 < node_count(606)
 
 
 # -- breadth-first search ---------------------------------------------------------

@@ -1,0 +1,273 @@
+"""The move kernel against the per-move fold of ``tests/move_oracle.py``.
+
+Every labeled move runs in a walk that edits one list of labels and
+builds one state per script.  These tests hold each batch path to the
+fold that copies the link and builds a state on every move: final states
+(genera, link, history and label) and scripts must be equal, and every
+refused script must be refused with the same message, step included.
+"""
+
+from __future__ import annotations
+
+import random
+import time
+from functools import cache
+
+import pytest
+
+import move_oracle as oracle
+from trisections import moves
+from trisections.core import (
+    MoveGraphNode,
+    TrisectionState,
+    connect_sum_equal_genus,
+    from_heegaard,
+    koda_ozawa,
+    open_book,
+)
+from trisections.explorer import bfs_reachable, feasible_nodes, realize_path, shortest_path
+from trisections.moves import (
+    DestabMove,
+    DistinctComponents,
+    IllegalMove,
+    MoveRecord,
+    SameComponent,
+    StabMove,
+    balance,
+    build_heegaard,
+    fake_heegaard_stab,
+)
+from trisections.planner import plan_common_stabilization, replay
+
+_STATES = [node.to_state(f"n{n}") for n, node in enumerate(feasible_nodes(12))]
+_BIG = connect_sum_equal_genus(500)  # b = 501
+
+
+def _same(state: TrisectionState, expected: TrisectionState) -> None:
+    assert state.genera == expected.genera
+    assert state.link == expected.link
+    assert tuple(state.history) == tuple(expected.history)
+    assert state.label == expected.label
+    assert state == expected
+
+
+def test_the_states_cover_b_one_and_higher():
+    assert len(_STATES) == 144
+    assert {state.b for state in _STATES} == {1, 2, 3, 4, 5}
+
+
+@pytest.mark.parametrize("state", [*_STATES, _BIG], ids=lambda s: s.label[:24])
+def test_balance_and_build_match_the_fold(state):
+    after, script = balance(state)
+    expected, expected_script = oracle.balance(state)
+    _same(after, expected)
+    assert script == expected_script
+    for i in (1, 2, 3):
+        after, genus, script = build_heegaard(state, i)
+        expected, expected_genus, expected_script = oracle.build_heegaard(state, i)
+        _same(after, expected)
+        assert (genus, script) == (expected_genus, expected_script)
+        _same(replay(state, script), expected)
+
+
+def test_realize_path_matches_the_fold():
+    realized = 0
+    for state in _STATES:
+        start = state.genera
+        for goal in bfs_reachable(start, start.sum_h() + 3):
+            path = shortest_path(start, goal, 3)
+            after, script = realize_path(state, path)
+            expected, expected_script = oracle.realize_path(state, path)
+            _same(after, expected)
+            assert script == expected_script
+            realized += 1
+    assert realized > 3_000
+
+
+def _random_script(state: TrisectionState, rng: random.Random, length: int):
+    # Stabs, formal destabs (inverses of earlier moves) and fake stabs,
+    # made by the fold.
+    script = []
+    for _ in range(length):
+        roll = rng.random()
+        if roll < 0.2:
+            try:
+                after = oracle.fake_heegaard_stab(state)
+            except IllegalMove:
+                continue
+            script.append(oracle.compound_record(state, after))
+            state = after
+            continue
+        if roll < 0.4 and state.history and state.history[-1].op != "fake_stab":
+            undo = moves.inverse_of(state.history[-1])
+            if isinstance(undo, DestabMove):
+                state = oracle.apply_destabilization(state, undo)
+                script.append(state.history[-1])
+                continue
+        rows = state.genera.successors()
+        if not rows:
+            break
+        (i, kind), _ = rng.choice(rows)
+        labels = state.link.components
+        if kind == "same":
+            arc = SameComponent(rng.choice(labels))
+        else:
+            arc = DistinctComponents(*rng.sample(labels, 2))
+        state = oracle.apply_stabilization(state, StabMove(i, arc))
+        script.append(state.history[-1])
+    return tuple(script)
+
+
+@cache
+def _scripts():
+    rng = random.Random(9)
+    scripts = [(state, _random_script(state, rng, 12)) for state in _STATES]
+    return scripts + [(_BIG, _random_script(_BIG, rng, 60))]
+
+
+def test_replay_matches_the_fold_on_random_scripts():
+    kinds = set()
+    for state, script in _scripts():
+        _same(replay(state, script), oracle.replay(state, script))
+        kinds.update(record.op for record in script)
+    assert kinds == {"stab", "destab", "fake_stab"}
+
+
+@pytest.mark.parametrize("rs_bound", (0, 2))
+def test_plans_match_the_fold(rs_bound):
+    partners = [koda_ozawa(), from_heegaard(1), open_book(1), connect_sum_equal_genus(2)]
+    pairs = [(a, b) for a in _STATES if not a.is_trivial for b in partners]
+    pairs.append((_BIG, koda_ozawa()))
+    for a, b in pairs:
+        report = plan_common_stabilization(a, b, rs_bound)
+        sides = oracle.plan_scripts(a, b, rs_bound)
+        for start, steps, (expected_steps, expected_end) in zip(
+            (a, b), (report.a, report.b), sides
+        ):
+            assert (
+                steps.step1_balance, steps.step2_build, steps.step3_fake,
+                steps.step4_s12_to_disk, steps.step5_s13_to_disk,
+            ) == expected_steps
+            _same(replay(start, steps.concatenated()), expected_end)
+            assert expected_end.genera == report.final_genera
+
+
+def _mutants(record: MoveRecord):
+    # Each mutant keeps the record well formed; what it breaks depends on
+    # the state it meets.
+    arc, created, removed = record.arc, record.created, record.removed
+    other = {"stab": "destab", "destab": "stab", "fake_stab": "stab"}[record.op]
+    bumped = tuple(f"c{int(c[1:]) + 1}" for c in created)
+    yield MoveRecord(record.op, record.handlebody, arc, bumped, removed)
+    yield MoveRecord(other, record.handlebody, arc, created, removed)
+    for i in (1, 2, 3):
+        if i != record.handlebody:
+            yield MoveRecord(record.op, i, arc, created, removed)
+    if isinstance(arc, SameComponent):
+        gone = SameComponent("c99999")
+        yield MoveRecord(record.op, record.handlebody, gone, created, ("c99999",))
+        yield MoveRecord("fake_stab", 1, arc, created[:1], removed)
+    else:
+        gone = DistinctComponents(arc.first, "c99999")
+        yield MoveRecord(record.op, record.handlebody, gone, created, (gone.first, gone.second))
+        yield MoveRecord(record.op, record.handlebody, arc, created, removed[::-1])
+        yield MoveRecord("fake_stab", 1, arc, created * 2, removed)
+
+
+def _outcome(run, state, script):
+    try:
+        return run(state, script)
+    except IllegalMove as error:
+        return f"IllegalMove: {error}"
+
+
+def test_mutated_scripts_fail_with_the_same_message():
+    rng = random.Random(17)
+    messages = set()
+    for state, script in _scripts():
+        if not script:
+            continue
+        for step in sorted(rng.sample(range(len(script)), min(3, len(script)))):
+            for mutant in _mutants(script[step]):
+                mutated = script[:step] + (mutant,) + script[step + 1:]
+                got = _outcome(replay, state, mutated)
+                expected = _outcome(oracle.replay, state, mutated)
+                if isinstance(expected, str):
+                    assert got == expected
+                    assert expected.startswith("IllegalMove: script step ")
+                    messages.add(expected.split(": ", 2)[2])
+                else:
+                    _same(got, expected)
+    # missing label, floor violation (stab and destab texts), wrong
+    # created, fake stab refused or mismatched
+    for start in (
+        "component 'c99999' is not", "stabilizing H", "formal destab of H",
+        "the move applies as MoveRecord(op='stab'", "the move applies as MoveRecord(op='destab'",
+        "the move applies as MoveRecord(op='fake_stab'", "fake Heegaard stabilization",
+    ):
+        assert any(message.startswith(start) for message in messages), start
+
+
+def test_single_moves_fail_with_the_same_message():
+    for state in _STATES[:60]:
+        labels = state.link.components
+        arcs = [SameComponent(c) for c in (*labels, "c77")]
+        arcs += [DistinctComponents(labels[0], c) for c in (*labels[1:], "c77")]
+        for i in (1, 2, 3):
+            for arc in arcs:
+                for move, apply, expected_apply in (
+                    (StabMove(i, arc), moves.apply_stabilization, oracle.apply_stabilization),
+                    (DestabMove(i, arc), moves.apply_destabilization, oracle.apply_destabilization),
+                ):
+                    got = _outcome(apply, state, move)
+                    expected = _outcome(expected_apply, state, move)
+                    if isinstance(expected, str):
+                        assert got == expected
+                        assert not moves.is_legal(state, move)
+                    else:
+                        _same(got, expected)
+                        assert moves.is_legal(state, move)
+        got = _outcome(lambda s, _: fake_heegaard_stab(s), state, None)
+        expected = _outcome(lambda s, _: oracle.fake_heegaard_stab(s), state, None)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            _same(got, expected)
+
+
+def test_compound_record_matches_its_definition_by_links():
+    # The compound of a fake stab is derived from its two constituent
+    # records; the fold reads it off the links before and after.
+    variants = set()
+    for state in _STATES:
+        try:
+            after = fake_heegaard_stab(state)
+        except IllegalMove:
+            continue
+        derived = moves._compound_record(after.history[-2], after.history[-1])
+        assert derived == oracle.compound_record(state, after)
+        variants.add(state.b == 1)
+    assert variants == {True, False}
+    # Labels past c9 and c99, where string order and creation order part.
+    state = MoveGraphNode(0, 0, 0, 120).to_state()
+    for _ in range(70):
+        after = fake_heegaard_stab(state)
+        derived = moves._compound_record(after.history[-2], after.history[-1])
+        assert derived == oracle.compound_record(state, after)
+        state = after
+
+
+def test_fake_stab_replay_at_high_b_is_linear():
+    # One compound record used to cost a scan of every label against every
+    # other (37 ms a record at b = 1,601).
+    state = connect_sum_equal_genus(1600)  # b = 1,601
+    end, script = state, []
+    for _ in range(200):
+        end = fake_heegaard_stab(end)
+        script.append(moves._compound_record(end.history[-2], end.history[-1]))
+    started = time.perf_counter()
+    replayed = replay(state, tuple(script))
+    assert time.perf_counter() - started < 1.0
+    assert replayed == end
+    report = plan_common_stabilization(state, state, 200)
+    assert report.a.step3_fake[-1].op == "fake_stab"

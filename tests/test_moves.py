@@ -52,6 +52,7 @@ from trisections.moves import (
     is_legal,
     legal_moves,
 )
+from trisections.planner import plan_common_stabilization, replay
 
 
 def _feasible_states(max_sum: int):
@@ -617,6 +618,37 @@ def test_one_move_checks_a_constant_number_of_labels(monkeypatch):
     split = apply_stabilization(merged, StabMove(2, SameComponent("c5000")))
     assert split.b == 5000
     assert len(calls) <= 4
+    # Nor does a script of many moves, replayed in one walk.
+    _, _, script = build_heegaard(split, 3)
+    assert len(script) == disk_length(split, 3) == 5001 and replay(split, script).b == 1
+    assert len(calls) <= 4
     # The full check still runs for a link built from outside.
     LinkComponentSet(split.link.components, split.link.next_id)
     assert len(calls) >= 5000
+
+
+def test_a_script_builds_one_state(monkeypatch):
+    # A walk applies every move of a script to one list of labels and
+    # builds the state once, at the end.
+    built = []
+    state_of = moves._Walk.state
+
+    def counting(walk):
+        built.append(walk)
+        return state_of(walk)
+
+    monkeypatch.setattr(moves._Walk, "state", counting)
+    start = connect_sum_equal_genus(40)  # (40,40,40;41)
+    end, _, script = build_heegaard(start, 2)
+    assert len(script) == 40 and len(built) == 1
+    assert replay(start, script) == end and len(built) == 2
+    end, script = balance(split_heegaard(30, 10))
+    assert len(script) == 30 and len(built) == 3
+    assert replay(split_heegaard(30, 10), script) == end and len(built) == 4
+    # fake_stab records too: 3 compounds among 30 records.
+    a = koda_ozawa()
+    script = plan_common_stabilization(a, open_book(1), 3).a.concatenated()
+    assert len(script) == 30 and sum(r.op == "fake_stab" for r in script) == 3
+    built.clear()
+    replay(a, script)
+    assert len(built) == 1

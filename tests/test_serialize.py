@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import reference_parser
 from genealogy import genealogy, replay_genealogy
+from move_oracle import compound_record
 from trisections.core import (
     Profile,
     connect_sum_equal_genus,
@@ -41,7 +42,7 @@ from trisections.moves import (
     is_legal,
     legal_moves,
 )
-from trisections.planner import _compound_record, plan_common_stabilization, replay
+from trisections.planner import plan_common_stabilization, replay
 from trisections.serialize import (
     FORMAT_VERSION,
     StateFormatError,
@@ -229,7 +230,7 @@ def _walks(draw):
                 after = fake_heegaard_stab(state)
             except IllegalMove:
                 continue
-            script.append(_compound_record(state, after))
+            script.append(compound_record(state, after))
             state = after
             continue
         script.append(state.history[-1])
