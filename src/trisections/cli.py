@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from .core import (
@@ -44,7 +45,7 @@ from .explorer import (
     shortest_path,
     verify_properties,
 )
-from .planner import plan_common_stabilization, replay
+from .planner import plan_common_stabilization, plan_lengths, replay
 from .serialize import (
     INT_BOUND,
     MAX_DIGITS,
@@ -230,6 +231,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     _check_size("plan: the fake stabilizations per side", args.rs_bound, MAX_SCRIPT_MOVES)
     a = _read_state(args.a)
     b = _read_state(args.b)
+    for side, length in zip("ab", plan_lengths(a.genera, b.genera, args.rs_bound)):
+        _check_size(f"plan: the records of side {side}", length, MAX_SCRIPT_MOVES)
     report = plan_common_stabilization(a, b, args.rs_bound)
     _write_text(args.output, plan_report_to_text(report))
     _note(
@@ -287,7 +290,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing reads the parser and changes nothing
+    # in it, and help and errors find sys.stdout and sys.stderr when printed.
     parser = argparse.ArgumentParser(
         prog="trisect",
         description="Combinatorial engine for trisections of closed orientable 3-manifolds.",

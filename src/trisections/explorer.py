@@ -35,13 +35,15 @@ Search uses the rule and nothing else.  A minimal common stabilization
 is found by enumerating the few candidate nodes above both inputs, level
 by level; the ``explore`` listing (:func:`bfs_reachable`) enumerates the
 nodes above one input the same way; and a shortest path is walked
-greedily, one move per level, through nodes that can still reach the
-goal.  Breadth-first search survives only in the tests, as the
-reference they hold the rule to.
+greedily, one move per level, on the coordinates as plain ints: each
+step is the first legal row whose result can still reach the goal.
+Breadth-first search survives only in the tests, as the reference they
+hold the rule to.
 
 The full labeled engine reappears only when a parameter path is realized
 as a replayable :class:`~trisections.moves.MoveScript` on canonical
-labels.
+labels: :func:`shortest_script` runs one walk from a node's canonical
+labels, and :func:`realize_path` one from a given state.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from math import comb
 from typing import Iterable, Iterator
 
 from .core import (
+    _SUCCESSOR_ROWS,
     MoveGraphNode,
     ParamMove,
     Profile,
@@ -200,6 +203,14 @@ def realize_path(
     return after, after.history[len(state.history):]
 
 
+# _SUCCESSOR_ROWS in the form a witness step reads: the move, the index of
+# the height it raises, the coordinate it lowers and that coordinate's
+# least value before the move, and the row itself.
+_WITNESS_ROWS = tuple(
+    (move, move[0] - 1, falling, least, delta) for move, delta, falling, least in _SUCCESSOR_ROWS
+)
+
+
 def shortest_path(
     start: MoveGraphNode, goal: MoveGraphNode, depth_bound: int
 ) -> list[ParamMove] | None:
@@ -207,29 +218,43 @@ def shortest_path(
 
     None when ``goal`` is not :func:`reachable` or lies more than
     ``depth_bound`` moves up.  Otherwise a greedy walk, one move per
-    level: each step takes the first successor, in row order, that can
-    still reach ``goal`` (else :class:`WitnessNotFound`).  By the proof
-    above every such prefix extends to ``goal``, so this is the least
-    shortest path in row order, the one breadth-first search returns.
-    Realize it against a labeled state with :func:`realize_path`.
+    level: each step takes the first row of
+    :data:`~trisections.core.STAB_DELTAS`, in row order, that is legal
+    and whose result can still reach ``goal`` (else
+    :class:`WitnessNotFound`).  By the proof above every such prefix
+    extends to ``goal``, so this is the least shortest path in row order,
+    the one breadth-first search returns.  The walk keeps the coordinates
+    as plain ints and builds no node: a row raises one height by 1 and
+    moves b by 1, so its result can still reach ``goal`` exactly when that
+    height stays at or below goal's and b stays within the moves left of
+    b(goal).  Realize the path against a labeled state with
+    :func:`realize_path`.
     """
     if start == goal:
         return []
-    if goal.sum_h() - start.sum_h() > depth_bound or not reachable(start, goal):
+    h_start, h_goal, b_goal = start.heights(), goal.heights(), goal.b
+    left = sum(h_goal) - sum(h_start)
+    # reachable(), past its start == goal case.
+    if left > depth_bound or start.is_trivial or not _reaches(h_start, start.b, h_goal, b_goal):
         return None
-    # start is not trivial and every later node is a move's result, so it
-    # differs from start and _reaches decides reachable() for it.
-    h_goal, b_goal = goal.heights(), goal.b
+    params = (start.g12, start.g13, start.g23, start.b)
+    heights = list(h_start)
     path: list[ParamMove] = []
-    node = start
-    while node != goal:
-        for move, successor in node.successors():
-            if _reaches(successor.heights(), successor.b, h_goal, b_goal):
-                path.append(move)
-                node = successor
+    while left:
+        left -= 1
+        for move, i, falling, least, delta in _WITNESS_ROWS:
+            if (
+                params[falling] >= least
+                and heights[i] < h_goal[i]
+                and abs(b_goal - params[3] - delta[3]) <= left
+            ):
                 break
         else:
+            node = MoveGraphNode(*params)
             raise WitnessNotFound(f"no stabilization of {node} can still reach {goal}")
+        params = tuple(map(int.__add__, params, delta))
+        heights[i] += 1
+        path.append(move)
     return path
 
 
@@ -241,13 +266,15 @@ def shortest_script(
     The length is the certified graph distance (the grading makes it
     goal.sum_h() - start.sum_h() whenever the goal is reachable).  The
     script is realized on the canonical labeling of ``start``, so it
-    replays from ``start.to_state()`` or any state with the same labels.
+    replays from ``start.to_state()`` or any state with the same labels:
+    it is ``realize_path(start.to_state(), shortest_path(...))[1]``, made
+    by one walk from ``start``'s labels without building that state.
     """
     path = shortest_path(start, goal, depth_bound)
     if path is None:
         return None
-    _, script = realize_path(start.to_state(), path)
-    return script
+    walk = _Walk._at_node(start)
+    return tuple([walk.move("stab", i, walk.arc(kind == "same")) for i, kind in path])
 
 
 def common_stabilization_search(

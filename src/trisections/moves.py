@@ -21,13 +21,15 @@ Moves run in walks (``_Walk``).  A walk copies a state's labels into one
 list, applies a run of moves to it in place, each with one legality
 check and one appended history record, and builds one state at the end.
 ``balance``, ``raise_balanced``, ``drive_opposite_to_disk``,
-``fake_heegaard_stab``, :func:`trisections.planner.replay` and
-:func:`trisections.explorer.realize_path` each run one walk per script,
-and a single move is a walk of one.  Only C-level passes over the b
-components remain: one ``index`` per label of the arc, the ``del`` that
-closes the gap, and the copies into and out of the walk; the canonical
-arcs read a few labels per digit length.  So ``build_heegaard`` and
-``replay`` run in time linear in the script's length.
+``fake_heegaard_stab``, :func:`trisections.planner.replay`,
+:func:`trisections.explorer.realize_path` and
+:func:`trisections.explorer.shortest_script` each run one walk per
+script, and a single move is a walk of one.  Only C-level passes over
+the b components remain: one ``index`` per label of the arc, the
+``del`` that closes the gap, and the copies into and out of the walk;
+the canonical arcs read a few labels per digit length.  So
+``build_heegaard`` and ``replay`` run in time linear in the script's
+length.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from itertools import combinations
 from .core import (
     PARAM_FLOORS,
     STAB_DELTAS,
+    Chain,
     LinkComponentSet,
     MoveGraphNode,
     TrisectionError,
@@ -183,6 +186,7 @@ def is_legal(state: TrisectionState, move: StabMove | DestabMove) -> bool:
 
 _new = object.__new__
 _set = object.__setattr__
+_EMPTY_HISTORY = Chain()
 
 
 def _compound_record(first: MoveRecord, second: MoveRecord) -> MoveRecord:
@@ -225,6 +229,18 @@ class _Walk:
         self.g12, self.g13, self.g23, self.b = genera.g12, genera.g13, genera.g23, genera.b
         self.history = state.history
         self.label = state.label
+
+    @classmethod
+    def _at_node(cls, node: MoveGraphNode) -> _Walk:
+        # A walk from node.to_state(), without building that state: labels
+        # c0 .. c<b-1>, next_id b, an empty history and no label.
+        walk = _new(cls)
+        walk.labels = [f"c{n}" for n in range(node.b)]
+        walk.next_id = node.b
+        walk.g12, walk.g13, walk.g23, walk.b = node.g12, node.g13, node.g23, node.b
+        walk.history = _EMPTY_HISTORY
+        walk.label = ""
+        return walk
 
     def _edit(self, op: str, i: int, arc: Arc) -> tuple[tuple[str, ...], tuple[str, ...]]:
         # The one legality check, then the edit: the arc's labels must be
@@ -289,7 +305,9 @@ class _Walk:
         """The canonical arc: the smallest label, or the smallest pair."""
         if same:
             (least,) = least_labels(self.labels, 1)
-            return SameComponent(least)
+            arc = _new(SameComponent)
+            _set(arc, "component", least)
+            return arc
         lo, hi = least_labels(self.labels, 2)
         arc = _new(DistinctComponents)  # lo < hi already
         _set(arc, "first", lo)

@@ -109,6 +109,33 @@ def replay(state: TrisectionState, script: MoveScript) -> TrisectionState:
     return walk.state()
 
 
+def plan_lengths(a: MoveGraphNode, b: MoveGraphNode, rs_bound: int) -> tuple[int, int]:
+    """The records of each side of :func:`plan_common_stabilization`, in closed form.
+
+    For non-trivial inputs: ``len(report.a.concatenated())`` and
+    ``len(report.b.concatenated())`` of the plan from states with these
+    genera, found without a move.  Step 1 balances a side of heights
+    h to max(h) = m in n = 3m - sum(h) moves; each move lowers b by one
+    while b >= 2 and raises it to 2 at b = 1, so b ends at
+    max(b - n, 1 + m % 2), the second by the parity of a balanced node.
+    Capping b then takes b // 3 rounds of three moves, one genus each,
+    and equalizing three moves per genus up to the larger capped genus
+    H.  Step 2 is H moves, step 3 ``rs_bound`` records, and steps 4 and
+    5 drive S12 of (H + rs_bound, H, 0; 1) and then S13 to disks in
+    2(H + rs_bound) and 2(2H + rs_bound) moves.
+    """
+    sides = []
+    for node in (a, b):
+        heights = node.heights()
+        top = max(heights)
+        moves = 3 * top - sum(heights)
+        rounds = max(node.b - moves, 1 + top % 2) // 3
+        sides.append((moves + 3 * rounds, top + rounds))
+    genus = max(capped for _, capped in sides)
+    rest = 7 * genus + 5 * rs_bound
+    return tuple(moves + 3 * (genus - capped) + rest for moves, capped in sides)
+
+
 def plan_common_stabilization(
     a: TrisectionState, b: TrisectionState, rs_bound: int
 ) -> PlanReport:

@@ -4,8 +4,12 @@
 paths in closed form.  This module does the same work the plain way, by
 breadth-first search over :meth:`MoveGraphNode.successors`, with a FIFO
 queue and successors in :data:`~trisections.core.STAB_DELTAS` row order.
-It reads nothing of the closed form, so tests that hold the engine to it
-do not compare the rule with itself.
+The searches read nothing of the closed form, so tests that hold the
+engine to them do not compare the rule with itself.
+
+``greedy_shortest_path`` is the witness walk on nodes: one
+``successors()`` call per move, pruned by :func:`explorer.reachable`.
+It holds ``shortest_path``'s walk on ints to the nodes it stands for.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 from collections import deque
 
 from trisections.core import MoveGraphNode, ParamMove
+from trisections.explorer import reachable
 
 
 def bfs_reachable(start: MoveGraphNode, max_sum: int) -> dict[MoveGraphNode, int]:
@@ -64,3 +69,29 @@ def bfs_shortest_path(
         path.append(move)
     path.reverse()
     return path if len(path) <= depth_bound else None
+
+
+def greedy_shortest_path(
+    start: MoveGraphNode, goal: MoveGraphNode, depth_bound: int
+) -> list[ParamMove] | None:
+    """The first successor, in row order, that still reaches ``goal``, move by move.
+
+    None when ``goal`` is not reachable or lies more than ``depth_bound``
+    moves up; LookupError when no successor of a node on the way reaches
+    ``goal``.
+    """
+    if start == goal:
+        return []
+    if goal.sum_h() - start.sum_h() > depth_bound or not reachable(start, goal):
+        return None
+    path: list[ParamMove] = []
+    node = start
+    while node != goal:
+        for move, successor in node.successors():
+            if reachable(successor, goal):
+                path.append(move)
+                node = successor
+                break
+        else:
+            raise LookupError(f"no successor of {node} reaches {goal}")
+    return path

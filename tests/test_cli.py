@@ -18,6 +18,7 @@ import pytest
 from trisections import cli
 from trisections.cli import MAX_COMPONENTS, MAX_INPUT_BYTES, MAX_NODES, MAX_SCRIPT_MOVES
 from trisections.core import (
+    MoveGraphNode,
     connect_sum_equal_genus,
     from_heegaard,
     koda_ozawa,
@@ -26,6 +27,7 @@ from trisections.core import (
     tunnel_system,
 )
 from trisections.explorer import listing_bound, node_count
+from trisections.planner import plan_lengths
 from trisections.serialize import state_to_text
 
 
@@ -472,6 +474,32 @@ def test_plan_refuses_a_huge_rs_bound(koda, heegaard2):
                     f"plan: the fake stabilizations per side would be {over}")
 
 
+def test_plan_refuses_a_huge_plan(koda, tmp_path):
+    # A file of under 300 bytes whose plan would run to millions of
+    # records, or about 10**41: refused by its length, before any move.
+    huge = tmp_path / "huge.json"
+    for g12 in (300_000, 10**40):
+        node = MoveGraphNode(g12, 0, 0, 1)
+        huge.write_text(state_to_text(node.to_state()), encoding="utf-8")
+        assert huge.stat().st_size < 300
+        for a, b in ((node, koda_ozawa().genera), (koda_ozawa().genera, node)):
+            length = plan_lengths(a, b, 0)[0]
+            files = [str(huge) if side is node else str(koda) for side in (a, b)]
+            proc = run_capped_cli("plan", *files, "--rs-bound", "0")
+            _assert_refused(proc, f"plan: the records of side a would be {length}, over")
+    # The edge: one record over the limit, from small inputs and a large
+    # rs_bound (five records a side each).
+    node, rs_bound = next(
+        (node, (MAX_SCRIPT_MOVES + 1 - length) // 5)
+        for node in (MoveGraphNode(g12, 0, 0, 1) for g12 in range(1, 20))
+        if (MAX_SCRIPT_MOVES + 1 - (length := plan_lengths(node, node, 0)[0])) % 5 == 0
+    )
+    assert plan_lengths(node, node, rs_bound) == (MAX_SCRIPT_MOVES + 1,) * 2
+    huge.write_text(state_to_text(node.to_state()), encoding="utf-8")
+    proc = run_capped_cli("plan", str(huge), str(huge), "--rs-bound", str(rs_bound))
+    _assert_refused(proc, f"plan: the records of side a would be {MAX_SCRIPT_MOVES + 1}, over")
+
+
 def test_explore_refuses_a_huge_shortest_script(koda, tmp_path):
     far = tmp_path / "far.json"
     far.write_text(run_cli("new", "open-book", "1000000000").stdout, encoding="utf-8")
@@ -538,3 +566,36 @@ def test_oversized_inputs_are_refused_before_reading(koda, tmp_path):
 
 def test_help_exits_cleanly():
     assert run_cli("--help").returncode == 0
+
+
+# -- one parser per process -----------------------------------------------------------
+
+_PARSER_RUNS = {
+    # a usage error, then a valid command
+    "usage-then-valid": ([["stab", "--handlebody", "4", "--arc", "same:c0"],
+                          ["new", "koda-ozawa"]], [2, 0]),
+    # two different subcommands in a row
+    "two-commands": ([["new", "from-heegaard", "2"], ["verify", "--max-sum", "3"]], [0, 0]),
+    # help, of the program and of a subcommand, then a command
+    "help": ([["--help"], ["plan", "--help"], ["new", "trivial"]], [0, 0, 0]),
+}
+
+
+def _outcomes(capsys, runs) -> list[tuple[int, str, str]]:
+    outcomes = []
+    for argv in runs:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+    return outcomes
+
+
+@pytest.mark.parametrize("runs, codes", _PARSER_RUNS.values(), ids=_PARSER_RUNS.keys())
+def test_the_shared_parser_answers_as_a_fresh_one(monkeypatch, capsys, runs, codes):
+    cli._build_parser()  # the process's parser exists before the runs
+    shared = _outcomes(capsys, runs)
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = _outcomes(capsys, runs)
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == codes
+    assert all(out or err for _, out, err in shared)

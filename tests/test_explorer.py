@@ -223,24 +223,30 @@ def test_shortest_path_respects_depth_bound():
     assert shortest_path(HEEGAARD2, OPENBOOK1, 1) is None
 
 
-def test_shortest_path_makes_one_successor_call_per_move(monkeypatch):
-    start, goal = MoveGraphNode(0, 1, 0, 1), MoveGraphNode(50, 50, 48, 3)
-    calls = []
-    successors = MoveGraphNode.successors
-    monkeypatch.setattr(
-        MoveGraphNode, "successors", lambda node: calls.append(node) or successors(node)
-    )
-    path = shortest_path(start, goal, 300)
+def test_shortest_path_builds_no_node_per_move(monkeypatch):
+    # The witness walks on ints: a 300-move path and script build no more
+    # nodes than a one-move path and script do.
+    built = []
+    monkeypatch.setattr(MoveGraphNode, "__post_init__", lambda node: built.append(node))
+    counts = []
+    for start, goal, moves in (
+        (MoveGraphNode(0, 1, 0, 1), MoveGraphNode(0, 0, 0, 2), 1),  # (2, "same")
+        (MoveGraphNode(0, 1, 0, 1), MoveGraphNode(50, 50, 48, 3), 300),
+    ):
+        built.clear()
+        path = shortest_path(start, goal, moves)
+        script = shortest_script(start, goal, moves)
+        counts.append(len(built))
+        assert len(path) == len(script) == moves
     monkeypatch.undo()
-    assert len(path) == 300 and len(calls) == 300
-    _, script = realize_path(start.to_state(), path)
-    assert _replay_records(start, script) == goal
+    assert counts[0] == counts[1]
+    assert _replay_records(MoveGraphNode(0, 1, 0, 1), script) == MoveGraphNode(50, 50, 48, 3)
 
 
-def test_shortest_path_never_loops_when_no_successor_qualifies(monkeypatch):
-    # By the proof some successor always can; a move graph that disagrees fails loudly.
-    monkeypatch.setattr(MoveGraphNode, "successors", lambda node: [])
-    with pytest.raises(WitnessNotFound):
+def test_shortest_path_never_loops_when_no_row_qualifies(monkeypatch):
+    # By the proof some row always can; a row table that disagrees fails loudly.
+    monkeypatch.setattr(explorer, "_WITNESS_ROWS", ())
+    with pytest.raises(WitnessNotFound, match=r"no stabilization of .* can still reach"):
         shortest_path(HEEGAARD2, OPENBOOK1, 8)
 
 

@@ -28,6 +28,7 @@ from trisections.planner import (
     PlanSteps,
     TrivialInput,
     plan_common_stabilization,
+    plan_lengths,
     replay,
 )
 
@@ -108,6 +109,18 @@ def test_plan_postconditions_everywhere():
                 assert len(steps.step2_build) >= 1
                 profiles.append(balanced.profile)
             assert profiles[0] == profiles[1]
+
+
+def test_plan_lengths_count_the_records_of_each_side():
+    # The closed form the CLI sizes a plan by, for every ordered pair of
+    # non-trivial nodes with sum_h <= 8 and rs_bound 0 to 3.
+    nodes = [node for node in feasible_nodes(8) if not node.is_trivial]
+    for a in nodes:
+        for b in nodes:
+            for rs_bound in range(4):
+                report = plan_common_stabilization(a.to_state(), b.to_state(), rs_bound)
+                expected = (len(report.a.concatenated()), len(report.b.concatenated()))
+                assert plan_lengths(a, b, rs_bound) == expected, (a, b, rs_bound)
 
 
 def test_plan_step3_emits_one_compound_record_per_fake():

@@ -5,7 +5,9 @@
 ``common_stabilization_search``) are checked here against the BFS in
 ``bfs_oracle``, which uses only ``successors``: exhaustive sweeps over
 small nodes, a property test over larger ones, and a BFS-intersection
-search written out in this file.
+search written out in this file.  The witnesses, ``shortest_path`` and
+``shortest_script``, are also held to the oracle's walk on nodes and to
+``realize_path`` on the state it starts from.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bfs_oracle import bfs_reachable, bfs_shortest_path
+from bfs_oracle import bfs_reachable, bfs_shortest_path, greedy_shortest_path
 from trisections import explorer
 from trisections.explorer import (
     MoveGraphNode,
@@ -25,7 +27,9 @@ from trisections.explorer import (
     realize_path,
     reachable,
     shortest_path,
+    shortest_script,
 )
+from trisections.serialize import script_to_text
 
 TRIVIAL = MoveGraphNode(0, 0, 0, 1)
 STARTS = feasible_nodes(24)
@@ -77,6 +81,35 @@ def test_shortest_path_matches_bfs_on_every_pair_up_to_sum_13():
             found += 1
             assert shortest_path(start, goal, distance - 1) is None, (start, goal)
     assert found == 5_651
+
+
+def _assert_witnesses_match_the_oracle(start, goal, depth_bound) -> bool:
+    # shortest_path is the oracle's path, and shortest_script is that path
+    # realized from start.to_state(), record for record and byte for byte.
+    expected = greedy_shortest_path(start, goal, depth_bound)
+    assert shortest_path(start, goal, depth_bound) == expected, (start, goal)
+    script = shortest_script(start, goal, depth_bound)
+    if expected is None:
+        assert script is None, (start, goal)
+        return False
+    _, realized = realize_path(start.to_state(), expected)
+    assert script == realized, (start, goal)
+    assert script_to_text(script) == script_to_text(realized), (start, goal)
+    return True
+
+
+def test_witnesses_match_the_successor_walk_on_every_pair_up_to_sum_13():
+    nodes = feasible_nodes(13)
+    found = 0
+    for start, goal in itertools.product(nodes, nodes):
+        found += _assert_witnesses_match_the_oracle(start, goal, goal.sum_h() - start.sum_h())
+    assert len(nodes) ** 2 == 29_241 and found == 5_651 + len(nodes)
+
+
+def test_witnesses_match_the_successor_walk_to_a_far_goal():
+    start, goal = MoveGraphNode(0, 1, 0, 1), MoveGraphNode(50, 50, 48, 3)
+    assert _assert_witnesses_match_the_oracle(start, goal, 300)
+    assert len(shortest_path(start, goal, 300)) == 300
 
 
 @st.composite
