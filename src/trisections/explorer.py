@@ -63,16 +63,7 @@ from .core import (
     is_feasible,
     other_two,
 )
-from .moves import (
-    MoveScript,
-    _Walk,
-    balance,
-    balance_capped,
-    balance_length,
-    build_heegaard,
-    disk_length,
-    raise_balanced,
-)
+from .moves import MoveScript, _Walk, balance, balance_length, build_heegaard, disk_length
 
 
 class WitnessNotFound(TrisectionError):
@@ -198,9 +189,8 @@ def realize_path(
         if kind not in ("same", "distinct"):
             raise ValueError(f"unknown parameter move kind {kind!r}")
         other_two(i)  # rejects anything but 1, 2 and 3
-        walk.move("stab", i, walk.arc(kind == "same"))
-    after = walk.state()
-    return after, after.history[len(state.history):]
+        walk.canonical(i, kind == "same")
+    return walk.state(), tuple(walk.records)
 
 
 # _SUCCESSOR_ROWS in the form a witness step reads: the move, the index of
@@ -274,7 +264,7 @@ def shortest_script(
     if path is None:
         return None
     walk = _Walk._at_node(start)
-    return tuple([walk.move("stab", i, walk.arc(kind == "same")) for i, kind in path])
+    return tuple([walk.canonical(i, kind == "same") for i, kind in path])
 
 
 def common_stabilization_search(
@@ -456,15 +446,16 @@ def _check_common_stabilization(
     if not nontrivial:
         return PropertyResult("common-stabilization-exists", max_sum, True, (), 0)
 
-    reduced = [balance_capped(node.to_state()) for node in nontrivial]
-    hub_h = max(state.profile.h1 for state in reduced)
+    reduced = [_Walk._at_node(node) for node in nontrivial]
+    for walk in reduced:
+        walk.cap()
+    hub_h = max(walk.heights()[0] for walk in reduced)
 
-    def climbs_to_hub(state: TrisectionState) -> bool:
-        while state.profile.h1 < hub_h:
-            state = raise_balanced(state)
-        profile = state.profile
-        return (profile.h1, profile.h2, profile.h3) == (hub_h,) * 3 and profile.b <= 2
+    def climbs_to_hub(walk: _Walk) -> bool:
+        while walk.heights()[0] < hub_h:
+            walk.raise_genus()
+        return walk.heights() == (hub_h,) * 3 and walk.b <= 2
 
-    bad = tuple(node for node, state in zip(nontrivial, reduced) if not climbs_to_hub(state))
+    bad = tuple(node for node, walk in zip(nontrivial, reduced) if not climbs_to_hub(walk))
     slack = 3 * hub_h - max_sum
     return PropertyResult("common-stabilization-exists", max_sum, not bad, bad, slack)

@@ -19,17 +19,20 @@ its label.
 
 Moves run in walks (``_Walk``).  A walk copies a state's labels into one
 list, applies a run of moves to it in place, each with one legality
-check and one appended history record, and builds one state at the end.
-``balance``, ``raise_balanced``, ``drive_opposite_to_disk``,
+check and one record appended to the walk's own list, and builds one
+state at the end.  ``balance``, ``drive_opposite_to_disk``,
 ``fake_heegaard_stab``, :func:`trisections.planner.replay`,
 :func:`trisections.explorer.realize_path` and
 :func:`trisections.explorer.shortest_script` each run one walk per
-script, and a single move is a walk of one.  Only C-level passes over
-the b components remain: one ``index`` per label of the arc, the
-``del`` that closes the gap, and the copies into and out of the walk;
-the canonical arcs read a few labels per digit length.  So
-``build_heegaard`` and ``replay`` run in time linear in the script's
-length.
+script, :func:`trisections.planner.plan_common_stabilization` one walk
+per side, and a single move is a walk of one.  A canonical move
+(``_Walk.canonical``) takes the least label or pair where it finds it
+and checks legality on the walk's ints alone; a given arc (``move`` and
+``follow``) finds each of its labels by ``index``.  Only C-level passes
+over the b components remain: those ``index`` calls, the ``del`` that
+closes the gap, and the copies into and out of the walk; the canonical
+arcs read a few labels per digit length.  So ``build_heegaard`` and
+``replay`` run in time linear in the script's length.
 """
 
 from __future__ import annotations
@@ -131,7 +134,7 @@ MoveScript = tuple[MoveRecord, ...]
 
 
 _PARAM_NAMES = ("g12", "g13", "g23", "b")
-_LEAST_G12, _LEAST_G13, _LEAST_G23, _ = PARAM_FLOORS
+_LEAST_G12, _LEAST_G13, _LEAST_G23, _LEAST_B = PARAM_FLOORS
 
 
 def _move_rule(op: str, i: int, same: bool) -> tuple[tuple[int, int, int, int], str]:
@@ -187,6 +190,33 @@ def is_legal(state: TrisectionState, move: StabMove | DestabMove) -> bool:
 _new = object.__new__
 _set = object.__setattr__
 _EMPTY_HISTORY = Chain()
+# The setters of the slots of MoveRecord and of the arcs, which skip
+# their frozen __setattr__.
+_set_op, _set_handlebody, _set_arc, _set_created, _set_removed = (
+    getattr(MoveRecord, name).__set__ for name in ("op", "handlebody", "arc", "created", "removed"))
+_set_component = SameComponent.component.__set__
+_set_first, _set_second = DistinctComponents.first.__set__, DistinctComponents.second.__set__
+
+
+def _record(op: str, i: int, arc: Arc, created: tuple, removed: tuple) -> MoveRecord:
+    # A record built from checked parts, without __post_init__: the caller
+    # has checked the op and the handlebody.
+    record = _new(MoveRecord)
+    _set_op(record, op)
+    _set_handlebody(record, i)
+    _set_arc(record, arc)
+    _set_created(record, created)
+    _set_removed(record, removed)
+    return record
+
+
+def _link(components: tuple[str, ...], next_id: int) -> LinkComponentSet:
+    # A link built from parts the caller has proven, without __post_init__:
+    # at least one label, unique, in creation order and below next_id.
+    link = _new(LinkComponentSet)
+    _set(link, "components", components)
+    _set(link, "next_id", next_id)
+    return link
 
 
 def _compound_record(first: MoveRecord, second: MoveRecord) -> MoveRecord:
@@ -213,21 +243,23 @@ class _Walk:
     """A run of labeled moves on mutable parts, built into one state at the end.
 
     It holds the live labels as a list in creation order, the next label
-    number, the node's coordinates as plain ints, the history chain and
-    the label.  :meth:`move` makes a move's one legality check, edits the
-    list in place and appends one record to the chain; :meth:`state`
-    builds the node, link and state once.  Every labeled move goes
-    through a walk, so a script of n moves costs n records and one state.
+    number, the node's coordinates as plain ints, the input's history
+    (``base``), the records of its own moves as a list and the label.
+    :meth:`move` and :meth:`canonical` make a move's one legality check,
+    edit the list in place and append one record; :meth:`state` builds
+    the node, link and state once.  Every labeled move goes through a
+    walk, so a script of n moves costs n records and one state.
     """
 
-    __slots__ = ("labels", "next_id", "g12", "g13", "g23", "b", "history", "label")
+    __slots__ = ("labels", "next_id", "g12", "g13", "g23", "b", "base", "records", "label")
 
     def __init__(self, state: TrisectionState) -> None:
         genera, link = state.genera, state.link
         self.labels = list(link.components)
         self.next_id = link.next_id
         self.g12, self.g13, self.g23, self.b = genera.g12, genera.g13, genera.g23, genera.b
-        self.history = state.history
+        self.base = state.history
+        self.records: list[MoveRecord] = []
         self.label = state.label
 
     @classmethod
@@ -238,7 +270,8 @@ class _Walk:
         walk.labels = [f"c{n}" for n in range(node.b)]
         walk.next_id = node.b
         walk.g12, walk.g13, walk.g23, walk.b = node.g12, node.g13, node.g23, node.b
-        walk.history = _EMPTY_HISTORY
+        walk.base = _EMPTY_HISTORY
+        walk.records = []
         walk.label = ""
         return walk
 
@@ -282,15 +315,8 @@ class _Walk:
     def move(self, op: str, i: int, arc: Arc) -> MoveRecord:
         """Apply one stab or formal destab and return its record, or raise IllegalMove."""
         created, removed = self._edit(op, i, arc)
-        # Built from checked parts, without __post_init__: op is "stab" or
-        # "destab" and the handlebody was checked by the caller.
-        record = _new(MoveRecord)
-        _set(record, "op", op)
-        _set(record, "handlebody", i)
-        _set(record, "arc", arc)
-        _set(record, "created", created)
-        _set(record, "removed", removed)
-        self.history = self.history.append(record)
+        record = _record(op, i, arc, created, removed)
+        self.records.append(record)
         return record
 
     def follow(self, record: MoveRecord) -> None:
@@ -299,27 +325,57 @@ class _Walk:
         if created != record.created or removed != record.removed:
             applied = MoveRecord(record.op, record.handlebody, record.arc, created, removed)
             raise IllegalMove(f"the move applies as {applied}, not as recorded {record}")
-        self.history = self.history.append(record)
+        self.records.append(record)
 
-    def arc(self, same: bool) -> Arc:
-        """The canonical arc: the smallest label, or the smallest pair."""
+    def canonical(self, i: int, same: bool) -> MoveRecord:
+        """Stabilize H_i along the smallest label (``same``) or pair; return the record."""
+        # The arc's labels are live, so the one legality check is that the
+        # result clears PARAM_FLOORS, b included: a pair needs b >= 2.
+        (d12, d13, d23, db), message = _MOVE_RULES["stab", i, same]
+        g12, g13, g23, b = self.g12 + d12, self.g13 + d13, self.g23 + d23, self.b + db
+        if g12 < _LEAST_G12 or g13 < _LEAST_G13 or g23 < _LEAST_G23 or b < _LEAST_B:
+            raise IllegalMove(message)
+        self.g12, self.g13, self.g23, self.b = g12, g13, g23, b
+        labels, n = self.labels, self.next_id
+        # Labels of one length are in string order, so while the first and
+        # the last share a length the answer leads the list (least_labels).
+        one_length = len(labels[0]) == len(labels[-1])
         if same:
-            (least,) = least_labels(self.labels, 1)
+            if one_length:
+                removed = (labels.pop(0),)
+            else:
+                removed = least_labels(labels, 1)
+                labels.remove(removed[0])
             arc = _new(SameComponent)
-            _set(arc, "component", least)
-            return arc
-        lo, hi = least_labels(self.labels, 2)
-        arc = _new(DistinctComponents)  # lo < hi already
-        _set(arc, "first", lo)
-        _set(arc, "second", hi)
-        return arc
+            _set_component(arc, removed[0])
+            created = (f"c{n}", f"c{n + 1}")
+            self.next_id = n + 2
+        else:
+            if one_length:
+                removed = lo, hi = labels[0], labels[1]
+                del labels[:2]
+            else:
+                removed = lo, hi = least_labels(labels, 2)
+                labels.remove(lo)
+                labels.remove(hi)
+            arc = _new(DistinctComponents)  # lo < hi already
+            _set_first(arc, lo)
+            _set_second(arc, hi)
+            created = (f"c{n}",)
+            self.next_id = n + 1
+        labels += created
+        record = _record("stab", i, arc, created, removed)
+        self.records.append(record)
+        return record
 
     def stab(self, i: int) -> None:
         """Stabilize H_i along the canonical arc, two-component whenever b >= 2."""
-        self.move("stab", i, self.arc(self.b < 2))
+        self.canonical(i, self.b < 2)
 
-    # The genus formula, read off the walk's own g12, g13, g23 and b.
+    # The genus formula and the opposite surface, read off the walk's own
+    # g12, g13, g23 and b.
     heights = MoveGraphNode.heights
+    opposite = MoveGraphNode.opposite
 
     def balance(self) -> None:
         """Stabilize the smallest handlebody until all three genera agree."""
@@ -328,39 +384,49 @@ class _Walk:
             self.stab(_balance_target(h1, h2, h3))
             h1, h2, h3 = self.heights()
 
+    def raise_genus(self) -> None:
+        """Grow the common genus of a balanced walk by one and re-balance."""
+        self.stab(_balance_target(*self.heights()))
+        self.balance()
+
+    def cap(self) -> None:
+        """Balance, then raise the balanced genus until b <= 2."""
+        # While b >= 3 each round starts with a two-component arc and the
+        # re-balance keeps b' <= max(b, 2), so b falls every round.
+        self.balance()
+        while self.b > 2:
+            self.raise_genus()
+
+    def to_disk(self, i: int) -> None:
+        """Stabilize H_i until S_jk is a disk: 2*g_jk + b - 1 canonical moves."""
+        # Each move lowers that count by one: a two-component arc lowers b,
+        # a one-component arc (b == 1, so g_jk >= 1) trades a genus for a b.
+        for _ in range(2 * self.opposite(i) + self.b - 1):
+            self.stab(i)
+
     def fake_stab(self) -> MoveRecord:
         """The two moves of :func:`fake_heegaard_stab`; returns their compound record."""
         if self.b == 1:
             if self.g13 < 1:
                 raise IllegalMove("fake Heegaard stabilization with b == 1 needs g13 >= 1")
-            first = self.move("stab", 2, self.arc(True))
-            second = self.move("stab", 1, self.arc(False))
+            first = self.canonical(2, True)
+            second = self.canonical(1, False)
         else:
-            first = self.move("stab", 2, self.arc(False))
+            first = self.canonical(2, False)
             second = self.move("stab", 1, SameComponent(first.created[0]))
         return _compound_record(first, second)
 
     def state(self) -> TrisectionState:
-        """The state the walk has reached."""
-        # Built from checked parts, without __post_init__: the coordinates
-        # are ints at or above the floors; b is the number of live labels,
-        # as every move changes both by as much; and the labels are unique,
-        # in creation order and below next_id, since each move removes live
+        """The state the walk has reached, its records appended to its input's history."""
+        history = self.base
+        for record in self.records:
+            history = history.append(record)
+        # The link skips its label check: the labels are unique, in
+        # creation order and below next_id, since each move removes live
         # labels and appends c<next_id> and up.
-        genera = _new(MoveGraphNode)
-        _set(genera, "g12", self.g12)
-        _set(genera, "g13", self.g13)
-        _set(genera, "g23", self.g23)
-        _set(genera, "b", self.b)
-        link = _new(LinkComponentSet)
-        _set(link, "components", tuple(self.labels))
-        _set(link, "next_id", self.next_id)
-        after = _new(TrisectionState)
-        _set(after, "genera", genera)
-        _set(after, "link", link)
-        _set(after, "history", self.history)
-        _set(after, "label", self.label)
-        return after
+        link = _link(tuple(self.labels), self.next_id)
+        genera = MoveGraphNode(self.g12, self.g13, self.g23, self.b)
+        return TrisectionState(genera, link, history, self.label)
 
 
 def _apply(state: TrisectionState, move: StabMove | DestabMove, op: str) -> TrisectionState:
@@ -477,34 +543,13 @@ def balance(state: TrisectionState) -> tuple[TrisectionState, MoveScript]:
     # tests/test_moves.py::test_balance_postconditions_everywhere.
     walk = _Walk(state)
     walk.balance()
-    after = walk.state()
-    return after, after.history[len(state.history):]
+    return walk.state(), tuple(walk.records)
 
 
 def balance_length(state: TrisectionState) -> int:
     """The length of :func:`balance`'s script: 3*max(h1, h2, h3) - (h1+h2+h3)."""
     profile = state.profile
     return 3 * max(profile.h1, profile.h2, profile.h3) - profile.sum_h()
-
-
-def raise_balanced(state: TrisectionState) -> TrisectionState:
-    """Grow the common genus of a balanced state by one and re-balance."""
-    walk = _Walk(state)
-    walk.stab(_balance_target(*state.genera.heights()))
-    walk.balance()
-    return walk.state()
-
-
-def balance_capped(state: TrisectionState) -> TrisectionState:
-    """Balance, then raise the balanced genus until b <= 2.
-
-    While b >= 3 each round starts with a two-component arc and the
-    re-balance keeps b' <= max(b, 2), so b falls every round.
-    """
-    state, _ = balance(state)
-    while state.b > 2:
-        state = raise_balanced(state)
-    return state
 
 
 def disk_length(state: TrisectionState, i: int) -> int:
@@ -525,13 +570,9 @@ def drive_opposite_to_disk(
     # The script's length is proven for every state with sum_h <= 12 and
     # every i by tests/test_moves.py::test_drive_opposite_to_disk_matches_build
     # and ::test_build_heegaard_counts_everywhere.
-    # Each move lowers disk_length by one: a two-component arc lowers b,
-    # a one-component arc (b == 1, so g_jk >= 1) trades 1 of g_jk for 1 of b.
     walk = _Walk(state)
-    for _ in range(disk_length(state, i)):
-        walk.stab(i)
-    after = walk.state()
-    return after, after.history[len(state.history):]
+    walk.to_disk(i)
+    return walk.state(), tuple(walk.records)
 
 
 def build_heegaard(

@@ -18,39 +18,24 @@ side realizing the standard route:
 Every step is monotone (stabilizations only) and both sides end at
 identical genera and profile.  The per-step scripts are packaged in a
 :class:`PlanReport`.
+
+Each side runs as one walk (see :mod:`trisections.moves`) from its input
+to its endpoint, every move a canonical one except the second half of a
+fake stabilization.  A step is cut from the walk's records by their
+count before and after it, and the endpoint's node is read off the
+walk's ints: planning builds no state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (
-    MoveGraphNode,
-    OutOfDomain,
-    Profile,
-    TrisectionError,
-    TrisectionState,
-    is_feasible,
-)
-from .moves import (
-    IllegalMove,
-    MoveRecord,
-    MoveScript,
-    _compound_record,
-    _Walk,
-    balance_capped,
-    build_heegaard,
-    fake_heegaard_stab,
-    raise_balanced,
-)
+from .core import MoveGraphNode, OutOfDomain, Profile, TrisectionError, TrisectionState
+from .moves import IllegalMove, MoveScript, _Walk
 
 
 class TrivialInput(TrisectionError):
     """The planner refuses the trivial trisection as an input."""
-
-
-class InfeasibleInput(TrisectionError):
-    """A planner input fails the feasibility arithmetic."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,8 +135,6 @@ def plan_common_stabilization(
     if not isinstance(rs_bound, int) or rs_bound < 0:
         raise OutOfDomain(f"rs_bound must be a nonnegative integer, got {rs_bound!r}")
     for name, state in (("a", a), ("b", b)):
-        if not is_feasible(state.profile):
-            raise InfeasibleInput(f"input {name} has an infeasible profile")
         if state.is_trivial:
             raise TrivialInput(
                 f"input {name} is the trivial trisection; it admits no stabilization"
@@ -167,43 +150,31 @@ def plan_common_stabilization(
     # that both sides present one profile.  Raising the smaller side one
     # genus per round must end with equal b too: both b values lie in
     # {1, 2} and share the parity opposite to h.
-    side_a = balance_capped(a)
-    side_b = balance_capped(b)
-    while side_a.profile.h1 != side_b.profile.h1:
-        if side_a.profile.h1 < side_b.profile.h1:
-            side_a = raise_balanced(side_a)
-        else:
-            side_b = raise_balanced(side_b)
-    step1 = (
-        side_a.history[len(a.history):],
-        side_b.history[len(b.history):],
-    )
+    side_a, side_b = _Walk(a), _Walk(b)
+    side_a.cap()
+    side_b.cap()
+    while (h_a := side_a.heights()[0]) != (h_b := side_b.heights()[0]):
+        (side_a if h_a < h_b else side_b).raise_genus()
+    steps_a, steps_b = _finish(side_a, rs_bound), _finish(side_b, rs_bound)
+    genera = MoveGraphNode(side_a.g12, side_a.g13, side_a.g23, side_a.b)
+    return PlanReport(rs_bound, genera.profile(), genera, steps_a, steps_b)
 
-    # Step 2: collapse each side onto a Heegaard splitting along S23
-    # (g23 = 0 and b = 1, with at least one move on each side).
-    side_a, _, step2_a = build_heegaard(side_a, 1)
-    side_b, _, step2_b = build_heegaard(side_b, 1)
 
+def _finish(walk: _Walk, rs_bound: int) -> PlanSteps:
+    # Steps 2 to 5 on a walk that has made step 1, each step cut from the
+    # walk's records by their count before and after it.
+    records = walk.records
+    balanced = len(records)
+    # Step 2: collapse onto a Heegaard splitting along S23 (g23 = 0 and
+    # b = 1, with at least one move).
+    walk.to_disk(1)
+    built = len(records)
     # Step 3: the caller-supplied number of fake Heegaard stabilizations.
-    step3_a: list[MoveRecord] = []
-    step3_b: list[MoveRecord] = []
-    for _ in range(rs_bound):
-        side_a = fake_heegaard_stab(side_a)
-        step3_a.append(_compound_record(side_a.history[-2], side_a.history[-1]))
-    for _ in range(rs_bound):
-        side_b = fake_heegaard_stab(side_b)
-        step3_b.append(_compound_record(side_b.history[-2], side_b.history[-1]))
-
+    fakes = tuple([walk.fake_stab() for _ in range(rs_bound)])
     # Steps 4 and 5: make S12 and then S13 into disks.
-    side_a, _, step4_a = build_heegaard(side_a, 3)
-    side_b, _, step4_b = build_heegaard(side_b, 3)
-    side_a, _, step5_a = build_heegaard(side_a, 2)
-    side_b, _, step5_b = build_heegaard(side_b, 2)
-
-    return PlanReport(
-        rs_bound=rs_bound,
-        final_profile=side_a.profile,
-        final_genera=side_a.genera,
-        a=PlanSteps(step1[0], step2_a, tuple(step3_a), step4_a, step5_a),
-        b=PlanSteps(step1[1], step2_b, tuple(step3_b), step4_b, step5_b),
-    )
+    faked = len(records)
+    walk.to_disk(3)
+    s12 = len(records)
+    walk.to_disk(2)
+    return PlanSteps(tuple(records[:balanced]), tuple(records[balanced:built]), fakes,
+                     tuple(records[faked:s12]), tuple(records[s12:]))

@@ -43,7 +43,6 @@ from json.encoder import encode_basestring
 from typing import Iterable
 
 from .core import (
-    LinkComponentSet,
     MoveGraphNode,
     TrisectionState,
     are_component_ids,
@@ -56,8 +55,11 @@ from .moves import (
     MoveRecord,
     MoveScript,
     SameComponent,
+    _link,
     _new,
-    _set,
+    _record,
+    _set_first,
+    _set_second,
 )
 from .planner import PlanReport, PlanSteps
 
@@ -300,9 +302,6 @@ def _read_ids(value, context: str, checked: bool = False) -> tuple[str, ...]:
 
 
 _RECORD_FIELDS = frozenset(("op", "handlebody", "arc", "created", "removed"))
-# The setters of MoveRecord's slots, which skip its frozen __setattr__.
-_set_op, _set_handlebody, _set_arc, _set_created, _set_removed = (
-    getattr(MoveRecord, name).__set__ for name in ("op", "handlebody", "arc", "created", "removed"))
 
 
 def _read_record(item, ops: tuple[str, ...]) -> MoveRecord:
@@ -340,8 +339,8 @@ def _read_record(item, ops: tuple[str, ...]) -> MoveRecord:
     else:  # in the order a DistinctComponents keeps
         ends = (ends[0], ends[1]) if ends[0] < ends[1] else (ends[1], ends[0])
         arc = _new(DistinctComponents)
-        _set(arc, "first", ends[0])
-        _set(arc, "second", ends[1])
+        _set_first(arc, ends[0])
+        _set_second(arc, ends[1])
     created = _read_ids(created, ".created", checked)
     # The removed labels of a sound record are its arc's, checked already.
     removed = ends if checked and removed == [*ends] else _read_ids(removed, ".removed")
@@ -352,13 +351,7 @@ def _read_record(item, ops: tuple[str, ...]) -> MoveRecord:
         raise StateFormatError(": a " + (
             "one-component arc removes exactly the named component and creates two" if len(ends) == 1
             else "two-component arc removes exactly the named pair and creates one component"))
-    record = _new(MoveRecord)
-    _set_op(record, op)
-    _set_handlebody(record, handlebody)
-    _set_arc(record, arc)
-    _set_created(record, created)
-    _set_removed(record, removed)
-    return record
+    return _record(op, handlebody, arc, created, removed)
 
 
 def _read_records(items: list, context: str, ops: tuple[str, ...]) -> MoveScript:
@@ -428,8 +421,11 @@ def parse_state(payload) -> TrisectionState:
     if fresh != next_id:
         raise StateFormatError(f"state: next_id is {next_id} but the history consumed labels "
                                f"up to c{fresh - 1}")
-    link = LinkComponentSet(components, next_id)
-    return TrisectionState(MoveGraphNode(g12, g13, g23, link.b), link, history, label)
+    # The replay has proven the link: tuple(live) == components makes its
+    # labels well formed, unique and in creation order, and fresh ==
+    # next_id puts each of them below next_id.
+    link = _link(components, next_id)
+    return TrisectionState(MoveGraphNode(g12, g13, g23, len(components)), link, history, label)
 
 
 def state_from_text(text: str) -> TrisectionState:

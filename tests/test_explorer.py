@@ -34,7 +34,7 @@ from trisections.explorer import (
     shortest_script,
     verify_properties,
 )
-from trisections.moves import StabMove, apply_stabilization, legal_moves
+from trisections.moves import IllegalMove, StabMove, apply_stabilization, legal_moves
 
 
 def _replay_records(node: MoveGraphNode, script) -> MoveGraphNode:
@@ -204,6 +204,16 @@ def test_realize_path_applies_canonical_arcs():
 def test_realize_path_rejects_unknown_kind():
     with pytest.raises(ValueError):
         realize_path(koda_ozawa(), [(1, "both")])
+
+
+@pytest.mark.parametrize("i", (1, 2, 3))
+def test_realize_path_refuses_a_two_component_arc_at_one_component(i):
+    # A pair needs b >= 2: the move's own rule says so, as an IllegalMove.
+    start = MoveGraphNode(1, 0, 0, 1).to_state()
+    message = f"stabilizing H{i} along a two-component arc needs b >= 2"
+    with pytest.raises(IllegalMove) as refused:
+        realize_path(start, [(i, "distinct")])
+    assert str(refused.value) == message
 
 
 def test_shortest_path_between_equal_nodes_is_empty():

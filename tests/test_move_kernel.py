@@ -18,12 +18,14 @@ import pytest
 import move_oracle as oracle
 from trisections import moves
 from trisections.core import (
+    LinkComponentSet,
     MoveGraphNode,
     TrisectionState,
     connect_sum_equal_genus,
     from_heegaard,
     koda_ozawa,
     open_book,
+    split_heegaard,
 )
 from trisections.explorer import bfs_reachable, feasible_nodes, realize_path, shortest_path
 from trisections.moves import (
@@ -37,7 +39,7 @@ from trisections.moves import (
     build_heegaard,
     fake_heegaard_stab,
 )
-from trisections.planner import plan_common_stabilization, replay
+from trisections.planner import plan_common_stabilization, plan_lengths, replay
 
 _STATES = [node.to_state(f"n{n}") for n, node in enumerate(feasible_nodes(12))]
 _BIG = connect_sum_equal_genus(500)  # b = 501
@@ -133,12 +135,30 @@ def test_replay_matches_the_fold_on_random_scripts():
     assert kinds == {"stab", "destab", "fake_stab"}
 
 
-@pytest.mark.parametrize("rs_bound", (0, 2))
+_PARTNERS = [koda_ozawa(), from_heegaard(1), open_book(1), connect_sum_equal_genus(2)]
+
+
+@cache
+def _plan_pairs():
+    # Every ordered non-trivial pair with sum_h <= 8; the states with
+    # sum_h <= 12 against a few partners; the high-b _BIG on either side;
+    # and inputs with a past (balanced, or replayed from random scripts),
+    # whose step cuts must start after that past.
+    small = [node.to_state() for node in feasible_nodes(8) if not node.is_trivial]
+    pairs = [(a, b) for a in small for b in small]
+    pairs += [(a, b) for a in _STATES if not a.is_trivial for b in _PARTNERS]
+    pairs += [(_BIG, koda_ozawa()), (open_book(1), _BIG)]
+    past = [balance(from_heegaard(3))[0], balance(split_heegaard(4, 1))[0]]
+    past += [replay(state, script) for state, script in _scripts()[:-1:12] if script]
+    past = [state for state in past if not state.is_trivial]
+    assert len(past) >= 10 and all(state.history for state in past)
+    pairs += [(a, b) for a in past for b in past + _PARTNERS]
+    return pairs
+
+
+@pytest.mark.parametrize("rs_bound", range(4))
 def test_plans_match_the_fold(rs_bound):
-    partners = [koda_ozawa(), from_heegaard(1), open_book(1), connect_sum_equal_genus(2)]
-    pairs = [(a, b) for a in _STATES if not a.is_trivial for b in partners]
-    pairs.append((_BIG, koda_ozawa()))
-    for a, b in pairs:
+    for a, b in _plan_pairs():
         report = plan_common_stabilization(a, b, rs_bound)
         sides = oracle.plan_scripts(a, b, rs_bound)
         for start, steps, (expected_steps, expected_end) in zip(
@@ -150,6 +170,59 @@ def test_plans_match_the_fold(rs_bound):
             ) == expected_steps
             _same(replay(start, steps.concatenated()), expected_end)
             assert expected_end.genera == report.final_genera
+            assert expected_end.profile == report.final_profile
+        lengths = (len(report.a.concatenated()), len(report.b.concatenated()))
+        assert plan_lengths(a.genera, b.genera, rs_bound) == lengths
+
+
+def _relabeled(state: TrisectionState, numbers) -> TrisectionState:
+    # The state's node on the labels c<n>, n in ``numbers`` (ascending).
+    labels = tuple(f"c{n}" for n in numbers)
+    return TrisectionState(state.genera, LinkComponentSet(labels, numbers[-1] + 1))
+
+
+def _canonical_cases():
+    # Each state with sum_h <= 12 on its fresh labels, on labels that
+    # span c9/c10 and c99/c100, and on scattered labels of several
+    # lengths; then the high-b _BIG.
+    for n, state in enumerate(_STATES):
+        b = state.b
+        yield state
+        for top in (10, 100):
+            first = top - (b + 1) // 2
+            yield _relabeled(state, range(first, first + b))
+        yield _relabeled(state, sorted(random.Random(n).sample(range(2_000), b)))
+    yield _BIG
+
+
+def test_the_canonical_move_is_a_move_along_the_least_arc():
+    # The fused canonical move against move() on the least label or pair
+    # found by a plain sort: the same record and walk, or the same refusal,
+    # which leaves the walk as it was.  At b = 1 there is no pair, and the
+    # rule itself refuses the move.
+    spanning = refused = 0
+    for state in _canonical_cases():
+        ordered = sorted(state.link.components)
+        spanning += len(ordered[0]) != len(ordered[-1])
+        for i in (1, 2, 3):
+            for same in (True, False):
+                fused, plain = moves._Walk(state), moves._Walk(state)
+                try:
+                    got = fused.canonical(i, same)
+                except IllegalMove as error:
+                    got = str(error)
+                if not same and len(ordered) < 2:
+                    expected = f"stabilizing H{i} along a two-component arc needs b >= 2"
+                else:
+                    arc = SameComponent(ordered[0]) if same else DistinctComponents(*ordered[:2])
+                    try:
+                        expected = plain.move("stab", i, arc)
+                    except IllegalMove as error:
+                        expected = str(error)
+                assert got == expected, (state, i, same)
+                refused += isinstance(expected, str)
+                _same(fused.state(), plain.state())
+    assert spanning >= 150 and refused > 500
 
 
 def _mutants(record: MoveRecord):

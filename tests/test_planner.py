@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from trisections import moves
 from trisections.core import (
     MoveGraphNode,
     OutOfDomain,
@@ -121,6 +122,26 @@ def test_plan_lengths_count_the_records_of_each_side():
                 report = plan_common_stabilization(a.to_state(), b.to_state(), rs_bound)
                 expected = (len(report.a.concatenated()), len(report.b.concatenated()))
                 assert plan_lengths(a, b, rs_bound) == expected, (a, b, rs_bound)
+
+
+def test_a_plan_builds_no_state(monkeypatch):
+    # Each side is one walk from its input; the steps are cut from the
+    # walk's records and the endpoint is read off its ints.
+    built = []
+    state_of = moves._Walk.state
+
+    def counting(walk):
+        built.append(walk)
+        return state_of(walk)
+
+    monkeypatch.setattr(moves._Walk, "state", counting)
+    for a, b in ((koda_ozawa(), open_book(1)), (connect_sum_equal_genus(3), from_heegaard(4))):
+        for rs_bound in (0, 2):
+            report = plan_common_stabilization(a, b, rs_bound)
+            assert report.a.concatenated() and report.b.concatenated()
+    assert built == []
+    assert replay(a, report.a.concatenated()).genera == report.final_genera
+    assert len(built) == 1
 
 
 def test_plan_step3_emits_one_compound_record_per_fake():
