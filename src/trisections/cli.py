@@ -93,6 +93,8 @@ def _read_text(path: str, context: str) -> str:
     # standard input by its own stream's settings.
     limit = MAX_INPUT_BYTES
     if path == "-":
+        if sys.stdin is None:  # as Python leaves it when started with fd 0 closed
+            raise OSError("standard input is closed")
         data = sys.stdin.buffer.read(limit + 1)
     else:
         with open(path, "rb") as file:
@@ -109,6 +111,8 @@ def _read_text(path: str, context: str) -> str:
 
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
+        if sys.stdout is None:  # as Python leaves it when started with fd 1 closed
+            raise OSError("standard output is closed")
         sys.stdout.write(text)
     else:
         Path(path).write_text(text, encoding="utf-8")
@@ -129,7 +133,7 @@ def _arc_argument(text: str) -> SameComponent | DistinctComponents:
             return SameComponent(rest)
         if kind == "distinct":
             first, comma, second = rest.partition(",")
-            if comma and first and second:
+            if comma and first and second and "," not in second:
                 return DistinctComponents(first, second)
     except ValueError as error:
         raise argparse.ArgumentTypeError(str(error)) from error
@@ -169,24 +173,20 @@ def _cmd_show(args: argparse.Namespace) -> int:
         f"trivial: {yesno[state.is_trivial]}",
         f"history: {len(state.history)} moves",
     ]
-    print("\n".join(lines))
+    _write_text(None, "".join(line + "\n" for line in lines))
     return 0
 
 
-def _cmd_stab(args: argparse.Namespace) -> int:
+def _cmd_move(args: argparse.Namespace) -> int:
     state = _read_state(args.file)
-    after = apply_stabilization(state, StabMove(args.handlebody, args.arc))
+    if args.command == "stab":
+        after = apply_stabilization(state, StabMove(args.handlebody, args.arc))
+    else:
+        after = apply_destabilization(state, DestabMove(args.handlebody, args.arc))
     _write_text(args.output, state_to_text(after))
-    _note(f"stab H{args.handlebody}: profile {state.profile} -> {after.profile}")
-    return 0
-
-
-def _cmd_destab(args: argparse.Namespace) -> int:
-    state = _read_state(args.file)
-    after = apply_destabilization(state, DestabMove(args.handlebody, args.arc))
-    _write_text(args.output, state_to_text(after))
-    _note(f"destab H{args.handlebody}: profile {state.profile} -> {after.profile}")
-    _note(f"note: {DESTAB_CAVEAT}")
+    _note(f"{args.command} H{args.handlebody}: profile {state.profile} -> {after.profile}")
+    if args.command == "destab":
+        _note(f"note: {DESTAB_CAVEAT}")
     return 0
 
 
@@ -263,8 +263,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     bound = listing_bound(start, args.max_sum)
     _check_size("explore: a bound on the nodes listed", bound, MAX_NODES)
     reachable = bfs_reachable(start, args.max_sum)
-    for node, depth in reachable.items():
-        print(f"({node.g12},{node.g13},{node.g23};b={node.b}) depth={depth}")
+    _write_text(None, "".join(f"({node.g12},{node.g13},{node.g23};b={node.b}) depth={depth}\n"
+                              for node, depth in reachable.items()))
     _note(f"explore: {len(reachable)} nodes reachable within sum_h <= {args.max_sum}")
     return 0
 
@@ -313,8 +313,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("show", _cmd_show, "print a state's profile, genera and flags")
     p.add_argument("file", help="state file ('-' for stdin)")
 
-    for name, fn in (("stab", _cmd_stab), ("destab", _cmd_destab)):
-        p = add(name, fn, f"apply one {'formal de' if name == 'destab' else ''}stabilization")
+    for name in ("stab", "destab"):
+        p = add(name, _cmd_move, f"apply one {'formal de' if name == 'destab' else ''}stabilization")
         p.add_argument("file", nargs="?", default="-", help="state file ('-' for stdin)")
         p.add_argument("--handlebody", type=int, required=True, choices=(1, 2, 3))
         p.add_argument("--arc", type=_arc_argument, required=True,

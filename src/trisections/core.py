@@ -13,22 +13,22 @@ genera, the named components of B, and everything derivable from them.
 It does not encode embeddings or attaching maps.  States are immutable;
 the move calculus in :mod:`trisections.moves` produces new states.
 
-A move costs O(1) Python-level work however long the state's past:
-``history`` is a :class:`Chain`, so a move appends one record and shares
-everything before it, and that history is also the whole past of the
-boundary link.  The move calculus applies a run of moves to one mutable
-list of labels and builds one state at the end (see
-:mod:`trisections.moves`); the link it builds skips the full label check
-that every set built from outside gets.
+A state's ``history`` is the tuple of move records that produced it,
+and that history is also the whole past of the boundary link.  The move
+calculus applies a run of moves to one mutable list of labels and
+builds one state at the end (see :mod:`trisections.moves`), so a script
+costs one copy of the history however many moves it makes; the link it
+builds skips the full label check that every set built from outside
+gets.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import wraps
-from typing import Iterable, Sequence
+from typing import Sequence
 
 _ID_PATTERN = re.compile(r"c(0|[1-9][0-9]*)\Z")
 
@@ -116,10 +116,10 @@ STAB_DELTAS: dict[tuple[int, str], tuple[int, int, int, int]] = {
 # A parameter-level move: (handlebody index, "same" | "distinct").
 ParamMove = tuple[int, str]
 
-# STAB_DELTAS in the form successors() reads: every row lowers exactly one
-# coordinate, so a row applies when that coordinate clears its floor.
+# STAB_DELTAS as search reads it: the move, the row, the one coordinate it
+# lowers, that coordinate's least value before it, and the height it raises.
 _SUCCESSOR_ROWS = tuple(
-    (move, delta, delta.index(-1), PARAM_FLOORS[delta.index(-1)] + 1)
+    (move, delta, delta.index(-1), PARAM_FLOORS[delta.index(-1)] + 1, move[0] - 1)
     for move, delta in STAB_DELTAS.items()
 )
 
@@ -185,99 +185,10 @@ class MoveGraphNode:
         """Legal parameter moves and their targets, in STAB_DELTAS row order."""
         params = g12, g13, g23, b = self.g12, self.g13, self.g23, self.b
         out: list[tuple[ParamMove, MoveGraphNode]] = []
-        for move, (d12, d13, d23, db), falling, least in _SUCCESSOR_ROWS:
+        for move, (d12, d13, d23, db), falling, least, _ in _SUCCESSOR_ROWS:
             if params[falling] >= least:
                 out.append((move, MoveGraphNode(g12 + d12, g13 + d13, g23 + d23, b + db)))
         return out
-
-
-class Chain:
-    """An immutable sequence: a tuple of items, then items appended one by one.
-
-    A chain built from items holds them as one tuple.  :meth:`append`
-    makes one node that holds the new item, the length and the chain
-    before it, so it costs O(1), and chains appended to from one
-    ancestor share that ancestor.  A chain reads like a tuple: ``len``
-    and ``[-1]`` are O(1); an index or a slice that reaches k appended
-    items back from the end costs O(k), and slices are tuples; iteration
-    is O(n); and a chain equals, and hashes like, the tuple of its items.
-    """
-
-    # An appended node has its item in _last and the chain before it in
-    # _parent; a chain built from items has _parent None and the tuple
-    # of its items in _last.
-    __slots__ = ("_parent", "_last", "_len")
-
-    def __init__(self, items: Iterable = ()) -> None:
-        self._parent = None
-        self._last = tuple(items)
-        self._len = len(self._last)
-
-    def append(self, item) -> Chain:
-        """A new chain: this one followed by ``item``."""
-        node = object.__new__(Chain)
-        node._parent = self
-        node._last = item
-        node._len = self._len + 1
-        return node
-
-    def _run(self, skip: int, count: int) -> tuple:
-        # The ``count`` items that end ``skip`` items before the end.
-        node, items = self, []
-        while skip and node._parent is not None:
-            node, skip = node._parent, skip - 1
-        while count and node._parent is not None:
-            items.append(node._last)
-            node, count = node._parent, count - 1
-        items.reverse()
-        if not count:
-            return tuple(items)
-        stop = node._len - skip
-        return node._last[stop - count:stop] + tuple(items)
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, index):
-        n = self._len
-        if isinstance(index, slice):
-            start, stop, step = index.indices(n)
-            if step != 1:
-                return self._run(0, n)[index]
-            return self._run(n - stop, stop - start) if stop > start else ()
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError("chain index out of range")
-        node, back = self, n - 1 - index
-        while back and node._parent is not None:
-            node, back = node._parent, back - 1
-        return node._last if node._parent is not None else node._last[node._len - 1 - back]
-
-    def __iter__(self):
-        return iter(self._run(0, self._len))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, tuple):
-            return self._len == len(other) and self._run(0, self._len) == other
-        if not isinstance(other, Chain):
-            return NotImplemented
-        if self._len != other._len:
-            return False
-        mine, theirs = self, other
-        while mine is not theirs:  # a shared ancestor ends the walk: the rest is equal
-            if mine._parent is None or theirs._parent is None:
-                return mine._run(0, mine._len) == theirs._run(0, theirs._len)
-            if mine._last != theirs._last:
-                return False
-            mine, theirs = mine._parent, theirs._parent
-        return True
-
-    def __hash__(self) -> int:
-        return hash(self._run(0, self._len))
-
-    def __repr__(self) -> str:
-        return repr(self._run(0, self._len))
 
 
 @dataclass(frozen=True, slots=True)
@@ -358,20 +269,20 @@ class TrisectionState:
 
     ``history`` is the move script that produced this state from its
     construction (see :mod:`trisections.moves` for the record type), a
-    :class:`Chain` that also accepts any sequence of records, and
+    tuple built from any sequence of records, and
     ``label`` is a free-form description of where the state came from.
     """
 
     genera: MoveGraphNode
     link: LinkComponentSet
-    history: Chain = field(default=Chain())
+    history: tuple = ()
     label: str = ""
 
     def __post_init__(self) -> None:
         if self.genera.b != self.link.b:
             raise ValueError(f"genera {self.genera} disagree with the link's b={self.link.b}")
-        if not isinstance(self.history, Chain):
-            object.__setattr__(self, "history", Chain(self.history))
+        if type(self.history) is not tuple:
+            object.__setattr__(self, "history", tuple(self.history))
 
     @property
     def b(self) -> int:

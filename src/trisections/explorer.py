@@ -99,16 +99,14 @@ def _reaches(
 
 def feasible_nodes(max_sum: int) -> list[MoveGraphNode]:
     """Every parameter node with h1 + h2 + h3 <= max_sum, lexicographic."""
-    out: list[MoveGraphNode] = []
     top = max_sum // 2
-    for g12 in range(top + 1):
-        for g13 in range(top - g12 + 1):
-            for g23 in range(top - g12 - g13 + 1):
-                genus_sum = g12 + g13 + g23
-                b_max = (max_sum - 2 * genus_sum) // 3 + 1
-                for b in range(1, b_max + 1):
-                    out.append(MoveGraphNode(g12, g13, g23, b))
-    return out
+    return [
+        MoveGraphNode(g12, g13, g23, b)
+        for g12 in range(top + 1)
+        for g13 in range(top - g12 + 1)
+        for g23 in range(top - g12 - g13 + 1)
+        for b in range(1, (max_sum - 2 * (g12 + g13 + g23)) // 3 + 2)
+    ]
 
 
 def _cubic_sum(f, n: int) -> int:
@@ -193,14 +191,6 @@ def realize_path(
     return walk.state(), tuple(walk.records)
 
 
-# _SUCCESSOR_ROWS in the form a witness step reads: the move, the index of
-# the height it raises, the coordinate it lowers and that coordinate's
-# least value before the move, and the row itself.
-_WITNESS_ROWS = tuple(
-    (move, move[0] - 1, falling, least, delta) for move, delta, falling, least in _SUCCESSOR_ROWS
-)
-
-
 def shortest_path(
     start: MoveGraphNode, goal: MoveGraphNode, depth_bound: int
 ) -> list[ParamMove] | None:
@@ -232,7 +222,7 @@ def shortest_path(
     path: list[ParamMove] = []
     while left:
         left -= 1
-        for move, i, falling, least, delta in _WITNESS_ROWS:
+        for move, delta, falling, least, i in _SUCCESSOR_ROWS:
             if (
                 params[falling] >= least
                 and heights[i] < h_goal[i]

@@ -20,7 +20,8 @@ its label.
 Moves run in walks (``_Walk``).  A walk copies a state's labels into one
 list, applies a run of moves to it in place, each with one legality
 check and one record appended to the walk's own list, and builds one
-state at the end.  ``balance``, ``drive_opposite_to_disk``,
+state at the end, whose history is the input's tuple followed by the
+walk's records.  ``balance``, ``drive_opposite_to_disk``,
 ``fake_heegaard_stab``, :func:`trisections.planner.replay`,
 :func:`trisections.explorer.realize_path` and
 :func:`trisections.explorer.shortest_script` each run one walk per
@@ -32,7 +33,8 @@ and checks legality on the walk's ints alone; a given arc (``move`` and
 over the b components remain: those ``index`` calls, the ``del`` that
 closes the gap, and the copies into and out of the walk; the canonical
 arcs read a few labels per digit length.  So ``build_heegaard`` and
-``replay`` run in time linear in the script's length.
+``replay`` run in time linear in the script's length.  Each walk copies
+the history's pointers once, so a single move on a long history pays it.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from itertools import combinations
 from .core import (
     PARAM_FLOORS,
     STAB_DELTAS,
-    Chain,
     LinkComponentSet,
     MoveGraphNode,
     TrisectionError,
@@ -189,7 +190,6 @@ def is_legal(state: TrisectionState, move: StabMove | DestabMove) -> bool:
 
 _new = object.__new__
 _set = object.__setattr__
-_EMPTY_HISTORY = Chain()
 # The setters of the slots of MoveRecord and of the arcs, which skip
 # their frozen __setattr__.
 _set_op, _set_handlebody, _set_arc, _set_created, _set_removed = (
@@ -270,7 +270,7 @@ class _Walk:
         walk.labels = [f"c{n}" for n in range(node.b)]
         walk.next_id = node.b
         walk.g12, walk.g13, walk.g23, walk.b = node.g12, node.g13, node.g23, node.b
-        walk.base = _EMPTY_HISTORY
+        walk.base = ()
         walk.records = []
         walk.label = ""
         return walk
@@ -418,9 +418,7 @@ class _Walk:
 
     def state(self) -> TrisectionState:
         """The state the walk has reached, its records appended to its input's history."""
-        history = self.base
-        for record in self.records:
-            history = history.append(record)
+        history = self.base + tuple(self.records)
         # The link skips its label check: the labels are unique, in
         # creation order and below next_id, since each move removes live
         # labels and appends c<next_id> and up.

@@ -69,7 +69,7 @@ def _apply(state: TrisectionState, move: StabMove | DestabMove, op: str) -> Tris
     if op == "destab" and DESTAB_CAVEAT not in label:
         label = f"{label} | {DESTAB_CAVEAT}" if label else DESTAB_CAVEAT
     return TrisectionState(
-        MoveGraphNode(g12, g13, g23, b), link, state.history.append(record), label
+        MoveGraphNode(g12, g13, g23, b), link, state.history + (record,), label
     )
 
 

@@ -9,6 +9,7 @@ domain errors (1) from usage and format errors (2).
 from __future__ import annotations
 
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -121,6 +122,27 @@ def test_show_missing_file_is_an_io_error():
     assert run_cli("show", "/nonexistent/state.json").returncode == 2
 
 
+@pytest.mark.parametrize(
+    "closed, args",
+    [
+        (0, ("show", "-")),
+        (0, ("stab", "--handlebody", "1", "--arc", "same:c0")),
+        (1, ("new", "trivial")),
+        (1, ("show", "KODA")),
+    ],
+)
+def test_a_closed_standard_stream_is_an_io_error(koda, closed, args):
+    # The child starts with fd 0 or fd 1 closed, as `<&-` or `>&-` leave it.
+    argv = [str(koda) if arg == "KODA" else arg for arg in args]
+    proc = subprocess.run(
+        [sys.executable, "-m", "trisections.cli", *argv],
+        capture_output=True, text=True, preexec_fn=lambda: os.close(closed),
+    )
+    stream = ("input", "output")[closed]
+    assert proc.returncode == 2
+    assert proc.stderr == f"IO error: standard {stream} is closed\n"
+
+
 def test_show_rejects_malformed_state():
     proc = run_cli("show", "-", stdin_text='{"version": 1}')
     assert proc.returncode == 2
@@ -154,6 +176,9 @@ def test_stab_rejects_malformed_arcs_with_usage_exit(heegaard2):
         run_cli("stab", str(heegaard2), "--handlebody", "1", "--arc", "distinct:c0,c0").returncode
         == 2
     )
+    proc = run_cli("stab", str(heegaard2), "--handlebody", "1", "--arc", "distinct:c0,c1,c2")
+    assert proc.returncode == 2
+    assert "arc must look like same:cK or distinct:cK,cL, got 'distinct:c0,c1,c2'" in proc.stderr
 
 
 def test_destab_warns_about_the_formal_caveat(koda):

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from genealogy import genealogy, replay_genealogy
 from trisections.core import (
     CONSTRUCTORS,
-    Chain,
     Infeasible,
     LinkComponentSet,
     MoveGraphNode,
@@ -309,39 +308,6 @@ def test_least_labels_are_the_lexicographic_minima(numbers):
     labels = tuple(f"c{n}" for n in sorted(numbers))
     assert least_labels(labels, 1) == least_labels(list(labels), 1) == (min(labels),)
     assert least_labels(labels, 2) == least_labels(list(labels), 2) == tuple(sorted(labels)[:2])
-
-
-def test_chain_reads_like_a_tuple():
-    items = tuple(range(6))
-    # All items appended one by one, and three built in then three appended.
-    for built in (0, 3):
-        chain = Chain(items[:built])
-        for item in items[built:]:
-            chain = chain.append(item)
-        assert len(chain) == 6 and chain[-1] == 5 and chain[0] == 0 and chain[-6] == 0
-        assert [chain[index] for index in range(-6, 6)] == list(items + items)
-        assert chain == items and items == chain and chain == Chain(items)
-        assert chain != items[:-1] and chain != Chain(items[:-1]) and chain != list(items)
-        assert chain != Chain(items[:-1] + (9,)) and Chain(items[:-1] + (9,)) != chain
-        assert tuple(chain) == items and list(chain) == list(items)
-        for start, stop in itertools.product((None, -100, -2, 0, 1, 4, 100), repeat=2):
-            for step in (None, 2, -1):
-                index = slice(start, stop, step)
-                assert chain[index] == items[index] and type(chain[index]) is tuple
-        for index in (6, -7):
-            with pytest.raises(IndexError):
-                chain[index]
-        assert hash(chain) == hash(items)
-    assert hash(Chain()) == hash(()) and Chain() == () and not Chain()
-    assert repr(chain) == repr(items)
-
-
-def test_chains_branch_without_touching_their_parent():
-    base = Chain((1, 2))
-    left, right = base.append(3), base.append(4)
-    assert base == (1, 2) and left == (1, 2, 3) and right == (1, 2, 4)
-    assert left != right and left[:2] == right[:2]
-    assert left == Chain((1, 2, 3)) and left.append(5)[-2:] == (3, 5)
 
 
 # -- constructor catalogue ----------------------------------------------------

@@ -255,7 +255,7 @@ def test_shortest_path_builds_no_node_per_move(monkeypatch):
 
 def test_shortest_path_never_loops_when_no_row_qualifies(monkeypatch):
     # By the proof some row always can; a row table that disagrees fails loudly.
-    monkeypatch.setattr(explorer, "_WITNESS_ROWS", ())
+    monkeypatch.setattr(explorer, "_SUCCESSOR_ROWS", ())
     with pytest.raises(WitnessNotFound, match=r"no stabilization of .* can still reach"):
         shortest_path(HEEGAARD2, OPENBOOK1, 8)
 

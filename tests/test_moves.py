@@ -53,6 +53,7 @@ from trisections.moves import (
     legal_moves,
 )
 from trisections.planner import plan_common_stabilization, replay
+from trisections.serialize import state_from_text, state_to_text
 
 
 def _feasible_states(max_sum: int):
@@ -596,10 +597,22 @@ def test_history_reads_like_a_tuple():
     assert hash(history) == hash((r1, r2))
     with pytest.raises(IndexError):
         history[2]
-    # A state rebuilt with a tuple history is the same state.
+    # A state rebuilt with a tuple history is the same state, and one
+    # built from a list holds its records as a tuple too.
     rebuilt = TrisectionState(second.genera, second.link, (r1, r2), second.label)
     assert rebuilt == second and hash(rebuilt) == hash(second)
     assert rebuilt != first
+    listed = TrisectionState(second.genera, second.link, [r1, r2], second.label)
+    assert listed == rebuilt and hash(listed) == hash(rebuilt)
+    # Every path that builds a state leaves its history a tuple.
+    balanced, script = balance(second)
+    replayed = replay(second, script)
+    built = build_heegaard(second, 1)[0]
+    assert replayed == balanced and len(balanced.history) == 2 + len(script)
+    states = (start, first, second, balanced, replayed, built,
+              state_from_text(state_to_text(built)), rebuilt, listed)
+    for state in states:
+        assert type(state.history) is tuple
 
 
 def test_one_move_checks_a_constant_number_of_labels(monkeypatch):
