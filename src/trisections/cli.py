@@ -20,6 +20,7 @@ from .core import (
     CONSTRUCTORS,
     TrisectionError,
     TrisectionState,
+    component_number,
     construct,
     construct_profile,
 )
@@ -128,15 +129,14 @@ def _note(message: str) -> None:
 
 def _arc_argument(text: str) -> SameComponent | DistinctComponents:
     kind, _, rest = text.partition(":")
-    try:
-        if kind == "same" and rest and "," not in rest:
-            return SameComponent(rest)
-        if kind == "distinct":
-            first, comma, second = rest.partition(",")
-            if comma and first and second and "," not in second:
-                return DistinctComponents(first, second)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from error
+    labels = rest.split(",")
+    if all(labels) and (kind, len(labels)) in (("same", 1), ("distinct", 2)):
+        try:
+            for label in labels:
+                component_number(label)
+            return SameComponent(*labels) if kind == "same" else DistinctComponents(*labels)
+        except ValueError as error:
+            raise argparse.ArgumentTypeError(str(error)) from error
     raise argparse.ArgumentTypeError(
         f"arc must look like same:cK or distinct:cK,cL, got {text!r}"
     )

@@ -21,7 +21,7 @@ Moves run in walks (``_Walk``).  A walk copies a state's labels into one
 list, applies a run of moves to it in place, each with one legality
 check and one record appended to the walk's own list, and builds one
 state at the end, whose history is the input's tuple followed by the
-walk's records.  ``balance``, ``drive_opposite_to_disk``,
+walk's records.  ``balance``, ``build_heegaard``,
 ``fake_heegaard_stab``, :func:`trisections.planner.replay`,
 :func:`trisections.explorer.realize_path` and
 :func:`trisections.explorer.shortest_script` each run one walk per
@@ -40,7 +40,6 @@ the history's pointers once, so a single move on a long history pays it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .core import (
     PARAM_FLOORS,
@@ -162,30 +161,6 @@ _MOVE_RULES = {
     (op, i, same): _move_rule(op, i, same)
     for op in ("stab", "destab") for i in (1, 2, 3) for same in (True, False)
 }
-
-
-def legal_moves(state: TrisectionState) -> list[StabMove]:
-    """All legal stabilizations, in :data:`STAB_DELTAS` row order.
-
-    A SameComponent row yields one move per component (components
-    sorted), a DistinctComponents row one per unordered pair (pairs
-    sorted).
-    """
-    labels = sorted(state.link.components)
-    arcs = {
-        "same": [SameComponent(c) for c in labels],
-        "distinct": [DistinctComponents(lo, hi) for lo, hi in combinations(labels, 2)],
-    }
-    return [StabMove(i, arc) for (i, kind), _ in state.genera.successors() for arc in arcs[kind]]
-
-
-def is_legal(state: TrisectionState, move: StabMove | DestabMove) -> bool:
-    op = "stab" if isinstance(move, StabMove) else "destab"
-    try:
-        _Walk(state).move(op, move.handlebody, move.arc)
-    except IllegalMove:
-        return False
-    return True
 
 
 _new = object.__new__
@@ -476,18 +451,6 @@ def inverse_of(record: MoveRecord) -> StabMove | DestabMove:
     raise ValueError("a fake_stab record has no single inverse move")
 
 
-def canonical_same_arc(state: TrisectionState) -> SameComponent:
-    """The SameComponent arc on the lexicographically smallest component."""
-    (least,) = least_labels(state.link.components, 1)
-    return SameComponent(least)
-
-
-def canonical_distinct_arc(state: TrisectionState) -> DistinctComponents:
-    """The DistinctComponents arc on the lexicographically smallest pair."""
-    lo, hi = least_labels(state.link.components, 2)
-    return DistinctComponents(lo, hi)
-
-
 def fake_heegaard_stab(state: TrisectionState) -> TrisectionState:
     """Stabilize H2 and then H1 so that only the Heegaard surface changes.
 
@@ -509,20 +472,6 @@ def fake_heegaard_stab(state: TrisectionState) -> TrisectionState:
     walk = _Walk(state)
     walk.fake_stab()
     return walk.state()
-
-
-def canonical_balance_move(state: TrisectionState) -> StabMove:
-    """Stabilize the currently smallest handlebody (largest index on ties).
-
-    The arc lies in the surface shared by the other two handlebodies; a
-    two-component arc is chosen whenever b >= 2.  This is the move
-    :func:`balance` repeats, and on an already balanced state it is the
-    canonical way to grow the common genus by one.
-    """
-    target = _balance_target(*state.genera.heights())
-    if state.b >= 2:
-        return StabMove(target, canonical_distinct_arc(state))
-    return StabMove(target, canonical_same_arc(state))
 
 
 def balance(state: TrisectionState) -> tuple[TrisectionState, MoveScript]:
@@ -551,26 +500,8 @@ def balance_length(state: TrisectionState) -> int:
 
 
 def disk_length(state: TrisectionState, i: int) -> int:
-    """The length of :func:`drive_opposite_to_disk`'s script: 2*g_jk + b - 1."""
+    """The length of :func:`build_heegaard`'s script: 2*g_jk + b - 1."""
     return 2 * state.genera.opposite(i) + state.b - 1
-
-
-def drive_opposite_to_disk(
-    state: TrisectionState, i: int
-) -> tuple[TrisectionState, MoveScript]:
-    """Stabilize H_i until its opposite surface S_jk is a disk (g_jk = 0, b = 1).
-
-    Canonical order: a two-component arc whenever b >= 2, otherwise a
-    one-component arc.  The script has length 2*g_jk + b - 1
-    (:func:`disk_length`), i.e. the number of arcs in a maximal
-    boundary-parallel system cutting S_jk into a disk.
-    """
-    # The script's length is proven for every state with sum_h <= 12 and
-    # every i by tests/test_moves.py::test_drive_opposite_to_disk_matches_build
-    # and ::test_build_heegaard_counts_everywhere.
-    walk = _Walk(state)
-    walk.to_disk(i)
-    return walk.state(), tuple(walk.records)
 
 
 def build_heegaard(
@@ -578,14 +509,16 @@ def build_heegaard(
 ) -> tuple[TrisectionState, int, MoveScript]:
     """Stabilize H_i until the trisection collapses to a Heegaard splitting.
 
-    Once S_jk is a disk, H_j and H_k glue to a single handlebody and the
-    splitting surface is the boundary of the enlarged H_i, so the
-    splitting genus is the final h_i = h_j + h_k of the input.  Returns
-    (final state, splitting genus, script).  On a balanced (h;b) input
-    the script has exactly h moves and the genus is 2h.
+    The script drives S_jk to a disk (g_jk = 0, b = 1) with a two-component
+    arc whenever b >= 2, else a one-component arc, in 2*g_jk + b - 1 moves
+    (:func:`disk_length`).  Then H_j and H_k glue to a single handlebody,
+    and the splitting genus is the final h_i = h_j + h_k of the input.
+    Returns (final state, splitting genus, script).  On a balanced (h;b)
+    input the script has exactly h moves and the genus is 2h.
     """
-    # genus == h_j + h_k of the input is proven for every state with
+    # The script's length and the genus are proven for every state with
     # sum_h <= 12 and every i by
     # tests/test_moves.py::test_build_heegaard_counts_everywhere.
-    final, script = drive_opposite_to_disk(state, i)
-    return final, final.handlebody_genus(i), script
+    walk = _Walk(state)
+    walk.to_disk(i)
+    return walk.state(), walk.heights()[i - 1], tuple(walk.records)

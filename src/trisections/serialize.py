@@ -4,9 +4,11 @@ All formats are UTF-8 JSON with fixed key order, so identical inputs
 produce byte-identical files.  Parsing is strict: unknown fields,
 missing fields, integers of more than :data:`MAX_DIGITS` digits,
 malformed identifiers and histories that do not replay to the stored
-component list are all rejected with :class:`StateFormatError`.  One
-pass reads each record, checking its labels in one call, and a state's
-history is replayed once on a dict of live labels.
+component list, or that no legal moves could have made (a genus below
+zero on the way to the stored genera), are all rejected with
+:class:`StateFormatError`.  One pass reads each record, checking its
+labels in one call, a state's history is replayed once on a dict of
+live labels, and its genera are walked back once through the records.
 
 A state file looks like::
 
@@ -50,6 +52,7 @@ from .core import (
 )
 from .explorer import PropertyResult, VerificationReport
 from .moves import (
+    _MOVE_RULES,
     Arc,
     DistinctComponents,
     MoveRecord,
@@ -421,6 +424,16 @@ def parse_state(payload) -> TrisectionState:
     if fresh != next_id:
         raise StateFormatError(f"state: next_id is {next_id} but the history consumed labels "
                                f"up to c{fresh - 1}")
+    # Walk the genera back from the stored ones through each record's row;
+    # b needs no check, since the replay has kept it at 1 or more.
+    h12, h13, h23 = g12, g13, g23
+    for step in range(len(history), 0, -1):
+        record = history[step - 1]
+        (d12, d13, d23, _), _ = _MOVE_RULES[record.op, record.handlebody, len(record.removed) == 1]
+        h12, h13, h23 = h12 - d12, h13 - d13, h23 - d23
+        if h12 < 0 or h13 < 0 or h23 < 0:
+            raise StateFormatError(f"state: history step {step} would start from genera "
+                                   f"(g12, g13, g23) = ({h12}, {h13}, {h23}), below zero")
     # The replay has proven the link: tuple(live) == components makes its
     # labels well formed, unique and in creation order, and fresh ==
     # next_id puts each of them below next_id.

@@ -9,11 +9,15 @@ record is read off the links before and after it.  It shares nothing
 with the kernel but the move rule table (``STAB_DELTAS``, read through
 ``moves._MOVE_RULES`` for the message texts) and the data types, so
 tests that hold the kernel to it do not compare it with itself.
+:func:`legal_moves` and :func:`is_legal` generate the moves that tests
+draw from, by trying them here.
 """
 
 from __future__ import annotations
 
-from trisections.core import LinkComponentSet, MoveGraphNode, TrisectionState
+from itertools import combinations
+
+from trisections.core import STAB_DELTAS, LinkComponentSet, MoveGraphNode, TrisectionState
 from trisections.moves import (
     _MOVE_RULES,
     DESTAB_CAVEAT,
@@ -79,6 +83,26 @@ def apply_stabilization(state: TrisectionState, move: StabMove) -> TrisectionSta
 
 def apply_destabilization(state: TrisectionState, move: DestabMove) -> TrisectionState:
     return _apply(state, move, "destab")
+
+
+def is_legal(state: TrisectionState, move: StabMove | DestabMove) -> bool:
+    apply = apply_stabilization if isinstance(move, StabMove) else apply_destabilization
+    try:
+        apply(state, move)
+    except IllegalMove:
+        return False
+    return True
+
+
+def legal_moves(state: TrisectionState) -> list[StabMove]:
+    """The legal stabilizations: STAB_DELTAS rows in order, each over sorted labels or pairs."""
+    labels = sorted(state.link.components)
+    arcs = {
+        "same": [SameComponent(c) for c in labels],
+        "distinct": [DistinctComponents(lo, hi) for lo, hi in combinations(labels, 2)],
+    }
+    moves = (StabMove(i, arc) for i, kind in STAB_DELTAS for arc in arcs[kind])
+    return [move for move in moves if is_legal(state, move)]
 
 
 def canonical_same_arc(state: TrisectionState) -> SameComponent:

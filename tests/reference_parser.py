@@ -5,8 +5,9 @@ one-pass reader: every field goes through its own helper, every label
 through :func:`~trisections.core.component_number`, every record through
 the validating constructors, and the history is replayed through
 :func:`_split` and :func:`_merge`, the link methods that replay used
-(``LinkComponentSet`` no longer has them).  Only its replay's error
-texts are written out instead of read from those functions.
+(``LinkComponentSet`` no longer has them), and the genera are walked
+back through each record's row of ``STAB_DELTAS``.  Only its replay's
+error texts are written out instead of read from those functions.
 ``tests/test_reader_equivalence.py`` requires the reader to accept exactly the
 documents this parser accepts, to return equal states and scripts, and
 to raise the same message on every document with one fault.
@@ -17,6 +18,7 @@ from __future__ import annotations
 import json
 
 from trisections.core import (
+    STAB_DELTAS,
     LinkComponentSet,
     MoveGraphNode,
     TrisectionState,
@@ -218,6 +220,25 @@ def _rebuild_link(
     return link
 
 
+def _check_genera(genera: tuple[int, int, int], history: MoveScript, context: str) -> None:
+    # Undo the records from the last to the first, each by its row of
+    # STAB_DELTAS (a formal destab along one arc kind is the inverse of the
+    # stab along the other); every genus on the way must stay >= 0.
+    for step in range(len(history), 0, -1):
+        record = history[step - 1]
+        same = len(record.removed) == 1
+        if record.op == "stab":
+            delta = STAB_DELTAS[record.handlebody, "same" if same else "distinct"]
+        else:
+            delta = tuple(-d for d in STAB_DELTAS[record.handlebody, "distinct" if same else "same"])
+        genera = tuple(g - d for g, d in zip(genera, delta))
+        if min(genera) < 0:
+            raise StateFormatError(
+                f"{context}: history step {step} would start from genera "
+                f"(g12, g13, g23) = {genera}, below zero"
+            )
+
+
 def parse_state(payload) -> TrisectionState:
     obj = _as_object(payload, "state", ("version", "label", "genera", "link", "history"))
     version = _as_int(obj["version"], "state.version")
@@ -246,6 +267,7 @@ def parse_state(payload) -> TrisectionState:
         for n, item in enumerate(history_payload)
     )
     link = _rebuild_link(components, next_id, history, "state")
+    _check_genera((g12, g13, g23), history, "state")
     return TrisectionState(MoveGraphNode(g12, g13, g23, link.b), link, history, label)
 
 

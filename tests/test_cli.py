@@ -168,6 +168,10 @@ def test_stab_rejects_illegal_moves_with_domain_exit(heegaard2):
     proc = run_cli("stab", str(heegaard2), "--handlebody", "1", "--arc", "same:c0")
     assert proc.returncode == 1
     assert "IllegalMove" in proc.stderr
+    # A well-formed label that is not in the link is a domain error too.
+    proc = run_cli("stab", str(heegaard2), "--handlebody", "3", "--arc", "same:c7")
+    assert proc.returncode == 1
+    assert "IllegalMove: component 'c7' is not in the boundary link" in proc.stderr
 
 
 def test_stab_rejects_malformed_arcs_with_usage_exit(heegaard2):
@@ -179,6 +183,11 @@ def test_stab_rejects_malformed_arcs_with_usage_exit(heegaard2):
     proc = run_cli("stab", str(heegaard2), "--handlebody", "1", "--arc", "distinct:c0,c1,c2")
     assert proc.returncode == 2
     assert "arc must look like same:cK or distinct:cK,cL, got 'distinct:c0,c1,c2'" in proc.stderr
+    # Labels that are not component ids are usage errors, not missing components.
+    for arc, label in (("same:foo", "foo"), ("same:c01", "c01"), ("distinct:c0, c1", " c1")):
+        proc = run_cli("stab", str(heegaard2), "--handlebody", "1", "--arc", arc)
+        assert proc.returncode == 2
+        assert f"component identifiers look like 'c12', got {label!r}" in proc.stderr
 
 
 def test_destab_warns_about_the_formal_caveat(koda):
@@ -253,6 +262,23 @@ _SURROGATE_LABEL = state_to_text(from_heegaard(2)).replace(
     '"from-heegaard(genus=2)"', '"\\ud800"'
 )
 
+# Histories whose labels replay but that no legal moves make: walking the
+# genera back from the stored ones drops one below zero.
+_MERGE_INTO_TRIVIAL = json.dumps({
+    "version": 1, "label": "", "genera": {"g12": 0, "g13": 0, "g23": 0},
+    "link": {"components": ["c2"], "next_id": 3},
+    "history": [{"op": "stab", "handlebody": 1, "arc": {"distinct": ["c0", "c1"]},
+                 "created": ["c2"], "removed": ["c0", "c1"]}],
+})
+_ILLEGAL_STAB_FROM_KODA_OZAWA = json.dumps({
+    "version": 1, "label": "", "genera": {"g12": 0, "g13": 0, "g23": 1},
+    "link": {"components": ["c1", "c4"], "next_id": 5},
+    "history": [{"op": "stab", "handlebody": 3, "arc": {"same": "c0"},
+                 "created": ["c2", "c3"], "removed": ["c0"]},
+                {"op": "destab", "handlebody": 3, "arc": {"distinct": ["c2", "c3"]},
+                 "created": ["c4"], "removed": ["c2", "c3"]}],
+})
+
 
 @pytest.mark.parametrize(
     "hostile, state_error, script_error",
@@ -263,8 +289,13 @@ _SURROGATE_LABEL = state_to_text(from_heegaard(2)).replace(
          "state: not valid JSON (", "script: not valid JSON ("),
         (_SURROGATE_LABEL, "state.label: not valid UTF-8 (",
          "script: expected a JSON array of move records"),
+        (_MERGE_INTO_TRIVIAL, "state: history step 1 would start from genera",
+         "script: expected a JSON array of move records"),
+        (_ILLEGAL_STAB_FROM_KODA_OZAWA, "state: history step 2 would start from genera",
+         "script: expected a JSON array of move records"),
     ],
-    ids=["deep-nesting", "long-integer", "long-integer-in-a-record", "lone-surrogate-label"],
+    ids=["deep-nesting", "long-integer", "long-integer-in-a-record", "lone-surrogate-label",
+         "merge-into-trivial", "illegal-stab-from-koda-ozawa"],
 )
 def test_hostile_json_is_a_format_error(tmp_path, capsys, hostile, state_error, script_error):
     # In-process, so the nesting reaches the JSON decoder's recursion limit.

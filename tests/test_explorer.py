@@ -1,11 +1,13 @@
 """Parameter-level move graph: enumeration, listings, shortest scripts, verification.
 
 The parameter shadow must agree with the labeled engine move for move,
-so several tests cross-check node successors against legal_moves applied
+so several tests cross-check node successors against labeled moves applied
 to canonically labeled states.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import pytest
 
@@ -34,7 +36,13 @@ from trisections.explorer import (
     shortest_script,
     verify_properties,
 )
-from trisections.moves import IllegalMove, StabMove, apply_stabilization, legal_moves
+from trisections.moves import (
+    DistinctComponents,
+    IllegalMove,
+    SameComponent,
+    StabMove,
+    apply_stabilization,
+)
 
 
 def _replay_records(node: MoveGraphNode, script) -> MoveGraphNode:
@@ -98,17 +106,32 @@ def test_successor_grading():
 
 
 def test_successors_match_labeled_engine():
-    # collapse the labeled moves of the canonical state to (index, kind)
-    # pairs with their resulting nodes; the parameter shadow must agree
+    # Try every handlebody with every arc of the canonical state, one
+    # label or a pair, and with arcs naming a missing label: the legal
+    # (index, kind) pairs and the nodes they reach must be the parameter
+    # shadow's successors, whichever labels the arc names.
     for node in feasible_nodes(8):
         state = node.to_state()
+        labels = state.link.components
+        arcs = [SameComponent(c) for c in labels]
+        arcs += [DistinctComponents(lo, hi) for lo, hi in combinations(labels, 2)]
+        missing = [SameComponent("c999"), DistinctComponents(labels[0], "c999")]
         labeled: dict[tuple[int, str], MoveGraphNode] = {}
-        for move in legal_moves(state):
-            kind = "same" if type(move.arc).__name__ == "SameComponent" else "distinct"
-            result = MoveGraphNode.from_state(apply_stabilization(state, move))
-            previous = labeled.setdefault((move.handlebody, kind), result)
-            assert previous == result  # arc choice never affects parameters
-        assert dict(node.successors()) == labeled
+        for i in (1, 2, 3):
+            for arc in arcs:
+                try:
+                    result = apply_stabilization(state, StabMove(i, arc)).genera
+                except IllegalMove:
+                    continue
+                kind = "same" if isinstance(arc, SameComponent) else "distinct"
+                previous = labeled.setdefault((i, kind), result)
+                assert previous == result  # arc choice never affects parameters
+            for arc in missing:
+                with pytest.raises(IllegalMove, match="is not in the boundary link"):
+                    apply_stabilization(state, StabMove(i, arc))
+        successors = node.successors()
+        assert len(successors) == len(labeled)
+        assert dict(successors) == labeled
 
 
 def test_feasible_nodes_matches_profile_enumeration():

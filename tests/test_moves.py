@@ -12,6 +12,7 @@ from itertools import combinations
 import pytest
 
 from genealogy import genealogy, replay_genealogy
+from move_oracle import is_legal, legal_moves
 from trisections import core, moves
 from trisections.core import (
     LinkComponentSet,
@@ -42,15 +43,9 @@ from trisections.moves import (
     balance,
     balance_length,
     build_heegaard,
-    canonical_balance_move,
-    canonical_distinct_arc,
-    canonical_same_arc,
     disk_length,
-    drive_opposite_to_disk,
     fake_heegaard_stab,
     inverse_of,
-    is_legal,
-    legal_moves,
 )
 from trisections.planner import plan_common_stabilization, replay
 from trisections.serialize import state_from_text, state_to_text
@@ -92,37 +87,7 @@ def test_move_record_rejects_unknown_op():
         MoveRecord("twist", 1, SameComponent("c0"), (), ("c0",))
 
 
-# -- legality and enumeration ---------------------------------------------------
-
-
-def test_trivial_state_has_no_legal_moves():
-    assert legal_moves(trivial()) == []
-
-
-def test_legal_moves_from_heegaard_two():
-    # genera (2,0,0) with b = 1: only H3 sees positive opposite genus
-    assert legal_moves(from_heegaard(2)) == [StabMove(3, SameComponent("c0"))]
-
-
-def test_legal_moves_koda_ozawa():
-    pair = DistinctComponents("c0", "c1")
-    assert legal_moves(koda_ozawa()) == [
-        StabMove(1, SameComponent("c0")),
-        StabMove(1, SameComponent("c1")),
-        StabMove(1, pair),
-        StabMove(2, pair),
-        StabMove(3, pair),
-    ]
-
-
-def test_is_legal_matches_enumeration():
-    for state in _feasible_states(7):
-        listed = set(legal_moves(state))
-        for i in (1, 2, 3):
-            for c in state.link.components:
-                move = StabMove(i, SameComponent(c))
-                assert is_legal(state, move) == (move in listed)
-        assert is_legal(state, StabMove(1, SameComponent("c999"))) is False
+# -- legality -------------------------------------------------------------------
 
 
 def test_stab_deltas_rows_are_single_stabilizations():
@@ -357,7 +322,7 @@ def test_destab_then_inverse_stab_round_trips():
             SameComponent(c) for c in state.link.components
         ]
         if state.b >= 2:
-            arcs.append(canonical_distinct_arc(state))
+            arcs.append(DistinctComponents(*sorted(state.link.components)[:2]))
         for i in (1, 2, 3):
             for arc in arcs:
                 move = DestabMove(i, arc)
@@ -473,18 +438,12 @@ def test_balance_postconditions_everywhere():
 
 
 def test_canonical_balance_move_targets_smallest_handlebody():
-    move = canonical_balance_move(split_heegaard(4, 2))  # profile (4,2,2;1)
-    assert move.handlebody == 3  # tie between H2 and H3 goes to the larger index
-    assert move.arc == SameComponent("c0")
-    move = canonical_balance_move(koda_ozawa())  # profile (1,2,2;2)
-    assert move.handlebody == 1
-    assert move.arc == DistinctComponents("c0", "c1")
-
-
-def test_canonical_arcs_pick_lexicographic_minima():
-    state = koda_ozawa()
-    assert canonical_same_arc(state) == SameComponent("c0")
-    assert canonical_distinct_arc(state) == DistinctComponents("c0", "c1")
+    # The first move of balance() is the canonical balance move.
+    _, script = balance(split_heegaard(4, 2))  # profile (4,2,2;1)
+    # a tie between H2 and H3 goes to the larger index
+    assert script[0] == MoveRecord("stab", 3, SameComponent("c0"), ("c1", "c2"), ("c0",))
+    _, script = balance(koda_ozawa())  # profile (1,2,2;2)
+    assert script[0] == MoveRecord("stab", 1, DistinctComponents("c0", "c1"), ("c2",), ("c0", "c1"))
 
 
 @pytest.mark.parametrize("i", (1, 2, 3))
@@ -495,10 +454,12 @@ def test_canonical_arcs_across_digit_lengths(i):
         state = connect_sum_equal_genus(g)
         _, _, script = build_heegaard(state, i)
         for record in script:
-            labels = state.link.components
-            assert canonical_same_arc(state) == SameComponent(min(labels))
+            # The least pair whenever b >= 2, else the least (only) label.
+            labels = sorted(state.link.components)
             if len(labels) >= 2:
-                assert canonical_distinct_arc(state) == DistinctComponents(*sorted(labels)[:2])
+                assert record.arc == DistinctComponents(labels[0], labels[1])
+            else:
+                assert record.arc == SameComponent(labels[0])
             state = apply_stabilization(state, StabMove(record.handlebody, record.arc))
 
 
@@ -523,8 +484,7 @@ def test_build_heegaard_is_a_no_op_when_opposite_surface_is_a_disk():
 
 
 def test_build_heegaard_counts_everywhere():
-    # build_heegaard() and drive_opposite_to_disk() do not check these at
-    # run time; this test proves them.
+    # build_heegaard() does not check these at run time; this test proves them.
     for start in _feasible_states(12):
         for i in (1, 2, 3):
             j, k = [n for n in (1, 2, 3) if n != i]
@@ -534,6 +494,7 @@ def test_build_heegaard_counts_everywhere():
             assert len(script) == disk_length(start, i)
             assert final.genera.opposite(i) == 0
             assert final.b == 1
+            assert script == final.history[len(start.history):]
 
 
 def test_build_heegaard_on_balanced_states():
@@ -542,17 +503,6 @@ def test_build_heegaard_on_balanced_states():
         final, genus, script = build_heegaard(state, 2)
         assert genus == 2 * h
         assert len(script) == h
-
-
-def test_drive_opposite_to_disk_matches_build():
-    for state in _feasible_states(12):
-        for i in (1, 2, 3):
-            driven, script = drive_opposite_to_disk(state, i)
-            built, genus, build_script = build_heegaard(state, i)
-            assert driven == built
-            assert script == build_script
-            assert len(script) == 2 * state.genera.opposite(i) + state.b - 1
-            assert script == driven.history[len(state.history):]
 
 
 # -- history bookkeeping -------------------------------------------------------

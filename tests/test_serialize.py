@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import reference_parser
 from genealogy import genealogy, replay_genealogy
-from move_oracle import compound_record
+from move_oracle import compound_record, is_legal, legal_moves
 from trisections.core import (
     Profile,
     connect_sum_equal_genus,
@@ -39,8 +39,6 @@ from trisections.moves import (
     balance,
     build_heegaard,
     fake_heegaard_stab,
-    is_legal,
-    legal_moves,
 )
 from trisections.planner import plan_common_stabilization, replay
 from trisections.serialize import (
@@ -380,6 +378,41 @@ def test_parse_rejects_history_that_does_not_replay():
     assert payload["history"][0]["created"] == ["c1", "c2"]
     payload["history"][0]["created"] = ["c2", "c1"]
     _expect_rejected(payload)
+
+
+# Two states whose histories replay on the labels but that no legal moves
+# could have made, with the step at which walking the genera back from the
+# stored ones first drops one below zero.
+_IMPOSSIBLE_HISTORIES = [
+    pytest.param(
+        {"version": 1, "label": "", "genera": {"g12": 0, "g13": 0, "g23": 0},
+         "link": {"components": ["c2"], "next_id": 3},
+         "history": [{"op": "stab", "handlebody": 1, "arc": {"distinct": ["c0", "c1"]},
+                      "created": ["c2"], "removed": ["c0", "c1"]}]},
+        "state: history step 1 would start from genera (g12, g13, g23) = (-1, -1, 0), below zero",
+        id="trivial-after-a-merge",
+    ),
+    pytest.param(
+        {"version": 1, "label": "", "genera": {"g12": 0, "g13": 0, "g23": 1},
+         "link": {"components": ["c1", "c4"], "next_id": 5},
+         "history": [{"op": "stab", "handlebody": 3, "arc": {"same": "c0"},
+                      "created": ["c2", "c3"], "removed": ["c0"]},
+                     {"op": "destab", "handlebody": 3, "arc": {"distinct": ["c2", "c3"]},
+                      "created": ["c4"], "removed": ["c2", "c3"]}]},
+        "state: history step 2 would start from genera (g12, g13, g23) = (-1, 0, 1), below zero",
+        id="koda-ozawa-after-an-illegal-stab",
+    ),
+]
+
+
+@pytest.mark.parametrize("payload, message", _IMPOSSIBLE_HISTORIES)
+def test_parse_rejects_histories_no_legal_moves_make(payload, message):
+    # The labels replay, but a genus falls below zero on the way back.
+    text = json.dumps(payload)
+    for read in (state_from_text, reference_parser.state_from_text):
+        with pytest.raises(StateFormatError) as caught:
+            read(text)
+        assert str(caught.value) == message
 
 
 def test_parse_rejects_fake_stab_inside_state_history():
