@@ -322,12 +322,19 @@ def genera_from_profile(profile: Profile) -> MoveGraphNode:
     h1, h2, h3, b = profile.as_tuple()
     if (h1 + h2 + h3 + b) % 2 == 0:
         raise Infeasible(f"profile {profile} fails the parity condition")
-    doubled = (h1 + h2 - h3 + 1 - b, h1 + h3 - h2 + 1 - b, h2 + h3 - h1 + 1 - b)
-    for name, value in zip(("g12", "g13", "g23"), doubled):
+    genera = _genera(h1, h2, h3, b)
+    for name, value in zip(("g12", "g13", "g23"), genera):
         if value < 0:
-            raise Infeasible(f"profile {profile} forces {name} = {value}/2 < 0")
-    d12, d13, d23 = doubled
-    return MoveGraphNode(d12 // 2, d13 // 2, d23 // 2, b)
+            raise Infeasible(f"profile {profile} forces {name} = {2 * value}/2 < 0")
+    return MoveGraphNode(*genera)
+
+
+def _genera(h1: int, h2: int, h3: int, b: int) -> tuple[int, int, int, int]:
+    # The genus formula inverted on ints, for h1 + h2 + h3 + b odd: with
+    # M = (h1 + h2 + h3 + 1 - b) / 2, g12 = M - h3, g13 = M - h2 and
+    # g23 = M - h1.  Returns (g12, g13, g23, b), unchecked.
+    half = (h1 + h2 + h3 + 1 - b) // 2
+    return (half - h3, half - h2, half - h1, b)
 
 
 def is_feasible(profile: Profile) -> bool:

@@ -32,13 +32,31 @@ can be raised so that the result still meets them, one move closer:
   otherwise u is trivial, h(t) has a zero or g_jk(t) < 0.
 
 Search uses the rule and nothing else.  A minimal common stabilization
-is found by enumerating the few candidate nodes above both inputs, level
-by level; the ``explore`` listing (:func:`bfs_reachable`) enumerates the
-nodes above one input the same way; and a shortest path is walked
-greedily, one move per level, on the coordinates as plain ints: each
-step is the first legal row whose result can still reach the goal.
-Breadth-first search survives only in the tests, as the reference they
-hold the rule to.
+of two non-trivial nodes a != b is built, not searched for.  Write
+F = max(h(a), h(b), 1) componentwise and S_x = sum h(x).  By the rule a
+node with heights H, level L = sum H and b is common exactly when H >= F,
+L + b is odd, every g_ij >= 0 and |b - b(x)| <= L - S_x on both sides.
+Put M = (L + 1 - b) / 2; the genus formula inverted reads g12 = M - H3,
+g13 = M - H2 and g23 = M - H1, so g_ij >= 0 is H <= M.  At fixed L and b
+the lexicographically least node therefore takes H3 as large as it can
+be, then H2: H3 = min(M, L - F1 - F2), then H2 = min(M, L - H3 - F1),
+H1 = L - H3 - H2.  These heights stay within [F, M] exactly when
+L >= sum F, max F <= M and L <= 3M, and a level's b meeting all that
+form one interval of one parity: b >= 1 and |b - b(x)| <= L - S_x,
+b <= L + 1 - 2 max F, b <= (L + 3) / 3 and L + b odd.  The least node
+lies on the first level L >= sum F whose interval is not empty, at its
+largest b: g12 = max(0, M - L + F1 + F2) and g13 (M - F2 when g12 > 0,
+else max(0, 2M - L + F1)) never fall as M grows, and where both are 0,
+g23 = 3M - L grows with M.  That node is common by the rule, whose
+sufficiency half is the proof above.  Finding it costs O(1) a level
+tried, and no candidate node is enumerated at any distance.
+
+The ``explore`` listing (:func:`bfs_reachable`) enumerates the nodes
+above one input level by level, and a shortest path is walked greedily,
+one move per level, on the coordinates as plain ints: each step is the
+first legal row whose result can still reach the goal.  Breadth-first
+search survives only in the tests, as the reference they hold the rule
+to, next to an enumeration of the common nodes level by level.
 
 The full labeled engine reappears only when a parameter path is realized
 as a replayable :class:`~trisections.moves.MoveScript` on canonical
@@ -54,6 +72,7 @@ from typing import Iterable, Iterator
 
 from .core import (
     _SUCCESSOR_ROWS,
+    _genera,
     MoveGraphNode,
     ParamMove,
     Profile,
@@ -161,17 +180,15 @@ def bfs_reachable(start: MoveGraphNode, max_sum: int) -> dict[MoveGraphNode, int
     level = start.sum_h()
     if level > max_sum:
         return {}
-    nodes = [start]
+    depths = {(start.g12, start.g13, start.g23, start.b): 0}
     if not start.is_trivial:
         # Above start's level _reaches decides reachable().
         h, b = start.heights(), start.b
-        nodes += [
-            genera_from_profile(Profile(*heights, count))
-            for top in range(level + 1, max_sum + 1)
-            for heights, count in _profiles_above(h, top)
-            if _reaches(h, b, heights, count)
-        ]
-    return {node: node.sum_h() - level for node in sorted(nodes)}
+        for top in range(level + 1, max_sum + 1):
+            for heights, count in _profiles_above(h, top):
+                if _reaches(h, b, heights, count):
+                    depths[_genera(*heights, count)] = top - level
+    return {MoveGraphNode(*params): depth for params, depth in sorted(depths.items())}
 
 
 def realize_path(
@@ -212,30 +229,37 @@ def shortest_path(
     """
     if start == goal:
         return []
-    h_start, h_goal, b_goal = start.heights(), goal.heights(), goal.b
-    left = sum(h_goal) - sum(h_start)
+    h_start, h_goal = start.heights(), goal.heights()
     # reachable(), past its start == goal case.
-    if left > depth_bound or start.is_trivial or not _reaches(h_start, start.b, h_goal, b_goal):
+    if (
+        sum(h_goal) - sum(h_start) > depth_bound
+        or start.is_trivial
+        or not _reaches(h_start, start.b, h_goal, goal.b)
+    ):
         return None
+    return list(_climb(start, goal, h_start, h_goal))
+
+
+def _climb(
+    start: MoveGraphNode, goal: MoveGraphNode, h_start: tuple[int, ...], h_goal: tuple[int, ...]
+) -> Iterator[ParamMove]:
+    # shortest_path's greedy walk on ints, yielding each move as it is chosen,
+    # from a start that reaches goal: the first row of _SUCCESSOR_ROWS that is
+    # legal and keeps goal in reach.
+    b_goal = goal.b
     params = (start.g12, start.g13, start.g23, start.b)
     heights = list(h_start)
-    path: list[ParamMove] = []
-    while left:
-        left -= 1
+    for left in range(sum(h_goal) - sum(h_start) - 1, -1, -1):
+        gap = b_goal - params[3]
         for move, delta, falling, least, i in _SUCCESSOR_ROWS:
-            if (
-                params[falling] >= least
-                and heights[i] < h_goal[i]
-                and abs(b_goal - params[3] - delta[3]) <= left
-            ):
+            if params[falling] >= least and heights[i] < h_goal[i] and abs(gap - delta[3]) <= left:
                 break
         else:
             node = MoveGraphNode(*params)
             raise WitnessNotFound(f"no stabilization of {node} can still reach {goal}")
         params = tuple(map(int.__add__, params, delta))
         heights[i] += 1
-        path.append(move)
-    return path
+        yield move
 
 
 def shortest_script(
@@ -248,13 +272,21 @@ def shortest_script(
     script is realized on the canonical labeling of ``start``, so it
     replays from ``start.to_state()`` or any state with the same labels:
     it is ``realize_path(start.to_state(), shortest_path(...))[1]``, made
-    by one walk from ``start``'s labels without building that state.
+    by one walk from ``start``'s labels that takes each move as the
+    greedy climb chooses it, without building that state or the path.
     """
-    path = shortest_path(start, goal, depth_bound)
-    if path is None:
+    if start == goal:
+        return ()
+    h_start, h_goal = start.heights(), goal.heights()
+    # reachable(), past its start == goal case.
+    if (
+        sum(h_goal) - sum(h_start) > depth_bound
+        or start.is_trivial
+        or not _reaches(h_start, start.b, h_goal, goal.b)
+    ):
         return None
-    walk = _Walk._at_node(start)
-    return tuple([walk.canonical(i, kind == "same") for i, kind in path])
+    canonical = _Walk._at_node(start).canonical
+    return tuple([canonical(i, kind == "same") for i, kind in _climb(start, goal, h_start, h_goal)])
 
 
 def common_stabilization_search(
@@ -268,30 +300,38 @@ def common_stabilization_search(
     inputs' canonical labelings.  Returns None when no common node exists
     within the bound.  Raises :class:`WitnessNotFound` if the move graph
     has no script to the node :func:`reachable` chose.
+
+    The node is built, not searched for, by the least-node rule of the
+    module docstring: the greedy heights at the largest b of the first
+    level whose interval of b is not empty, with O(1) work a level.
     """
     if a == b:
         return (a, (), ()) if a.sum_h() <= max_sum else None
     if a.is_trivial or b.is_trivial:
         return None
-    # The inputs differ and neither is trivial, so _reaches on both sides is
-    # reachable() on both sides, also for a candidate equal to one input: the
-    # other side then needs min h >= 1, as _reaches does.  A common node has
-    # heights >= floor, so no level below sum(floor) holds one.
-    h_a, h_b = a.heights(), b.heights()
-    floor = tuple(map(max, h_a, h_b))
-    for level in range(sum(floor), max_sum + 1):
-        common = [
-            genera_from_profile(Profile(*heights, count))
-            for heights, count in _profiles_above(floor, level)
-            if _reaches(h_a, a.b, heights, count) and _reaches(h_b, b.b, heights, count)
-        ]
-        if common:
-            node = min(common)
+    # The inputs differ and neither is trivial, so a node is common exactly
+    # when it meets _reaches on both sides, also a node equal to one input:
+    # the other side then needs min h >= 1, which the floor of 1 in F gives.
+    (a1, a2, a3), (b1, b2, b3) = a.heights(), b.heights()
+    f1, f2, f3 = max(a1, b1, 1), max(a2, b2, 1), max(a3, b3, 1)
+    s_a, s_b = a1 + a2 + a3, b1 + b2 + b3
+    low, high, top = max(a.b + s_a, b.b + s_b), min(a.b - s_a, b.b - s_b), max(f1, f2, f3)
+    for level in range(f1 + f2 + f3, max_sum + 1):
+        # The largest b of the level's interval, which holds the least node:
+        # within level - S_x of b(x) on both sides, M >= max F, level <= 3M
+        # and level + b odd.
+        count = min(high + level, level + 1 - 2 * top, (level + 3) // 3)
+        count -= 1 - (level + count) % 2
+        if count >= max(1, low - level):
             break
     else:
         return None
-    script_a = shortest_script(a, node, node.sum_h() - a.sum_h())
-    script_b = shortest_script(b, node, node.sum_h() - b.sum_h())
+    half = (level + 1 - count) // 2  # M
+    h3 = min(half, level - f1 - f2)
+    h2 = min(half, level - h3 - f1)
+    node = MoveGraphNode(*_genera(level - h3 - h2, h2, h3, count))
+    script_a = shortest_script(a, node, level - s_a)
+    script_b = shortest_script(b, node, level - s_b)
     if script_a is None or script_b is None:
         raise WitnessNotFound(
             f"no stabilization script from {a} and {b} to their common node {node}"
@@ -307,10 +347,9 @@ def _profiles_above(
     for h1 in range(f1, level - f2 - f3 + 1):
         for h2 in range(f2, level - h1 - f3 + 1):
             h3 = level - h1 - h2
-            # A node needs h1 + h2 + h3 + b odd and each g_ij >= 0, that is
-            # b - 1 <= h_i + h_j - h_k for every k.
-            least_gap = min(h1 + h2 - h3, h1 + h3 - h2, h2 + h3 - h1)
-            for b in range(1 + level % 2, least_gap + 2, 2):
+            # A node needs level + b odd and every g_ij = M - h_k >= 0 for
+            # M = (level + 1 - b) / 2, that is b <= level + 1 - 2 max h.
+            for b in range(1 + level % 2, level - 2 * max(h1, h2, h3) + 2, 2):
                 yield (h1, h2, h3), b
 
 

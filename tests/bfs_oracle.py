@@ -10,14 +10,23 @@ engine to them do not compare the rule with itself.
 ``greedy_shortest_path`` is the witness walk on nodes: one
 ``successors()`` call per move, pruned by :func:`explorer.reachable`.
 It holds ``shortest_path``'s walk on ints to the nodes it stands for.
+
+``enumerated_common_stabilization`` is the minimal common stabilization
+found by enumeration: every feasible (heights, b) above both inputs,
+level by level, each made a node through ``genera_from_profile`` and kept
+when :func:`explorer.reachable` accepts it from both sides.  It holds the
+closed-form least node of ``common_stabilization_search`` to the nodes it
+stands for.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from typing import Iterator
 
-from trisections.core import MoveGraphNode, ParamMove
-from trisections.explorer import reachable
+from trisections.core import MoveGraphNode, ParamMove, Profile, genera_from_profile
+from trisections.explorer import reachable, realize_path
+from trisections.moves import MoveScript
 
 
 def bfs_reachable(start: MoveGraphNode, max_sum: int) -> dict[MoveGraphNode, int]:
@@ -95,3 +104,49 @@ def greedy_shortest_path(
         else:
             raise LookupError(f"no successor of {node} reaches {goal}")
     return path
+
+
+def enumerated_common_stabilization(
+    a: MoveGraphNode, b: MoveGraphNode, max_sum: int
+) -> tuple[MoveGraphNode, MoveScript, MoveScript] | None:
+    """The least common node with sum_h <= max_sum and its witnesses, or None.
+
+    The node is the least, by (sum_h, node), that both inputs reach, found
+    by enumerating the feasible (heights, b) above both inputs' heights,
+    level by level.  Each witness is ``greedy_shortest_path`` realized
+    from the input's canonical state with ``realize_path``.
+    """
+    if a == b:
+        return (a, (), ()) if a.sum_h() <= max_sum else None
+    floor = tuple(map(max, a.heights(), b.heights()))
+    for level in range(sum(floor), max_sum + 1):
+        common = [
+            node
+            for heights, count in _profiles_above(floor, level)
+            if reachable(a, node := genera_from_profile(Profile(*heights, count)))
+            and reachable(b, node)
+        ]
+        if common:
+            node = min(common)
+            break
+    else:
+        return None
+    scripts = [
+        realize_path(x.to_state(), greedy_shortest_path(x, node, level - x.sum_h()))[1]
+        for x in (a, b)
+    ]
+    return node, *scripts
+
+
+def _profiles_above(
+    floor: tuple[int, ...], level: int
+) -> Iterator[tuple[tuple[int, int, int], int]]:
+    # Every feasible (heights, b) with heights >= floor summing to level:
+    # level + b odd and b - 1 <= h_i + h_j - h_k for every k.
+    f1, f2, f3 = floor
+    for h1 in range(f1, level - f2 - f3 + 1):
+        for h2 in range(f2, level - h1 - f3 + 1):
+            h3 = level - h1 - h2
+            least_gap = min(h1 + h2 - h3, h1 + h3 - h2, h2 + h3 - h1)
+            for count in range(1 + level % 2, least_gap + 2, 2):
+                yield (h1, h2, h3), count

@@ -7,7 +7,9 @@
 small nodes, a property test over larger ones, and a BFS-intersection
 search written out in this file.  The witnesses, ``shortest_path`` and
 ``shortest_script``, are also held to the oracle's walk on nodes and to
-``realize_path`` on the state it starts from.
+``realize_path`` on the state it starts from.  The closed-form least
+common node is held to the oracle's level-by-level enumeration, node and
+witnesses alike, and shown to enumerate nothing at any distance.
 """
 
 from __future__ import annotations
@@ -18,8 +20,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bfs_oracle import bfs_reachable, bfs_shortest_path, greedy_shortest_path
+from bfs_oracle import (
+    bfs_reachable,
+    bfs_shortest_path,
+    enumerated_common_stabilization,
+    greedy_shortest_path,
+)
 from trisections import explorer
+from trisections.core import Profile, genera_from_profile
 from trisections.explorer import (
     MoveGraphNode,
     common_stabilization_search,
@@ -29,6 +37,7 @@ from trisections.explorer import (
     shortest_path,
     shortest_script,
 )
+from trisections.planner import replay
 from trisections.serialize import script_to_text
 
 TRIVIAL = MoveGraphNode(0, 0, 0, 1)
@@ -194,3 +203,80 @@ def test_common_stabilization_does_not_depend_on_a_loose_bound(a, b):
     bounded = common_stabilization_search(a, b, 40)
     assert bounded is not None
     assert common_stabilization_search(a, b, 10**6) == bounded
+
+
+# -- the least common node against the level enumeration -----------------------------
+
+
+def _assert_search_matches_the_enumeration(a, b, max_sum, expected, texts) -> None:
+    # texts: the expected scripts as script_to_text, byte for byte.
+    found = common_stabilization_search(a, b, max_sum)
+    assert found == expected, (a, b, max_sum)
+    if found is not None:
+        assert tuple(map(script_to_text, found[1:])) == texts, (a, b, max_sum)
+
+
+def _texts(expected) -> tuple[str, ...] | None:
+    return None if expected is None else tuple(map(script_to_text, expected[1:]))
+
+
+def test_common_stabilization_matches_the_enumeration_on_every_pair_up_to_sum_13():
+    # The enumeration stops at its first level that holds a common node, so
+    # its answer at a lower bound is the same answer, or None when that
+    # level lies above the bound.
+    nodes = feasible_nodes(13)
+    found = 0
+    for a, b in itertools.product(nodes, nodes):
+        expected = enumerated_common_stabilization(a, b, 24)
+        texts = _texts(expected)
+        for max_sum in (15, 20, 24):
+            within = expected is not None and expected[0].sum_h() <= max_sum
+            _assert_search_matches_the_enumeration(
+                a, b, max_sum, expected if within else None, texts
+            )
+        found += expected is not None
+    assert len(nodes) ** 2 == 29_241 and found == len(nodes) ** 2 - 2 * (len(nodes) - 1)
+
+
+@st.composite
+def _far_pairs(draw) -> tuple[MoveGraphNode, MoveGraphNode, int]:
+    # Two nodes with b up to 30 and genera that keep sum_h <= 60 where b
+    # allows it, and a bound that may fall short of their common node.
+    pair = []
+    for _ in range(2):
+        b = draw(st.integers(1, 30))
+        genus_sum = draw(st.integers(0, max(0, (60 - 3 * (b - 1)) // 2)))
+        g12 = draw(st.integers(0, genus_sum))
+        g13 = draw(st.integers(0, genus_sum - g12))
+        pair.append(MoveGraphNode(g12, g13, genus_sum - g12 - g13, b))
+    a, b = pair
+    return a, b, draw(st.integers(max(a.sum_h(), b.sum_h()), 100))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_far_pairs())
+def test_common_stabilization_matches_the_enumeration_on_far_pairs(case):
+    a, b, max_sum = case
+    expected = enumerated_common_stabilization(a, b, max_sum)
+    _assert_search_matches_the_enumeration(a, b, max_sum, expected, _texts(expected))
+
+
+def test_common_stabilization_enumerates_nothing_at_any_distance(monkeypatch):
+    # Connect-sum g, (g,g,g;g+1), against (g,g,g;1) meet g/2 levels above
+    # both; the level enumeration would visit about g^4 candidates.
+    def refuse(floor, level):
+        raise AssertionError("the search enumerated the levels")
+
+    monkeypatch.setattr(explorer, "_profiles_above", refuse)
+    g = 1_000
+    a = genera_from_profile(Profile(g, g, g, g + 1))
+    b = genera_from_profile(Profile(g, g, g, 1))
+    found = common_stabilization_search(a, b, 10**6)
+    assert found is not None
+    node, script_a, script_b = found
+    assert node == MoveGraphNode(0, g // 2, g // 2, g // 2 + 1)
+    assert node.heights() == (g, g, 3 * g // 2)
+    for start, script in ((a, script_a), (b, script_b)):
+        assert len(script) == g // 2
+        assert replay(start.to_state(), script).genera == node
