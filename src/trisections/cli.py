@@ -252,7 +252,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         if goal.sum_h() <= args.max_sum:
             length = goal.sum_h() - start.sum_h()
             _check_size("explore: the script length", length, MAX_SCRIPT_MOVES)
-            path = shortest_path(start, goal, length)
+            path = shortest_path(start, goal)
         if path is None:
             _note(f"NotFound: no stabilization script from {start} to {goal} within sum_h <= {args.max_sum}")
             return 1

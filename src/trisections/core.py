@@ -237,8 +237,6 @@ def least_labels(labels: Sequence[str], count: int) -> tuple[str, ...]:
     ``count`` labels of each run of one length, and it costs one
     ``bisect`` per run instead of a pass over all of them.
     """
-    if len(labels[0]) == len(labels[-1]):
-        return tuple(labels[:count])
     candidates, start = [], 0
     while start < len(labels):
         stop = bisect_left(labels, len(labels[start]) + 1, start, key=len)

@@ -60,7 +60,8 @@ to, next to an enumeration of the common nodes level by level.
 
 The full labeled engine reappears only when a parameter path is realized
 as a replayable :class:`~trisections.moves.MoveScript` on canonical
-labels: :func:`shortest_script` runs one walk from a node's canonical
+labels: :func:`shortest_script` and the witnesses of
+:func:`common_stabilization_search` run one walk from a node's canonical
 labels, and :func:`realize_path` one from a given state.
 """
 
@@ -208,14 +209,12 @@ def realize_path(
     return walk.state(), tuple(walk.records)
 
 
-def shortest_path(
-    start: MoveGraphNode, goal: MoveGraphNode, depth_bound: int
-) -> list[ParamMove] | None:
+def shortest_path(start: MoveGraphNode, goal: MoveGraphNode) -> list[ParamMove] | None:
     """A shortest parameter-move path from ``start`` to ``goal``, or None.
 
-    None when ``goal`` is not :func:`reachable` or lies more than
-    ``depth_bound`` moves up.  Otherwise a greedy walk, one move per
-    level: each step takes the first row of
+    None exactly when ``goal`` is not :func:`reachable`; otherwise the
+    path has goal.sum_h() - start.sum_h() moves.  It is a greedy walk, one
+    move per level: each step takes the first row of
     :data:`~trisections.core.STAB_DELTAS`, in row order, that is legal
     and whose result can still reach ``goal`` (else
     :class:`WitnessNotFound`).  By the proof above every such prefix
@@ -227,17 +226,9 @@ def shortest_path(
     b(goal).  Realize the path against a labeled state with
     :func:`realize_path`.
     """
-    if start == goal:
-        return []
-    h_start, h_goal = start.heights(), goal.heights()
-    # reachable(), past its start == goal case.
-    if (
-        sum(h_goal) - sum(h_start) > depth_bound
-        or start.is_trivial
-        or not _reaches(h_start, start.b, h_goal, goal.b)
-    ):
+    if not reachable(start, goal):
         return None
-    return list(_climb(start, goal, h_start, h_goal))
+    return list(_climb(start, goal, start.heights(), goal.heights()))
 
 
 def _climb(
@@ -262,31 +253,26 @@ def _climb(
         yield move
 
 
-def shortest_script(
-    start: MoveGraphNode, goal: MoveGraphNode, depth_bound: int
-) -> MoveScript | None:
+def _canonical_script(start: MoveGraphNode, path: Iterable[ParamMove]) -> MoveScript:
+    # realize_path(start.to_state(), path)[1], by one walk from start's
+    # canonical labels that builds no state, taking each move as it comes.
+    canonical = _Walk._at_node(start).canonical
+    return tuple([canonical(i, kind == "same") for i, kind in path])
+
+
+def shortest_script(start: MoveGraphNode, goal: MoveGraphNode) -> MoveScript | None:
     """A shortest stabilization script from ``start`` to ``goal``, or None.
 
-    The length is the certified graph distance (the grading makes it
-    goal.sum_h() - start.sum_h() whenever the goal is reachable).  The
-    script is realized on the canonical labeling of ``start``, so it
-    replays from ``start.to_state()`` or any state with the same labels:
-    it is ``realize_path(start.to_state(), shortest_path(...))[1]``, made
-    by one walk from ``start``'s labels that takes each move as the
-    greedy climb chooses it, without building that state or the path.
+    None exactly when ``goal`` is not :func:`reachable`.  The length is
+    the certified graph distance, goal.sum_h() - start.sum_h().  The
+    script is :func:`shortest_path` realized on the canonical labeling of
+    ``start``, so it replays from ``start.to_state()`` or any state with
+    the same labels: it equals
+    ``realize_path(start.to_state(), shortest_path(start, goal))[1]``,
+    made without building that state.
     """
-    if start == goal:
-        return ()
-    h_start, h_goal = start.heights(), goal.heights()
-    # reachable(), past its start == goal case.
-    if (
-        sum(h_goal) - sum(h_start) > depth_bound
-        or start.is_trivial
-        or not _reaches(h_start, start.b, h_goal, goal.b)
-    ):
-        return None
-    canonical = _Walk._at_node(start).canonical
-    return tuple([canonical(i, kind == "same") for i, kind in _climb(start, goal, h_start, h_goal)])
+    path = shortest_path(start, goal)
+    return None if path is None else _canonical_script(start, path)
 
 
 def common_stabilization_search(
@@ -298,12 +284,14 @@ def common_stabilization_search(
     one with minimal sum_h (ties broken lexicographically) is returned
     together with one shortest script from each input, realized on the
     inputs' canonical labelings.  Returns None when no common node exists
-    within the bound.  Raises :class:`WitnessNotFound` if the move graph
-    has no script to the node :func:`reachable` chose.
+    within the bound.
 
     The node is built, not searched for, by the least-node rule of the
     module docstring: the greedy heights at the largest b of the first
-    level whose interval of b is not empty, with O(1) work a level.
+    level whose interval of b is not empty, with O(1) work a level.  The
+    node is common by construction, so each witness is realized straight
+    from :func:`shortest_path`'s climb, which raises
+    :class:`WitnessNotFound` if the move graph disagrees with the rule.
     """
     if a == b:
         return (a, (), ()) if a.sum_h() <= max_sum else None
@@ -329,14 +317,13 @@ def common_stabilization_search(
     half = (level + 1 - count) // 2  # M
     h3 = min(half, level - f1 - f2)
     h2 = min(half, level - h3 - f1)
-    node = MoveGraphNode(*_genera(level - h3 - h2, h2, h3, count))
-    script_a = shortest_script(a, node, level - s_a)
-    script_b = shortest_script(b, node, level - s_b)
-    if script_a is None or script_b is None:
-        raise WitnessNotFound(
-            f"no stabilization script from {a} and {b} to their common node {node}"
-        )
-    return node, script_a, script_b
+    heights = (level - h3 - h2, h2, h3)
+    node = MoveGraphNode(*_genera(*heights, count))
+    return (
+        node,
+        _canonical_script(a, _climb(a, node, (a1, a2, a3), heights)),
+        _canonical_script(b, _climb(b, node, (b1, b2, b3), heights)),
+    )
 
 
 def _profiles_above(

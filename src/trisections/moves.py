@@ -33,8 +33,12 @@ and checks legality on the walk's ints alone; a given arc (``move`` and
 over the b components remain: those ``index`` calls, the ``del`` that
 closes the gap, and the copies into and out of the walk; the canonical
 arcs read a few labels per digit length.  So ``build_heegaard`` and
-``replay`` run in time linear in the script's length.  Each walk copies
-the history's pointers once, so a single move on a long history pays it.
+``replay`` do constant Python-level work a move, but not linear time at
+high b, since each move still pays those O(b) passes: a move of
+``build_heegaard`` on connect-sum g took about 30, 101 and 216 us at
+g = 5k, 10k and 20k, and replaying a 99,999-move script at b = 100,000
+took 88 s (ROADMAP item 4 plans O(1) moves).  Each walk copies the
+history's pointers once, so a single move on a long history pays it.
 """
 
 from __future__ import annotations
@@ -197,14 +201,12 @@ def _link(components: tuple[str, ...], next_id: int) -> LinkComponentSet:
 def _compound_record(first: MoveRecord, second: MoveRecord) -> MoveRecord:
     # One fake_stab record for two consecutive moves: the net turnover of
     # labels, each side in creation order, and the second move's arc.  The
-    # created labels are the first move's that the second keeps, then the
-    # second's.  The removed ones all predate the first move; labels c<n>
-    # ascend by number, hence by length, and within one length string
-    # order is number order.
-    removed = first.removed + tuple(c for c in second.removed if c not in first.created)
-    created = tuple(c for c in first.created if c not in second.removed) + second.created
-    removed = tuple(sorted(removed, key=lambda label: (len(label), label)))
-    return MoveRecord("fake_stab", 1, second.arc, created, removed)
+    # second move of _Walk.fake_stab turns over exactly the labels the first
+    # created, so the net turnover is the first's removed labels and the
+    # second's created ones.  Labels c<n> ascend by number, hence by length,
+    # and within one length string order is number order.
+    removed = tuple(sorted(first.removed, key=lambda label: (len(label), label)))
+    return MoveRecord("fake_stab", 1, second.arc, second.created, removed)
 
 
 def _balance_target(h1: int, h2: int, h3: int) -> int:

@@ -240,20 +240,16 @@ def test_realize_path_refuses_a_two_component_arc_at_one_component(i):
 
 
 def test_shortest_path_between_equal_nodes_is_empty():
-    assert shortest_path(KODA, KODA, 5) == []
+    assert shortest_path(KODA, KODA) == []
 
 
 def test_shortest_path_heegaard_to_balanced():
-    path = shortest_path(HEEGAARD2, OPENBOOK1, 8)
+    path = shortest_path(HEEGAARD2, OPENBOOK1)
     assert path == [(3, "same"), (3, "distinct")]
 
 
 def test_shortest_path_cannot_go_down_the_grading():
-    assert shortest_path(OPENBOOK1, HEEGAARD2, 8) is None
-
-
-def test_shortest_path_respects_depth_bound():
-    assert shortest_path(HEEGAARD2, OPENBOOK1, 1) is None
+    assert shortest_path(OPENBOOK1, HEEGAARD2) is None
 
 
 def test_shortest_path_builds_no_node_per_move(monkeypatch):
@@ -267,8 +263,8 @@ def test_shortest_path_builds_no_node_per_move(monkeypatch):
         (MoveGraphNode(0, 1, 0, 1), MoveGraphNode(50, 50, 48, 3), 300),
     ):
         built.clear()
-        path = shortest_path(start, goal, moves)
-        script = shortest_script(start, goal, moves)
+        path = shortest_path(start, goal)
+        script = shortest_script(start, goal)
         counts.append(len(built))
         assert len(path) == len(script) == moves
     monkeypatch.undo()
@@ -280,11 +276,11 @@ def test_shortest_path_never_loops_when_no_row_qualifies(monkeypatch):
     # By the proof some row always can; a row table that disagrees fails loudly.
     monkeypatch.setattr(explorer, "_SUCCESSOR_ROWS", ())
     with pytest.raises(WitnessNotFound, match=r"no stabilization of .* can still reach"):
-        shortest_path(HEEGAARD2, OPENBOOK1, 8)
+        shortest_path(HEEGAARD2, OPENBOOK1)
 
 
 def test_shortest_script_replays_to_the_goal():
-    script = shortest_script(HEEGAARD2, OPENBOOK1, 8)
+    script = shortest_script(HEEGAARD2, OPENBOOK1)
     assert script is not None and len(script) == 2
     assert _replay_records(HEEGAARD2, script) == OPENBOOK1
 
@@ -292,7 +288,7 @@ def test_shortest_script_replays_to_the_goal():
 def test_shortest_paths_exist_exactly_for_reachable_nodes():
     reached = bfs_oracle.bfs_reachable(KODA, 9)
     for node in feasible_nodes(9):
-        path = shortest_path(KODA, node, 9)
+        path = shortest_path(KODA, node)
         if node in reached:
             assert path is not None and len(path) == reached[node]
         else:
@@ -329,11 +325,12 @@ def test_common_stabilization_is_minimal():
 
 
 def test_common_stabilization_raises_when_the_move_graph_disagrees(monkeypatch):
-    # shortest_script is the move graph's word on the node reachable() chose
-    monkeypatch.setattr(explorer, "shortest_script", lambda start, goal, bound: None)
+    # The climb reads the move graph's rows; a table with none of them
+    # fails loudly at the first witness move, naming its start and the node.
+    monkeypatch.setattr(explorer, "_SUCCESSOR_ROWS", ())
     with pytest.raises(WitnessNotFound) as caught:
         common_stabilization_search(HEEGAARD2, KODA, 12)
-    for node in (HEEGAARD2, KODA, MoveGraphNode(0, 0, 0, 3)):
+    for node in (HEEGAARD2, MoveGraphNode(0, 0, 0, 3)):
         assert repr(node) in str(caught.value)
     assert issubclass(WitnessNotFound, TrisectionError)
 

@@ -77,7 +77,7 @@ def test_realize_path_matches_the_fold():
     for state in _STATES:
         start = state.genera
         for goal in bfs_reachable(start, start.sum_h() + 3):
-            path = shortest_path(start, goal, 3)
+            path = shortest_path(start, goal)
             after, script = realize_path(state, path)
             expected, expected_script = oracle.realize_path(state, path)
             _same(after, expected)

@@ -84,20 +84,18 @@ def test_shortest_path_matches_bfs_on_every_pair_up_to_sum_13():
     found = 0
     for start, goal in itertools.product(nodes, nodes):
         distance = goal.sum_h() - start.sum_h()
-        path = shortest_path(start, goal, distance)
+        path = shortest_path(start, goal)
         assert path == bfs_shortest_path(start, goal, distance), (start, goal)
-        if path:
-            found += 1
-            assert shortest_path(start, goal, distance - 1) is None, (start, goal)
+        found += bool(path)
     assert found == 5_651
 
 
-def _assert_witnesses_match_the_oracle(start, goal, depth_bound) -> bool:
+def _assert_witnesses_match_the_oracle(start, goal) -> bool:
     # shortest_path is the oracle's path, and shortest_script is that path
     # realized from start.to_state(), record for record and byte for byte.
-    expected = greedy_shortest_path(start, goal, depth_bound)
-    assert shortest_path(start, goal, depth_bound) == expected, (start, goal)
-    script = shortest_script(start, goal, depth_bound)
+    expected = greedy_shortest_path(start, goal, goal.sum_h() - start.sum_h())
+    assert shortest_path(start, goal) == expected, (start, goal)
+    script = shortest_script(start, goal)
     if expected is None:
         assert script is None, (start, goal)
         return False
@@ -111,14 +109,14 @@ def test_witnesses_match_the_successor_walk_on_every_pair_up_to_sum_13():
     nodes = feasible_nodes(13)
     found = 0
     for start, goal in itertools.product(nodes, nodes):
-        found += _assert_witnesses_match_the_oracle(start, goal, goal.sum_h() - start.sum_h())
+        found += _assert_witnesses_match_the_oracle(start, goal)
     assert len(nodes) ** 2 == 29_241 and found == 5_651 + len(nodes)
 
 
 def test_witnesses_match_the_successor_walk_to_a_far_goal():
     start, goal = MoveGraphNode(0, 1, 0, 1), MoveGraphNode(50, 50, 48, 3)
-    assert _assert_witnesses_match_the_oracle(start, goal, 300)
-    assert len(shortest_path(start, goal, 300)) == 300
+    assert _assert_witnesses_match_the_oracle(start, goal)
+    assert len(shortest_path(start, goal)) == 300
 
 
 @st.composite

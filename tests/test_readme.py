@@ -1,4 +1,4 @@
-"""README's examples run as written.
+"""README's examples run as written, and its size limits are the CLI's.
 
 The Library block is executed as Python, and every line of the CLI
 block runs in a scratch directory with ``trisect`` bound to this
@@ -15,7 +15,8 @@ import sys
 from itertools import groupby
 from pathlib import Path
 
-from trisections import Profile
+from trisections import Profile, cli
+from trisections.explorer import node_count
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 TRISECT = [sys.executable, "-m", "trisections.cli"]
@@ -57,3 +58,25 @@ def test_every_cli_line_exits_zero_and_replay_is_byte_identical(tmp_path):
         output = _run_line(line, tmp_path)
         if line in replays:
             assert output == (tmp_path / "balanced.json").read_bytes()
+
+
+def _stated(pattern: str) -> tuple[int, ...]:
+    # The numbers the CLI section's prose states where the pattern matches.
+    prose = " ".join(README.split("\n## CLI\n", 1)[1].split("```", 1)[0].split())
+    found = re.search(pattern, prose)
+    assert found is not None, pattern
+    return tuple(int(number.replace(",", "")) for number in found.groups())
+
+
+def test_the_stated_size_limits_are_the_cli_limits():
+    assert _stated(r"link of more than ([\d,]+) components") == (cli.MAX_COMPONENTS,)
+    assert _stated(r"a script of more than ([\d,]+) moves") == (cli.MAX_SCRIPT_MOVES,)
+    assert _stated(r"`--rs-bound` over ([\d,]+) or a plan of more than ([\d,]+) records") == (
+        cli.MAX_SCRIPT_MOVES, cli.MAX_SCRIPT_MOVES
+    )
+    assert _stated(r"could pass ([\d,]+) nodes") == (cli.MAX_NODES,)
+    assert _stated(r"more than ([\d,]+) bytes \(room for ([\d,]+) records and ([\d,]+) labels") == (
+        cli.MAX_INPUT_BYTES, cli.MAX_SCRIPT_MOVES, cli.MAX_COMPONENTS
+    )
+    (max_sum,) = _stated(r"`verify` accepts `--max-sum` up to (\d+)")
+    assert node_count(max_sum) <= cli.MAX_NODES < node_count(max_sum + 1)
