@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import wraps
 from typing import Sequence
 
@@ -301,9 +301,6 @@ class TrisectionState:
     @property
     def is_trivial(self) -> bool:
         return self.genera.is_trivial
-
-    def relabeled(self, label: str) -> TrisectionState:
-        return replace(self, label=label)
 
 
 def genera_from_profile(profile: Profile) -> MoveGraphNode:

@@ -83,7 +83,8 @@ from .core import (
     is_feasible,
     other_two,
 )
-from .moves import MoveScript, _Walk, balance, balance_length, build_heegaard, disk_length
+from .moves import (MoveScript, _Walk, balance, balance_length, build_heegaard, capped_genus,
+                    disk_length)
 
 
 class WitnessNotFound(TrisectionError):
@@ -367,9 +368,10 @@ def verify_properties(max_sum: int) -> VerificationReport:
     Five properties: feasibility matches brute-force enumeration of
     genera; balance postconditions; built-splitting move counts and
     genus; the trivial node is the only moveless one; and every
-    non-trivial pair admits a common stabilization (witnessed through a
-    shared balanced hub node, whose overshoot past max_sum is reported
-    as the slack).
+    non-trivial pair admits a common stabilization, witnessed by walking
+    each non-trivial node in turn to a shared balanced hub node at the
+    largest :func:`~trisections.moves.capped_genus`, whose overshoot
+    past max_sum is reported as the slack.
     """
     nodes = feasible_nodes(max_sum)
     entries = (
@@ -456,22 +458,20 @@ def _check_common_stabilization(
 ) -> PropertyResult:
     # Constructive witness: every non-trivial node balances into b <= 2
     # and then climbs one genus per round, so all of them reach the one
-    # balanced hub node at the maximum of those heights.  Any pair meets
-    # there, at sum_h = max_sum + slack.
+    # balanced hub node at the largest capped genus.  Any pair meets
+    # there, at sum_h = max_sum + slack.  Each node's walk caps, climbs
+    # to the hub, is checked and is dropped, so one walk is held at a time.
     nontrivial = [node for node in nodes if not node.is_trivial]
     if not nontrivial:
         return PropertyResult("common-stabilization-exists", max_sum, True, (), 0)
 
-    reduced = [_Walk._at_node(node) for node in nontrivial]
-    for walk in reduced:
-        walk.cap()
-    hub_h = max(walk.heights()[0] for walk in reduced)
+    hub_h = max(capped_genus(node) for node in nontrivial)
 
-    def climbs_to_hub(walk: _Walk) -> bool:
-        while walk.heights()[0] < hub_h:
-            walk.raise_genus()
+    def climbs_to_hub(node: MoveGraphNode) -> bool:
+        walk = _Walk._at_node(node)
+        walk.cap(hub_h)
         return walk.heights() == (hub_h,) * 3 and walk.b <= 2
 
-    bad = tuple(node for node, walk in zip(nontrivial, reduced) if not climbs_to_hub(walk))
+    bad = tuple(node for node in nontrivial if not climbs_to_hub(node))
     slack = 3 * hub_h - max_sum
     return PropertyResult("common-stabilization-exists", max_sum, not bad, bad, slack)

@@ -361,18 +361,16 @@ class _Walk:
             self.stab(_balance_target(h1, h2, h3))
             h1, h2, h3 = self.heights()
 
-    def raise_genus(self) -> None:
-        """Grow the common genus of a balanced walk by one and re-balance."""
-        self.stab(_balance_target(*self.heights()))
-        self.balance()
-
-    def cap(self) -> None:
-        """Balance, then raise the balanced genus until b <= 2."""
+    def cap(self, genus: int) -> None:
+        """Balance, then raise the balanced genus until b <= 2 and it is at least ``genus``."""
         # While b >= 3 each round starts with a two-component arc and the
-        # re-balance keeps b' <= max(b, 2), so b falls every round.
+        # re-balance keeps b' <= max(b, 2), so b falls every round and then
+        # stays at most 2.  The walk ends at the larger of ``genus`` and its
+        # start's capped_genus.
         self.balance()
-        while self.b > 2:
-            self.raise_genus()
+        while self.b > 2 or self.heights()[0] < genus:
+            self.stab(_balance_target(*self.heights()))
+            self.balance()
 
     def to_disk(self, i: int) -> None:
         """Stabilize H_i until S_jk is a disk: 2*g_jk + b - 1 canonical moves."""
@@ -499,6 +497,22 @@ def balance_length(state: TrisectionState) -> int:
     """The length of :func:`balance`'s script: 3*max(h1, h2, h3) - (h1+h2+h3)."""
     profile = state.profile
     return 3 * max(profile.h1, profile.h2, profile.h3) - profile.sum_h()
+
+
+def capped_genus(node: MoveGraphNode) -> int:
+    """The balanced genus at which ``_Walk.cap(0)`` leaves a walk from ``node``.
+
+    Balancing heights h takes n = 3*max(h) - sum(h) moves to max(h) = m;
+    each move lowers b by one while b >= 2 and raises it to 2 at b = 1,
+    so b ends at max(b - n, 1 + m % 2), the second by the parity of a
+    balanced node.  Capping b at 2 then takes b // 3 rounds of three
+    moves, one genus each.
+    """
+    # Proven for every node with sum_h <= 40 by
+    # tests/test_moves.py::test_capped_genus_is_where_cap_ends_everywhere.
+    heights = node.heights()
+    top = max(heights)
+    return top + max(node.b - (3 * top - sum(heights)), 1 + top % 2) // 3
 
 
 def disk_length(state: TrisectionState, i: int) -> int:

@@ -4,8 +4,8 @@ Any two trisections of the same manifold become isotopic after enough
 stabilizations.  The planner emits one concrete, replayable script per
 side realizing the standard route:
 
-1. balance both sides, force b <= 2, and equalize the balanced genera
-   (so both present the same (h;b));
+1. balance both sides, force b <= 2, and climb to the larger of their
+   capped genera (so both present the same (h;b));
 2. stabilize H1 on each side until S23 is a disk, collapsing each
    trisection onto a Heegaard splitting;
 3. apply ``rs_bound`` fake Heegaard stabilizations to each side.  The
@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import MoveGraphNode, OutOfDomain, Profile, TrisectionError, TrisectionState
-from .moves import IllegalMove, MoveScript, _Walk
+from .moves import IllegalMove, MoveScript, _Walk, capped_genus
 
 
 class TrivialInput(TrisectionError):
@@ -99,26 +99,16 @@ def plan_lengths(a: MoveGraphNode, b: MoveGraphNode, rs_bound: int) -> tuple[int
 
     For non-trivial inputs: ``len(report.a.concatenated())`` and
     ``len(report.b.concatenated())`` of the plan from states with these
-    genera, found without a move.  Step 1 balances a side of heights
-    h to max(h) = m in n = 3m - sum(h) moves; each move lowers b by one
-    while b >= 2 and raises it to 2 at b = 1, so b ends at
-    max(b - n, 1 + m % 2), the second by the parity of a balanced node.
-    Capping b then takes b // 3 rounds of three moves, one genus each,
-    and equalizing three moves per genus up to the larger capped genus
-    H.  Step 2 is H moves, step 3 ``rs_bound`` records, and steps 4 and
-    5 drive S12 of (H + rs_bound, H, 0; 1) and then S13 to disks in
-    2(H + rs_bound) and 2(2H + rs_bound) moves.
+    genera, found without a move.  Both sides end step 1 at the balanced
+    genus H, the larger :func:`~trisections.moves.capped_genus`, and
+    every move raises sum_h by exactly 1, so step 1 takes 3H - sum_h
+    moves on each side.  Step 2 is H moves, step 3 ``rs_bound`` records,
+    and steps 4 and 5 drive S12 of (H + rs_bound, H, 0; 1) and then S13
+    to disks in 2(H + rs_bound) and 2(2H + rs_bound) moves: 10H +
+    5 ``rs_bound`` - sum_h records in all.
     """
-    sides = []
-    for node in (a, b):
-        heights = node.heights()
-        top = max(heights)
-        moves = 3 * top - sum(heights)
-        rounds = max(node.b - moves, 1 + top % 2) // 3
-        sides.append((moves + 3 * rounds, top + rounds))
-    genus = max(capped for _, capped in sides)
-    rest = 7 * genus + 5 * rs_bound
-    return tuple(moves + 3 * (genus - capped) + rest for moves, capped in sides)
+    genus = max(capped_genus(a), capped_genus(b))
+    return tuple(10 * genus + 5 * rs_bound - node.sum_h() for node in (a, b))
 
 
 def plan_common_stabilization(
@@ -146,15 +136,13 @@ def plan_common_stabilization(
     # both sides end on one node by
     # tests/test_acceptance.py::test_acceptance_07_pairwise_common_stabilization.
 
-    # Step 1: balance, cap b at 2, then equalize the balanced genera, so
-    # that both sides present one profile.  Raising the smaller side one
-    # genus per round must end with equal b too: both b values lie in
-    # {1, 2} and share the parity opposite to h.
+    # Step 1: balance, cap b at 2 and climb to the larger capped genus H,
+    # so that both sides present one profile: each ends at (H,H,H) with
+    # b <= 2, and b's parity is the opposite of H's, so b is equal too.
+    genus = max(capped_genus(a.genera), capped_genus(b.genera))
     side_a, side_b = _Walk(a), _Walk(b)
-    side_a.cap()
-    side_b.cap()
-    while (h_a := side_a.heights()[0]) != (h_b := side_b.heights()[0]):
-        (side_a if h_a < h_b else side_b).raise_genus()
+    side_a.cap(genus)
+    side_b.cap(genus)
     steps_a, steps_b = _finish(side_a, rs_bound), _finish(side_b, rs_bound)
     genera = MoveGraphNode(side_a.g12, side_a.g13, side_a.g23, side_a.b)
     return PlanReport(rs_bound, genera.profile(), genera, steps_a, steps_b)

@@ -480,11 +480,13 @@ def test_verify_passes_and_writes_a_report(tmp_path):
 _CAPPED_BYTES = 256 * 2**20
 
 
-def run_capped_cli(*args: str, stdin_text: str | None = None) -> subprocess.CompletedProcess:
+def run_capped_cli(
+    *args: str, stdin_text: str | None = None, cap_bytes: int = _CAPPED_BYTES
+) -> subprocess.CompletedProcess:
     # A guard that is missing or comes too late runs into the address-space
     # cap (MemoryError) or the timeout instead of exhausting the host.
     def cap() -> None:
-        resource.setrlimit(resource.RLIMIT_AS, (_CAPPED_BYTES, _CAPPED_BYTES))
+        resource.setrlimit(resource.RLIMIT_AS, (cap_bytes, cap_bytes))
 
     return subprocess.run(
         [sys.executable, "-m", "trisections.cli", *args],
@@ -592,6 +594,16 @@ def test_verify_refuses_a_huge_node_range():
     _assert_refused(proc, f"verify: the nodes with sum_h <= 1000000000 would be {node_count(10**9)}")
     _assert_refused(run_capped_cli("verify", "--max-sum", "83"),
                     f"verify: the nodes with sum_h <= 83 would be {node_count(83)}, over")
+
+
+def test_verify_holds_one_walk_at_a_time():
+    # The common-stabilization check walks each node to the hub and drops
+    # the walk.  Holding every node's capped walk, records included, until
+    # the hub is known needs more than 64 MB of address space at max_sum 40.
+    proc = run_capped_cli("verify", "--max-sum", "40", cap_bytes=64 * 2**20)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert proc.stderr.count("PASS") == 5
+    assert "Traceback" not in proc.stderr
 
 
 def test_benchmark_requests_are_well_under_the_node_limit():

@@ -29,6 +29,7 @@ from trisections.core import (
     state_from_profile,
     trivial,
 )
+from trisections.explorer import feasible_nodes
 from trisections.moves import (
     DESTAB_CAVEAT,
     STAB_DELTAS,
@@ -38,11 +39,13 @@ from trisections.moves import (
     MoveRecord,
     SameComponent,
     StabMove,
+    _Walk,
     apply_destabilization,
     apply_stabilization,
     balance,
     balance_length,
     build_heegaard,
+    capped_genus,
     disk_length,
     fake_heegaard_stab,
     inverse_of,
@@ -435,6 +438,19 @@ def test_balance_postconditions_everywhere():
         assert after.b <= max(before.b, 2)
         assert len(script) == 3 * top - before.sum_h() == balance_length(start)
         assert all(record.op == "stab" for record in script)
+
+
+def test_capped_genus_is_where_cap_ends_everywhere():
+    # The planner sizes step 1 by capped_genus and walks both sides there,
+    # and verify's hub is the largest capped_genus; neither runs the walk
+    # first.  Every node with sum_h <= 40 (7,112 of them), trivial included.
+    nodes = feasible_nodes(40)
+    assert len(nodes) == 7112
+    for node in nodes:
+        walk = _Walk._at_node(node)
+        walk.cap(0)
+        genus = capped_genus(node)
+        assert walk.heights() == (genus, genus, genus) and walk.b <= 2, node
 
 
 def test_canonical_balance_move_targets_smallest_handlebody():

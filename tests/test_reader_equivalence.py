@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -63,7 +64,7 @@ def _base_documents() -> list[tuple[str, object]]:
         replay(koda_ozawa(), report.a.concatenated()),
         connect_sum_equal_genus(40),
         walk_at_b(61, 40, seed=3),
-        balance(tunnel_system(3))[0].relabeled('odd "label" \\ é  '),
+        replace(balance(tunnel_system(3))[0], label='odd "label" \\ é  '),
     ]
     scripts = [
         (),

@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -174,7 +175,7 @@ def test_writers_equal_canonical_dumps_of_their_payloads():
     # The record template is the only second way to write text; it must
     # agree byte for byte with the payload view.
     for state in _sample_states():
-        state = state.relabeled(state.label + ' "q" \\ \n\t\x00 é ☃ \u2028 𝄞')
+        state = replace(state, label=state.label + ' "q" \\ \n\t\x00 é ☃ \u2028 𝄞')
         assert state_to_text(state) == canonical_dumps(state_to_payload(state))
         assert script_to_text(state.history) == canonical_dumps(script_to_payload(state.history))
     for rs_bound in (0, 1, 2):
