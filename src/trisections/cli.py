@@ -4,8 +4,8 @@ State and report JSON goes to ``-o FILE`` when given and to standard
 output otherwise, so commands compose through pipes; human-readable
 summaries go to standard error.  Exit codes: 0 on success, 1 on domain
 errors (illegal move, infeasible or out-of-domain input, trivial input,
-nothing found within a search bound, a request over a size limit), 2 on
-usage or file format errors.
+nothing found within a search bound, a request over a size limit) and
+when memory runs out, 2 on usage or file format errors.
 """
 
 from __future__ import annotations
@@ -387,6 +387,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as error:
         print(f"IO error: {error}", file=sys.stderr)
         return 2
+    except MemoryError as error:
+        print(f"MemoryError: {str(error) or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -57,11 +57,6 @@ def other_two(i: int) -> tuple[int, int]:
     return pair
 
 
-def _is_count(value, least: int) -> bool:
-    # bool is an int subclass, but True is not a genus.
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
-
-
 @dataclass(frozen=True, slots=True, order=True)
 class Profile:
     """Handlebody genera and boundary-component count ``(h1,h2,h3;b)``."""
@@ -72,12 +67,11 @@ class Profile:
     b: int
 
     def __post_init__(self) -> None:
-        for name in ("h1", "h2", "h3"):
-            value = getattr(self, name)
-            if not _is_count(value, 0):
-                raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-        if not _is_count(self.b, 1):
-            raise ValueError(f"b must be a positive integer, got {self.b!r}")
+        h1, h2, h3, b = self.h1, self.h2, self.h3, self.b
+        # type() is int rejects bool, an int subclass: True is not a genus.
+        if not (type(h1) is type(h2) is type(h3) is type(b) is int
+                and h1 >= 0 and h2 >= 0 and h3 >= 0 and b >= _LEAST_B):
+            raise ValueError(f"not a valid profile: {self!r}")
 
     def genus(self, i: int) -> int:
         return (self.h1, self.h2, self.h3)[i - 1]
@@ -303,6 +297,19 @@ class TrisectionState:
         return self.genera.is_trivial
 
 
+def _b_values(level: int, top: int, least: int, most: int) -> range:
+    """The b in [least, most] of a node at ``level`` whose largest height is ``top``.
+
+    Its genera g_ij = M - h_k, M = (level + 1 - b) / 2, are nonnegative
+    integers exactly when b >= 1, level + b is odd and b <= level + 1 - 2 top.
+    """
+    # Conditionals, not max() and min(): a listing calls this per height triple.
+    last = level + 1 - 2 * top
+    least = least if least > _LEAST_B else _LEAST_B
+    least += 1 - (level + least) % 2
+    return range(least, (most if most < last else last) + 1, 2)
+
+
 def genera_from_profile(profile: Profile) -> MoveGraphNode:
     """Invert the genus formula, recovering the node of (h1,h2,h3;b).
 
@@ -311,17 +318,12 @@ def genera_from_profile(profile: Profile) -> MoveGraphNode:
         g_ij = (h_i + h_j - h_k + 1 - b) / 2
 
     so the solution is unique when it exists.  Raises :class:`Infeasible`
-    when any right-hand side is negative or fails to be an integer (the
-    three share one parity, tied to h1 + h2 + h3 + b being odd).
+    exactly when :func:`is_feasible` rejects the profile.
     """
-    h1, h2, h3, b = profile.as_tuple()
-    if (h1 + h2 + h3 + b) % 2 == 0:
-        raise Infeasible(f"profile {profile} fails the parity condition")
-    genera = _genera(h1, h2, h3, b)
-    for name, value in zip(("g12", "g13", "g23"), genera):
-        if value < 0:
-            raise Infeasible(f"profile {profile} forces {name} = {2 * value}/2 < 0")
-    return MoveGraphNode(*genera)
+    if not is_feasible(profile):
+        raise Infeasible(f"profile {profile} has no genera: it needs sum h + b odd "
+                         "and b <= sum h + 1 - 2 max h")
+    return MoveGraphNode(*_genera(*profile.as_tuple()))
 
 
 def _genera(h1: int, h2: int, h3: int, b: int) -> tuple[int, int, int, int]:
@@ -333,12 +335,10 @@ def _genera(h1: int, h2: int, h3: int, b: int) -> tuple[int, int, int, int]:
 
 
 def is_feasible(profile: Profile) -> bool:
-    """Whether some trisection state presents this profile."""
-    try:
-        genera_from_profile(profile)
-    except Infeasible:
-        return False
-    return True
+    """Whether some trisection state presents this profile: whether its b is
+    one that :func:`_b_values` admits at its level and largest height."""
+    h1, h2, h3, b = profile.h1, profile.h2, profile.h3, profile.b
+    return b in _b_values(h1 + h2 + h3, max(h1, h2, h3), b, b)
 
 
 def state_from_profile(profile: Profile, label: str = "") -> TrisectionState:

@@ -42,21 +42,23 @@ the lexicographically least node therefore takes H3 as large as it can
 be, then H2: H3 = min(M, L - F1 - F2), then H2 = min(M, L - H3 - F1),
 H1 = L - H3 - H2.  These heights stay within [F, M] exactly when
 L >= sum F, max F <= M and L <= 3M, and a level's b meeting all that
-form one interval of one parity: b >= 1 and |b - b(x)| <= L - S_x,
-b <= L + 1 - 2 max F, b <= (L + 3) / 3 and L + b odd.  The least node
-lies on the first level L >= sum F whose interval is not empty, at its
-largest b: g12 = max(0, M - L + F1 + F2) and g13 (M - F2 when g12 > 0,
-else max(0, 2M - L + F1)) never fall as M grows, and where both are 0,
-g23 = 3M - L grows with M.  That node is common by the rule, whose
+form one interval of one parity: the b that a node at level L with
+largest height max F admits (``core._b_values``: b >= 1, L + b odd and
+b <= L + 1 - 2 max F) with |b - b(x)| <= L - S_x and b <= (L + 3) / 3.
+The least node lies on the first level L >= sum F whose interval is not
+empty, at its largest b: g12 = max(0, M - L + F1 + F2) and g13 (M - F2
+when g12 > 0, else max(0, 2M - L + F1)) never fall as M grows, and where
+both are 0, g23 = 3M - L grows with M.  That node is common by the rule, whose
 sufficiency half is the proof above.  Finding it costs O(1) a level
 tried, and no candidate node is enumerated at any distance.
 
-The ``explore`` listing (:func:`bfs_reachable`) enumerates the nodes
-above one input level by level, and a shortest path is walked greedily,
-one move per level, on the coordinates as plain ints: each step is the
-first legal row whose result can still reach the goal.  Breadth-first
-search survives only in the tests, as the reference they hold the rule
-to, next to an enumeration of the common nodes level by level.
+The ``explore`` listing (:func:`bfs_reachable`) reads the rule level by
+level, each b from ``core._b_values``, and a shortest path is walked
+greedily, one move per level, on the coordinates as plain ints: each
+step is the first legal row whose result can still reach the goal.
+Breadth-first search survives only in the tests, as the reference they
+hold the rule to, next to an enumeration of the common nodes level by
+level.
 
 The full labeled engine reappears only when a parameter path is realized
 as a replayable :class:`~trisections.moves.MoveScript` on canonical
@@ -73,13 +75,13 @@ from typing import Iterable, Iterator
 
 from .core import (
     _SUCCESSOR_ROWS,
+    _b_values,
     _genera,
     MoveGraphNode,
     ParamMove,
     Profile,
     TrisectionError,
     TrisectionState,
-    genera_from_profile,
     is_feasible,
     other_two,
 )
@@ -98,23 +100,15 @@ def reachable(start: MoveGraphNode, goal: MoveGraphNode) -> bool:
     ``start`` is not trivial, h(goal) >= h(start) componentwise,
     min h(goal) >= 1 and |b(goal) - b(start)| <= sum(h(goal) - h(start)).
     """
-    if goal == start:
-        return True
-    return not start.is_trivial and _reaches(start.heights(), start.b, goal.heights(), goal.b)
-
-
-def _reaches(
-    h_start: tuple[int, int, int], b_start: int, h_goal: tuple[int, int, int], b_goal: int
-) -> bool:
-    # The conditions of reachable() for a non-trivial start, on heights and b.
-    s1, s2, s3 = h_start
-    g1, g2, g3 = h_goal
+    if goal == start or start.is_trivial:
+        return goal == start
+    (s1, s2, s3), (g1, g2, g3) = start.heights(), goal.heights()
     return (
         min(g1, g2, g3) >= 1
         and g1 >= s1
         and g2 >= s2
         and g3 >= s3
-        and abs(b_goal - b_start) <= g1 + g2 + g3 - s1 - s2 - s3
+        and abs(goal.b - start.b) <= g1 + g2 + g3 - s1 - s2 - s3
     )
 
 
@@ -176,20 +170,19 @@ def bfs_reachable(start: MoveGraphNode, max_sum: int) -> dict[MoveGraphNode, int
     """All nodes reachable from ``start`` by stabilizations with sum_h <= max_sum.
 
     Returns a mapping from node to depth (the sum_h difference, since
-    every move adds 1), keys in lexicographic order: the nodes above
-    ``start``'s heights that :func:`reachable` accepts, level by level.
+    every move adds 1), keys in lexicographic order: the nodes that
+    :func:`reachable` accepts, level by level.  At depth d they have
+    heights at least max(h(start), 1) and b within d of b(start).
     """
     level = start.sum_h()
     if level > max_sum:
         return {}
     depths = {(start.g12, start.g13, start.g23, start.b): 0}
     if not start.is_trivial:
-        # Above start's level _reaches decides reachable().
-        h, b = start.heights(), start.b
-        for top in range(level + 1, max_sum + 1):
-            for heights, count in _profiles_above(h, top):
-                if _reaches(h, b, heights, count):
-                    depths[_genera(*heights, count)] = top - level
+        floor, b = tuple(max(h, 1) for h in start.heights()), start.b
+        for depth in range(1, max_sum - level + 1):
+            for heights, count in _profiles_above(floor, level + depth, b - depth, b + depth):
+                depths[_genera(*heights, count)] = depth
     return {MoveGraphNode(*params): depth for params, depth in sorted(depths.items())}
 
 
@@ -299,19 +292,18 @@ def common_stabilization_search(
     if a.is_trivial or b.is_trivial:
         return None
     # The inputs differ and neither is trivial, so a node is common exactly
-    # when it meets _reaches on both sides, also a node equal to one input:
-    # the other side then needs min h >= 1, which the floor of 1 in F gives.
+    # when reachable()'s inequalities hold on both sides, also a node equal
+    # to one input: the other side then needs min h >= 1, which F gives.
     (a1, a2, a3), (b1, b2, b3) = a.heights(), b.heights()
     f1, f2, f3 = max(a1, b1, 1), max(a2, b2, 1), max(a3, b3, 1)
     s_a, s_b = a1 + a2 + a3, b1 + b2 + b3
     low, high, top = max(a.b + s_a, b.b + s_b), min(a.b - s_a, b.b - s_b), max(f1, f2, f3)
     for level in range(f1 + f2 + f3, max_sum + 1):
-        # The largest b of the level's interval, which holds the least node:
-        # within level - S_x of b(x) on both sides, M >= max F, level <= 3M
-        # and level + b odd.
-        count = min(high + level, level + 1 - 2 * top, (level + 3) // 3)
-        count -= 1 - (level + count) % 2
-        if count >= max(1, low - level):
+        # The level's interval of b: within level - S_x of b(x) on both sides,
+        # M >= max F and level <= 3M.  Its largest b holds the least node.
+        window = _b_values(level, top, low - level, min(high + level, (level + 3) // 3))
+        if window:
+            count = window[-1]
             break
     else:
         return None
@@ -328,16 +320,15 @@ def common_stabilization_search(
 
 
 def _profiles_above(
-    floor: tuple[int, ...], level: int
+    floor: tuple[int, ...], level: int, least: int, most: int
 ) -> Iterator[tuple[tuple[int, int, int], int]]:
-    """Every feasible (heights, b) with heights >= ``floor`` summing to ``level``."""
+    """Every node's (heights, b) with heights >= ``floor`` summing to ``level``
+    and least <= b <= most: each triple's b are :func:`~trisections.core._b_values`."""
     f1, f2, f3 = floor
     for h1 in range(f1, level - f2 - f3 + 1):
         for h2 in range(f2, level - h1 - f3 + 1):
             h3 = level - h1 - h2
-            # A node needs level + b odd and every g_ij = M - h_k >= 0 for
-            # M = (level + 1 - b) / 2, that is b <= level + 1 - 2 max h.
-            for b in range(1 + level % 2, level - 2 * max(h1, h2, h3) + 2, 2):
+            for b in _b_values(level, max(h1, h2, h3), least, most):
                 yield (h1, h2, h3), b
 
 
@@ -389,8 +380,9 @@ def _check_feasibility_enumeration(
 ) -> PropertyResult:
     # is_feasible must agree with "some genera quadruple presents this
     # profile" over every profile in range, and with the closed-form
-    # balanced characterization (h + b odd and b <= h + 1).
-    presented = {node.profile() for node in nodes}
+    # balanced characterization (h + b odd and b <= h + 1).  A profile it
+    # wrongly accepts fails the property without naming a node.
+    presented = {node.profile(): node for node in nodes}
     bad: list[MoveGraphNode] = []
     ok = True
     for h1 in range(max_sum + 1):
@@ -400,7 +392,8 @@ def _check_feasibility_enumeration(
                     profile = Profile(h1, h2, h3, b)
                     if is_feasible(profile) != (profile in presented):
                         ok = False
-                        bad.append(genera_from_profile(profile))
+                        if profile in presented:
+                            bad.append(presented[profile])
     for h in range(max_sum + 1):
         for b in range(1, max_sum + 2):
             profile = Profile(h, h, h, b)

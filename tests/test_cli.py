@@ -28,6 +28,7 @@ from trisections.core import (
     tunnel_system,
 )
 from trisections.explorer import listing_bound, node_count
+from trisections.moves import build_heegaard
 from trisections.planner import plan_lengths
 from trisections.serialize import state_to_text
 
@@ -604,6 +605,18 @@ def test_verify_holds_one_walk_at_a_time():
     assert proc.returncode == 0, proc.stderr[-500:]
     assert proc.stderr.count("PASS") == 5
     assert "Traceback" not in proc.stderr
+
+
+def test_running_out_of_memory_is_one_line(tmp_path):
+    # Reading a 9.4 MB state of 40,000 records needs more than 64 MB of
+    # address space: the CLI says so in one line, not a traceback.
+    big = tmp_path / "big.json"
+    big.write_text(state_to_text(build_heegaard(open_book(20_000), 1)[0]), encoding="utf-8")
+    proc = run_capped_cli("show", str(big), cap_bytes=64 * 2**20)
+    assert proc.returncode == 1, proc.stderr[-500:]
+    assert proc.stderr.startswith("MemoryError: "), proc.stderr[-500:]
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
 
 
 def test_benchmark_requests_are_well_under_the_node_limit():

@@ -23,6 +23,8 @@ from trisections.core import (
     OutOfDomain,
     Profile,
     TrisectionState,
+    _b_values,
+    _genera,
     are_component_ids,
     component_number,
     connect_sum_equal_genus,
@@ -89,14 +91,14 @@ def test_profile_str_uses_semicolon_before_link_count():
 
 
 def test_profile_rejects_bad_values():
-    with pytest.raises(ValueError):
-        Profile(-1, 0, 0, 1)
-    with pytest.raises(ValueError):
-        Profile(0, 0, 0, 0)
-    with pytest.raises(ValueError):
-        Profile(True, 1, 0, 1)
-    with pytest.raises(ValueError):
-        Profile(1, 1, 0, True)
+    for bad in (
+        (-1, 0, 0, 1), (0, -1, 0, 1), (0, 0, -1, 1), (0, 0, 0, 0), (0, 0, 0, -1),
+        (True, 1, 0, 1), (0, True, 0, 1), (0, 0, False, 1), (1, 1, 0, True),
+        (1.0, 0, 0, 1), (0, 0, 1.0, 1), (0, 0, 0, 1.0), (0.5, 0, 0, 1), ("1", 0, 0, 1),
+    ):
+        with pytest.raises(ValueError):
+            Profile(*bad)
+    assert Profile(0, 0, 0, 1).as_tuple() == (0, 0, 0, 1)
 
 
 def test_node_rejects_bad_values():
@@ -134,6 +136,26 @@ def test_genera_from_profile_frozen_examples(profile, expected):
 def test_genera_from_profile_rejects_infeasible(profile):
     with pytest.raises(Infeasible):
         genera_from_profile(profile)
+
+
+def test_b_values_is_the_brute_force_set():
+    # The b >= 1 within [least, most] with level + b odd and every
+    # g_ij = (level + 1 - b) / 2 - h_k >= 0, i.e. M >= top.
+    for level in range(25):
+        for top in range(level + 1):
+            for least in range(-3, level + 4):
+                for most in range(-3, level + 4):
+                    expected = [
+                        b for b in range(max(least, 1), most + 1)
+                        if (level + b) % 2 == 1 and (level + 1 - b) / 2 >= top
+                    ]
+                    assert list(_b_values(level, top, least, most)) == expected
+
+
+def test_is_feasible_is_parity_and_nonnegative_genera():
+    for profile in _all_profiles(12):
+        odd = sum(profile.as_tuple()) % 2 == 1
+        assert is_feasible(profile) == (odd and min(_genera(*profile.as_tuple())) >= 0)
 
 
 def test_genera_solver_matches_enumeration_oracle():

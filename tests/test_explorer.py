@@ -12,7 +12,7 @@ from itertools import combinations
 import pytest
 
 import bfs_oracle
-from trisections import explorer
+from trisections import cli, core, explorer
 from trisections.core import (
     Profile,
     TrisectionError,
@@ -366,6 +366,28 @@ def test_verify_properties_passes_on_small_range():
         "common-stabilization-exists",
     ]
     assert all(entry.counterexamples == () for entry in report.entries)
+
+
+@pytest.mark.parametrize(
+    "lie", [Profile(1, 1, 1, 1), Profile(1, 1, 0, 1)], ids=["accepts", "rejects"]
+)
+def test_verify_fails_rather_than_raises_when_feasibility_lies(monkeypatch, capsys, lie):
+    # is_feasible answers wrong on one profile, in the core as well: one it
+    # rejects names the node that presents it, and one it accepts that no
+    # node presents fails the property without naming a node.
+    truth = core.is_feasible
+    named = (genera_from_profile(lie),) if truth(lie) else ()
+
+    def lying(profile: Profile) -> bool:
+        return truth(profile) != (profile == lie)
+
+    monkeypatch.setattr(core, "is_feasible", lying)
+    monkeypatch.setattr(explorer, "is_feasible", lying)
+    entry = verify_properties(4).entries[0]
+    assert entry.name == "feasibility-matches-enumeration"
+    assert not entry.passed and entry.counterexamples == named
+    assert cli.main(["verify", "--max-sum", "4"]) == 1
+    assert "FAIL feasibility-matches-enumeration" in capsys.readouterr().err
 
 
 def test_verify_reports_hub_slack_only_for_common_stabilization():
