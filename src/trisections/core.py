@@ -25,10 +25,8 @@ gets.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import wraps
-from typing import Sequence
 
 _ID_PATTERN = re.compile(r"c(0|[1-9][0-9]*)\Z")
 
@@ -220,23 +218,6 @@ class LinkComponentSet:
     @property
     def b(self) -> int:
         return len(self.components)
-
-
-def least_labels(labels: Sequence[str], count: int) -> tuple[str, ...]:
-    """The ``count`` lexicographically smallest of ``labels``, ascending.
-
-    ``labels`` are component labels in creation order, as a link holds
-    them.  They ascend by number, hence by length, and within one length
-    string order is number order.  So the answer lies among the first
-    ``count`` labels of each run of one length, and it costs one
-    ``bisect`` per run instead of a pass over all of them.
-    """
-    candidates, start = [], 0
-    while start < len(labels):
-        stop = bisect_left(labels, len(labels[start]) + 1, start, key=len)
-        candidates += labels[start:min(start + count, stop)]
-        start = stop
-    return tuple(sorted(candidates)[:count])
 
 
 def component_number(label: str) -> int:

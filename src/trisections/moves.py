@@ -18,31 +18,32 @@ destabilizing disk, and every destabilized state carries that caveat in
 its label.
 
 Moves run in walks (``_Walk``).  A walk copies a state's labels into one
-list, applies a run of moves to it in place, each with one legality
-check and one record appended to the walk's own list, and builds one
-state at the end, whose history is the input's tuple followed by the
-walk's records.  ``balance``, ``build_heegaard``,
+list in string order, applies a run of moves to it in place, each with
+one legality check and one record appended to the walk's own list, and
+builds one state at the end, whose history is the input's tuple followed
+by the walk's records.  ``balance``, ``build_heegaard``,
 ``fake_heegaard_stab``, :func:`trisections.planner.replay`,
 :func:`trisections.explorer.realize_path` and
 :func:`trisections.explorer.shortest_script` each run one walk per
 script, :func:`trisections.planner.plan_common_stabilization` one walk
 per side, and a single move is a walk of one.  A canonical move
-(``_Walk.canonical``) takes the least label or pair where it finds it
-and checks legality on the walk's ints alone; a given arc (``move`` and
-``follow``) finds each of its labels by ``index``.  Only C-level passes
-over the b components remain: those ``index`` calls, the ``del`` that
-closes the gap, and the copies into and out of the walk; the canonical
-arcs read a few labels per digit length.  So ``build_heegaard`` and
-``replay`` do constant Python-level work a move, but not linear time at
-high b, since each move still pays those O(b) passes: a move of
-``build_heegaard`` on connect-sum g took about 30, 101 and 216 us at
-g = 5k, 10k and 20k, and replaying a 99,999-move script at b = 100,000
-took 88 s (ROADMAP item 4 plans O(1) moves).  Each walk copies the
-history's pointers once, so a single move on a long history pays it.
+(``_Walk.canonical``) takes the least label or pair from the head of the
+list and checks legality on the walk's ints alone; a given arc (``move``
+and ``follow``) finds each of its labels by ``index``, which stops at
+once on the labels of a canonical script.  Each created label goes in by
+``insort``.  So ``build_heegaard`` and ``replay`` do constant
+Python-level work a move; what still grows with b is the C-level shift
+of the list on each insert and delete, and the ``index`` of a given arc
+deep in the list.  A move of ``build_heegaard`` on connect-sum g took
+about 6, 9 and 11 us at g = 5k, 10k and 20k, and the build and the
+replay of connect-sum 99,999's 99,999-move script took about 4 and 5 s
+(ROADMAP item 4).  Each walk copies the history's pointers once, so a
+single move on a long history pays it.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 
 from .core import (
@@ -52,7 +53,6 @@ from .core import (
     MoveGraphNode,
     TrisectionError,
     TrisectionState,
-    least_labels,
     other_two,
 )
 
@@ -203,9 +203,10 @@ def _compound_record(first: MoveRecord, second: MoveRecord) -> MoveRecord:
     # labels, each side in creation order, and the second move's arc.  The
     # second move of _Walk.fake_stab turns over exactly the labels the first
     # created, so the net turnover is the first's removed labels and the
-    # second's created ones.  Labels c<n> ascend by number, hence by length,
-    # and within one length string order is number order.
-    removed = tuple(sorted(first.removed, key=lambda label: (len(label), label)))
+    # second's created ones.  The first move is canonical, so its removed
+    # labels are in string order, and sorting them by length gives creation
+    # order, as in _Walk.state.
+    removed = tuple(sorted(first.removed, key=len))
     return MoveRecord("fake_stab", 1, second.arc, second.created, removed)
 
 
@@ -219,20 +220,21 @@ def _balance_target(h1: int, h2: int, h3: int) -> int:
 class _Walk:
     """A run of labeled moves on mutable parts, built into one state at the end.
 
-    It holds the live labels as a list in creation order, the next label
-    number, the node's coordinates as plain ints, the input's history
-    (``base``), the records of its own moves as a list and the label.
-    :meth:`move` and :meth:`canonical` make a move's one legality check,
-    edit the list in place and append one record; :meth:`state` builds
-    the node, link and state once.  Every labeled move goes through a
-    walk, so a script of n moves costs n records and one state.
+    It holds the live labels as a list in string order, so the least
+    label or pair leads it, the next label number, the node's coordinates
+    as plain ints, the input's history (``base``), the records of its own
+    moves as a list and the label.  :meth:`move` and :meth:`canonical`
+    make a move's one legality check, edit the list in place and append
+    one record; :meth:`state` builds the node, link (in creation order)
+    and state once.  Every labeled move goes through a walk, so a script
+    of n moves costs n records and one state.
     """
 
     __slots__ = ("labels", "next_id", "g12", "g13", "g23", "b", "base", "records", "label")
 
     def __init__(self, state: TrisectionState) -> None:
         genera, link = state.genera, state.link
-        self.labels = list(link.components)
+        self.labels = sorted(link.components)
         self.next_id = link.next_id
         self.g12, self.g13, self.g23, self.b = genera.g12, genera.g13, genera.g23, genera.b
         self.base = state.history
@@ -244,7 +246,7 @@ class _Walk:
         # A walk from node.to_state(), without building that state: labels
         # c0 .. c<b-1>, next_id b, an empty history and no label.
         walk = _new(cls)
-        walk.labels = [f"c{n}" for n in range(node.b)]
+        walk.labels = sorted([f"c{n}" for n in range(node.b)])
         walk.next_id = node.b
         walk.g12, walk.g13, walk.g23, walk.b = node.g12, node.g13, node.g23, node.b
         walk.base = ()
@@ -264,7 +266,8 @@ class _Walk:
                 spot = labels.index(arc.component)
             else:
                 removed = (arc.first, arc.second)
-                spot, other = labels.index(arc.first), labels.index(arc.second)
+                spot = labels.index(arc.first)
+                other = labels.index(arc.second, spot)
         except ValueError:
             missing = next(label for label in removed if label not in labels)
             raise IllegalMove(f"component {missing!r} is not in the boundary link") from None
@@ -276,15 +279,15 @@ class _Walk:
         n = self.next_id
         if same:
             del labels[spot]
-            created = (f"c{n}", f"c{n + 1}")
+            created = first, second = f"c{n}", f"c{n + 1}"
+            insort(labels, first)
+            insort(labels, second)
             self.next_id = n + 2
         else:
-            if spot < other:
-                spot, other = other, spot
-            del labels[spot], labels[other]
-            created = (f"c{n}",)
+            del labels[other], labels[spot]
+            created = (label := f"c{n}",)
+            insort(labels, label)
             self.next_id = n + 1
-        labels += created
         if op == "destab" and DESTAB_CAVEAT not in self.label:
             self.label = f"{self.label} | {DESTAB_CAVEAT}" if self.label else DESTAB_CAVEAT
         return created, removed
@@ -313,34 +316,25 @@ class _Walk:
         if g12 < _LEAST_G12 or g13 < _LEAST_G13 or g23 < _LEAST_G23 or b < _LEAST_B:
             raise IllegalMove(message)
         self.g12, self.g13, self.g23, self.b = g12, g13, g23, b
+        # The labels are in string order, so the arc leads the list.
         labels, n = self.labels, self.next_id
-        # Labels of one length are in string order, so while the first and
-        # the last share a length the answer leads the list (least_labels).
-        one_length = len(labels[0]) == len(labels[-1])
         if same:
-            if one_length:
-                removed = (labels.pop(0),)
-            else:
-                removed = least_labels(labels, 1)
-                labels.remove(removed[0])
+            removed = (labels.pop(0),)
             arc = _new(SameComponent)
             _set_component(arc, removed[0])
-            created = (f"c{n}", f"c{n + 1}")
+            created = first, second = f"c{n}", f"c{n + 1}"
+            insort(labels, first)
+            insort(labels, second)
             self.next_id = n + 2
         else:
-            if one_length:
-                removed = lo, hi = labels[0], labels[1]
-                del labels[:2]
-            else:
-                removed = lo, hi = least_labels(labels, 2)
-                labels.remove(lo)
-                labels.remove(hi)
+            removed = lo, hi = labels[0], labels[1]
+            del labels[:2]
             arc = _new(DistinctComponents)  # lo < hi already
             _set_first(arc, lo)
             _set_second(arc, hi)
-            created = (f"c{n}",)
+            created = (label := f"c{n}",)
+            insort(labels, label)
             self.next_id = n + 1
-        labels += created
         record = _record("stab", i, arc, created, removed)
         self.records.append(record)
         return record
@@ -394,10 +388,12 @@ class _Walk:
     def state(self) -> TrisectionState:
         """The state the walk has reached, its records appended to its input's history."""
         history = self.base + tuple(self.records)
-        # The link skips its label check: the labels are unique, in
-        # creation order and below next_id, since each move removes live
-        # labels and appends c<next_id> and up.
-        link = _link(tuple(self.labels), self.next_id)
+        # The link skips its label check: the labels are unique and below
+        # next_id, since each move removes live labels and adds c<next_id>
+        # and up.  Sorting the string order by length gives creation order:
+        # labels have no leading zeros, so within one length string order
+        # is number order.
+        link = _link(tuple(sorted(self.labels, key=len)), self.next_id)
         genera = MoveGraphNode(self.g12, self.g13, self.g23, self.b)
         return TrisectionState(genera, link, history, self.label)
 

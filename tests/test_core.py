@@ -34,7 +34,6 @@ from trisections.core import (
     genera_from_profile,
     is_feasible,
     koda_ozawa,
-    least_labels,
     open_book,
     other_two,
     split_heegaard,
@@ -324,12 +323,13 @@ def test_link_components_must_be_in_creation_order():
         )
     )
 )
-def test_least_labels_are_the_lexicographic_minima(numbers):
+def test_string_order_sorted_by_length_is_creation_order(numbers):
     # Labels crossing the c9/c10, c99/c100 and c999/c1000 boundaries,
-    # where string order and number order part.
+    # where string order and number order part.  A walk keeps its labels
+    # in string order and restores a link's creation order by one stable
+    # sort by length.
     labels = tuple(f"c{n}" for n in sorted(numbers))
-    assert least_labels(labels, 1) == least_labels(list(labels), 1) == (min(labels),)
-    assert least_labels(labels, 2) == least_labels(list(labels), 2) == tuple(sorted(labels)[:2])
+    assert tuple(sorted(sorted(labels), key=len)) == labels
 
 
 # -- constructor catalogue ----------------------------------------------------

@@ -40,6 +40,7 @@ from trisections.moves import (
     fake_heegaard_stab,
 )
 from trisections.planner import plan_common_stabilization, plan_lengths, replay
+from trisections.serialize import state_from_text, state_to_text
 
 _STATES = [node.to_state(f"n{n}") for n, node in enumerate(feasible_nodes(12))]
 _BIG = connect_sum_equal_genus(500)  # b = 501
@@ -48,6 +49,9 @@ _BIG = connect_sum_equal_genus(500)  # b = 501
 def _same(state: TrisectionState, expected: TrisectionState) -> None:
     assert state.genera == expected.genera
     assert state.link == expected.link
+    # A walk builds its link without the full label check; rebuild it
+    # through that check, so a walk on either side is held to it.
+    assert LinkComponentSet(state.link.components, state.link.next_id) == state.link
     assert tuple(state.history) == tuple(expected.history)
     assert state.label == expected.label
     assert state == expected
@@ -342,3 +346,18 @@ def test_fake_stab_replay_at_high_b_is_linear():
     assert replayed == end
     report = plan_common_stabilization(state, state, 200)
     assert report.a.step3_fake[-1].op == "fake_stab"
+
+
+def test_a_build_and_its_replay_at_high_b_take_seconds():
+    # 20,000 merges at b = 20,001, across five digit lengths: each arc
+    # leads the walk's list, for the build and for the replay alike.
+    state = connect_sum_equal_genus(20_000)
+    started = time.perf_counter()
+    built, _, script = build_heegaard(state, 1)
+    replayed = replay(state, script)
+    assert time.perf_counter() - started < 2.0
+    assert replayed == built and len(script) == 20_000
+    # The reader replays the labels on its own, so it checks the link's
+    # creation order apart from the walk; halfway, 10,001 labels are live.
+    for end in (built, replay(state, script[:10_000])):
+        assert state_from_text(state_to_text(end)) == end
