@@ -270,6 +270,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.max_sum < 0:  # an empty range, which checks nothing
+        raise _UsageError(f"verify: --max-sum must be at least 0, got {args.max_sum}")
     what = f"verify: the nodes with sum_h <= {args.max_sum}"
     _check_size(what, node_count(args.max_sum), MAX_NODES)
     report = verify_properties(args.max_sum)

@@ -21,30 +21,30 @@ Moves run in walks (``_Walk``).  A walk copies a state's labels into one
 list in string order, applies a run of moves to it in place, each with
 one legality check and one record appended to the walk's own list, and
 builds one state at the end, whose history is the input's tuple followed
-by the walk's records.  ``balance``, ``build_heegaard``,
-``fake_heegaard_stab``, :func:`trisections.planner.replay`,
-:func:`trisections.explorer.realize_path` and
-:func:`trisections.explorer.shortest_script` each run one walk per
-script, :func:`trisections.planner.plan_common_stabilization` one walk
-per side, and a single move is a walk of one.  A canonical move
+by the walk's records.  Every script runs as one walk (a plan as one a
+side), and a single move is a walk of one.  A canonical move
 (``_Walk.canonical``) takes the least label or pair from the head of the
 list and checks legality on the walk's ints alone; a given arc (``move``
 and ``follow``) finds each of its labels by ``index``, which stops at
 once on the labels of a canonical script.  Each created label goes in by
-``insort``.  So ``build_heegaard`` and ``replay`` do constant
-Python-level work a move; what still grows with b is the C-level shift
-of the list on each insert and delete, and the ``index`` of a given arc
-deep in the list.  A move of ``build_heegaard`` on connect-sum g took
-about 6, 9 and 11 us at g = 5k, 10k and 20k, and the build and the
-replay of connect-sum 99,999's 99,999-move script took about 4 and 5 s
-(ROADMAP item 4).  Each walk copies the history's pointers once, so a
-single move on a long history pays it.
+``insort``.  A move reads its rule as ``_MOVE_RULES[op][same][i]`` and
+builds its record, and a canonical move its arc, by one
+``tuple.__new__`` each: on a 2-vCPU host with Python 3.11, 240-430 ns a
+record against 540-790 ns through five slot setters, and about 1.4 us a
+move of ``build_heegaard`` at b <= 2 against 1.9 us.  Python-level work
+a move is constant; what grows with b is the C-level shift of the list
+on each insert and delete, and the ``index`` of a given arc deep in the
+list: a move of ``build_heegaard`` on connect-sum g took about 4.4, 7
+and 10 us at g = 5k, 10k and 20k, and its build and replay at g = 99,999
+about 3.8 and 4.5 s (ROADMAP item 4).  Each walk copies the history's
+pointers once, which a single move on a long history pays.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     PARAM_FLOORS,
@@ -61,31 +61,44 @@ DESTAB_CAVEAT = (
 )
 
 
+# A named tuple from its fields, skipping the checks of its __new__.
+_tuple = tuple.__new__
+
+
 class IllegalMove(TrisectionError):
     """The move's legality condition fails in the given state."""
 
 
-@dataclass(frozen=True, slots=True)
-class SameComponent:
-    """Arc with both endpoints on one boundary-link component."""
+class SameComponent(NamedTuple):
+    """Arc with both endpoints on one boundary-link component.
+
+    A named tuple: it unpacks and equals ``(component,)``, and
+    ``dataclasses.replace`` does not apply to it.
+    """
 
     component: str
 
 
-@dataclass(frozen=True, slots=True)
-class DistinctComponents:
-    """Arc joining two different boundary-link components (unordered pair)."""
-
+class _DistinctFields(NamedTuple):
     first: str
     second: str
 
-    def __post_init__(self) -> None:
-        if self.first == self.second:
+
+class DistinctComponents(_DistinctFields):
+    """Arc joining two different boundary-link components (unordered pair).
+
+    A named tuple with ``first < second``: it unpacks and equals
+    ``(first, second)``, and ``dataclasses.replace`` does not apply to it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, first: str, second: str) -> DistinctComponents:
+        if first == second:
             raise ValueError("a DistinctComponents arc needs two distinct components")
-        if self.second < self.first:
-            lo, hi = self.second, self.first
-            object.__setattr__(self, "first", lo)
-            object.__setattr__(self, "second", hi)
+        if second < first:
+            first, second = second, first
+        return _tuple(cls, (first, second))
 
 
 Arc = SameComponent | DistinctComponents
@@ -118,20 +131,29 @@ class DestabMove:
         other_two(self.handlebody)
 
 
-@dataclass(frozen=True, slots=True)
-class MoveRecord:
-    """One applied move: operation, parameters, and the labels it touched."""
-
+class _RecordFields(NamedTuple):
     op: str
     handlebody: int
     arc: Arc
     created: tuple[str, ...]
     removed: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if self.op not in ("stab", "destab", "fake_stab"):
-            raise ValueError(f"unknown move op {self.op!r}")
-        other_two(self.handlebody)
+
+class MoveRecord(_RecordFields):
+    """One applied move: operation, parameters, and the labels it touched.
+
+    A named tuple: it unpacks, equals the plain tuple of its fields and
+    hashes as it, and ``dataclasses.replace`` does not apply to it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, op: str, handlebody: int, arc: Arc, created: tuple[str, ...],
+                removed: tuple[str, ...]) -> MoveRecord:
+        if op not in ("stab", "destab", "fake_stab"):
+            raise ValueError(f"unknown move op {op!r}")
+        other_two(handlebody)
+        return _tuple(cls, (op, handlebody, arc, created, removed))
 
 
 MoveScript = tuple[MoveRecord, ...]
@@ -159,34 +181,17 @@ def _move_rule(op: str, i: int, same: bool) -> tuple[tuple[int, int, int, int], 
     return delta, f"{action} needs {needs}"
 
 
-# (op, handlebody, one-component arc?) -> (delta, message): STAB_DELTAS in
-# the form a move reads, as _SUCCESSOR_ROWS is in the form search reads.
+# _MOVE_RULES[op][one-component arc?][handlebody] -> (delta, message), slot 0
+# unused: STAB_DELTAS in the form a move reads, as _SUCCESSOR_ROWS is in the
+# form search reads.
 _MOVE_RULES = {
-    (op, i, same): _move_rule(op, i, same)
-    for op in ("stab", "destab") for i in (1, 2, 3) for same in (True, False)
+    op: tuple((None, *(_move_rule(op, i, same) for i in (1, 2, 3))) for same in (False, True))
+    for op in ("stab", "destab")
 }
 
 
 _new = object.__new__
 _set = object.__setattr__
-# The setters of the slots of MoveRecord and of the arcs, which skip
-# their frozen __setattr__.
-_set_op, _set_handlebody, _set_arc, _set_created, _set_removed = (
-    getattr(MoveRecord, name).__set__ for name in ("op", "handlebody", "arc", "created", "removed"))
-_set_component = SameComponent.component.__set__
-_set_first, _set_second = DistinctComponents.first.__set__, DistinctComponents.second.__set__
-
-
-def _record(op: str, i: int, arc: Arc, created: tuple, removed: tuple) -> MoveRecord:
-    # A record built from checked parts, without __post_init__: the caller
-    # has checked the op and the handlebody.
-    record = _new(MoveRecord)
-    _set_op(record, op)
-    _set_handlebody(record, i)
-    _set_arc(record, arc)
-    _set_created(record, created)
-    _set_removed(record, removed)
-    return record
 
 
 def _link(components: tuple[str, ...], next_id: int) -> LinkComponentSet:
@@ -207,7 +212,7 @@ def _compound_record(first: MoveRecord, second: MoveRecord) -> MoveRecord:
     # labels are in string order, and sorting them by length gives creation
     # order, as in _Walk.state.
     removed = tuple(sorted(first.removed, key=len))
-    return MoveRecord("fake_stab", 1, second.arc, second.created, removed)
+    return _tuple(MoveRecord, ("fake_stab", 1, second.arc, second.created, removed))
 
 
 def _balance_target(h1: int, h2: int, h3: int) -> int:
@@ -224,10 +229,13 @@ class _Walk:
     label or pair leads it, the next label number, the node's coordinates
     as plain ints, the input's history (``base``), the records of its own
     moves as a list and the label.  :meth:`move` and :meth:`canonical`
-    make a move's one legality check, edit the list in place and append
-    one record; :meth:`state` builds the node, link (in creation order)
-    and state once.  Every labeled move goes through a walk, so a script
-    of n moves costs n records and one state.
+    make a move's one legality check on the row ``_MOVE_RULES[op][same][i]``,
+    edit the list in place and append one record, built with its arc by
+    one ``tuple.__new__`` each from the parts the check has passed;
+    :meth:`follow` appends the script's own record once it matches.
+    :meth:`state` builds the node, link (in creation order) and state
+    once.  Every labeled move goes through a walk, so a script of n moves
+    costs n records and one state.
     """
 
     __slots__ = ("labels", "next_id", "g12", "g13", "g23", "b", "base", "records", "label")
@@ -271,7 +279,7 @@ class _Walk:
         except ValueError:
             missing = next(label for label in removed if label not in labels)
             raise IllegalMove(f"component {missing!r} is not in the boundary link") from None
-        (d12, d13, d23, db), message = _MOVE_RULES[op, i, same]
+        (d12, d13, d23, db), message = _MOVE_RULES[op][same][i]
         g12, g13, g23 = self.g12 + d12, self.g13 + d13, self.g23 + d23
         if g12 < _LEAST_G12 or g13 < _LEAST_G13 or g23 < _LEAST_G23:
             raise IllegalMove(message)
@@ -295,7 +303,7 @@ class _Walk:
     def move(self, op: str, i: int, arc: Arc) -> MoveRecord:
         """Apply one stab or formal destab and return its record, or raise IllegalMove."""
         created, removed = self._edit(op, i, arc)
-        record = _record(op, i, arc, created, removed)
+        record = _tuple(MoveRecord, (op, i, arc, created, removed))
         self.records.append(record)
         return record
 
@@ -311,7 +319,7 @@ class _Walk:
         """Stabilize H_i along the smallest label (``same``) or pair; return the record."""
         # The arc's labels are live, so the one legality check is that the
         # result clears PARAM_FLOORS, b included: a pair needs b >= 2.
-        (d12, d13, d23, db), message = _MOVE_RULES["stab", i, same]
+        (d12, d13, d23, db), message = _MOVE_RULES["stab"][same][i]
         g12, g13, g23, b = self.g12 + d12, self.g13 + d13, self.g23 + d23, self.b + db
         if g12 < _LEAST_G12 or g13 < _LEAST_G13 or g23 < _LEAST_G23 or b < _LEAST_B:
             raise IllegalMove(message)
@@ -320,28 +328,21 @@ class _Walk:
         labels, n = self.labels, self.next_id
         if same:
             removed = (labels.pop(0),)
-            arc = _new(SameComponent)
-            _set_component(arc, removed[0])
+            arc = _tuple(SameComponent, removed)
             created = first, second = f"c{n}", f"c{n + 1}"
             insort(labels, first)
             insort(labels, second)
             self.next_id = n + 2
         else:
-            removed = lo, hi = labels[0], labels[1]
+            removed = labels[0], labels[1]
             del labels[:2]
-            arc = _new(DistinctComponents)  # lo < hi already
-            _set_first(arc, lo)
-            _set_second(arc, hi)
+            arc = _tuple(DistinctComponents, removed)  # in string order already
             created = (label := f"c{n}",)
             insort(labels, label)
             self.next_id = n + 1
-        record = _record("stab", i, arc, created, removed)
+        record = _tuple(MoveRecord, ("stab", i, arc, created, removed))
         self.records.append(record)
         return record
-
-    def stab(self, i: int) -> None:
-        """Stabilize H_i along the canonical arc, two-component whenever b >= 2."""
-        self.canonical(i, self.b < 2)
 
     # The genus formula and the opposite surface, read off the walk's own
     # g12, g13, g23 and b.
@@ -352,7 +353,7 @@ class _Walk:
         """Stabilize the smallest handlebody until all three genera agree."""
         h1, h2, h3 = self.heights()
         while not h1 == h2 == h3:
-            self.stab(_balance_target(h1, h2, h3))
+            self.canonical(_balance_target(h1, h2, h3), self.b < 2)
             h1, h2, h3 = self.heights()
 
     def cap(self, genus: int) -> None:
@@ -363,7 +364,7 @@ class _Walk:
         # start's capped_genus.
         self.balance()
         while self.b > 2 or self.heights()[0] < genus:
-            self.stab(_balance_target(*self.heights()))
+            self.canonical(_balance_target(*self.heights()), self.b < 2)
             self.balance()
 
     def to_disk(self, i: int) -> None:
@@ -371,7 +372,7 @@ class _Walk:
         # Each move lowers that count by one: a two-component arc lowers b,
         # a one-component arc (b == 1, so g_jk >= 1) trades a genus for a b.
         for _ in range(2 * self.opposite(i) + self.b - 1):
-            self.stab(i)
+            self.canonical(i, self.b < 2)
 
     def fake_stab(self) -> MoveRecord:
         """The two moves of :func:`fake_heegaard_stab`; returns their compound record."""

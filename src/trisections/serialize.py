@@ -59,10 +59,7 @@ from .moves import (
     MoveScript,
     SameComponent,
     _link,
-    _new,
-    _record,
-    _set_first,
-    _set_second,
+    _tuple,
 )
 from .planner import PlanReport, PlanSteps
 
@@ -336,14 +333,12 @@ def _read_record(item, ops: tuple[str, ...]) -> MoveRecord:
     if not checked:
         _check_ids(ends, ".arc.same" if len(ends) == 1 else ".arc.distinct[{}]")
     if len(ends) == 1:
-        arc = SameComponent(ends[0])
+        arc = _tuple(SameComponent, ends)
     elif ends[0] == ends[1]:
         raise StateFormatError(".arc.distinct: the two components must differ")
     else:  # in the order a DistinctComponents keeps
         ends = (ends[0], ends[1]) if ends[0] < ends[1] else (ends[1], ends[0])
-        arc = _new(DistinctComponents)
-        _set_first(arc, ends[0])
-        _set_second(arc, ends[1])
+        arc = _tuple(DistinctComponents, ends)
     created = _read_ids(created, ".created", checked)
     # The removed labels of a sound record are its arc's, checked already.
     removed = ends if checked and removed == [*ends] else _read_ids(removed, ".removed")
@@ -354,7 +349,7 @@ def _read_record(item, ops: tuple[str, ...]) -> MoveRecord:
         raise StateFormatError(": a " + (
             "one-component arc removes exactly the named component and creates two" if len(ends) == 1
             else "two-component arc removes exactly the named pair and creates one component"))
-    return _record(op, handlebody, arc, created, removed)
+    return _tuple(MoveRecord, (op, handlebody, arc, created, removed))
 
 
 def _read_records(items: list, context: str, ops: tuple[str, ...]) -> MoveScript:
@@ -429,7 +424,7 @@ def parse_state(payload) -> TrisectionState:
     h12, h13, h23 = g12, g13, g23
     for step in range(len(history), 0, -1):
         record = history[step - 1]
-        (d12, d13, d23, _), _ = _MOVE_RULES[record.op, record.handlebody, len(record.removed) == 1]
+        (d12, d13, d23, _), _ = _MOVE_RULES[record.op][len(record.removed) == 1][record.handlebody]
         h12, h13, h23 = h12 - d12, h13 - d13, h23 - d23
         if h12 < 0 or h13 < 0 or h23 < 0:
             raise StateFormatError(f"state: history step {step} would start from genera "

@@ -63,7 +63,7 @@ def _apply(state: TrisectionState, move: StabMove | DestabMove, op: str) -> Tris
     except ValueError:
         missing = next(label for label in removed if label not in state.link.components)
         raise IllegalMove(f"component {missing!r} is not in the boundary link") from None
-    (d12, d13, d23, db), message = _MOVE_RULES[op, move.handlebody, same]
+    (d12, d13, d23, db), message = _MOVE_RULES[op][same][move.handlebody]
     g = state.genera
     g12, g13, g23, b = g.g12 + d12, g.g13 + d13, g.g23 + d23, g.b + db
     if min(g12, g13, g23) < 0:

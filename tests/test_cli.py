@@ -371,6 +371,45 @@ def test_replay_refuses_labels_with_a_trailing_newline(koda, tmp_path, capsys):
     )
 
 
+# Scripts of one record that names a wrong created label (c9), one per arc
+# kind, with the state each starts from and the refusal `replay` prints.
+# The refusal holds two record reprs in full, so a changed record text
+# shows here and in tests/test_interpreters.py.
+WRONG_CREATED = {
+    "same": ("from-heegaard 2", [{
+        "op": "stab", "handlebody": 3, "arc": {"same": "c0"},
+        "created": ["c1", "c9"], "removed": ["c0"],
+    }], (
+        "IllegalMove: script step 1: the move applies as MoveRecord(op='stab', handlebody=3, "
+        "arc=SameComponent(component='c0'), created=('c1', 'c2'), removed=('c0',)), "
+        "not as recorded MoveRecord(op='stab', handlebody=3, "
+        "arc=SameComponent(component='c0'), created=('c1', 'c9'), removed=('c0',))\n"
+    )),
+    "distinct": ("koda-ozawa", [{
+        "op": "stab", "handlebody": 1, "arc": {"distinct": ["c1", "c0"]},
+        "created": ["c9"], "removed": ["c0", "c1"],
+    }], (
+        "IllegalMove: script step 1: the move applies as MoveRecord(op='stab', handlebody=1, "
+        "arc=DistinctComponents(first='c0', second='c1'), created=('c2',), removed=('c0', 'c1')), "
+        "not as recorded MoveRecord(op='stab', handlebody=1, "
+        "arc=DistinctComponents(first='c0', second='c1'), created=('c9',), removed=('c0', 'c1'))\n"
+    )),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WRONG_CREATED))
+def test_replay_refusal_prints_both_records_in_full(kind, tmp_path):
+    constructor, records, refusal = WRONG_CREATED[kind]
+    state = tmp_path / "state.json"
+    assert run_cli("new", *constructor.split(), "-o", str(state)).returncode == 0
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(records), encoding="utf-8")
+    proc = run_cli("replay", str(state), str(script))
+    assert proc.returncode == 1
+    assert proc.stderr == refusal
+    assert proc.stdout == ""
+
+
 # -- planning --------------------------------------------------------------------------
 
 
@@ -465,6 +504,17 @@ def test_explore_reports_notfound_for_unreachable_goals(koda, tmp_path):
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("NotFound:")
+
+
+def test_verify_refuses_a_negative_max_sum(tmp_path):
+    # A negative bound names an empty range, which would pass every check
+    # without checking a node.
+    report_path = tmp_path / "verify.json"
+    proc = run_cli("verify", "--max-sum", "-3", "-o", str(report_path))
+    assert proc.returncode == 2
+    assert proc.stderr == "usage error: verify: --max-sum must be at least 0, got -3\n"
+    assert proc.stdout == ""
+    assert not report_path.exists()
 
 
 def test_verify_passes_and_writes_a_report(tmp_path):

@@ -4,29 +4,36 @@ The suite runs on one interpreter; this smoke test looks for other
 CPython 3.10 or newer installations, the siblings of this interpreter's
 installation directory and any ``python3.1x`` on ``PATH``, keeps one
 per minor version that starts and is not this one's, and runs a few
-commands on each of them.  It skips when it finds none.
+commands on each of them, two refused replays among them, comparing exit
+code, stdout and stderr.  It skips when it finds none.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from test_cli import WRONG_CREATED
 
 from trisections.core import from_heegaard, koda_ozawa
 from trisections.serialize import state_to_text
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+# Each command with the exit code it must end with.  The refused replays
+# print two move records in full on stderr.
 COMMANDS = (
-    ["new", "koda-ozawa"],
-    ["balance", "koda.json"],
-    ["plan", "koda.json", "heegaard.json", "--rs-bound", "1"],
-    ["explore", "--start", "koda.json", "--max-sum", "8"],
-    ["verify", "--max-sum", "6"],
+    (["new", "koda-ozawa"], 0),
+    (["balance", "koda.json"], 0),
+    (["plan", "koda.json", "heegaard.json", "--rs-bound", "1"], 0),
+    (["explore", "--start", "koda.json", "--max-sum", "8"], 0),
+    (["verify", "--max-sum", "6"], 0),
+    (["replay", "heegaard.json", "same.json"], 1),
+    (["replay", "koda.json", "distinct.json"], 1),
 )
 
 
@@ -73,18 +80,21 @@ def _other_interpreters() -> dict[tuple[int, int], Path]:
     return others
 
 
-def _outputs(executables: list[str], command: list[str], cwd: Path) -> list[tuple[int, bytes]]:
-    # The exit code and stdout of the command on each interpreter, run side by side.
+def _outputs(
+    executables: list[str], command: list[str], cwd: Path
+) -> list[tuple[int, bytes, bytes]]:
+    # The exit code, stdout and stderr of the command on each interpreter,
+    # run side by side.
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     procs = [
         subprocess.Popen([executable, "-S", "-m", "trisections.cli", *command],
-                         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, cwd=cwd, env=env)
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=cwd, env=env)
         for executable in executables
     ]
     outputs = []
     for proc in procs:
-        stdout, _ = proc.communicate(timeout=60)
-        outputs.append((proc.returncode, stdout))
+        stdout, stderr = proc.communicate(timeout=60)
+        outputs.append((proc.returncode, stdout, stderr))
     return outputs
 
 
@@ -94,9 +104,11 @@ def test_other_interpreters_print_the_same_bytes(tmp_path):
         pytest.skip("no other Python 3.10+ interpreter starts here")
     (tmp_path / "koda.json").write_text(state_to_text(koda_ozawa()), encoding="utf-8")
     (tmp_path / "heegaard.json").write_text(state_to_text(from_heegaard(2)), encoding="utf-8")
+    for kind, (_, records, _) in WRONG_CREATED.items():
+        (tmp_path / f"{kind}.json").write_text(json.dumps(records), encoding="utf-8")
     executables = [sys.executable, *map(str, others.values())]
-    for command in COMMANDS:
+    for command, code in COMMANDS:
         expected, *outputs = _outputs(executables, command, tmp_path)
-        assert expected[0] == 0 and expected[1], command
+        assert expected[0] == code and expected[1 if code == 0 else 2], command
         for version, output in zip(others, outputs):
             assert output == expected, (version, command)

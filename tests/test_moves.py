@@ -29,7 +29,7 @@ from trisections.core import (
     state_from_profile,
     trivial,
 )
-from trisections.explorer import feasible_nodes
+from trisections.explorer import common_stabilization_search, feasible_nodes
 from trisections.moves import (
     DESTAB_CAVEAT,
     STAB_DELTAS,
@@ -51,7 +51,7 @@ from trisections.moves import (
     inverse_of,
 )
 from trisections.planner import plan_common_stabilization, replay
-from trisections.serialize import state_from_text, state_to_text
+from trisections.serialize import script_from_text, script_to_text, state_from_text, state_to_text
 
 
 def _feasible_states(max_sum: int):
@@ -118,10 +118,13 @@ def test_only_two_component_arcs_lower_b():
     # Every rule that lowers b is a two-component arc, and lowers it by
     # one: its two distinct labels must both exist, so b >= 2 before the
     # move and b >= 1 after it.
-    rules = moves._MOVE_RULES
-    assert sorted(rules) == sorted(
-        (op, i, same) for op in ("stab", "destab") for i in (1, 2, 3) for same in (True, False)
-    )
+    table = moves._MOVE_RULES
+    assert sorted(table) == ["destab", "stab"]
+    assert all(len(table[op]) == 2 and all(len(row) == 4 for row in table[op]) for op in table)
+    rules = {
+        (op, i, same): table[op][same][i]
+        for op in ("stab", "destab") for i in (1, 2, 3) for same in (True, False)
+    }
     lowering = [key for key, (delta, _) in rules.items() if delta[3] < 0]
     assert sorted(lowering) == sorted(
         (op, i, False) for op in ("stab", "destab") for i in (1, 2, 3)
@@ -197,15 +200,49 @@ def test_moves_build_what_the_validating_constructors_build():
                     after = apply(state, move)
                     g, record, link = after.genera, after.history[-1], after.link
                     assert MoveGraphNode(g.g12, g.g13, g.g23, g.b) == g
-                    assert MoveRecord(
-                        record.op, record.handlebody, record.arc, record.created, record.removed
-                    ) == record
+                    _assert_public_record(record)
                     assert record.op == ("stab" if apply is apply_stabilization else "destab")
                     assert LinkComponentSet(link.components, link.next_id) == link
                     assert TrisectionState(g, link, tuple(after.history), after.label) == after
                     assert after.history[:-1] == tuple(state.history)
                     applied += 1
     assert applied > 1_000
+    # The walks and the reader build their records and arcs as unchecked
+    # tuples too.
+    states = [koda_ozawa(), from_heegaard(2), open_book(2), connect_sum_equal_genus(3),
+              split_heegaard(3, 1), state_from_profile(Profile(3, 3, 2, 3))]
+    scripts = []
+    for state in states:
+        balanced, script = balance(state)
+        scripts.append(script)
+        scripts += [build_heegaard(state, i)[2] for i in (1, 2, 3)]
+        scripts.append(fake_heegaard_stab(balanced).history)
+        for other in states:
+            if other is not state:
+                report = plan_common_stabilization(state, other, 2)
+                scripts += [report.a.concatenated(), report.b.concatenated()]
+                _, left, right = common_stabilization_search(state.genera, other.genera, 30)
+                scripts += [left, right]
+    scripts += [script_from_text(script_to_text(script)) for script in scripts]
+    scripts += [state_from_text(state_to_text(replay(state, balance(state)[1]))).history
+                for state in states]
+    checked = 0
+    for script in scripts:
+        for record in script:
+            _assert_public_record(record)
+            checked += 1
+    assert checked > 2_000
+
+
+def _assert_public_record(record: MoveRecord) -> None:
+    # The record and its arc are exactly the public types, in the arc's
+    # order, and equal what the validating constructor builds.
+    assert type(record) is MoveRecord
+    arc = record.arc
+    assert type(arc) is SameComponent or (type(arc) is DistinctComponents
+                                          and arc.first < arc.second)
+    rebuilt = MoveRecord(*record)
+    assert rebuilt == record and hash(rebuilt) == hash(record)
 
 
 def test_apply_rejects_illegal_moves():
