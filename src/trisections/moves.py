@@ -29,15 +29,15 @@ and ``follow``) finds each of its labels by ``index``, which stops at
 once on the labels of a canonical script.  Each created label goes in by
 ``insort``.  A move reads its rule as ``_MOVE_RULES[op][same][i]`` and
 builds its record, and a canonical move its arc, by one
-``tuple.__new__`` each: on a 2-vCPU host with Python 3.11, 240-430 ns a
-record against 540-790 ns through five slot setters, and about 1.4 us a
-move of ``build_heegaard`` at b <= 2 against 1.9 us.  Python-level work
-a move is constant; what grows with b is the C-level shift of the list
-on each insert and delete, and the ``index`` of a given arc deep in the
-list: a move of ``build_heegaard`` on connect-sum g took about 4.4, 7
-and 10 us at g = 5k, 10k and 20k, and its build and replay at g = 99,999
-about 3.8 and 4.5 s (ROADMAP item 4).  Each walk copies the history's
-pointers once, which a single move on a long history pays.
+``tuple.__new__`` each: on a 2-vCPU host with Python 3.11 a record took
+240-430 ns, and a move of ``build_heegaard`` at b <= 2 about 1.4 us.
+Python-level work a move is constant; what grows with b is the C-level
+shift of the list on each insert and delete, and the ``index`` of a
+given arc deep in the list: a move of ``build_heegaard`` on connect-sum
+g took about 4.4, 7 and 10 us at g = 5k, 10k and 20k, and its build and
+replay at g = 99,999 about 3.8 and 4.5 s (ROADMAP item 4).  Each walk
+copies the history's pointers once, which a single move on a long
+history pays.
 """
 
 from __future__ import annotations
