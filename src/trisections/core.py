@@ -30,6 +30,14 @@ from functools import wraps
 
 _ID_PATTERN = re.compile(r"c(0|[1-9][0-9]*)\Z")
 
+# The identifier c<n> of a label number n >= 0, formatted at C speed.
+component_label = "c{}".format
+
+# The identifiers c0 .. c1023, formatted once: moves and the reader take
+# fresh labels from here and format only those past it.
+_LABEL_COUNT = 1024
+LABELS = tuple(map(component_label, range(_LABEL_COUNT)))
+
 
 class TrisectionError(Exception):
     """Base class for domain errors raised by the engine."""
@@ -213,11 +221,18 @@ class LinkComponentSet:
     @classmethod
     def fresh(cls, count: int) -> LinkComponentSet:
         """A brand new set of ``count`` components ``c0`` .. ``c<count-1>``."""
-        return cls(tuple(f"c{n}" for n in range(count)), count)
+        return cls(component_labels(0, count), count)
 
     @property
     def b(self) -> int:
         return len(self.components)
+
+
+def component_labels(start: int, stop: int) -> tuple[str, ...]:
+    """The identifiers ``c<start>`` .. ``c<stop-1>``, read from :data:`LABELS` where it reaches."""
+    if stop <= _LABEL_COUNT:
+        return LABELS[start:stop]
+    return LABELS[start:] + tuple(map(component_label, range(max(start, _LABEL_COUNT), stop)))
 
 
 def component_number(label: str) -> int:

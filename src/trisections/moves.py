@@ -22,21 +22,27 @@ list in string order, applies a run of moves to it in place, each with
 one legality check and one record appended to the walk's own list, and
 builds one state at the end, whose history is the input's tuple followed
 by the walk's records.  Every script runs as one walk (a plan as one a
-side), and a single move is a walk of one.  A canonical move
-(``_Walk.canonical``) takes the least label or pair from the head of the
-list and checks legality on the walk's ints alone; a given arc (``move``
-and ``follow``) finds each of its labels by ``index``, which stops at
-once on the labels of a canonical script.  Each created label goes in by
-``insort``.  A move reads its rule as ``_MOVE_RULES[op][same][i]`` and
-builds its record, and a canonical move its arc, by one
-``tuple.__new__`` each: on a 2-vCPU host with Python 3.11 a record took
-240-430 ns, and a move of ``build_heegaard`` at b <= 2 about 1.4 us.
+side), and a single move is a walk of one.  There are two kernels.  A
+canonical move (``_Walk.canonical``) takes the least label or pair from
+the head of the list, checks legality on the walk's ints alone and
+builds its arc and record by one ``tuple.__new__`` each.  Every move
+along a given arc goes through ``_Walk.follow``: it finds the arc's
+labels by ``index`` (which stops at once on the labels of a canonical
+script), checks the floors, and checks that the record creates the next
+labels and removes the arc's, before it edits the list, so a record
+that passes is kept as it is; ``move`` builds the record a move would
+make and follows it.  Both kernels read their rule as
+``_MOVE_RULES[op][same][i]`` and their created labels from
+:data:`~trisections.core.LABELS` (``c0`` .. ``c1023``, formatted once),
+formatting only labels past it, and put each one in by ``insort``.  On a
+2-vCPU host with Python 3.11 a canonical move of ``build_heegaard`` at
+b <= 2 took about 1.1-1.2 us and a followed record about 0.9-1.0 us.
 Python-level work a move is constant; what grows with b is the C-level
 shift of the list on each insert and delete, and the ``index`` of a
 given arc deep in the list: a move of ``build_heegaard`` on connect-sum
-g took about 4.4, 7 and 10 us at g = 5k, 10k and 20k, and its build and
-replay at g = 99,999 about 3.8 and 4.5 s (ROADMAP item 4).  Each walk
-copies the history's pointers once, which a single move on a long
+g took about 3, 4 and 6-6.5 us at g = 5k, 10k and 20k, and its build
+and replay at g = 99,999 about 2.9 and 3.6 s (ROADMAP item 4).  Each
+walk copies the history's pointers once, which a single move on a long
 history pays.
 """
 
@@ -47,12 +53,15 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import (
+    LABELS,
     PARAM_FLOORS,
     STAB_DELTAS,
     LinkComponentSet,
     MoveGraphNode,
     TrisectionError,
     TrisectionState,
+    component_label,
+    component_labels,
     other_two,
 )
 
@@ -104,6 +113,13 @@ class DistinctComponents(_DistinctFields):
 Arc = SameComponent | DistinctComponents
 
 
+def _check_arc(arc: Arc) -> None:
+    # The kernel reads an arc by subscript and its kind by type, so a plain
+    # tuple or string is no arc.
+    if not isinstance(arc, Arc):
+        raise IllegalMove(f"expected a SameComponent or DistinctComponents arc, got {arc!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class StabMove:
     """Stabilize handlebody ``handlebody`` along ``arc`` in its opposite surface."""
@@ -113,6 +129,7 @@ class StabMove:
 
     def __post_init__(self) -> None:
         other_two(self.handlebody)
+        _check_arc(self.arc)
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,6 +146,7 @@ class DestabMove:
 
     def __post_init__(self) -> None:
         other_two(self.handlebody)
+        _check_arc(self.arc)
 
 
 class _RecordFields(NamedTuple):
@@ -153,6 +171,7 @@ class MoveRecord(_RecordFields):
         if op not in ("stab", "destab", "fake_stab"):
             raise ValueError(f"unknown move op {op!r}")
         other_two(handlebody)
+        _check_arc(arc)
         return _tuple(cls, (op, handlebody, arc, created, removed))
 
 
@@ -161,6 +180,7 @@ MoveScript = tuple[MoveRecord, ...]
 
 _PARAM_NAMES = ("g12", "g13", "g23", "b")
 _LEAST_G12, _LEAST_G13, _LEAST_G23, _LEAST_B = PARAM_FLOORS
+_TABLE_END = len(LABELS)
 
 
 def _move_rule(op: str, i: int, same: bool) -> tuple[tuple[int, int, int, int], str]:
@@ -203,6 +223,19 @@ def _link(components: tuple[str, ...], next_id: int) -> LinkComponentSet:
     return link
 
 
+def _created(n: int, same: bool) -> tuple[str, ...]:
+    # The labels a move creates when the next label number is n: two for a
+    # one-component arc, one for a pair, read from the table as far as it
+    # goes.  _Walk.canonical and _Walk.follow read the table inline and
+    # call this at most past it: a call on every move made a plan and its
+    # replay about 4% slower (in-process A/B).
+    if same:
+        if n + 2 <= _TABLE_END:
+            return LABELS[n], LABELS[n + 1]
+        return component_label(n), component_label(n + 1)
+    return (LABELS[n] if n < _TABLE_END else component_label(n),)
+
+
 def _compound_record(first: MoveRecord, second: MoveRecord) -> MoveRecord:
     # One fake_stab record for two consecutive moves: the net turnover of
     # labels, each side in creation order, and the second move's arc.  The
@@ -228,14 +261,17 @@ class _Walk:
     It holds the live labels as a list in string order, so the least
     label or pair leads it, the next label number, the node's coordinates
     as plain ints, the input's history (``base``), the records of its own
-    moves as a list and the label.  :meth:`move` and :meth:`canonical`
-    make a move's one legality check on the row ``_MOVE_RULES[op][same][i]``,
-    edit the list in place and append one record, built with its arc by
-    one ``tuple.__new__`` each from the parts the check has passed;
-    :meth:`follow` appends the script's own record once it matches.
-    :meth:`state` builds the node, link (in creation order) and state
-    once.  Every labeled move goes through a walk, so a script of n moves
-    costs n records and one state.
+    moves as a list and the label.  :meth:`canonical` makes its one
+    legality check on the row ``_MOVE_RULES["stab"][same][i]``, edits the
+    list and appends one record, built with its arc by one
+    ``tuple.__new__`` each.  :meth:`follow` is the one kernel for a given
+    arc: it finds the arc's labels, checks the floors and then the
+    record's created labels against the next ones of ``core.LABELS`` and
+    its removed labels against the arc, and only then edits the list and
+    appends the record itself; :meth:`move` builds the record a move
+    would make and follows it.  :meth:`state` builds the node, link
+    (in creation order) and state once.  Every labeled move goes through a
+    walk, so a script of n moves costs n records and one state.
     """
 
     __slots__ = ("labels", "next_id", "g12", "g13", "g23", "b", "base", "records", "label")
@@ -254,7 +290,7 @@ class _Walk:
         # A walk from node.to_state(), without building that state: labels
         # c0 .. c<b-1>, next_id b, an empty history and no label.
         walk = _new(cls)
-        walk.labels = sorted([f"c{n}" for n in range(node.b)])
+        walk.labels = sorted(component_labels(0, node.b))
         walk.next_id = node.b
         walk.g12, walk.g13, walk.g23, walk.b = node.g12, node.g13, node.g23, node.b
         walk.base = ()
@@ -262,57 +298,53 @@ class _Walk:
         walk.label = ""
         return walk
 
-    def _edit(self, op: str, i: int, arc: Arc) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        # The one legality check, then the edit: the arc's labels must be
-        # live, then the genera must clear PARAM_FLOORS (b does: every rule
-        # lowering it merges two live labels).  Returns (created, removed).
+    def move(self, op: str, i: int, arc: Arc) -> MoveRecord:
+        """Apply one stab or formal destab and return its record, or raise IllegalMove."""
+        created = _created(self.next_id, isinstance(arc, SameComponent))
+        record = _tuple(MoveRecord, (op, i, arc, created, tuple(arc)))
+        self.follow(record)
+        return record
+
+    def follow(self, record: MoveRecord) -> None:
+        """Apply a stab or destab record, which must name the labels its move turns over."""
+        # The one legality check, in this order: the arc's labels must be
+        # live, the genera must clear PARAM_FLOORS (b does: every rule
+        # lowering it merges two live labels), and the record must create
+        # the next labels and remove the arc's.  Only then is the list edited.
+        op, i, arc, created, removed = record
         labels = self.labels
         same = isinstance(arc, SameComponent)
         try:
-            if same:
-                removed = (arc.component,)
-                spot = labels.index(arc.component)
-            else:
-                removed = (arc.first, arc.second)
-                spot = labels.index(arc.first)
-                other = labels.index(arc.second, spot)
+            spot = labels.index(arc[0])
+            if not same:
+                other = labels.index(arc[1], spot)
         except ValueError:
-            missing = next(label for label in removed if label not in labels)
+            missing = next(label for label in arc if label not in labels)
             raise IllegalMove(f"component {missing!r} is not in the boundary link") from None
         (d12, d13, d23, db), message = _MOVE_RULES[op][same][i]
         g12, g13, g23 = self.g12 + d12, self.g13 + d13, self.g23 + d23
         if g12 < _LEAST_G12 or g13 < _LEAST_G13 or g23 < _LEAST_G23:
             raise IllegalMove(message)
-        self.g12, self.g13, self.g23, self.b = g12, g13, g23, self.b + db
         n = self.next_id
+        if n + 2 <= _TABLE_END:
+            expected = (LABELS[n], LABELS[n + 1]) if same else (LABELS[n],)
+        else:
+            expected = _created(n, same)
+        if created != expected or removed != arc:
+            applied = _tuple(MoveRecord, (op, i, arc, expected, tuple(arc)))
+            raise IllegalMove(f"the move applies as {applied}, not as recorded {record}")
+        self.g12, self.g13, self.g23, self.b = g12, g13, g23, self.b + db
         if same:
             del labels[spot]
-            created = first, second = f"c{n}", f"c{n + 1}"
-            insort(labels, first)
-            insort(labels, second)
+            insort(labels, created[0])
+            insort(labels, created[1])
             self.next_id = n + 2
         else:
             del labels[other], labels[spot]
-            created = (label := f"c{n}",)
-            insort(labels, label)
+            insort(labels, created[0])
             self.next_id = n + 1
         if op == "destab" and DESTAB_CAVEAT not in self.label:
             self.label = f"{self.label} | {DESTAB_CAVEAT}" if self.label else DESTAB_CAVEAT
-        return created, removed
-
-    def move(self, op: str, i: int, arc: Arc) -> MoveRecord:
-        """Apply one stab or formal destab and return its record, or raise IllegalMove."""
-        created, removed = self._edit(op, i, arc)
-        record = _tuple(MoveRecord, (op, i, arc, created, removed))
-        self.records.append(record)
-        return record
-
-    def follow(self, record: MoveRecord) -> None:
-        """Apply a stab or destab record, which must name the labels its move turns over."""
-        created, removed = self._edit(record.op, record.handlebody, record.arc)
-        if created != record.created or removed != record.removed:
-            applied = MoveRecord(record.op, record.handlebody, record.arc, created, removed)
-            raise IllegalMove(f"the move applies as {applied}, not as recorded {record}")
         self.records.append(record)
 
     def canonical(self, i: int, same: bool) -> MoveRecord:
@@ -329,16 +361,16 @@ class _Walk:
         if same:
             removed = (labels.pop(0),)
             arc = _tuple(SameComponent, removed)
-            created = first, second = f"c{n}", f"c{n + 1}"
-            insort(labels, first)
-            insort(labels, second)
+            created = (LABELS[n], LABELS[n + 1]) if n + 2 <= _TABLE_END else _created(n, True)
+            insort(labels, created[0])
+            insort(labels, created[1])
             self.next_id = n + 2
         else:
             removed = labels[0], labels[1]
             del labels[:2]
             arc = _tuple(DistinctComponents, removed)  # in string order already
-            created = (label := f"c{n}",)
-            insort(labels, label)
+            created = (LABELS[n] if n < _TABLE_END else component_label(n),)
+            insort(labels, created[0])
             self.next_id = n + 1
         record = _tuple(MoveRecord, ("stab", i, arc, created, removed))
         self.records.append(record)

@@ -48,6 +48,8 @@ from .core import (
     MoveGraphNode,
     TrisectionState,
     are_component_ids,
+    component_label,
+    component_labels,
     component_number,
 )
 from .explorer import PropertyResult, VerificationReport
@@ -58,6 +60,7 @@ from .moves import (
     MoveRecord,
     MoveScript,
     SameComponent,
+    _created,
     _link,
     _tuple,
 )
@@ -399,14 +402,14 @@ def parse_state(payload) -> TrisectionState:
     if fresh < 1:
         raise StateFormatError(f"state: the history implies {fresh} initial components "
                                "(need at least one component)")
-    live = dict.fromkeys([f"c{n}" for n in range(fresh)])
+    live = dict.fromkeys(component_labels(0, fresh))
     for step, record in enumerate(history, start=1):
         try:
             for removed in record.removed:
                 del live[removed]
         except KeyError:
             raise StateFormatError(f"state: history step {step}: unknown component {removed!r}") from None
-        created = (f"c{fresh}", f"c{fresh + 1}") if len(record.removed) == 1 else (f"c{fresh}",)
+        created = _created(fresh, len(record.removed) == 1)
         if record.created != created:
             raise StateFormatError(f"state: history step {step} must create {list(created)}, "
                                    f"got {list(record.created)}")
@@ -418,7 +421,7 @@ def parse_state(payload) -> TrisectionState:
                                f"history replay {list(live)}")
     if fresh != next_id:
         raise StateFormatError(f"state: next_id is {next_id} but the history consumed labels "
-                               f"up to c{fresh - 1}")
+                               f"up to {component_label(fresh - 1)}")
     # Walk the genera back from the stored ones through each record's row;
     # b needs no check, since the replay has kept it at 1 or more.
     h12, h13, h23 = g12, g13, g23

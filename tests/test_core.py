@@ -25,7 +25,9 @@ from trisections.core import (
     TrisectionState,
     _b_values,
     _genera,
+    LABELS,
     are_component_ids,
+    component_labels,
     component_number,
     connect_sum_equal_genus,
     construct,
@@ -240,6 +242,18 @@ def test_link_operations_validate_their_arguments():
     with pytest.raises(ValueError):
         apply_stabilization(state, StabMove(1, DistinctComponents("c0", "c0")))
     assert state.link.components == ("c0", "c1") and state.history == ()
+
+
+def test_the_label_table_and_past_it():
+    # The table ends at c1023; spans on either side of its end and across
+    # it read the same labels that formatting each number gives.
+    assert LABELS == tuple(f"c{n}" for n in range(1024))
+    for start in (0, 1, 1020, 1022, 1023, 1024, 1025, 2000):
+        for stop in range(start, start + 4):
+            expected = tuple(f"c{n}" for n in range(start, stop))
+            assert component_labels(start, stop) == expected, (start, stop)
+    assert component_labels(0, 3000) == tuple(f"c{n}" for n in range(3000))
+    assert LinkComponentSet.fresh(1030).components == tuple(f"c{n}" for n in range(1030))
 
 
 @pytest.mark.parametrize("label", ["c1\n", "c0\n", "c12\n\n", "c1\r", " c1", "c01"])

@@ -1,8 +1,10 @@
 """Source rules that no other test checks.
 
 No guarantee of the library may depend on ``assert``, which ``python -O``
-strips: every check that can fail raises a domain error instead.  And no
-module imports a name it does not read.
+strips: every check that can fail raises a domain error instead.  No
+module imports a name it does not read.  And only ``core`` writes a
+component label ``c<n>``, so that its label table is the one source of
+fresh labels.
 """
 
 from __future__ import annotations
@@ -46,3 +48,28 @@ def test_the_library_has_no_unused_imports(path):
     }
     unused = sorted((line, name) for name, line in imported.items() if name not in read)
     assert unused == [], f"{path.name} imports names it never reads: {unused}"
+
+
+def _label_formats(tree: ast.AST) -> list[int]:
+    # The lines of every f-string that starts with the constant "c" and
+    # then a formatted value: f"c{n}", f"c{n + 1}" and the like.
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.JoinedStr) and len(node.values) > 1
+        and isinstance(node.values[0], ast.Constant) and node.values[0].value == "c"
+        and isinstance(node.values[1], ast.FormattedValue)
+    ]
+
+
+def test_the_label_check_finds_a_label_format():
+    assert _label_formats(ast.parse('x = [f"c{n}" for n in r] + [f"c{n + 1}!"]')) == [1, 1]
+    assert _label_formats(ast.parse('x = f"arc{n}", f"{n}c", "c0", f"c"')) == []
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in SOURCES if path.name != "core.py"], ids=lambda path: path.name
+)
+def test_only_core_formats_component_labels(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = _label_formats(tree)
+    assert lines == [], f"{path.name} formats c<n> labels on lines {lines}; use core.LABELS"

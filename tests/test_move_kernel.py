@@ -62,7 +62,11 @@ def test_the_states_cover_b_one_and_higher():
     assert {state.b for state in _STATES} == {1, 2, 3, 4, 5}
 
 
-@pytest.mark.parametrize("state", [*_STATES, _BIG], ids=lambda s: s.label[:24])
+# Its H1 build merges c1020 .. c2038 into being, across the end of core.LABELS.
+_TABLE_EDGE = MoveGraphNode(0, 0, 0, 1020).to_state("table-edge")
+
+
+@pytest.mark.parametrize("state", [*_STATES, _BIG, _TABLE_EDGE], ids=lambda s: s.label[:24])
 def test_balance_and_build_match_the_fold(state):
     after, script = balance(state)
     expected, expected_script = oracle.balance(state)
@@ -74,6 +78,7 @@ def test_balance_and_build_match_the_fold(state):
         _same(after, expected)
         assert (genus, script) == (expected_genus, expected_script)
         _same(replay(state, script), expected)
+        _same(state_from_text(state_to_text(after)), expected)
 
 
 def test_realize_path_matches_the_fold():
@@ -187,12 +192,13 @@ def _relabeled(state: TrisectionState, numbers) -> TrisectionState:
 
 def _canonical_cases():
     # Each state with sum_h <= 12 on its fresh labels, on labels that
-    # span c9/c10 and c99/c100, and on scattered labels of several
-    # lengths; then the high-b _BIG.
+    # span c9/c10, c99/c100 and c1022/c1023 (at b = 1 a split then makes
+    # c1023 from core.LABELS and c1024 past it), and on scattered labels
+    # of several lengths; then the high-b _BIG.
     for n, state in enumerate(_STATES):
         b = state.b
         yield state
-        for top in (10, 100):
+        for top in (10, 100, 1023):
             first = top - (b + 1) // 2
             yield _relabeled(state, range(first, first + b))
         yield _relabeled(state, sorted(random.Random(n).sample(range(2_000), b)))
@@ -283,6 +289,27 @@ def test_mutated_scripts_fail_with_the_same_message():
         "the move applies as MoveRecord(op='fake_stab'", "fake Heegaard stabilization",
     ):
         assert any(message.startswith(start) for message in messages), start
+
+
+def test_mutated_records_at_the_table_end_fail_with_the_same_message():
+    # Records that create c1023, the last label of core.LABELS, and the
+    # labels past it: the merges of _TABLE_EDGE's H1 build, and the splits
+    # and merges of an H3 build from the one label c1022.
+    one = TrisectionState(MoveGraphNode(2, 0, 0, 1), LinkComponentSet(("c1022",), 1023))
+    refused = 0
+    for state, i in ((_TABLE_EDGE, 1), (one, 3)):
+        script = build_heegaard(state, i)[2][:6]
+        for step, record in enumerate(script):
+            for mutant in _mutants(record):
+                mutated = script[:step] + (mutant,) + script[step + 1:]
+                got = _outcome(replay, state, mutated)
+                expected = _outcome(oracle.replay, state, mutated)
+                if isinstance(expected, str):
+                    assert got == expected
+                    refused += "the move applies as" in expected
+                else:
+                    _same(got, expected)
+    assert refused >= 12
 
 
 def test_single_moves_fail_with_the_same_message():

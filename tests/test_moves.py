@@ -85,6 +85,19 @@ def test_moves_reject_bad_handlebody_index():
         DestabMove(4, SameComponent("c0"))
 
 
+@pytest.mark.parametrize("arc", ["c0", ("c0", "c1"), None], ids=["str", "tuple", "none"])
+def test_moves_and_records_refuse_what_is_not_an_arc(arc):
+    # The kernel reads an arc's kind by its type, so a plain pair would
+    # pass as a two-component arc and land in a history untyped.
+    for build in (
+        lambda: StabMove(1, arc),
+        lambda: DestabMove(1, arc),
+        lambda: MoveRecord("stab", 1, arc, ("c2", "c3"), ("c0",)),
+    ):
+        with pytest.raises(IllegalMove, match="expected a SameComponent or DistinctComponents arc"):
+            build()
+
+
 def test_move_record_rejects_unknown_op():
     with pytest.raises(ValueError):
         MoveRecord("twist", 1, SameComponent("c0"), (), ("c0",))
