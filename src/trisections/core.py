@@ -206,6 +206,9 @@ class LinkComponentSet:
     next_id: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.components, tuple):
+            raise ValueError("components must be a tuple of component identifiers, "
+                             f"got {self.components!r}")
         if len(self.components) < _LEAST_B:
             raise ValueError("the boundary link must have at least one component")
         numbers = [component_number(label) for label in self.components]
@@ -237,7 +240,7 @@ def component_labels(start: int, stop: int) -> tuple[str, ...]:
 
 def component_number(label: str) -> int:
     """The counter value ``n`` of a component identifier ``c<n>``."""
-    match = _ID_PATTERN.match(label)
+    match = _ID_PATTERN.match(label) if isinstance(label, str) else None
     if match is None:
         raise ValueError(f"component identifiers look like 'c12', got {label!r}")
     return int(match.group(1))

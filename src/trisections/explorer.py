@@ -78,6 +78,7 @@ from .core import (
     _b_values,
     _genera,
     MoveGraphNode,
+    OutOfDomain,
     ParamMove,
     Profile,
     TrisectionError,
@@ -364,6 +365,8 @@ def verify_properties(max_sum: int) -> VerificationReport:
     largest :func:`~trisections.moves.capped_genus`, whose overshoot
     past max_sum is reported as the slack.
     """
+    if type(max_sum) is not int or max_sum < 0:
+        raise OutOfDomain(f"max_sum must be a nonnegative integer, got {max_sum!r}")
     nodes = feasible_nodes(max_sum)
     entries = (
         _check_feasibility_enumeration(max_sum, nodes),

@@ -60,6 +60,7 @@ from .core import (
     MoveGraphNode,
     TrisectionError,
     TrisectionState,
+    are_component_ids,
     component_label,
     component_labels,
     other_two,
@@ -172,6 +173,9 @@ class MoveRecord(_RecordFields):
             raise ValueError(f"unknown move op {op!r}")
         other_two(handlebody)
         _check_arc(arc)
+        for field, labels in (("created", created), ("removed", removed)):
+            if not isinstance(labels, tuple) or not are_component_ids(labels):
+                raise ValueError(f"{field} must be a tuple of component identifiers, got {labels!r}")
         return _tuple(cls, (op, handlebody, arc, created, removed))
 
 

@@ -6,9 +6,10 @@ missing fields, integers of more than :data:`MAX_DIGITS` digits,
 malformed identifiers and histories that do not replay to the stored
 component list, or that no legal moves could have made (a genus below
 zero on the way to the stored genera), are all rejected with
-:class:`StateFormatError`.  One pass reads each record, checking its
-labels in one call, a state's history is replayed once on a dict of
-live labels, and its genera are walked back once through the records.
+:class:`StateFormatError`.  A record of either shape a move makes
+passes one check, any other goes through the checks that name each
+fault, a state's history is replayed once on a dict of live labels,
+and its genera are walked back once through the records.
 
 A state file looks like::
 
@@ -29,12 +30,10 @@ State histories hold only ``stab`` and ``destab`` records (a compound
 fake Heegaard stabilization stores its two constituents); scripts may
 also hold ``fake_stab`` records, replayed as the compound move.
 
-The ``*_to_payload`` functions give the structured view of every
-document, and :func:`canonical_dumps` of a payload is its text.  The
-``*_to_text`` writers produce exactly that text, but write each move
-record from one template (:func:`_records_text`) instead of running the
-stdlib's pure-Python indenting encoder over it; everything else in a
-document still goes through :func:`canonical_dumps`.
+The ``*_to_text`` writers produce exactly :func:`canonical_dumps` of
+a document's JSON value, but write each move record from a template
+(:func:`_records_text`) instead of running the stdlib's pure-Python
+indenting encoder over it; the rest goes through :func:`canonical_dumps`.
 """
 
 from __future__ import annotations
@@ -45,6 +44,8 @@ from json.encoder import encode_basestring
 from typing import Iterable
 
 from .core import (
+    _ID_PATTERN,
+    LABELS,
     MoveGraphNode,
     TrisectionState,
     are_component_ids,
@@ -55,7 +56,7 @@ from .core import (
 from .explorer import PropertyResult, VerificationReport
 from .moves import (
     _MOVE_RULES,
-    Arc,
+    _TABLE_END,
     DistinctComponents,
     MoveRecord,
     MoveScript,
@@ -95,27 +96,7 @@ def _loads(text: str, context: str):
 
 
 # ---------------------------------------------------------------------------
-# payload builders
-
-
-def arc_to_payload(arc: Arc) -> dict:
-    if isinstance(arc, SameComponent):
-        return {"same": arc.component}
-    return {"distinct": [arc.first, arc.second]}
-
-
-def record_to_payload(record: MoveRecord) -> dict:
-    return {
-        "op": record.op,
-        "handlebody": record.handlebody,
-        "arc": arc_to_payload(record.arc),
-        "created": list(record.created),
-        "removed": list(record.removed),
-    }
-
-
-def script_to_payload(script: MoveScript) -> list:
-    return [record_to_payload(record) for record in script]
+# writing
 
 
 def _genera_payload(node: MoveGraphNode) -> dict:
@@ -136,10 +117,6 @@ def _state_head(state: TrisectionState) -> dict:
     }
 
 
-def state_to_payload(state: TrisectionState) -> dict:
-    return _state_head(state) | {"history": script_to_payload(state.history)}
-
-
 def _plan_head(report: PlanReport) -> dict:
     # A plan report's payload up to its two sides.
     return {
@@ -148,15 +125,6 @@ def _plan_head(report: PlanReport) -> dict:
         "final_profile": list(report.final_profile.as_tuple()),
         "final_genera": _genera_payload(report.final_genera),
     }
-
-
-def plan_report_to_payload(report: PlanReport) -> dict:
-    def steps(side: PlanSteps) -> dict:
-        return {
-            "steps": {name: script_to_payload(getattr(side, name)) for name in _STEP_NAMES}
-        }
-
-    return _plan_head(report) | {"a": steps(report.a), "b": steps(report.b)}
 
 
 def node_to_payload(node: MoveGraphNode) -> dict:
@@ -194,8 +162,10 @@ def _records_text(script: Iterable[MoveRecord], depth: int) -> str:
     """A list of move records, as :func:`canonical_dumps` writes it at ``depth``.
 
     ``depth`` is the nesting depth of the list itself (0 for a bare
-    script).  Each record comes from one template, and every string in
-    it goes through the encoder's own ``encode_basestring``.
+    script).  Either shape a move makes (an arc that removes itself and
+    creates 3 - len(arc) labels) comes from one f-string, any other
+    record from the general template, and every string goes through the
+    encoder's own ``encode_basestring``.
     """
     outer = "  " * depth
     p = outer + "  "  # the record's braces
@@ -203,22 +173,31 @@ def _records_text(script: Iterable[MoveRecord], depth: int) -> str:
     r = q + "  "  # the arc's key
     s = r + "  "  # the labels of a two-component arc
     texts = []
-    for record in script:
-        arc = record.arc
+    append = texts.append
+    for op, handlebody, arc, created, removed in script:
+        if removed == arc and len(created) == 3 - len(arc):
+            if isinstance(arc, SameComponent):
+                x = encode_basestring(arc[0])
+                append(f'{p}{{\n{q}"op": {encode_basestring(op)},\n{q}"handlebody": {handlebody},\n'
+                       f'{q}"arc": {{\n{r}"same": {x}\n{q}}},\n'
+                       f'{q}"created": [\n{r}{encode_basestring(created[0])},\n'
+                       f'{r}{encode_basestring(created[1])}\n{q}],\n'
+                       f'{q}"removed": [\n{r}{x}\n{q}]\n{p}}}')
+            else:
+                x, y = encode_basestring(arc[0]), encode_basestring(arc[1])
+                append(f'{p}{{\n{q}"op": {encode_basestring(op)},\n{q}"handlebody": {handlebody},\n'
+                       f'{q}"arc": {{\n{r}"distinct": [\n{s}{x},\n{s}{y}\n{r}]\n{q}}},\n'
+                       f'{q}"created": [\n{r}{encode_basestring(created[0])}\n{q}],\n'
+                       f'{q}"removed": [\n{r}{x},\n{r}{y}\n{q}]\n{p}}}')
+            continue
         if isinstance(arc, SameComponent):
-            arc_text = f'{{\n{r}"same": {encode_basestring(arc.component)}\n{q}}}'
+            arc_text = f'{{\n{r}"same": {encode_basestring(arc[0])}\n{q}}}'
         else:
-            arc_text = (
-                f'{{\n{r}"distinct": [\n{s}{encode_basestring(arc.first)},\n'
-                f"{s}{encode_basestring(arc.second)}\n{r}]\n{q}}}"
-            )
-        texts.append(
-            f'{p}{{\n{q}"op": {encode_basestring(record.op)},\n'
-            f'{q}"handlebody": {record.handlebody},\n'
-            f'{q}"arc": {arc_text},\n'
-            f'{q}"created": {_labels_text(record.created, q)},\n'
-            f'{q}"removed": {_labels_text(record.removed, q)}\n{p}}}'
-        )
+            arc_text = (f'{{\n{r}"distinct": [\n{s}{encode_basestring(arc[0])},\n'
+                        f"{s}{encode_basestring(arc[1])}\n{r}]\n{q}}}")
+        append(f'{p}{{\n{q}"op": {encode_basestring(op)},\n{q}"handlebody": {handlebody},\n'
+               f'{q}"arc": {arc_text},\n{q}"created": {_labels_text(created, q)},\n'
+               f'{q}"removed": {_labels_text(removed, q)}\n{p}}}')
     if not texts:
         return "[]"
     return "[\n" + ",\n".join(texts) + f"\n{outer}]"
@@ -293,11 +272,11 @@ def _check_ids(labels, context: str) -> None:
             raise StateFormatError(f"{context.format(n)}: {error}") from error
 
 
-def _read_ids(value, context: str, checked: bool = False) -> tuple[str, ...]:
-    # A list of unique identifiers; ``checked`` if its labels passed already.
+def _read_ids(value, context: str) -> tuple[str, ...]:
+    # A list of unique identifiers.
     if type(value) is not list:
         raise StateFormatError(f"{context}: expected a list of identifiers")
-    if not checked and not are_component_ids(value):
+    if not are_component_ids(value):
         _check_ids(value, context + "[{}]")
     if len(value) > 1 and len(set(value)) < len(value):
         raise StateFormatError(f"{context}: identifiers must be unique")
@@ -305,11 +284,40 @@ def _read_ids(value, context: str, checked: bool = False) -> tuple[str, ...]:
 
 
 _RECORD_FIELDS = frozenset(("op", "handlebody", "arc", "created", "removed"))
+_TABLE = frozenset(LABELS)
+_match_id = _ID_PATTERN.match
 
 
 def _read_record(item, ops: tuple[str, ...]) -> MoveRecord:
-    # A record as json.loads returns it, checked in field order with exact types
-    # and built from the checked parts; its labels one by one only to name a fault.
+    # A record as json.loads returns it.  Either shape a move makes passes
+    # one check, in which a label passes if the table holds it or, past
+    # the table, if the identifier pattern matches it.  Any other item
+    # goes through the checks below, in field order with exact types,
+    # which state what is valid and name each fault.
+    if type(item) is dict and item.keys() == _RECORD_FIELDS:
+        op, handlebody, arc = item["op"], item["handlebody"], item["arc"]
+        created, removed = item["created"], item["removed"]
+        if ((op == "stab" or op == "destab") and type(handlebody) is int and 0 < handlebody < 4
+                and type(arc) is dict and len(arc) == 1 and type(created) is list):
+            try:
+                if "same" in arc:  # creates two labels and removes its own
+                    label, (first, second) = arc["same"], created
+                    if (removed == [label] and first != second
+                            and (label in _TABLE or _match_id(label))
+                            and (first in _TABLE or _match_id(first))
+                            and (second in _TABLE or _match_id(second))):
+                        arc = _tuple(SameComponent, (label,))
+                        return _tuple(MoveRecord, (op, handlebody, arc, (first, second), (label,)))
+                elif type(removed) is list and removed == arc.get("distinct"):
+                    (first, second), (label,) = removed, created  # a pair in string order
+                    if (first < second and (first in _TABLE or _match_id(first))
+                            and (second in _TABLE or _match_id(second))
+                            and (label in _TABLE or _match_id(label))):
+                        pair = (first, second)
+                        arc = _tuple(DistinctComponents, pair)
+                        return _tuple(MoveRecord, (op, handlebody, arc, (label,), pair))
+            except (TypeError, ValueError):  # a label that does not hash or compare; a miscount
+                pass
     if type(item) is not dict or item.keys() != _RECORD_FIELDS:
         _as_object(item, "", _RECORD_FIELDS)
     op, handlebody, arc = item["op"], item["handlebody"], item["arc"]
@@ -331,10 +339,7 @@ def _read_record(item, ops: tuple[str, ...]) -> MoveRecord:
             raise StateFormatError(".arc.distinct: expected a list of two identifiers")
     else:
         raise StateFormatError(f".arc: unknown arc kind {sorted(arc)}")
-    created, removed = item["created"], item["removed"]
-    checked = type(created) is list and are_component_ids([*ends, *created])
-    if not checked:
-        _check_ids(ends, ".arc.same" if len(ends) == 1 else ".arc.distinct[{}]")
+    _check_ids(ends, ".arc.same" if len(ends) == 1 else ".arc.distinct[{}]")
     if len(ends) == 1:
         arc = _tuple(SameComponent, ends)
     elif ends[0] == ends[1]:
@@ -342,9 +347,8 @@ def _read_record(item, ops: tuple[str, ...]) -> MoveRecord:
     else:  # in the order a DistinctComponents keeps
         ends = (ends[0], ends[1]) if ends[0] < ends[1] else (ends[1], ends[0])
         arc = _tuple(DistinctComponents, ends)
-    created = _read_ids(created, ".created", checked)
-    # The removed labels of a sound record are its arc's, checked already.
-    removed = ends if checked and removed == [*ends] else _read_ids(removed, ".removed")
+    created = _read_ids(item["created"], ".created")
+    removed = _read_ids(item["removed"], ".removed")
     if op == "fake_stab":
         if len(created) != len(removed) or len(created) not in (1, 2):
             raise StateFormatError(": a fake_stab record nets one-for-one or two-for-two components")
@@ -409,7 +413,8 @@ def parse_state(payload) -> TrisectionState:
                 del live[removed]
         except KeyError:
             raise StateFormatError(f"state: history step {step}: unknown component {removed!r}") from None
-        created = _created(fresh, len(record.removed) == 1)
+        stop = fresh + 3 - len(record.removed)  # two labels for a split, one for a merge
+        created = LABELS[fresh:stop] if stop <= _TABLE_END else _created(fresh, stop - fresh == 2)
         if record.created != created:
             raise StateFormatError(f"state: history step {step} must create {list(created)}, "
                                    f"got {list(record.created)}")

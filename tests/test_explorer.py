@@ -14,6 +14,7 @@ import pytest
 import bfs_oracle
 from trisections import cli, core, explorer
 from trisections.core import (
+    OutOfDomain,
     Profile,
     TrisectionError,
     genera_from_profile,
@@ -366,6 +367,13 @@ def test_verify_properties_passes_on_small_range():
         "common-stabilization-exists",
     ]
     assert all(entry.counterexamples == () for entry in report.entries)
+
+
+@pytest.mark.parametrize("max_sum", [-1, "3", True, 2.0, None])
+def test_verify_properties_refuses_a_max_sum_that_is_not_a_count(max_sum):
+    # As the CLI refuses --max-sum -1: an empty range checks nothing.
+    with pytest.raises(OutOfDomain, match=r"^max_sum must be a nonnegative integer, got "):
+        verify_properties(max_sum)
 
 
 @pytest.mark.parametrize(

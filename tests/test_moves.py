@@ -98,6 +98,32 @@ def test_moves_and_records_refuse_what_is_not_an_arc(arc):
             build()
 
 
+@pytest.mark.parametrize("labels", [["c2", "c3"], "c2", None, ("c2", 3)],
+                         ids=["list", "str", "none", "tuple-with-int"])
+def test_records_and_links_refuse_labels_that_are_not_a_tuple_of_ids(labels):
+    # A list would build an unhashable record or link.  A link names the
+    # first label that is no identifier, as for any other bad label.
+    arc = SameComponent("c0")
+    for field, build in (
+        ("created", lambda: MoveRecord("stab", 1, arc, labels, ("c0",))),
+        ("removed", lambda: MoveRecord("stab", 1, arc, ("c1", "c2"), labels)),
+    ):
+        with pytest.raises(ValueError, match=f"^{field} must be a tuple of component identifiers"):
+            build()
+    refusal = ("^component identifiers look like 'c12', got 3" if isinstance(labels, tuple)
+               else "^components must be a tuple of component identifiers")
+    with pytest.raises(ValueError, match=refusal):
+        LinkComponentSet(labels, 4)
+    # What the checking constructors do build hashes, as do the kernel's
+    # records and links.
+    state, _ = balance(open_book(2))
+    built = [MoveRecord(*record) for record in state.history]
+    built += [MoveRecord("fake_stab", 1, arc, ("c5",), ("c4",)), LinkComponentSet(("c0", "c2"), 3),
+              LinkComponentSet(state.link.components, state.link.next_id), state.link,
+              *state.history]
+    assert all(isinstance(hash(value), int) for value in built)
+
+
 def test_move_record_rejects_unknown_op():
     with pytest.raises(ValueError):
         MoveRecord("twist", 1, SameComponent("c0"), (), ("c0",))

@@ -53,6 +53,7 @@ def _base_documents() -> list[tuple[str, object]]:
     """Real states and scripts, as (kind, payload)."""
     report = plan_common_stabilization(koda_ozawa(), from_heegaard(2), 2)
     fake_report = plan_common_stabilization(koda_ozawa(), koda_ozawa(), 3)
+    table_edge = walk_at_b(1021, 30, seed=5)
     states = [
         trivial(),
         from_heegaard(2),
@@ -64,6 +65,7 @@ def _base_documents() -> list[tuple[str, object]]:
         replay(koda_ozawa(), report.a.concatenated()),
         connect_sum_equal_genus(40),
         walk_at_b(61, 40, seed=3),
+        table_edge,  # labels on both sides of c1023/c1024
         replace(balance(tunnel_system(3))[0], label='odd "label" \\ é  '),
     ]
     scripts = [
@@ -74,6 +76,7 @@ def _base_documents() -> list[tuple[str, object]]:
         fake_report.a.step3_fake,
         build_heegaard(connect_sum_equal_genus(300), 1)[2],  # high b: c0 .. c600
         walk_at_b(501, 30, seed=4).history[-30:],
+        table_edge.history[-30:],
     ]
     documents = [("state", json.loads(state_to_text(state))) for state in states]
     documents += [("script", json.loads(script_to_text(script))) for script in scripts]

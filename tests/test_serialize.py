@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import reference_parser
 from genealogy import genealogy, replay_genealogy
 from move_oracle import compound_record, is_legal, legal_moves
+from reference_writer import plan_report_to_payload, script_to_payload, state_to_payload
 from trisections.core import (
     Profile,
     connect_sum_equal_genus,
@@ -33,8 +34,10 @@ from trisections.moves import (
     DestabMove,
     DistinctComponents,
     IllegalMove,
+    MoveRecord,
     SameComponent,
     StabMove,
+    _tuple,
     apply_destabilization,
     apply_stabilization,
     balance,
@@ -48,13 +51,10 @@ from trisections.serialize import (
     canonical_dumps,
     parse_script,
     parse_state,
-    plan_report_to_payload,
     plan_report_to_text,
     script_from_text,
-    script_to_payload,
     script_to_text,
     state_from_text,
-    state_to_payload,
     state_to_text,
     verification_report_to_payload,
     verification_report_to_text,
@@ -183,6 +183,25 @@ def test_writers_equal_canonical_dumps_of_their_payloads():
         assert plan_report_to_text(report) == canonical_dumps(plan_report_to_payload(report))
         fake = report.a.step3_fake
         assert script_to_text(fake) == canonical_dumps(script_to_payload(fake))
+    # Records built by hand: both fake_stab shapes, a destab of each kind,
+    # records of neither move shape, and labels that need escaping, in
+    # arcs and, through the kernel's own constructor, in both move shapes.
+    odd, slash = 'c"1', "c\\2"
+    records = (
+        MoveRecord("fake_stab", 1, DistinctComponents("c3", "c4"), ("c5",), ("c2",)),
+        MoveRecord("fake_stab", 1, SameComponent("c3"), ("c5", "c6"), ("c1", "c2")),
+        MoveRecord("destab", 2, SameComponent("c0"), ("c1", "c2"), ("c0",)),
+        MoveRecord("destab", 3, DistinctComponents("c1", "c0"), ("c2",), ("c0", "c1")),
+        MoveRecord("stab", 1, SameComponent(odd), ("c2", "c3"), ("c1",)),
+        MoveRecord("stab", 2, DistinctComponents(slash, odd), ("c4",), ("c1", "c2")),
+        MoveRecord("stab", 3, SameComponent("c0"), ("c1",), ("c0",)),
+        MoveRecord("stab", 1, DistinctComponents("c0", "c1"), (), ()),
+        _tuple(MoveRecord, ("stab", 1, SameComponent(odd), (slash, "c\n"), (odd,))),
+        _tuple(MoveRecord, ("destab", 2, DistinctComponents(odd, slash), ("c☃",), (odd, slash))),
+    )
+    assert script_to_text(records) == canonical_dumps(script_to_payload(records))
+    state = replace(koda_ozawa(), history=records)
+    assert state_to_text(state) == canonical_dumps(state_to_payload(state))
 
 
 # -- property tests on random legal scripts ----------------------------------------
