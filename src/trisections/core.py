@@ -270,6 +270,10 @@ class TrisectionState:
     label: str = ""
 
     def __post_init__(self) -> None:
+        if not isinstance(self.genera, MoveGraphNode):
+            raise ValueError(f"genera must be a MoveGraphNode, got {self.genera!r}")
+        if not isinstance(self.link, LinkComponentSet):
+            raise ValueError(f"link must be a LinkComponentSet, got {self.link!r}")
         if self.genera.b != self.link.b:
             raise ValueError(f"genera {self.genera} disagree with the link's b={self.link.b}")
         if type(self.history) is not tuple:

@@ -40,10 +40,16 @@ b <= 2 took about 1.1-1.2 us and a followed record about 0.9-1.0 us.
 Python-level work a move is constant; what grows with b is the C-level
 shift of the list on each insert and delete, and the ``index`` of a
 given arc deep in the list: a move of ``build_heegaard`` on connect-sum
-g took about 3, 4 and 6-6.5 us at g = 5k, 10k and 20k, and its build
-and replay at g = 99,999 about 2.9 and 3.6 s (ROADMAP item 4).  Each
+g took about 3, 4 and 6-6.5 us at g = 5k, 10k and 20k.  Its build and
+replay at g = 99,999 took 2.9 and 3.6 s in one run and 2.5 and 3.4 s in
+another; these are single runs on a shared host, and ROADMAP's Baseline
+(3.8 and 4.2 s) and item 4 hold the figures to compare against.  Each
 walk copies the history's pointers once, which a single move on a long
 history pays.
+
+A stored history is checked here too: once :mod:`trisections.serialize`
+has checked a document's format, ``_stored_state`` replays its records
+on a dict of live labels and walks its genera back through the rules.
 """
 
 from __future__ import annotations
@@ -79,14 +85,29 @@ class IllegalMove(TrisectionError):
     """The move's legality condition fails in the given state."""
 
 
-class SameComponent(NamedTuple):
+def _check_ends(*ends) -> None:
+    # An arc's ends are labels; the walk says whether they are live.
+    for end in ends:
+        if not isinstance(end, str):
+            raise ValueError(f"an arc's ends are component identifiers (str), got {end!r}")
+
+
+class _SameFields(NamedTuple):
+    component: str
+
+
+class SameComponent(_SameFields):
     """Arc with both endpoints on one boundary-link component.
 
     A named tuple: it unpacks and equals ``(component,)``, and
     ``dataclasses.replace`` does not apply to it.
     """
 
-    component: str
+    __slots__ = ()
+
+    def __new__(cls, component: str) -> SameComponent:
+        _check_ends(component)
+        return _tuple(cls, (component,))
 
 
 class _DistinctFields(NamedTuple):
@@ -104,6 +125,7 @@ class DistinctComponents(_DistinctFields):
     __slots__ = ()
 
     def __new__(cls, first: str, second: str) -> DistinctComponents:
+        _check_ends(first, second)
         if first == second:
             raise ValueError("a DistinctComponents arc needs two distinct components")
         if second < first:
@@ -419,7 +441,7 @@ class _Walk:
             second = self.canonical(1, False)
         else:
             first = self.canonical(2, False)
-            second = self.move("stab", 1, SameComponent(first.created[0]))
+            second = self.move("stab", 1, _tuple(SameComponent, first.created[:1]))
         return _compound_record(first, second)
 
     def state(self) -> TrisectionState:
@@ -433,6 +455,52 @@ class _Walk:
         link = _link(tuple(sorted(self.labels, key=len)), self.next_id)
         genera = MoveGraphNode(self.g12, self.g13, self.g23, self.b)
         return TrisectionState(genera, link, history, self.label)
+
+
+def _stored_state(g12: int, g13: int, g23: int, components: tuple[str, ...], next_id: int,
+                  history: MoveScript, label: str) -> TrisectionState:
+    # A stored state, or IllegalMove if no legal moves make its history.
+    # Replay on an insertion-ordered dict of live labels, from the fresh link.
+    fresh = len(components) - sum([len(r.created) - len(r.removed) for r in history])
+    if fresh < 1:
+        raise IllegalMove(f"the history implies {fresh} initial components "
+                          "(need at least one component)")
+    live = dict.fromkeys(component_labels(0, fresh))
+    for step, record in enumerate(history, start=1):
+        try:
+            for removed in record.removed:
+                del live[removed]
+        except KeyError:
+            raise IllegalMove(f"history step {step}: unknown component {removed!r}") from None
+        stop = fresh + 3 - len(record.removed)  # two labels for a split, one for a merge
+        created = LABELS[fresh:stop] if stop <= _TABLE_END else _created(fresh, stop - fresh == 2)
+        if record.created != created:
+            raise IllegalMove(f"history step {step} must create {list(created)}, "
+                              f"got {list(record.created)}")
+        fresh += len(created)
+        for name in created:
+            live[name] = None
+    if tuple(live) != components:
+        raise IllegalMove(f"stored components {list(components)} do not match the "
+                          f"history replay {list(live)}")
+    if fresh != next_id:
+        raise IllegalMove(f"next_id is {next_id} but the history consumed labels "
+                          f"up to {component_label(fresh - 1)}")
+    # Walk the genera back from the stored ones through each record's row;
+    # b needs no check, since the replay has kept it at 1 or more.
+    h12, h13, h23 = g12, g13, g23
+    for step in range(len(history), 0, -1):
+        record = history[step - 1]
+        (d12, d13, d23, _), _ = _MOVE_RULES[record.op][len(record.removed) == 1][record.handlebody]
+        h12, h13, h23 = h12 - d12, h13 - d13, h23 - d23
+        if h12 < 0 or h13 < 0 or h23 < 0:
+            raise IllegalMove(f"history step {step} would start from genera "
+                              f"(g12, g13, g23) = ({h12}, {h13}, {h23}), below zero")
+    # The replay has proven the link: tuple(live) == components makes its
+    # labels well formed, unique and in creation order, and fresh ==
+    # next_id puts each of them below next_id.
+    link = _link(components, next_id)
+    return TrisectionState(MoveGraphNode(g12, g13, g23, len(components)), link, history, label)
 
 
 def _apply(state: TrisectionState, move: StabMove | DestabMove, op: str) -> TrisectionState:

@@ -122,7 +122,7 @@ def plan_common_stabilization(
     actually isotopic depends on ``rs_bound`` being large enough, which
     the caller must supply; the combinatorics here is exact either way.
     """
-    if not isinstance(rs_bound, int) or rs_bound < 0:
+    if type(rs_bound) is not int or rs_bound < 0:
         raise OutOfDomain(f"rs_bound must be a nonnegative integer, got {rs_bound!r}")
     for name, state in (("a", a), ("b", b)):
         if state.is_trivial:

@@ -3,13 +3,13 @@
 All formats are UTF-8 JSON with fixed key order, so identical inputs
 produce byte-identical files.  Parsing is strict: unknown fields,
 missing fields, integers of more than :data:`MAX_DIGITS` digits,
-malformed identifiers and histories that do not replay to the stored
-component list, or that no legal moves could have made (a genus below
-zero on the way to the stored genera), are all rejected with
+malformed identifiers and malformed records are all rejected with
 :class:`StateFormatError`.  A record of either shape a move makes
 passes one check, any other goes through the checks that name each
-fault, a state's history is replayed once on a dict of live labels,
-and its genera are walked back once through the records.
+fault.  This module checks the format only: whether legal moves make a
+state's history and reach its stored link and genera is checked in
+:mod:`trisections.moves`, whose ``IllegalMove`` the reader re-raises
+as a ``StateFormatError`` that starts with ``state:``.
 
 A state file looks like::
 
@@ -49,20 +49,16 @@ from .core import (
     MoveGraphNode,
     TrisectionState,
     are_component_ids,
-    component_label,
-    component_labels,
     component_number,
 )
 from .explorer import PropertyResult, VerificationReport
 from .moves import (
-    _MOVE_RULES,
-    _TABLE_END,
     DistinctComponents,
+    IllegalMove,
     MoveRecord,
     MoveScript,
     SameComponent,
-    _created,
-    _link,
+    _stored_state,
     _tuple,
 )
 from .planner import PlanReport, PlanSteps
@@ -369,10 +365,10 @@ def _read_records(items: list, context: str, ops: tuple[str, ...]) -> MoveScript
     return tuple(records)
 
 
-def parse_script(payload, context: str = "script") -> MoveScript:
+def parse_script(payload) -> MoveScript:
     if not isinstance(payload, list):
-        raise StateFormatError(f"{context}: expected a JSON array of move records")
-    return _read_records(payload, context, ("stab", "destab", "fake_stab"))
+        raise StateFormatError("script: expected a JSON array of move records")
+    return _read_records(payload, "script", ("stab", "destab", "fake_stab"))
 
 
 def script_from_text(text: str) -> MoveScript:
@@ -401,47 +397,10 @@ def parse_state(payload) -> TrisectionState:
     if not isinstance(history_payload, list):
         raise StateFormatError("state.history: expected a list of move records")
     history = _read_records(history_payload, "state.history", ("stab", "destab"))
-    # Replay on an insertion-ordered dict of live labels, from the fresh link.
-    fresh = len(components) - sum([len(r.created) - len(r.removed) for r in history])
-    if fresh < 1:
-        raise StateFormatError(f"state: the history implies {fresh} initial components "
-                               "(need at least one component)")
-    live = dict.fromkeys(component_labels(0, fresh))
-    for step, record in enumerate(history, start=1):
-        try:
-            for removed in record.removed:
-                del live[removed]
-        except KeyError:
-            raise StateFormatError(f"state: history step {step}: unknown component {removed!r}") from None
-        stop = fresh + 3 - len(record.removed)  # two labels for a split, one for a merge
-        created = LABELS[fresh:stop] if stop <= _TABLE_END else _created(fresh, stop - fresh == 2)
-        if record.created != created:
-            raise StateFormatError(f"state: history step {step} must create {list(created)}, "
-                                   f"got {list(record.created)}")
-        fresh += len(created)
-        for name in created:
-            live[name] = None
-    if tuple(live) != components:
-        raise StateFormatError(f"state: stored components {list(components)} do not match the "
-                               f"history replay {list(live)}")
-    if fresh != next_id:
-        raise StateFormatError(f"state: next_id is {next_id} but the history consumed labels "
-                               f"up to {component_label(fresh - 1)}")
-    # Walk the genera back from the stored ones through each record's row;
-    # b needs no check, since the replay has kept it at 1 or more.
-    h12, h13, h23 = g12, g13, g23
-    for step in range(len(history), 0, -1):
-        record = history[step - 1]
-        (d12, d13, d23, _), _ = _MOVE_RULES[record.op][len(record.removed) == 1][record.handlebody]
-        h12, h13, h23 = h12 - d12, h13 - d13, h23 - d23
-        if h12 < 0 or h13 < 0 or h23 < 0:
-            raise StateFormatError(f"state: history step {step} would start from genera "
-                                   f"(g12, g13, g23) = ({h12}, {h13}, {h23}), below zero")
-    # The replay has proven the link: tuple(live) == components makes its
-    # labels well formed, unique and in creation order, and fresh ==
-    # next_id puts each of them below next_id.
-    link = _link(components, next_id)
-    return TrisectionState(MoveGraphNode(g12, g13, g23, len(components)), link, history, label)
+    try:
+        return _stored_state(g12, g13, g23, components, next_id, history, label)
+    except IllegalMove as error:
+        raise StateFormatError(f"state: {error}") from None
 
 
 def state_from_text(text: str) -> TrisectionState:

@@ -2,9 +2,10 @@
 
 No guarantee of the library may depend on ``assert``, which ``python -O``
 strips: every check that can fail raises a domain error instead.  No
-module imports a name it does not read.  And only ``core`` writes a
+module imports a name it does not read.  Only ``core`` writes a
 component label ``c<n>``, so that its label table is the one source of
-fresh labels.
+fresh labels.  And only ``moves`` reads the move tables, so that how a
+move changes labels and genera is stated in one module.
 """
 
 from __future__ import annotations
@@ -73,3 +74,32 @@ def test_only_core_formats_component_labels(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = _label_formats(tree)
     assert lines == [], f"{path.name} formats c<n> labels on lines {lines}; use core.LABELS"
+
+
+_MOVE_TABLES = frozenset(("_MOVE_RULES", "_TABLE_END", "_created", "_link"))
+
+
+def _move_table_reads(tree: ast.AST) -> list[int]:
+    # The lines that import or read one of moves' tables by name or attribute.
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if (isinstance(node, ast.alias) and node.name in _MOVE_TABLES)
+        or (isinstance(node, ast.Name) and node.id in _MOVE_TABLES)
+        or (isinstance(node, ast.Attribute) and node.attr in _MOVE_TABLES)
+    )
+
+
+def test_the_move_table_check_finds_a_read():
+    source = "from .moves import (\n  _link,\n  _tuple,\n)\nx = moves._created(1, True)\ny = _MOVE_RULES\n"
+    assert _move_table_reads(ast.parse(source)) == [2, 5, 6]
+    assert _move_table_reads(ast.parse("from .moves import _tuple\nlink = x.link\n")) == []
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in SOURCES if path.name != "moves.py"], ids=lambda path: path.name
+)
+def test_only_moves_reads_the_move_tables(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = _move_table_reads(tree)
+    assert lines == [], (f"{path.name} reads the move tables on lines {lines}; "
+                         "check moves through a function of moves")

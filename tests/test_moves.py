@@ -7,6 +7,7 @@ boundaries (b == 1, vanishing opposite genus, ties between handlebodies).
 
 from __future__ import annotations
 
+import re
 from itertools import combinations
 
 import pytest
@@ -122,6 +123,39 @@ def test_records_and_links_refuse_labels_that_are_not_a_tuple_of_ids(labels):
               LinkComponentSet(state.link.components, state.link.next_id), state.link,
               *state.history]
     assert all(isinstance(hash(value), int) for value in built)
+
+
+@pytest.mark.parametrize("end", [5, None, b"c0", ("c0",)], ids=["int", "none", "bytes", "tuple"])
+def test_arcs_refuse_an_end_that_is_not_a_string(end):
+    # A raw TypeError from comparing the ends, or an arc that fails only
+    # later in a walk, is what these used to give.
+    refusal = rf"^an arc's ends are component identifiers \(str\), got {re.escape(repr(end))}$"
+    for build in (lambda: SameComponent(end), lambda: DistinctComponents(end, "c0"),
+                  lambda: DistinctComponents("c0", end)):
+        with pytest.raises(ValueError, match=refusal):
+            build()
+
+
+def test_states_refuse_parts_of_the_wrong_type():
+    link, node = LinkComponentSet.fresh(1), MoveGraphNode(0, 0, 0, 1)
+    with pytest.raises(ValueError, match=r"^genera must be a MoveGraphNode, got \(0, 0, 0, 1\)$"):
+        TrisectionState((0, 0, 0, 1), link)
+    with pytest.raises(ValueError, match=r"^link must be a LinkComponentSet, got \('c0',\)$"):
+        TrisectionState(node, ("c0",))
+
+
+def test_arcs_and_states_built_from_checked_parts_hash():
+    # Any string is an end, so labels that are no identifier still build;
+    # whether an end is live is the walk's question.
+    # The b >= 2 fake stab builds its second arc by the kernel's own path.
+    faked = fake_heegaard_stab(MoveGraphNode(0, 0, 0, 2).to_state())
+    assert type(faked.history[-1].arc) is SameComponent
+    built = [SameComponent("c0"), SameComponent('c"1'), DistinctComponents("c1", "c0"),
+             DistinctComponents('c"1', "c\\2"), TrisectionState(MoveGraphNode(0, 0, 0, 1),
+                                                               LinkComponentSet.fresh(1)),
+             faked, *faked.history]
+    assert all(isinstance(hash(value), int) for value in built)
+    assert DistinctComponents("c1", "c0") == ("c0", "c1") and SameComponent('c"1') == ('c"1',)
 
 
 def test_move_record_rejects_unknown_op():

@@ -192,9 +192,13 @@ def test_plan_rejects_trivial_inputs():
         plan_common_stabilization(koda_ozawa(), trivial(), 0)
 
 
-def test_plan_rejects_negative_rs_bound():
-    with pytest.raises(OutOfDomain):
-        plan_common_stabilization(koda_ozawa(), koda_ozawa(), -1)
+@pytest.mark.parametrize("rs_bound", [-1, True, 1.0, None, "1"],
+                         ids=["negative", "true", "float", "none", "str"])
+def test_plan_rejects_an_rs_bound_that_is_not_a_count(rs_bound):
+    # True == 1 and 1.0 == 1, but neither is a count: a report of either
+    # would write "rs_bound": true or 1.0.
+    with pytest.raises(OutOfDomain, match="^rs_bound must be a nonnegative integer"):
+        plan_common_stabilization(koda_ozawa(), from_heegaard(2), rs_bound)
 
 
 def test_replay_reports_the_failing_step():
