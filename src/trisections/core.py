@@ -80,6 +80,7 @@ class Profile:
             raise ValueError(f"not a valid profile: {self!r}")
 
     def genus(self, i: int) -> int:
+        other_two(i)  # rejects anything but 1, 2 and 3
         return (self.h1, self.h2, self.h3)[i - 1]
 
     def as_tuple(self) -> tuple[int, int, int, int]:
@@ -211,6 +212,8 @@ class LinkComponentSet:
                              f"got {self.components!r}")
         if len(self.components) < _LEAST_B:
             raise ValueError("the boundary link must have at least one component")
+        if type(self.next_id) is not int:  # True is no counter
+            raise ValueError(f"next_id must be an int, got {self.next_id!r}")
         numbers = [component_number(label) for label in self.components]
         if any(m >= n for m, n in zip(numbers, numbers[1:])):
             raise ValueError(
@@ -274,6 +277,8 @@ class TrisectionState:
             raise ValueError(f"genera must be a MoveGraphNode, got {self.genera!r}")
         if not isinstance(self.link, LinkComponentSet):
             raise ValueError(f"link must be a LinkComponentSet, got {self.link!r}")
+        if not isinstance(self.label, str):
+            raise ValueError(f"label must be a str, got {self.label!r}")
         if self.genera.b != self.link.b:
             raise ValueError(f"genera {self.genera} disagree with the link's b={self.link.b}")
         if type(self.history) is not tuple:

@@ -80,6 +80,10 @@ DESTAB_CAVEAT = (
 # A named tuple from its fields, skipping the checks of its __new__.
 _tuple = tuple.__new__
 
+# The _make of a checked named tuple, through its checking __new__, so that
+# _replace, which builds through _make, checks too.
+_checked_make = classmethod(lambda cls, iterable: cls(*iterable))
+
 
 class IllegalMove(TrisectionError):
     """The move's legality condition fails in the given state."""
@@ -104,6 +108,7 @@ class SameComponent(_SameFields):
     """
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, component: str) -> SameComponent:
         _check_ends(component)
@@ -123,6 +128,7 @@ class DistinctComponents(_DistinctFields):
     """
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, first: str, second: str) -> DistinctComponents:
         _check_ends(first, second)
@@ -188,6 +194,7 @@ class MoveRecord(_RecordFields):
     """
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, op: str, handlebody: int, arc: Arc, created: tuple[str, ...],
                 removed: tuple[str, ...]) -> MoveRecord:

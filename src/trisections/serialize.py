@@ -30,10 +30,11 @@ State histories hold only ``stab`` and ``destab`` records (a compound
 fake Heegaard stabilization stores its two constituents); scripts may
 also hold ``fake_stab`` records, replayed as the compound move.
 
-The ``*_to_text`` writers produce exactly :func:`canonical_dumps` of
-a document's JSON value, but write each move record from a template
-(:func:`_records_text`) instead of running the stdlib's pure-Python
-indenting encoder over it; the rest goes through :func:`canonical_dumps`.
+The ``*_to_text`` writers build every document from templates, in the
+bytes that ``json.dumps(value, indent=2, ensure_ascii=False) + "\n"``
+gives for its JSON value: strings go through the encoder's own
+``encode_basestring``, integers print as ints, ``pass`` as ``true`` or
+``false``, and an empty list as ``[]``.  ``json`` is used only to read.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .core import (
     are_component_ids,
     component_number,
 )
-from .explorer import PropertyResult, VerificationReport
+from .explorer import VerificationReport
 from .moves import (
     DistinctComponents,
     IllegalMove,
@@ -78,10 +79,6 @@ class StateFormatError(Exception):
     """A JSON document does not follow the wire format."""
 
 
-def canonical_dumps(payload) -> str:
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
-
-
 def _loads(text: str, context: str):
     # JSONDecodeError is a ValueError, and so is an integer past the
     # interpreter's digit limit; deep nesting exhausts the recursion limit.
@@ -95,67 +92,29 @@ def _loads(text: str, context: str):
 # writing
 
 
-def _genera_payload(node: MoveGraphNode) -> dict:
-    # The surface genera of a node; b is stored with the link.
-    return {"g12": node.g12, "g13": node.g13, "g23": node.g23}
+def _list_text(items: list[str], pad: str) -> str:
+    # A list of item texts, each already indented, whose key sits on a
+    # line indented by ``pad``.
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + f"\n{pad}]"
 
 
-def _state_head(state: TrisectionState) -> dict:
-    # A state's payload up to its history.
-    return {
-        "version": FORMAT_VERSION,
-        "label": state.label,
-        "genera": _genera_payload(state.genera),
-        "link": {
-            "components": list(state.link.components),
-            "next_id": state.link.next_id,
-        },
-    }
-
-
-def _plan_head(report: PlanReport) -> dict:
-    # A plan report's payload up to its two sides.
-    return {
-        "version": FORMAT_VERSION,
-        "rs_bound": report.rs_bound,
-        "final_profile": list(report.final_profile.as_tuple()),
-        "final_genera": _genera_payload(report.final_genera),
-    }
-
-
-def node_to_payload(node: MoveGraphNode) -> dict:
-    return _genera_payload(node) | {"b": node.b}
-
-
-def verification_report_to_payload(report: VerificationReport) -> dict:
-    def entry(result: PropertyResult) -> dict:
-        range_payload = {"max_sum": result.max_sum}
-        if result.slack is not None:
-            range_payload["slack"] = result.slack
-        return {
-            "property": result.name,
-            "range": range_payload,
-            "pass": result.passed,
-            "counterexamples": [node_to_payload(n) for n in result.counterexamples],
-        }
-
-    return {
-        "version": FORMAT_VERSION,
-        "max_sum": report.max_sum,
-        "entries": [entry(result) for result in report.entries],
-    }
+def _node_text(node: MoveGraphNode, pad: str, b: bool = False) -> str:
+    # The genera of a node, and b if asked, as an object that opens on a
+    # line indented by ``pad``.
+    q = pad + "  "
+    text = f'{{\n{q}"g12": {node.g12},\n{q}"g13": {node.g13},\n{q}"g23": {node.g23}'
+    return text + (f',\n{q}"b": {node.b}\n{pad}}}' if b else f"\n{pad}}}")
 
 
 def _labels_text(labels: tuple[str, ...], pad: str) -> str:
     # A list of labels whose key sits on a line indented by ``pad``.
-    if not labels:
-        return "[]"
-    items = ",\n".join([f"{pad}  {encode_basestring(label)}" for label in labels])
-    return f"[\n{items}\n{pad}]"
+    return _list_text([f"{pad}  {encode_basestring(label)}" for label in labels], pad)
 
 
 def _records_text(script: Iterable[MoveRecord], depth: int) -> str:
-    """A list of move records, as :func:`canonical_dumps` writes it at ``depth``.
+    """A list of move records, indented as a list at ``depth``.
 
     ``depth`` is the nesting depth of the list itself (0 for a bare
     script).  Either shape a move makes (an arc that removes itself and
@@ -194,20 +153,16 @@ def _records_text(script: Iterable[MoveRecord], depth: int) -> str:
         append(f'{p}{{\n{q}"op": {encode_basestring(op)},\n{q}"handlebody": {handlebody},\n'
                f'{q}"arc": {arc_text},\n{q}"created": {_labels_text(created, q)},\n'
                f'{q}"removed": {_labels_text(removed, q)}\n{p}}}')
-    if not texts:
-        return "[]"
-    return "[\n" + ",\n".join(texts) + f"\n{outer}]"
-
-
-def _extend(head: str, members: str) -> str:
-    # Append members to the top-level object that ``head``, a
-    # canonical_dumps text, closes.
-    return f"{head[:-3]},\n{members}\n}}\n"
+    return _list_text(texts, outer)
 
 
 def state_to_text(state: TrisectionState) -> str:
-    head = canonical_dumps(_state_head(state))
-    return _extend(head, f'  "history": {_records_text(state.history, 1)}')
+    link = state.link
+    return (f'{{\n  "version": {FORMAT_VERSION},\n  "label": {encode_basestring(state.label)},\n'
+            f'  "genera": {_node_text(state.genera, "  ")},\n'
+            f'  "link": {{\n    "components": {_labels_text(link.components, "    ")},\n'
+            f'    "next_id": {link.next_id}\n  }},\n'
+            f'  "history": {_records_text(state.history, 1)}\n}}\n')
 
 
 def script_to_text(script: MoveScript) -> str:
@@ -221,12 +176,24 @@ def plan_report_to_text(report: PlanReport) -> str:
         )
         return f'  "{name}": {{\n    "steps": {{\n{steps}\n    }}\n  }}'
 
-    head = canonical_dumps(_plan_head(report))
-    return _extend(head, f"{side_text('a', report.a)},\n{side_text('b', report.b)}")
+    h1, h2, h3, b = report.final_profile.as_tuple()
+    return (f'{{\n  "version": {FORMAT_VERSION},\n  "rs_bound": {report.rs_bound},\n'
+            f'  "final_profile": [\n    {h1},\n    {h2},\n    {h3},\n    {b}\n  ],\n'
+            f'  "final_genera": {_node_text(report.final_genera, "  ")},\n'
+            f"{side_text('a', report.a)},\n{side_text('b', report.b)}\n}}\n")
 
 
 def verification_report_to_text(report: VerificationReport) -> str:
-    return canonical_dumps(verification_report_to_payload(report))
+    entries = []
+    for result in report.entries:
+        slack = "" if result.slack is None else f',\n        "slack": {result.slack}'
+        nodes = [f"        {_node_text(node, '        ', True)}" for node in result.counterexamples]
+        entries.append(f'    {{\n      "property": {encode_basestring(result.name)},\n'
+                       f'      "range": {{\n        "max_sum": {result.max_sum}{slack}\n      }},\n'
+                       f'      "pass": {"true" if result.passed else "false"},\n'
+                       f'      "counterexamples": {_list_text(nodes, "      ")}\n    }}')
+    return (f'{{\n  "version": {FORMAT_VERSION},\n  "max_sum": {report.max_sum},\n'
+            f'  "entries": {_list_text(entries, "  ")}\n}}\n')
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,16 @@ def test_profile_rejects_bad_values():
     assert Profile(0, 0, 0, 1).as_tuple() == (0, 0, 0, 1)
 
 
+@pytest.mark.parametrize("index", [0, -1, True, 4], ids=["zero", "minus-one", "true", "four"])
+def test_profile_genus_refuses_what_is_no_handlebody(index):
+    # These used to read h3, h3 and h1 through negative or bool indexing,
+    # and 4 ended in a raw IndexError.
+    profile = Profile(1, 2, 3, 2)
+    with pytest.raises(ValueError, match=rf"^handlebody index must be 1, 2 or 3, got {index!r}$"):
+        profile.genus(index)
+    assert [profile.genus(i) for i in (1, 2, 3)] == [1, 2, 3]
+
+
 def test_node_rejects_bad_values():
     for bad in (
         (-1, 0, 0, 1), (0, -1, 0, 1), (0, 0, -1, 1), (0, 0, 0, 0), (0, 0, 0, -1),

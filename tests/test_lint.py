@@ -4,8 +4,10 @@ No guarantee of the library may depend on ``assert``, which ``python -O``
 strips: every check that can fail raises a domain error instead.  No
 module imports a name it does not read.  Only ``core`` writes a
 component label ``c<n>``, so that its label table is the one source of
-fresh labels.  And only ``moves`` reads the move tables, so that how a
-move changes labels and genera is stated in one module.
+fresh labels.  Only ``moves`` reads the move tables, so that how a
+move changes labels and genera is stated in one module.  And the library
+writes JSON only from its templates, never through ``json``'s encoder,
+so that every document has one writer.
 """
 
 from __future__ import annotations
@@ -103,3 +105,35 @@ def test_only_moves_reads_the_move_tables(path):
     lines = _move_table_reads(tree)
     assert lines == [], (f"{path.name} reads the move tables on lines {lines}; "
                          "check moves through a function of moves")
+
+
+_ENCODER_NAMES = frozenset(("dump", "dumps", "JSONEncoder"))
+
+
+def _encoder_uses(tree: ast.AST) -> list[int]:
+    # The lines that import json's encoder, call json.dump(s) or name JSONEncoder.
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and node.module in ("json", "json.encoder")
+            and any(alias.name in _ENCODER_NAMES for alias in node.names))
+        or (isinstance(node, ast.Attribute) and node.attr in _ENCODER_NAMES
+            and (node.attr == "JSONEncoder"
+                 or isinstance(node.value, ast.Name) and node.value.id == "json"))
+        or (isinstance(node, ast.Name) and node.id == "JSONEncoder")
+    )
+
+
+def test_the_encoder_check_finds_a_use():
+    source = ("import json\nfrom json import dumps\nx = json.dumps(1)\n"
+              "class E(json.JSONEncoder):\n  pass\ny = JSONEncoder\n")
+    assert _encoder_uses(ast.parse(source)) == [2, 3, 4, 6]
+    source = "import json\nfrom json.encoder import encode_basestring\nx = json.loads(s)\n"
+    assert _encoder_uses(ast.parse(source)) == []
+
+
+def test_the_library_uses_no_json_encoder():
+    uses = {
+        path.name: lines for path in SOURCES
+        if (lines := _encoder_uses(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))))
+    }
+    assert uses == {}, f"the library writes JSON through json's encoder on lines {uses}; use a template"

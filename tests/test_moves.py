@@ -105,9 +105,12 @@ def test_records_and_links_refuse_labels_that_are_not_a_tuple_of_ids(labels):
     # A list would build an unhashable record or link.  A link names the
     # first label that is no identifier, as for any other bad label.
     arc = SameComponent("c0")
+    record = MoveRecord("stab", 1, arc, ("c1", "c2"), ("c0",))
     for field, build in (
         ("created", lambda: MoveRecord("stab", 1, arc, labels, ("c0",))),
         ("removed", lambda: MoveRecord("stab", 1, arc, ("c1", "c2"), labels)),
+        ("created", lambda: record._replace(created=labels)),
+        ("removed", lambda: MoveRecord._make(("stab", 1, arc, ("c1", "c2"), labels))),
     ):
         with pytest.raises(ValueError, match=f"^{field} must be a tuple of component identifiers"):
             build()
@@ -130,10 +133,14 @@ def test_arcs_refuse_an_end_that_is_not_a_string(end):
     # A raw TypeError from comparing the ends, or an arc that fails only
     # later in a walk, is what these used to give.
     refusal = rf"^an arc's ends are component identifiers \(str\), got {re.escape(repr(end))}$"
+    # _make, and _replace through it, used to skip the checks.
     for build in (lambda: SameComponent(end), lambda: DistinctComponents(end, "c0"),
-                  lambda: DistinctComponents("c0", end)):
+                  lambda: DistinctComponents("c0", end),
+                  lambda: SameComponent("c0")._replace(component=end),
+                  lambda: DistinctComponents._make([end, "c1"])):
         with pytest.raises(ValueError, match=refusal):
             build()
+    assert DistinctComponents._make(["c3", "c1"]) == DistinctComponents("c1", "c3")
 
 
 def test_states_refuse_parts_of_the_wrong_type():
@@ -142,6 +149,14 @@ def test_states_refuse_parts_of_the_wrong_type():
         TrisectionState((0, 0, 0, 1), link)
     with pytest.raises(ValueError, match=r"^link must be a LinkComponentSet, got \('c0',\)$"):
         TrisectionState(node, ("c0",))
+    # A label that is no str, or a next_id that is no exact int, used to
+    # build a state whose document state_from_text refused.
+    for label in (5, None):
+        with pytest.raises(ValueError, match=rf"^label must be a str, got {label}$"):
+            TrisectionState(node, link, (), label)
+    for next_id in (True, 2.5):
+        with pytest.raises(ValueError, match=rf"^next_id must be an int, got {re.escape(repr(next_id))}$"):
+            LinkComponentSet(("c0",), next_id)
 
 
 def test_arcs_and_states_built_from_checked_parts_hash():

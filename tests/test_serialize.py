@@ -18,8 +18,15 @@ from hypothesis import strategies as st
 import reference_parser
 from genealogy import genealogy, replay_genealogy
 from move_oracle import compound_record, is_legal, legal_moves
-from reference_writer import plan_report_to_payload, script_to_payload, state_to_payload
+from reference_writer import (
+    canonical_dumps,
+    plan_report_to_payload,
+    script_to_payload,
+    state_to_payload,
+    verification_report_to_payload,
+)
 from trisections.core import (
+    MoveGraphNode,
     Profile,
     connect_sum_equal_genus,
     from_heegaard,
@@ -29,7 +36,7 @@ from trisections.core import (
     state_from_profile,
     trivial,
 )
-from trisections.explorer import verify_properties
+from trisections.explorer import PropertyResult, VerificationReport, verify_properties
 from trisections.moves import (
     DestabMove,
     DistinctComponents,
@@ -48,7 +55,6 @@ from trisections.planner import plan_common_stabilization, replay
 from trisections.serialize import (
     FORMAT_VERSION,
     StateFormatError,
-    canonical_dumps,
     parse_script,
     parse_state,
     plan_report_to_text,
@@ -56,7 +62,6 @@ from trisections.serialize import (
     script_to_text,
     state_from_text,
     state_to_text,
-    verification_report_to_payload,
     verification_report_to_text,
 )
 
@@ -172,8 +177,8 @@ def test_script_round_trips_including_fake_records():
 
 
 def test_writers_equal_canonical_dumps_of_their_payloads():
-    # The record template is the only second way to write text; it must
-    # agree byte for byte with the payload view.
+    # Every writer is a template; each must agree byte for byte with the
+    # stdlib encoder's text of the reference payload.
     for state in _sample_states():
         state = replace(state, label=state.label + ' "q" \\ \n\t\x00 é ☃ \u2028 𝄞')
         assert state_to_text(state) == canonical_dumps(state_to_payload(state))
@@ -202,6 +207,18 @@ def test_writers_equal_canonical_dumps_of_their_payloads():
     assert script_to_text(records) == canonical_dumps(script_to_payload(records))
     state = replace(koda_ozawa(), history=records)
     assert state_to_text(state) == canonical_dumps(state_to_payload(state))
+    # Verify reports: every check passing, a failing one built by hand with
+    # counterexamples and both kinds of slack, and one with no entries.
+    nodes = (MoveGraphNode(0, 0, 0, 1), MoveGraphNode(2, 0, 1, 3))
+    failing = VerificationReport(7, (
+        PropertyResult('odd "name" \\ é', 7, False, nodes),
+        PropertyResult("common-stabilization-exists", 7, False, nodes[1:], slack=0),
+        PropertyResult("common-stabilization-exists", 7, True, (), slack=12),
+    ))
+    reports = [verify_properties(max_sum) for max_sum in range(9)]
+    for report in reports + [failing, VerificationReport(0, ())]:
+        text = verification_report_to_text(report)
+        assert text == canonical_dumps(verification_report_to_payload(report))
 
 
 # -- property tests on random legal scripts ----------------------------------------
@@ -518,7 +535,7 @@ def test_plan_report_payload_shape():
             "step4_s12_to_disk",
             "step5_s13_to_disk",
         ]
-    assert plan_report_to_text(report) == plan_report_to_text(report)
+    assert plan_report_to_text(report) == canonical_dumps(payload)
 
 
 def test_verification_report_payload_shape():
