@@ -1,0 +1,128 @@
+"""The golden corpus: CLI invocations whose output bytes are pinned.
+
+Each group is a run of steps in one fresh directory, so a later step
+reads the files an earlier one wrote.  A step is either a ``trisect``
+argument list, run in process through :func:`trisections.cli.main`, or
+an ``("edit", file, old, new)`` tuple that replaces the first ``old`` in
+a file, to mutate a document before a step reads it.  Each invocation
+has one SHA-256 over its exit code, standard output, standard error and
+the files it wrote or changed; ``digests.json`` holds them by id.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+from pathlib import Path
+
+from trisections import cli
+
+DIGESTS = Path(__file__).with_name("digests.json")
+
+_KINDS = [
+    ["trivial"], ["from-heegaard", "0"], ["from-heegaard", "2"], ["split-heegaard", "3", "1"],
+    ["open-book", "1"], ["tunnel", "2"], ["connect-sum", "2"], ["connect-sum", "1100"],
+    ["surface-bundle", "1"], ["surface-bundle", "2"], ["koda-ozawa"],
+]
+
+GROUPS: dict[str, list] = {
+    "new": [["new", *kind] for kind in _KINDS] + [
+        ["new", "open-book", "1", "-o", "open-book.json"],
+        ["show", "open-book.json"],
+        ["new", "from-heegaard", "-1"],
+        ["new", "surface-bundle", "0"],
+    ],
+    "moves": [
+        ["new", "from-heegaard", "2", "-o", "h2.json"],
+        ["stab", "h2.json", "--handlebody", "3", "--arc", "same:c0", "-o", "s1.json"],
+        ["destab", "s1.json", "--handlebody", "3", "--arc", "distinct:c1,c2", "-o", "d1.json"],
+        ["show", "d1.json"],
+        ["stab", "s1.json", "--handlebody", "1", "--arc", "distinct:c1,c2"],
+        ["stab", "h2.json", "--handlebody", "2", "--arc", "same:c0"],
+        ["stab", "h2.json", "--handlebody", "3", "--arc", "same:c9"],
+        ["destab", "h2.json", "--handlebody", "3", "--arc", "same:c0"],
+        ["new", "open-book", "1", "-o", "ob.json"],
+        ["fake-stab", "ob.json", "-o", "f1.json"],
+        ["fake-stab", "f1.json"],
+        ["new", "koda-ozawa", "-o", "koda.json"],
+        ["fake-stab", "koda.json"],
+        ["fake-stab", "h2.json"],
+        ["new", "connect-sum", "1100", "-o", "cs.json"],
+        ["stab", "cs.json", "--handlebody", "2", "--arc", "distinct:c1099,c1100", "-o", "cs2.json"],
+        ["stab", "cs2.json", "--handlebody", "3", "--arc", "same:c1101"],
+        ["stab", "cs.json", "--handlebody", "3", "--arc", "distinct:c1023,c1024"],
+        ["stab", "cs.json", "--handlebody", "3", "--arc", "same:c1023"],
+        ["destab", "cs.json", "--handlebody", "1", "--arc", "distinct:c0,c1100"],
+    ],
+    "scripts": [
+        ["new", "tunnel", "2", "-o", "tunnel.json"],
+        ["balance", "tunnel.json", "-o", "balanced.json", "--script", "balance.json"],
+        ["replay", "tunnel.json", "balance.json"],
+        *(step for i in "123" for step in (
+            ["build-heegaard", "balanced.json", "--handlebody", i, "--script", f"build{i}.json"],
+            ["replay", "balanced.json", f"build{i}.json", "-o", f"built{i}.json"],
+        )),
+        ("edit", "build1.json", '"c7"', '"c9"'),
+        ["replay", "balanced.json", "build1.json"],
+    ],
+    "plan": [
+        ["new", "from-heegaard", "2", "-o", "a.json"],
+        ["new", "koda-ozawa", "-o", "b.json"],
+        ["plan", "a.json", "b.json", "--rs-bound", "0"],
+        ["plan", "a.json", "b.json", "--rs-bound", "1", "-o", "plan1.json"],
+        ["plan", "b.json", "a.json", "--rs-bound", "2"],
+    ],
+    "explore": [
+        ["new", "from-heegaard", "2", "-o", "a.json"],
+        ["new", "open-book", "1", "-o", "b.json"],
+        ["explore", "--start", "a.json", "--max-sum", "8"],
+        ["explore", "--start", "a.json", "--max-sum", "8", "--shortest-to", "b.json"],
+        ["explore", "--start", "b.json", "--max-sum", "8", "--shortest-to", "a.json"],
+    ],
+    "verify": [["verify", "--max-sum", str(n)] for n in range(7)] + [
+        ["verify", "--max-sum", "6", "-o", "verify6.json"],
+    ],
+    "refusals": [
+        ["new", "from-heegaard"],
+        ["verify", "--max-sum", "-1"],
+        ["new", "connect-sum", "100000"],
+    ],
+}
+
+
+def _files(directory: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def _invoke(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_group(name: str, directory: Path) -> dict[str, str]:
+    """Run one group in ``directory`` (the working directory meanwhile); its digests by id."""
+    digests = {}
+    before = _files(directory)
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        for step in GROUPS[name]:
+            if step[0] == "edit":
+                _, file, old, new = step
+                path = Path(file)
+                path.write_text(path.read_text(encoding="utf-8").replace(old, new, 1), encoding="utf-8")
+                before = _files(directory)
+                continue
+            code, out, err = _invoke(step)
+            after = _files(directory)
+            written = sorted((file, data) for file, data in after.items() if before.get(file) != data)
+            before = after
+            blob = repr((code, out, err, written)).encode("utf-8")
+            digests[f"{name}: {' '.join(step)}"] = hashlib.sha256(blob).hexdigest()
+    finally:
+        os.chdir(cwd)
+    return digests
