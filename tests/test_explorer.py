@@ -34,7 +34,6 @@ from trisections.explorer import (
     node_count,
     realize_path,
     shortest_path,
-    shortest_script,
     verify_properties,
 )
 from trisections.moves import (
@@ -265,11 +264,12 @@ def test_shortest_path_builds_no_node_per_move(monkeypatch):
     ):
         built.clear()
         path = shortest_path(start, goal)
-        script = shortest_script(start, goal)
+        script = explorer._canonical_script(start, path)
         counts.append(len(built))
         assert len(path) == len(script) == moves
     monkeypatch.undo()
     assert counts[0] == counts[1]
+    assert script == realize_path(MoveGraphNode(0, 1, 0, 1).to_state(), path)[1]
     assert _replay_records(MoveGraphNode(0, 1, 0, 1), script) == MoveGraphNode(50, 50, 48, 3)
 
 
@@ -281,8 +281,10 @@ def test_shortest_path_never_loops_when_no_row_qualifies(monkeypatch):
 
 
 def test_shortest_script_replays_to_the_goal():
-    script = shortest_script(HEEGAARD2, OPENBOOK1)
-    assert script is not None and len(script) == 2
+    # The shortest path realized on canonical labels, as search's witnesses are.
+    path = shortest_path(HEEGAARD2, OPENBOOK1)
+    script = explorer._canonical_script(HEEGAARD2, path)
+    assert len(script) == 2 and script == realize_path(HEEGAARD2.to_state(), path)[1]
     assert _replay_records(HEEGAARD2, script) == OPENBOOK1
 
 

@@ -7,7 +7,9 @@ component label ``c<n>``, so that its label table is the one source of
 fresh labels.  Only ``moves`` reads the move tables, so that how a
 move changes labels and genera is stated in one module.  And the library
 writes JSON only from its templates, never through ``json``'s encoder,
-so that every document has one writer.
+so that every document has one writer.  Every name the package exports
+has a reader outside the tests, so that no public function lives only
+for them.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "trisections").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "trisections").glob("*.py"))
 
 
 def test_the_library_sources_are_found():
@@ -78,7 +81,7 @@ def test_only_core_formats_component_labels(path):
     assert lines == [], f"{path.name} formats c<n> labels on lines {lines}; use core.LABELS"
 
 
-_MOVE_TABLES = frozenset(("_MOVE_RULES", "_TABLE_END", "_created", "_link"))
+_MOVE_TABLES = frozenset(("_MOVE_RULES", "_TABLE_END", "_link"))
 
 
 def _move_table_reads(tree: ast.AST) -> list[int]:
@@ -92,7 +95,7 @@ def _move_table_reads(tree: ast.AST) -> list[int]:
 
 
 def test_the_move_table_check_finds_a_read():
-    source = "from .moves import (\n  _link,\n  _tuple,\n)\nx = moves._created(1, True)\ny = _MOVE_RULES\n"
+    source = "from .moves import (\n  _link,\n  _tuple,\n)\nx = moves._TABLE_END + 1\ny = _MOVE_RULES\n"
     assert _move_table_reads(ast.parse(source)) == [2, 5, 6]
     assert _move_table_reads(ast.parse("from .moves import _tuple\nlink = x.link\n")) == []
 
@@ -137,3 +140,42 @@ def test_the_library_uses_no_json_encoder():
         if (lines := _encoder_uses(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))))
     }
     assert uses == {}, f"the library writes JSON through json's encoder on lines {uses}; use a template"
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    # Every name a module reads, imports or reaches as "module.name".
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            module, dot, name = node.value.partition(".")
+            if dot and module.isidentifier() and name.isidentifier():
+                names.add(name)
+    return names
+
+
+def test_the_export_check_finds_a_read():
+    source = ("from .moves import balance\nx = core.trivial\ny = replay(z)\n"
+              "TARGETS = {'explorer.reachable': None, 'no dotted name.': 1}\ndef unused(): pass\n")
+    assert _names_read(ast.parse(source)) >= {"balance", "trivial", "replay", "reachable"}
+    assert _names_read(ast.parse(source)).isdisjoint({"unused", "name", "no dotted name"})
+
+
+def test_every_exported_name_is_used_outside_the_tests():
+    # A reader is another library module, the frozen release criteria in
+    # test_acceptance.py, or the benchmark, which reaches functions by name.
+    init = ast.parse((ROOT / "src" / "trisections" / "__init__.py").read_text(encoding="utf-8"))
+    exported = {
+        alias.asname or alias.name for node in ast.walk(init)
+        if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+    readers = [path for path in SOURCES if path.name != "__init__.py"]
+    readers += [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "bench").glob("*.py"))]
+    read = set().union(*(_names_read(ast.parse(path.read_text(encoding="utf-8"))) for path in readers))
+    unread = sorted(exported - read)
+    assert unread == [], f"the package exports names that only the tests read: {unread}"

@@ -7,6 +7,7 @@ boundaries (b == 1, vanishing opposite genus, ties between handlebodies).
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from itertools import combinations
 
@@ -77,6 +78,24 @@ def test_distinct_arc_normalizes_its_pair():
 def test_distinct_arc_rejects_equal_components():
     with pytest.raises(ValueError):
         DistinctComponents("c1", "c1")
+
+
+def test_the_two_move_types_are_distinct_dataclasses_of_one_shape():
+    arc = SameComponent("c0")
+    stab, destab = StabMove(1, arc), DestabMove(1, arc)
+    assert not isinstance(stab, DestabMove) and not isinstance(destab, StabMove)
+    assert stab != destab and stab == StabMove(1, arc) and destab == DestabMove(1, arc)
+    assert hash(stab) == hash(destab) == hash((1, arc)) == hash(StabMove(1, arc))
+    assert repr(stab) == "StabMove(handlebody=1, arc=SameComponent(component='c0'))"
+    assert repr(destab) == "DestabMove(handlebody=1, arc=SameComponent(component='c0'))"
+    for move_type in (StabMove, DestabMove):
+        assert [field.name for field in dataclasses.fields(move_type)] == ["handlebody", "arc"]
+    moved = dataclasses.replace(destab, handlebody=2)
+    assert type(moved) is DestabMove and moved == DestabMove(2, arc)
+    with pytest.raises(ValueError, match="handlebody index"):
+        dataclasses.replace(stab, handlebody=4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        stab.handlebody = 2
 
 
 def test_moves_reject_bad_handlebody_index():
