@@ -63,6 +63,14 @@ def other_two(i: int) -> tuple[int, int]:
     return pair
 
 
+def _check_fields(owner, checks) -> None:
+    # A ValueError naming the first field of owner whose check fails;
+    # checks holds (field name, whether it passed, what it must be).
+    for name, passed, kind in checks:
+        if not passed:
+            raise ValueError(f"{name} must be {kind}, got {getattr(owner, name)!r}")
+
+
 @dataclass(frozen=True, slots=True, order=True)
 class Profile:
     """Handlebody genera and boundary-component count ``(h1,h2,h3;b)``."""
@@ -277,8 +285,14 @@ class TrisectionState:
             raise ValueError(f"genera must be a MoveGraphNode, got {self.genera!r}")
         if not isinstance(self.link, LinkComponentSet):
             raise ValueError(f"link must be a LinkComponentSet, got {self.link!r}")
-        if not isinstance(self.label, str):
-            raise ValueError(f"label must be a str, got {self.label!r}")
+        label = self.label
+        if not isinstance(label, str):
+            raise ValueError(f"label must be a str, got {label!r}")
+        if not label.isascii():  # an ASCII label encodes, and isascii() costs O(1)
+            try:
+                label.encode("utf-8")  # a lone surrogate does not, so no document carries it
+            except UnicodeEncodeError:
+                raise ValueError(f"label must encode as UTF-8, got {label!r}") from None
         if self.genera.b != self.link.b:
             raise ValueError(f"genera {self.genera} disagree with the link's b={self.link.b}")
         if type(self.history) is not tuple:
@@ -366,15 +380,23 @@ CONSTRUCTORS: dict[str, tuple] = {}
 def _constructor(kind: str, *names: str):
     """Register a builder of ``(profile, label)`` as the constructor ``kind``.
 
-    The decorated name is the state constructor.  :func:`construct_profile`
-    runs the builder alone, so a caller can size a request before its
-    boundary link is allocated.
+    The decorated name is the state constructor, and its ``__wrapped__``
+    the builder behind one check that every parameter is an exact
+    ``int``.  :func:`construct_profile` runs that builder alone, so a
+    caller can size a request before its boundary link is allocated.
     """
 
     def register(build):
         @wraps(build)
+        def checked(*args, **kwargs):
+            for name, value in (*zip(names, args), *kwargs.items()):
+                if type(value) is not int:  # True and 2.0 are no parameter
+                    raise OutOfDomain(f"{name} must be an integer, got {value!r}")
+            return build(*args, **kwargs)
+
+        @wraps(checked)
         def constructor(*args, **kwargs) -> TrisectionState:
-            return state_from_profile(*build(*args, **kwargs))
+            return state_from_profile(*checked(*args, **kwargs))
 
         CONSTRUCTORS[kind] = (constructor, names)
         return constructor

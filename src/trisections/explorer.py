@@ -76,6 +76,7 @@ from typing import Iterable, Iterator
 from .core import (
     _SUCCESSOR_ROWS,
     _b_values,
+    _check_fields,
     _genera,
     MoveGraphNode,
     OutOfDomain,
@@ -94,6 +95,16 @@ class WitnessNotFound(TrisectionError):
     """The move graph has no script to a node that :func:`reachable` accepts."""
 
 
+def _check_arguments(max_sum: int = 0, **nodes: MoveGraphNode) -> None:
+    # The one check of a search function's arguments: max_sum an exact int
+    # and every node a MoveGraphNode, each named when it is not.
+    if type(max_sum) is not int:
+        raise OutOfDomain(f"max_sum must be an integer, got {max_sum!r}")
+    for name, node in nodes.items():
+        if not isinstance(node, MoveGraphNode):
+            raise OutOfDomain(f"{name} must be a MoveGraphNode, got {node!r}")
+
+
 def reachable(start: MoveGraphNode, goal: MoveGraphNode) -> bool:
     """Whether some sequence of stabilizations leads from ``start`` to ``goal``.
 
@@ -101,6 +112,7 @@ def reachable(start: MoveGraphNode, goal: MoveGraphNode) -> bool:
     ``start`` is not trivial, h(goal) >= h(start) componentwise,
     min h(goal) >= 1 and |b(goal) - b(start)| <= sum(h(goal) - h(start)).
     """
+    _check_arguments(start=start, goal=goal)
     if goal == start or start.is_trivial:
         return goal == start
     (s1, s2, s3), (g1, g2, g3) = start.heights(), goal.heights()
@@ -115,6 +127,7 @@ def reachable(start: MoveGraphNode, goal: MoveGraphNode) -> bool:
 
 def feasible_nodes(max_sum: int) -> list[MoveGraphNode]:
     """Every parameter node with h1 + h2 + h3 <= max_sum, lexicographic."""
+    _check_arguments(max_sum)
     top = max_sum // 2
     return [
         MoveGraphNode(g12, g13, g23, b)
@@ -145,6 +158,7 @@ def node_count(max_sum: int) -> int:
     is floor(max_sum / 2) - 3j for k = 2j and floor((max_sum - 3) / 2) - 3j
     for k = 2j + 1, so each half sums a cubic in j.
     """
+    _check_arguments(max_sum)
 
     def half(top: int) -> int:  # C(m + 3, 3) summed over m = top, top - 3, ... >= 0
         return _cubic_sum(lambda j: comb(top % 3 + 3 * j + 3, 3), top // 3) if top >= 0 else 0
@@ -161,6 +175,7 @@ def listing_bound(start: MoveGraphNode, max_sum: int) -> int:
     max_sum // 6 + 1 values of b (b - 1 <= min h_i + h_j - h_k <= max_sum / 3,
     at one parity).
     """
+    _check_arguments(max_sum, start=start)
     above = max_sum - start.sum_h()
     if above < 0:
         return 0
@@ -175,6 +190,7 @@ def bfs_reachable(start: MoveGraphNode, max_sum: int) -> dict[MoveGraphNode, int
     :func:`reachable` accepts, level by level.  At depth d they have
     heights at least max(h(start), 1) and b within d of b(start).
     """
+    _check_arguments(max_sum, start=start)
     level = start.sum_h()
     if level > max_sum:
         return {}
@@ -273,6 +289,9 @@ def common_stabilization_search(
     from :func:`shortest_path`'s climb, which raises
     :class:`WitnessNotFound` if the move graph disagrees with the rule.
     """
+    if type(max_sum) is not int or type(a) is not MoveGraphNode or type(b) is not MoveGraphNode:
+        # Named only on a fault: the keyword call costs about 350 ns, 3% of a search op.
+        _check_arguments(max_sum, a=a, b=b)
     if a == b:
         return (a, (), ()) if a.sum_h() <= max_sum else None
     if a.is_trivial or b.is_trivial:
@@ -328,11 +347,32 @@ class PropertyResult:
     counterexamples: tuple[MoveGraphNode, ...]
     slack: int | None = None
 
+    def __post_init__(self) -> None:
+        # The report's writer prints each field as it is.
+        nodes, slack = self.counterexamples, self.slack
+        _check_fields(self, (
+            ("name", isinstance(self.name, str), "a str"),
+            ("max_sum", type(self.max_sum) is int, "an int"),
+            ("passed", type(self.passed) is bool, "a bool"),
+            ("counterexamples", type(nodes) is tuple
+             and all(isinstance(node, MoveGraphNode) for node in nodes), "a tuple of MoveGraphNode"),
+            ("slack", slack is None or type(slack) is int, "an int or None"),
+        ))
+
 
 @dataclass(frozen=True, slots=True)
 class VerificationReport:
     max_sum: int
     entries: tuple[PropertyResult, ...]
+
+    def __post_init__(self) -> None:
+        entries = self.entries
+        _check_fields(self, (
+            ("max_sum", type(self.max_sum) is int, "an int"),
+            ("entries", type(entries) is tuple
+             and all(isinstance(entry, PropertyResult) for entry in entries),
+             "a tuple of PropertyResult"),
+        ))
 
     @property
     def all_passed(self) -> bool:

@@ -34,18 +34,12 @@ that passes is kept as it is; ``move`` builds the record a move would
 make and follows it.  Both kernels read their rule as
 ``_MOVE_RULES[op][same][i]`` and their created labels from
 :data:`~trisections.core.LABELS` (``c0`` .. ``c1023``, formatted once),
-formatting only labels past it, and put each one in by ``insort``.  On a
-2-vCPU host with Python 3.11 a canonical move of ``build_heegaard`` at
-b <= 2 took about 1.1-1.2 us and a followed record about 0.9-1.0 us.
+formatting only labels past it, and put each one in by ``insort``.
 Python-level work a move is constant; what grows with b is the C-level
 shift of the list on each insert and delete, and the ``index`` of a
-given arc deep in the list: a move of ``build_heegaard`` on connect-sum
-g took about 3, 4 and 6-6.5 us at g = 5k, 10k and 20k.  Its build and
-replay at g = 99,999 took 2.9 and 3.6 s in one run and 2.5 and 3.4 s in
-another; these are single runs on a shared host, and ROADMAP's Baseline
-(3.8 and 4.2 s) and item 4 hold the figures to compare against.  Each
-walk copies the history's pointers once, which a single move on a long
-history pays.
+given arc deep in the list.  Each walk copies the history's pointers
+once, which a single move on a long history pays.  The measured costs
+are in ROADMAP's Baseline and the ``BENCH_*.json`` files.
 
 A stored history is checked here too: once :mod:`trisections.serialize`
 has checked a document's format, ``_stored_state`` replays its records

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import MoveGraphNode, OutOfDomain, Profile, TrisectionError, TrisectionState
+from .core import (MoveGraphNode, OutOfDomain, Profile, TrisectionError, TrisectionState,
+                   _check_fields)
 from .moves import IllegalMove, MoveScript, _Walk, capped_genus
 
 
@@ -67,6 +68,16 @@ class PlanReport:
     final_genera: MoveGraphNode
     a: PlanSteps
     b: PlanSteps
+
+    def __post_init__(self) -> None:
+        # The report's writer prints each field as it is.
+        _check_fields(self, (
+            ("rs_bound", type(self.rs_bound) is int, "an int"),
+            ("final_profile", isinstance(self.final_profile, Profile), "a Profile"),
+            ("final_genera", isinstance(self.final_genera, MoveGraphNode), "a MoveGraphNode"),
+            ("a", isinstance(self.a, PlanSteps), "a PlanSteps"),
+            ("b", isinstance(self.b, PlanSteps), "a PlanSteps"),
+        ))
 
 
 def replay(state: TrisectionState, script: MoveScript) -> TrisectionState:

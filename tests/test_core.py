@@ -8,6 +8,7 @@ must reject precisely when the scan finds nothing.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
@@ -527,3 +528,14 @@ def test_state_rejects_genera_whose_b_disagrees_with_its_link():
     with pytest.raises(ValueError):
         TrisectionState(MoveGraphNode(0, 0, 1, 3), LinkComponentSet.fresh(2))
     assert TrisectionState(genera, LinkComponentSet.fresh(1)).profile == Profile(2, 2, 0, 1)
+
+
+def test_a_state_refuses_a_label_no_document_can_carry():
+    # A lone surrogate used to build a state whose state_to_text(...).encode()
+    # raised UnicodeEncodeError.
+    state = from_heegaard(2)
+    with pytest.raises(ValueError, match=r"^label must encode as UTF-8, got '\\ud800'$"):
+        dataclasses.replace(state, label="\ud800")
+    with pytest.raises(ValueError, match="^label must encode as UTF-8"):
+        TrisectionState(state.genera, state.link, (), "ok \udfff")
+    assert dataclasses.replace(state, label="é ∞ 𝔖").label == "é ∞ 𝔖"

@@ -7,6 +7,7 @@ to canonically labeled states.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -24,6 +25,7 @@ from trisections.core import (
 )
 from trisections.explorer import (
     MoveGraphNode,
+    reachable,
     PropertyResult,
     VerificationReport,
     WitnessNotFound,
@@ -412,3 +414,71 @@ def test_verify_reports_hub_slack_only_for_common_stabilization():
 def test_property_result_is_plain_data():
     entry = PropertyResult("demo", 4, True, ())
     assert entry.passed and entry.slack is None
+
+
+# -- argument and field checks -------------------------------------------------------
+
+# Each constructor and search function with a scalar or node argument: a
+# call with that argument replaced, and the name its refusal must give.
+_ARGUMENTS = {
+    "from_heegaard": (core.from_heegaard, "genus"),
+    "split_heegaard-genus": (lambda x: core.split_heegaard(x, 0), "genus"),
+    "split_heegaard-lower": (lambda x: core.split_heegaard(2, x), "lower"),
+    "split_heegaard-keyword": (lambda x: core.split_heegaard(2, lower=x), "lower"),
+    "open_book": (core.open_book, "page_genus"),
+    "tunnel_system": (core.tunnel_system, "tunnels"),
+    "connect_sum_equal_genus": (core.connect_sum_equal_genus, "summand_genus"),
+    "surface_bundle": (core.surface_bundle, "fiber_genus"),
+    "construct": (lambda x: core.construct("open-book", (x,)), "page_genus"),
+    "construct_profile": (lambda x: core.construct_profile("split-heegaard", (2, x)), "lower"),
+    "common_stabilization_search-a": (lambda x: common_stabilization_search(x, KODA, 8), "a"),
+    "common_stabilization_search-b": (lambda x: common_stabilization_search(KODA, x, 8), "b"),
+    "common_stabilization_search-max_sum": (
+        lambda x: common_stabilization_search(KODA, OPENBOOK1, x), "max_sum"),
+    "bfs_reachable-start": (lambda x: bfs_reachable(x, 8), "start"),
+    "bfs_reachable-max_sum": (lambda x: bfs_reachable(KODA, x), "max_sum"),
+    "listing_bound-start": (lambda x: listing_bound(x, 8), "start"),
+    "listing_bound-max_sum": (lambda x: listing_bound(KODA, x), "max_sum"),
+    "node_count": (node_count, "max_sum"),
+    "feasible_nodes": (feasible_nodes, "max_sum"),
+    "shortest_path-start": (lambda x: shortest_path(x, OPENBOOK1), "start"),
+    "shortest_path-goal": (lambda x: shortest_path(HEEGAARD2, x), "goal"),
+    "reachable-start": (lambda x: reachable(x, OPENBOOK1), "start"),
+    "reachable-goal": (lambda x: reachable(HEEGAARD2, x), "goal"),
+}
+
+
+@pytest.mark.parametrize("junk", [None, True, 2.0, "2", []], ids=["none", "true", "float", "str", "list"])
+@pytest.mark.parametrize("argument", list(_ARGUMENTS))
+def test_constructors_and_search_refuse_arguments_of_the_wrong_type(argument, junk):
+    # These used to raise TypeError or AttributeError, or to take True as 1.
+    call, name = _ARGUMENTS[argument]
+    with pytest.raises(OutOfDomain, match=f"^{name} must be "):
+        call(junk)
+
+
+@pytest.mark.parametrize(("field", "value"), [
+    ("name", 3), ("max_sum", True), ("max_sum", 7.0), ("passed", 1), ("passed", None),
+    ("counterexamples", [HEEGAARD2]), ("counterexamples", ((2, 0, 0, 1),)),
+    ("slack", True), ("slack", "0"),
+])
+def test_property_results_refuse_fields_of_the_wrong_type(field, value):
+    # PropertyResult("x", 3, 1, ()) used to write "pass": true.
+    entry = PropertyResult("demo", 4, True, (HEEGAARD2,), 0)
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        replace(entry, **{field: value})
+
+
+def test_verification_reports_refuse_fields_of_the_wrong_type():
+    # VerificationReport(True, ()) used to write "max_sum": True.
+    entry = PropertyResult("demo", 4, True, ())
+    for field, value in (("max_sum", True), ("max_sum", None), ("entries", [entry]),
+                         ("entries", (entry, "demo"))):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            replace(VerificationReport(4, (entry,)), **{field: value})
+
+
+def test_every_verify_report_builds_and_hashes():
+    for max_sum in range(9):
+        report = verify_properties(max_sum)
+        assert isinstance(hash(report), int) and len(report.entries) == 5

@@ -9,6 +9,8 @@ they go.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from trisections import moves
@@ -122,6 +124,7 @@ def test_plan_lengths_count_the_records_of_each_side():
                 report = plan_common_stabilization(a.to_state(), b.to_state(), rs_bound)
                 expected = (len(report.a.concatenated()), len(report.b.concatenated()))
                 assert plan_lengths(a, b, rs_bound) == expected, (a, b, rs_bound)
+                assert isinstance(hash(report), int)
 
 
 def test_a_plan_builds_no_state(monkeypatch):
@@ -228,3 +231,24 @@ def test_replay_rejects_a_fake_stab_record_that_differs_from_the_compound():
 def test_replay_of_an_empty_script_is_identity():
     state = koda_ozawa()
     assert replay(state, ()) == state
+
+
+def test_plan_reports_refuse_fields_of_the_wrong_type():
+    # replace(report, rs_bound=True) used to write "rs_bound": True.
+    report = plan_common_stabilization(koda_ozawa(), from_heegaard(2), 1)
+    for field, value in (("rs_bound", True), ("rs_bound", 1.0), ("final_profile", (5, 13, 8, 1)),
+                         ("final_genera", report.final_profile), ("a", report.a.concatenated()),
+                         ("b", None)):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            replace(report, **{field: value})
+
+
+def test_every_plan_report_of_these_tests_builds_and_hashes():
+    # The inputs the tests above plan from, beyond the nodes with sum_h <= 8
+    # that test_plan_lengths_count_the_records_of_each_side hashes.
+    seeds = [koda_ozawa(), from_heegaard(1), from_heegaard(2), from_heegaard(4), open_book(1),
+             open_book(2), connect_sum_equal_genus(2), connect_sum_equal_genus(3)]
+    for a in seeds:
+        for b in seeds:
+            for rs_bound in range(4):
+                assert isinstance(hash(plan_common_stabilization(a, b, rs_bound)), int)
