@@ -522,6 +522,17 @@ def test_fake_stab_disconnected_boundary_variant():
     assert second.arc == SameComponent(after.history[-2].created[0])
 
 
+def test_fake_stab_compound_lists_removed_labels_in_creation_order():
+    # The b >= 2 variant merges the least pair in string order, c10 before
+    # c9; its compound record lists them as the link does, c9 first.
+    state = TrisectionState(MoveGraphNode(0, 0, 1, 2), LinkComponentSet(("c9", "c10"), 11))
+    record = _Walk(state).fake_stab()
+    assert record.removed == ("c9", "c10")
+    assert replay(state, (record,)).genera == MoveGraphNode(1, 0, 1, 2)
+    with pytest.raises(IllegalMove, match="script step 1: the move applies as"):
+        replay(state, (record._replace(removed=("c10", "c9")),))
+
+
 def test_fake_stab_net_effect_everywhere_it_applies():
     for state in _feasible_states(8):
         if state.b == 1 and state.genera.g13 < 1:
