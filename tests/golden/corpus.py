@@ -80,6 +80,18 @@ GROUPS: dict[str, list] = {
         ["explore", "--start", "a.json", "--max-sum", "8"],
         ["explore", "--start", "a.json", "--max-sum", "8", "--shortest-to", "b.json"],
         ["explore", "--start", "b.json", "--max-sum", "8", "--shortest-to", "a.json"],
+        # The listing's edges: the trivial start lists only itself, a start
+        # above the bound lists nothing, a zero height lies outside its own
+        # cone, b = 2, and a request at the CLI's size limit.
+        ["new", "trivial", "-o", "t.json"],
+        ["explore", "--start", "t.json", "--max-sum", "4"],
+        ["explore", "--start", "b.json", "--max-sum", "5"],
+        ["new", "from-heegaard", "3", "-o", "h3.json"],
+        ["explore", "--start", "h3.json", "--max-sum", "20"],
+        ["new", "koda-ozawa", "-o", "koda.json"],
+        ["explore", "--start", "koda.json", "--max-sum", "36"],
+        ["new", "connect-sum", "1000", "-o", "cs.json"],
+        ["explore", "--start", "cs.json", "--max-sum", "3008"],
     ],
     "verify": [["verify", "--max-sum", str(n)] for n in range(7)] + [
         ["verify", "--max-sum", "6", "-o", "verify6.json"],
