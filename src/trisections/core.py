@@ -325,7 +325,7 @@ def _b_values(level: int, top: int, least: int, most: int) -> range:
     Its genera g_ij = M - h_k, M = (level + 1 - b) / 2, are nonnegative
     integers exactly when b >= 1, level + b is odd and b <= level + 1 - 2 top.
     """
-    # Conditionals, not max() and min(): a listing calls this per height triple.
+    # Conditionals, not max() and min(): verify calls this per profile, through is_feasible.
     last = level + 1 - 2 * top
     least = least if least > _LEAST_B else _LEAST_B
     least += 1 - (level + least) % 2

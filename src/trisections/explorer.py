@@ -52,13 +52,17 @@ both are 0, g23 = 3M - L grows with M.  That node is common by the rule, whose
 sufficiency half is the proof above.  Finding it costs O(1) a level
 tried, and no candidate node is enumerated at any distance.
 
-The ``explore`` listing (:func:`bfs_reachable`) reads the rule level by
-level, each b from ``core._b_values``, and a shortest path is walked
-greedily, one move per level, on the coordinates as plain ints: each
-step is the first legal row whose result can still reach the goal.
-Breadth-first search survives only in the tests, as the reference they
-hold the rule to, next to an enumeration of the common nodes level by
-level.
+The ``explore`` listing (:func:`bfs_reachable`) reads the rule in genera
+coordinates, where its conditions are linear.  With D = max_sum - S for
+the start's S, the (g12, g13) worth trying lie in a box of side at most
+2D + 1; at each of them the admitted g23 form one interval and, at each
+g23, the admitted b another, both found in O(1).  So the nodes come out
+in lexicographic order, with no sort, in O(D^2 + listing) work.  A
+shortest path is walked greedily, one move per level, on the coordinates
+as plain ints: each step is the first legal row whose result can still
+reach the goal.  Breadth-first search survives only in the tests, as the
+reference they hold the rule to, next to an enumeration of the common
+nodes level by level.
 
 The full labeled engine reappears only when a parameter path is realized
 as a replayable :class:`~trisections.moves.MoveScript` on canonical
@@ -89,6 +93,14 @@ from .core import (
 )
 from .moves import (MoveScript, _Walk, balance, balance_length, build_heegaard, capped_genus,
                     disk_length)
+
+
+# A node's slots set without __post_init__, by a caller that has proven
+# every coordinate at or above PARAM_FLOORS, as moves._link builds links.
+_new = object.__new__
+_SET_G12, _SET_G13, _SET_G23, _SET_B = (
+    MoveGraphNode.__dict__[name].__set__ for name in ("g12", "g13", "g23", "b")
+)
 
 
 class WitnessNotFound(TrisectionError):
@@ -187,20 +199,66 @@ def bfs_reachable(start: MoveGraphNode, max_sum: int) -> dict[MoveGraphNode, int
 
     Returns a mapping from node to depth (the sum_h difference, since
     every move adds 1), keys in lexicographic order: the nodes that
-    :func:`reachable` accepts, level by level.  At depth d they have
-    heights at least max(h(start), 1) and b within d of b(start).
+    :func:`reachable` accepts, the start among them at depth 0.
+
+    Write x, y, z for g12, g13, g23 and u = b - 1, so that h1 = x + y + u,
+    h2 = x + z + u, h3 = y + z + u and the level is L = 2(x + y + z) + 3u.
+    With F = max(h(start), 1), S = sum_h(start), u_s = b(start) - 1 and
+    M = max_sum, the rule's conditions on a node are linear: h_i >= F_i,
+    |u - u_s| <= L - S and L <= M.  At fixed (x, y) put
+
+    * A = max(0, F1 - x - y), the least u by h1 >= F1;
+    * P = max(F2 - x, F3 - y, ceil((S - u_s) / 2) - x - y), the least
+      z + u by h2 >= F2, h3 >= F3 and u - u_s <= L - S;
+    * Q = S + u_s - 2x - 2y, so that u_s - u <= L - S is 4u >= Q - 2z;
+    * R = M - 2x - 2y, so that L <= M is 3u <= R - 2z.
+
+    Each z then admits the interval of u from max(A, P - z,
+    ceil((Q - 2z) / 4)) to floor((R - 2z) / 3), which can hold a value only
+    for z from max(0, 3P - R) to min(floor((R - 3A) / 2), floor((4R - 3Q) / 2)),
+    where the ends of the real interval cross; rounding can leave a few z
+    at either end of that range empty.  As 2x = h1 + h2 - h3 - u and
+    2y = h1 + h3 - h2 - u, with h_i >= F_i, h1 + h2 + h3 <= M and u in
+    [u_low, u_high] = [max(0, u_s - D), u_s + D] for D = M - S, the x
+    worth trying run from F1 + F2 - floor((M + u_high) / 2) to
+    floor((M - u_low) / 2) - F3 and the y from F1 + F3 - floor((M + u_high) / 2)
+    to floor((M - u_low) / 2) - F2: a box of side at most 2D + 1, as
+    sum F >= S.  So the listing costs O(D^2 + its length), and no loop runs
+    over genus triples outside the cone.  Its bounds prove every floor, so
+    each node is built without its check.  A start with a zero height lies
+    outside its own cone and is put in its place at depth 0; the trivial
+    start has no moves and lists only itself.
     """
     _check_arguments(max_sum, start=start)
     level = start.sum_h()
     if level > max_sum:
         return {}
-    depths = {(start.g12, start.g13, start.g23, start.b): 0}
-    if not start.is_trivial:
-        floor, b = tuple(max(h, 1) for h in start.heights()), start.b
-        for depth in range(1, max_sum - level + 1):
-            for heights, count in _profiles_above(floor, level + depth, b - depth, b + depth):
-                depths[_genera(*heights, count)] = depth
-    return {MoveGraphNode(*params): depth for params, depth in sorted(depths.items())}
+    if start.is_trivial:
+        return {start: 0}
+    f1, f2, f3 = (max(h, 1) for h in start.heights())
+    u_s, reach = start.b - 1, max_sum - level
+    u_low, u_high = max(0, u_s - reach), u_s + reach  # reach is D
+    half, wide, narrow = (level - u_s + 1) // 2, (max_sum + u_high) // 2, (max_sum - u_low) // 2
+    # As locals, since the innermost loop reads them once a node.
+    new, set12, set13, set23, set_b = _new, _SET_G12, _SET_G13, _SET_G23, _SET_B
+    listing = {}
+    for x in range(max(0, f1 + f2 - wide), narrow - f3 + 1):
+        for y in range(max(0, f1 + f3 - wide), narrow - f2 + 1):
+            a = f1 - x - y if f1 > x + y else 0
+            p = max(f2 - x, f3 - y, half - x - y)
+            q, r = level + u_s - 2 * (x + y), max_sum - 2 * (x + y)
+            for z in range(max(0, 3 * p - r), min(r - 3 * a, 4 * r - 3 * q) // 2 + 1):
+                depth = 2 * (x + y + z) - level - 3  # L - S at b = 0
+                for b in range(max(a, p - z, (q - 2 * z + 3) // 4) + 1, (r - 2 * z) // 3 + 2):
+                    node = new(MoveGraphNode)
+                    set12(node, x)
+                    set13(node, y)
+                    set23(node, z)
+                    set_b(node, b)
+                    listing[node] = depth + 3 * b
+    if start not in listing:  # a zero height puts the start outside its own cone
+        listing = dict(sorted([(start, 0), *listing.items()]))
+    return listing
 
 
 def realize_path(
@@ -322,19 +380,6 @@ def common_stabilization_search(
         _canonical_script(a, _climb(a, node, (a1, a2, a3), heights)),
         _canonical_script(b, _climb(b, node, (b1, b2, b3), heights)),
     )
-
-
-def _profiles_above(
-    floor: tuple[int, ...], level: int, least: int, most: int
-) -> Iterator[tuple[tuple[int, int, int], int]]:
-    """Every node's (heights, b) with heights >= ``floor`` summing to ``level``
-    and least <= b <= most: each triple's b are :func:`~trisections.core._b_values`."""
-    f1, f2, f3 = floor
-    for h1 in range(f1, level - f2 - f3 + 1):
-        for h2 in range(f2, level - h1 - f3 + 1):
-            h3 = level - h1 - h2
-            for b in _b_values(level, max(h1, h2, h3), least, most):
-                yield (h1, h2, h3), b
 
 
 @dataclass(frozen=True, slots=True)

@@ -79,6 +79,33 @@ def test_listing_matches_bfs_for_every_start_up_to_sum_15():
         assert listed == expected and list(listed) == list(expected), start
 
 
+@st.composite
+def _listing_cases(draw):
+    # A start with sum_h <= 40 and a bound up to 12 above it, or a start at
+    # genera in the thousands and a bound up to 8 above it; a bound below
+    # the start lists nothing.
+    if draw(st.booleans()):
+        b = draw(st.integers(1, 14))
+        genus_sum = draw(st.integers(0, (40 - 3 * (b - 1)) // 2))
+        g12 = draw(st.integers(0, genus_sum))
+        g13 = draw(st.integers(0, genus_sum - g12))
+        start, reach = MoveGraphNode(g12, g13, genus_sum - g12 - g13, b), 12
+    else:
+        start, reach = MoveGraphNode(*(draw(st.integers(0, 2_000)) for _ in range(3)),
+                                     draw(st.integers(1, 2_000))), 8
+    return start, start.sum_h() + draw(st.integers(-2, reach))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_listing_cases())
+def test_listing_matches_bfs_beyond_sum_15(case):
+    start, max_sum = case
+    listed = explorer.bfs_reachable(start, max_sum)
+    expected = bfs_reachable(start, max_sum)
+    assert list(listed.items()) == list(expected.items()), case
+
+
 def test_shortest_path_matches_bfs_on_every_pair_up_to_sum_13():
     nodes = feasible_nodes(13)
     found = 0
@@ -261,11 +288,12 @@ def test_common_stabilization_matches_the_enumeration_on_far_pairs(case):
 
 def test_common_stabilization_enumerates_nothing_at_any_distance(monkeypatch):
     # Connect-sum g, (g,g,g;g+1), against (g,g,g;1) meet g/2 levels above
-    # both; the level enumeration would visit about g^4 candidates.
-    def refuse(floor, level):
-        raise AssertionError("the search enumerated the levels")
+    # both; enumerating the cone above either would visit about g^4 candidates.
+    def refuse(*args):
+        raise AssertionError("the search enumerated the listing's cone")
 
-    monkeypatch.setattr(explorer, "_profiles_above", refuse)
+    monkeypatch.setattr(explorer, "bfs_reachable", refuse)
+    monkeypatch.setattr(explorer, "_SET_G12", refuse)  # the listing's trusted node builder
     g = 1_000
     a = genera_from_profile(Profile(g, g, g, g + 1))
     b = genera_from_profile(Profile(g, g, g, 1))
