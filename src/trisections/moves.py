@@ -58,6 +58,7 @@ from .core import (
     STAB_DELTAS,
     LinkComponentSet,
     MoveGraphNode,
+    OutOfDomain,
     TrisectionError,
     TrisectionState,
     are_component_ids,
@@ -134,6 +135,12 @@ class DistinctComponents(_DistinctFields):
 
 
 Arc = SameComponent | DistinctComponents
+
+
+def _check_state(state: TrisectionState) -> None:
+    # The one check of a state argument: a walk reads its link, genera and history.
+    if not isinstance(state, TrisectionState):
+        raise OutOfDomain(f"state must be a TrisectionState, got {state!r}")
 
 
 def _check_arc(arc: Arc) -> None:
@@ -291,6 +298,7 @@ class _Walk:
     __slots__ = ("labels", "next_id", "g12", "g13", "g23", "b", "base", "records", "label")
 
     def __init__(self, state: TrisectionState) -> None:
+        _check_state(state)
         link = state.link
         self._start(sorted(link.components), link.next_id, state.genera, state.history, state.label)
 
@@ -586,6 +594,7 @@ def balance(state: TrisectionState) -> tuple[TrisectionState, MoveScript]:
 
 def balance_length(state: TrisectionState) -> int:
     """The length of :func:`balance`'s script: 3*max(h1, h2, h3) - (h1+h2+h3)."""
+    _check_state(state)
     profile = state.profile
     return 3 * max(profile.h1, profile.h2, profile.h3) - profile.sum_h()
 
@@ -608,6 +617,7 @@ def capped_genus(node: MoveGraphNode) -> int:
 
 def disk_length(state: TrisectionState, i: int) -> int:
     """The length of :func:`build_heegaard`'s script: 2*g_jk + b - 1."""
+    _check_state(state)
     return 2 * state.genera.opposite(i) + state.b - 1
 
 

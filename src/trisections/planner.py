@@ -28,11 +28,12 @@ walk's ints: planning builds no state.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .core import (MoveGraphNode, OutOfDomain, Profile, TrisectionError, TrisectionState,
                    _check_fields)
-from .moves import IllegalMove, MoveScript, _Walk, capped_genus
+from .moves import IllegalMove, MoveRecord, MoveScript, _Walk, capped_genus
 
 
 class TrivialInput(TrisectionError):
@@ -90,9 +91,12 @@ def replay(state: TrisectionState, script: MoveScript) -> TrisectionState:
     each move produces (for ``fake_stab``, the compound record) must equal
     the script's record, created and removed labels included.  An illegal
     or mismatching record raises :class:`~trisections.moves.IllegalMove`
-    naming the failing step (1-based).
+    naming the failing step (1-based), as does a step that is no
+    :class:`~trisections.moves.MoveRecord`.
     """
     walk = _Walk(state)
+    if not isinstance(script, Sequence):
+        raise OutOfDomain(f"script must be a sequence of MoveRecord, got {script!r}")
     for step, record in enumerate(script, start=1):
         try:
             # MoveRecord admits only three ops.
@@ -102,7 +106,21 @@ def replay(state: TrisectionState, script: MoveScript) -> TrisectionState:
                 raise IllegalMove(f"the move applies as {applied}, not as recorded {record}")
         except IllegalMove as error:
             raise IllegalMove(f"script step {step}: {error}") from error
+        except (AttributeError, TypeError, ValueError):
+            # Checked only once the step has failed, so a record costs no more.
+            if isinstance(record, MoveRecord):
+                raise
+            raise IllegalMove(f"script step {step}: expected a MoveRecord, got {record!r}") from None
     return walk.state()
+
+
+def _check_arguments(kind: type, a, b, rs_bound: int) -> None:
+    # A plan's two inputs, each a ``kind``, and its bound, each named when it is not.
+    for name, value in (("a", a), ("b", b)):
+        if not isinstance(value, kind):
+            raise OutOfDomain(f"{name} must be a {kind.__name__}, got {value!r}")
+    if type(rs_bound) is not int or rs_bound < 0:
+        raise OutOfDomain(f"rs_bound must be a nonnegative integer, got {rs_bound!r}")
 
 
 def plan_lengths(a: MoveGraphNode, b: MoveGraphNode, rs_bound: int) -> tuple[int, int]:
@@ -118,6 +136,7 @@ def plan_lengths(a: MoveGraphNode, b: MoveGraphNode, rs_bound: int) -> tuple[int
     to disks in 2(H + rs_bound) and 2(2H + rs_bound) moves: 10H +
     5 ``rs_bound`` - sum_h records in all.
     """
+    _check_arguments(MoveGraphNode, a, b, rs_bound)
     genus = max(capped_genus(a), capped_genus(b))
     return tuple(10 * genus + 5 * rs_bound - node.sum_h() for node in (a, b))
 
@@ -133,8 +152,7 @@ def plan_common_stabilization(
     actually isotopic depends on ``rs_bound`` being large enough, which
     the caller must supply; the combinatorics here is exact either way.
     """
-    if type(rs_bound) is not int or rs_bound < 0:
-        raise OutOfDomain(f"rs_bound must be a nonnegative integer, got {rs_bound!r}")
+    _check_arguments(TrisectionState, a, b, rs_bound)
     for name, state in (("a", a), ("b", b)):
         if state.is_trivial:
             raise TrivialInput(

@@ -73,6 +73,9 @@ GROUPS: dict[str, list] = {
         ["plan", "a.json", "b.json", "--rs-bound", "0"],
         ["plan", "a.json", "b.json", "--rs-bound", "1", "-o", "plan1.json"],
         ["plan", "b.json", "a.json", "--rs-bound", "2"],
+        ["plan", "a.json", "b.json", "--rs-bound", "-1"],
+        ["new", "trivial", "-o", "t.json"],
+        ["plan", "a.json", "t.json", "--rs-bound", "1"],
     ],
     "explore": [
         ["new", "from-heegaard", "2", "-o", "a.json"],

@@ -39,12 +39,20 @@ from trisections.explorer import (
     verify_properties,
 )
 from trisections.moves import (
+    DestabMove,
     DistinctComponents,
     IllegalMove,
     SameComponent,
     StabMove,
+    apply_destabilization,
     apply_stabilization,
+    balance,
+    balance_length,
+    build_heegaard,
+    disk_length,
+    fake_heegaard_stab,
 )
+from trisections.planner import plan_common_stabilization, plan_lengths, replay
 
 
 def _replay_records(node: MoveGraphNode, script) -> MoveGraphNode:
@@ -448,13 +456,65 @@ _ARGUMENTS = {
 }
 
 
-@pytest.mark.parametrize("junk", [None, True, 2.0, "2", []], ids=["none", "true", "float", "str", "list"])
+_JUNK = pytest.mark.parametrize("junk", [None, True, 2.0, "2", []],
+                                ids=["none", "true", "float", "str", "list"])
+
+
+@_JUNK
 @pytest.mark.parametrize("argument", list(_ARGUMENTS))
 def test_constructors_and_search_refuse_arguments_of_the_wrong_type(argument, junk):
     # These used to raise TypeError or AttributeError, or to take True as 1.
     call, name = _ARGUMENTS[argument]
     with pytest.raises(OutOfDomain, match=f"^{name} must be "):
         call(junk)
+
+
+# Each walk entry point, length formula and planner function with a state,
+# node or bound argument, as _ARGUMENTS has them.
+_WALK_ARGUMENTS = {
+    "realize_path": (lambda x: realize_path(x, []), "state"),
+    "apply_stabilization": (lambda x: apply_stabilization(x, StabMove(1, SameComponent("c0"))), "state"),
+    "apply_destabilization": (
+        lambda x: apply_destabilization(x, DestabMove(1, SameComponent("c0"))), "state"),
+    "balance": (balance, "state"),
+    "balance_length": (balance_length, "state"),
+    "build_heegaard": (lambda x: build_heegaard(x, 1), "state"),
+    "disk_length": (lambda x: disk_length(x, 1), "state"),
+    "fake_heegaard_stab": (fake_heegaard_stab, "state"),
+    "replay-state": (lambda x: replay(x, ()), "state"),
+    "plan_common_stabilization-a": (lambda x: plan_common_stabilization(x, KODA.to_state(), 0), "a"),
+    "plan_common_stabilization-b": (lambda x: plan_common_stabilization(KODA.to_state(), x, 0), "b"),
+    "plan_lengths-a": (lambda x: plan_lengths(x, KODA, 0), "a"),
+    "plan_lengths-b": (lambda x: plan_lengths(KODA, x, 0), "b"),
+    "plan_lengths-rs_bound": (lambda x: plan_lengths(KODA, OPENBOOK1, x), "rs_bound"),
+}
+
+
+@_JUNK
+@pytest.mark.parametrize("argument", list(_WALK_ARGUMENTS))
+def test_walks_and_plans_refuse_arguments_of_the_wrong_type(argument, junk):
+    # These used to raise TypeError or AttributeError.
+    call, name = _WALK_ARGUMENTS[argument]
+    with pytest.raises(OutOfDomain, match=f"^{name} must be "):
+        call(junk)
+
+
+@pytest.mark.parametrize("script", [None, True, 2.0], ids=["none", "true", "float"])
+def test_replay_refuses_a_script_that_is_no_sequence(script):
+    with pytest.raises(OutOfDomain, match="^script must be a sequence of MoveRecord"):
+        replay(KODA.to_state(), script)
+
+
+@pytest.mark.parametrize("script", ["2", [None], [("stab",)], [2.0], [[]]],
+                         ids=["str", "none", "tuple", "float", "list"])
+def test_replay_names_a_step_that_is_no_record(script):
+    state = KODA.to_state()
+    first = balance(state)[1][:1]
+    with pytest.raises(IllegalMove, match="^script step 1: expected a MoveRecord, got "):
+        replay(state, script)
+    with pytest.raises(IllegalMove, match="^script step 2: expected a MoveRecord, got "):
+        replay(state, (*first, *script))
+    assert replay(state, []) == state
 
 
 @pytest.mark.parametrize(("field", "value"), [
