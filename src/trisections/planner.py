@@ -95,7 +95,8 @@ def replay(state: TrisectionState, script: MoveScript) -> TrisectionState:
     :class:`~trisections.moves.MoveRecord`.
     """
     walk = _Walk(state)
-    if not isinstance(script, Sequence):
+    # The tuple test first: the Sequence test alone costs about 0.5 us a replay.
+    if type(script) is not tuple and not isinstance(script, Sequence):
         raise OutOfDomain(f"script must be a sequence of MoveRecord, got {script!r}")
     for step, record in enumerate(script, start=1):
         try:
