@@ -40,7 +40,7 @@ from .moves import (
 )
 from .explorer import (
     bfs_reachable,
-    listing_bound,
+    listing_count,
     node_count,
     realize_path,
     shortest_path,
@@ -65,7 +65,8 @@ from .serialize import (
 # run for hours or exhaust memory.
 MAX_COMPONENTS = 100_000
 MAX_SCRIPT_MOVES = 100_000
-# Nodes that explore may list or verify checks (verify accepts max_sum up to 82).
+# The most nodes explore may list or verify check, counted exactly by a
+# walk that stops past this limit (verify accepts max_sum up to 82).
 MAX_NODES = 100_000
 # The largest document read: a history or script of MAX_SCRIPT_MOVES
 # records and a link of MAX_COMPONENTS labels, at up to 320 bytes a record
@@ -85,6 +86,12 @@ class SizeLimitExceeded(TrisectionError):
 def _check_size(what: str, size: int, limit: int) -> None:
     if size > limit:
         raise SizeLimitExceeded(f"{what} would be {size}, over the limit of {limit}")
+
+
+def _check_nodes(what: str, count: int) -> None:
+    # The count stops at MAX_NODES + 1, so a refusal names the limit alone.
+    if count > MAX_NODES:
+        raise SizeLimitExceeded(f"{what} would be more than the limit of {MAX_NODES}")
 
 
 def _read_text(path: str, context: str) -> str:
@@ -260,8 +267,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         _write_text(None, script_to_text(script))
         _note(f"explore: shortest script has {len(script)} moves")
         return 0
-    bound = listing_bound(start, args.max_sum)
-    _check_size("explore: a bound on the nodes listed", bound, MAX_NODES)
+    _check_nodes("explore: the nodes listed", listing_count(start, args.max_sum, MAX_NODES))
     reachable = bfs_reachable(start, args.max_sum)
     _write_text(None, "".join(f"({node.g12},{node.g13},{node.g23};b={node.b}) depth={depth}\n"
                               for node, depth in reachable.items()))
@@ -272,8 +278,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.max_sum < 0:  # an empty range, which checks nothing
         raise _UsageError(f"verify: --max-sum must be at least 0, got {args.max_sum}")
-    what = f"verify: the nodes with sum_h <= {args.max_sum}"
-    _check_size(what, node_count(args.max_sum), MAX_NODES)
+    _check_nodes(f"verify: the nodes with sum_h <= {args.max_sum}", node_count(args.max_sum, MAX_NODES))
     report = verify_properties(args.max_sum)
     _write_text(args.output, verification_report_to_text(report))
     for entry in report.entries:

@@ -71,6 +71,18 @@ def _check_fields(owner, checks) -> None:
             raise ValueError(f"{name} must be {kind}, got {getattr(owner, name)!r}")
 
 
+def _check_type(name: str, value, kind: type) -> None:
+    # The one check that an argument is a ``kind``, naming it when it is not.
+    if not isinstance(value, kind):
+        raise OutOfDomain(f"{name} must be a {kind.__name__}, got {value!r}")
+
+
+def _check_count(name: str, value: int) -> None:
+    # The one check that an argument is a nonnegative int; True is no count.
+    if type(value) is not int or value < 0:
+        raise OutOfDomain(f"{name} must be a nonnegative integer, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True, order=True)
 class Profile:
     """Handlebody genera and boundary-component count ``(h1,h2,h3;b)``."""
@@ -235,6 +247,7 @@ class LinkComponentSet:
     @classmethod
     def fresh(cls, count: int) -> LinkComponentSet:
         """A brand new set of ``count`` components ``c0`` .. ``c<count-1>``."""
+        _check_count("count", count)
         return cls(component_labels(0, count), count)
 
     @property

@@ -52,17 +52,18 @@ both are 0, g23 = 3M - L grows with M.  That node is common by the rule, whose
 sufficiency half is the proof above.  Finding it costs O(1) a level
 tried, and no candidate node is enumerated at any distance.
 
-The ``explore`` listing (:func:`bfs_reachable`) reads the rule in genera
+One walk over a start's cone (:func:`_cone`) reads the rule in genera
 coordinates, where its conditions are linear.  With D = max_sum - S for
 the start's S, the (g12, g13) worth trying lie in a box of side at most
 2D + 1; at each of them the admitted g23 form one interval and, at each
-g23, the admitted b another, both found in O(1).  So the nodes come out
-in lexicographic order, with no sort, in O(D^2 + listing) work.  A
-shortest path is walked greedily, one move per level, on the coordinates
-as plain ints: each step is the first legal row whose result can still
-reach the goal.  Breadth-first search survives only in the tests, as the
-reference they hold the rule to, next to an enumeration of the common
-nodes level by level.
+g23, the admitted b another, both found in O(1), in lexicographic order.
+It serves the ``explore`` listing, the node range and both counts, which
+sum the intervals of b and stop once past a given limit.  A shortest
+path is walked greedily, one move per level, on the coordinates as plain
+ints: each step is the first legal row whose result can still reach the
+goal.  Breadth-first search survives only in the tests, as the reference
+they hold the rule to, next to an enumeration of the common nodes level
+by level.
 
 The full labeled engine reappears only when a parameter path is realized
 as a replayable :class:`~trisections.moves.MoveScript` on canonical
@@ -74,13 +75,14 @@ given state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Iterable, Iterator
 
 from .core import (
     _SUCCESSOR_ROWS,
     _b_values,
+    _check_count,
     _check_fields,
+    _check_type,
     _genera,
     MoveGraphNode,
     OutOfDomain,
@@ -101,20 +103,22 @@ _new = object.__new__
 _SET_G12, _SET_G13, _SET_G23, _SET_B = (
     MoveGraphNode.__dict__[name].__set__ for name in ("g12", "g13", "g23", "b")
 )
+_TRIVIAL = MoveGraphNode(0, 0, 0, 1)  # whose cone at floors of 0 holds every node
 
 
 class WitnessNotFound(TrisectionError):
     """The move graph has no script to a node that :func:`reachable` accepts."""
 
 
-def _check_arguments(max_sum: int = 0, **nodes: MoveGraphNode) -> None:
-    # The one check of a search function's arguments: max_sum an exact int
-    # and every node a MoveGraphNode, each named when it is not.
+def _check_arguments(max_sum: int = 0, limit: int = 0, **nodes: MoveGraphNode) -> None:
+    # The one check of a search function's arguments: max_sum an exact int,
+    # limit a nonnegative one and every node a MoveGraphNode, each named
+    # when it is not.
     if type(max_sum) is not int:
         raise OutOfDomain(f"max_sum must be an integer, got {max_sum!r}")
+    _check_count("limit", limit)
     for name, node in nodes.items():
-        if not isinstance(node, MoveGraphNode):
-            raise OutOfDomain(f"{name} must be a MoveGraphNode, got {node!r}")
+        _check_type(name, node, MoveGraphNode)
 
 
 def reachable(start: MoveGraphNode, goal: MoveGraphNode) -> bool:
@@ -140,58 +144,21 @@ def reachable(start: MoveGraphNode, goal: MoveGraphNode) -> bool:
 def feasible_nodes(max_sum: int) -> list[MoveGraphNode]:
     """Every parameter node with h1 + h2 + h3 <= max_sum, lexicographic."""
     _check_arguments(max_sum)
-    top = max_sum // 2
-    return [
-        MoveGraphNode(g12, g13, g23, b)
-        for g12 in range(top + 1)
-        for g13 in range(top - g12 + 1)
-        for g23 in range(top - g12 - g13 + 1)
-        for b in range(1, (max_sum - 2 * (g12 + g13 + g23)) // 3 + 2)
-    ]
+    return list(_listing(_TRIVIAL, max_sum, 0))
 
 
-def _cubic_sum(f, n: int) -> int:
-    # f(0) + ... + f(n) for a polynomial f of degree <= 3, by Newton's
-    # forward differences: the sum is that of (D^d f)(0) * C(n + 1, d + 1).
-    values = [f(i) for i in range(4)]
-    total = 0
-    for d in range(4):
-        total += values[0] * comb(n + 1, d + 1)
-        values = [after - before for before, after in zip(values, values[1:])]
-    return total
+def node_count(max_sum: int, limit: int) -> int:
+    """``min(len(feasible_nodes(max_sum)), limit + 1)``, building no node."""
+    _check_arguments(max_sum, limit)
+    return _count(_TRIVIAL, max_sum, 0, limit)
 
 
-def node_count(max_sum: int) -> int:
-    """``len(feasible_nodes(max_sum))``, in closed form.
-
-    A node has h1 + h2 + h3 = 2G + 3k for G = g12 + g13 + g23 and
-    k = b - 1, and C(T + 3, 3) genus triples have G <= T, so the count
-    is the sum over k of C(floor((max_sum - 3k) / 2) + 3, 3).  The floor
-    is floor(max_sum / 2) - 3j for k = 2j and floor((max_sum - 3) / 2) - 3j
-    for k = 2j + 1, so each half sums a cubic in j.
-    """
-    _check_arguments(max_sum)
-
-    def half(top: int) -> int:  # C(m + 3, 3) summed over m = top, top - 3, ... >= 0
-        return _cubic_sum(lambda j: comb(top % 3 + 3 * j + 3, 3), top // 3) if top >= 0 else 0
-
-    return half(max_sum // 2) + half((max_sum - 3) // 2)
-
-
-def listing_bound(start: MoveGraphNode, max_sum: int) -> int:
-    """An upper bound on ``len(bfs_reachable(start, max_sum))``, in closed form.
-
-    The listing holds nodes with sum_h <= max_sum, and every one above
-    ``start`` has heights at least start's: one of the C(m + 3, 3) height
-    triples within m = max_sum - sum_h(start) of them, with at most
-    max_sum // 6 + 1 values of b (b - 1 <= min h_i + h_j - h_k <= max_sum / 3,
-    at one parity).
-    """
-    _check_arguments(max_sum, start=start)
-    above = max_sum - start.sum_h()
-    if above < 0:
-        return 0
-    return min(node_count(max_sum), comb(above + 3, 3) * (max_sum // 6 + 1))
+def listing_count(start: MoveGraphNode, max_sum: int, limit: int) -> int:
+    """``min(len(bfs_reachable(start, max_sum)), limit + 1)``, building no node."""
+    _check_arguments(max_sum, limit, start=start)
+    if start.is_trivial and max_sum >= 0:  # the trivial node has no moves
+        return 1
+    return _count(start, max_sum, 1, limit)
 
 
 def bfs_reachable(start: MoveGraphNode, max_sum: int) -> dict[MoveGraphNode, int]:
@@ -200,10 +167,23 @@ def bfs_reachable(start: MoveGraphNode, max_sum: int) -> dict[MoveGraphNode, int
     Returns a mapping from node to depth (the sum_h difference, since
     every move adds 1), keys in lexicographic order: the nodes that
     :func:`reachable` accepts, the start among them at depth 0.
+    """
+    _check_arguments(max_sum, start=start)
+    if start.is_trivial and max_sum >= 0:  # the trivial node has no moves
+        return {start: 0}
+    return _listing(start, max_sum, 1)
+
+
+def _cone(start: MoveGraphNode, max_sum: int, least: int) -> Iterator[tuple[int, int, int, range]]:
+    """The cone of ``start`` at floors of ``least``, as (x, y, z, range of b), lexicographic.
+
+    With ``least = 1`` it holds the nodes :func:`reachable` accepts from
+    a non-trivial ``start``, less ``start`` itself if a height of it is 0;
+    from the trivial node with ``least = 0``, every node with sum_h <= max_sum.
 
     Write x, y, z for g12, g13, g23 and u = b - 1, so that h1 = x + y + u,
     h2 = x + z + u, h3 = y + z + u and the level is L = 2(x + y + z) + 3u.
-    With F = max(h(start), 1), S = sum_h(start), u_s = b(start) - 1 and
+    With F = max(h(start), least), S = sum_h(start), u_s = b(start) - 1 and
     M = max_sum, the rule's conditions on a node are linear: h_i >= F_i,
     |u - u_s| <= L - S and L <= M.  At fixed (x, y) put
 
@@ -223,42 +203,58 @@ def bfs_reachable(start: MoveGraphNode, max_sum: int) -> dict[MoveGraphNode, int
     worth trying run from F1 + F2 - floor((M + u_high) / 2) to
     floor((M - u_low) / 2) - F3 and the y from F1 + F3 - floor((M + u_high) / 2)
     to floor((M - u_low) / 2) - F2: a box of side at most 2D + 1, as
-    sum F >= S.  So the listing costs O(D^2 + its length), and no loop runs
-    over genus triples outside the cone.  Its bounds prove every floor, so
-    each node is built without its check.  A start with a zero height lies
-    outside its own cone and is put in its place at depth 0; the trivial
-    start has no moves and lists only itself.
+    sum F >= S.  So the walk costs O(D^2 + nodes), and no loop runs over
+    genus triples outside the cone.  Its bounds prove every floor, so each
+    node can be built without its check.
     """
-    _check_arguments(max_sum, start=start)
     level = start.sum_h()
-    if level > max_sum:
-        return {}
-    if start.is_trivial:
-        return {start: 0}
-    f1, f2, f3 = (max(h, 1) for h in start.heights())
+    f1, f2, f3 = (max(h, least) for h in start.heights())
     u_s, reach = start.b - 1, max_sum - level
     u_low, u_high = max(0, u_s - reach), u_s + reach  # reach is D
     half, wide, narrow = (level - u_s + 1) // 2, (max_sum + u_high) // 2, (max_sum - u_low) // 2
-    # As locals, since the innermost loop reads them once a node.
-    new, set12, set13, set23, set_b = _new, _SET_G12, _SET_G13, _SET_G23, _SET_B
-    listing = {}
     for x in range(max(0, f1 + f2 - wide), narrow - f3 + 1):
         for y in range(max(0, f1 + f3 - wide), narrow - f2 + 1):
             a = f1 - x - y if f1 > x + y else 0
             p = max(f2 - x, f3 - y, half - x - y)
             q, r = level + u_s - 2 * (x + y), max_sum - 2 * (x + y)
             for z in range(max(0, 3 * p - r), min(r - 3 * a, 4 * r - 3 * q) // 2 + 1):
-                depth = 2 * (x + y + z) - level - 3  # L - S at b = 0
-                for b in range(max(a, p - z, (q - 2 * z + 3) // 4) + 1, (r - 2 * z) // 3 + 2):
-                    node = new(MoveGraphNode)
-                    set12(node, x)
-                    set13(node, y)
-                    set23(node, z)
-                    set_b(node, b)
-                    listing[node] = depth + 3 * b
-    if start not in listing:  # a zero height puts the start outside its own cone
+                yield x, y, z, range(max(a, p - z, (q - 2 * z + 3) // 4) + 1, (r - 2 * z) // 3 + 2)
+
+
+def _listing(start: MoveGraphNode, max_sum: int, least: int) -> dict[MoveGraphNode, int]:
+    # The start within max_sum and its _cone, each node built unchecked and
+    # mapped to its depth, in lexicographic order.
+    level = start.sum_h()
+    # As locals, since the innermost loop reads them once a node.
+    new, set12, set13, set23, set_b = _new, _SET_G12, _SET_G13, _SET_G23, _SET_B
+    listing = {}
+    for x, y, z, values in _cone(start, max_sum, least):
+        depth = 2 * (x + y + z) - level - 3  # L - S at b = 0
+        for b in values:
+            node = new(MoveGraphNode)
+            set12(node, x)
+            set13(node, y)
+            set23(node, z)
+            set_b(node, b)
+            listing[node] = depth + 3 * b
+    if _outside(start, max_sum, least):
         listing = dict(sorted([(start, 0), *listing.items()]))
     return listing
+
+
+def _count(start: MoveGraphNode, max_sum: int, least: int, limit: int) -> int:
+    # len(_listing(start, max_sum, least)), or limit + 1 once it passes limit.
+    total = int(_outside(start, max_sum, least))
+    for _, _, _, values in _cone(start, max_sum, least):
+        total += len(values)
+        if total > limit:
+            return limit + 1
+    return total
+
+
+def _outside(start: MoveGraphNode, max_sum: int, least: int) -> bool:
+    # Whether the start is listed but, with a height below least, not in its cone.
+    return start.sum_h() <= max_sum and min(start.heights()) < least
 
 
 def realize_path(
@@ -270,7 +266,11 @@ def realize_path(
     DistinctComponents moves the smallest pair.
     """
     walk = _Walk(state)
-    for i, kind in path:
+    try:
+        steps = [(i, kind) for i, kind in path]
+    except (TypeError, ValueError):  # a path or a step that does not unpack
+        raise OutOfDomain(f"path must be an iterable of (handlebody, kind) pairs, got {path!r}") from None
+    for i, kind in steps:
         if kind not in ("same", "distinct"):
             raise ValueError(f"unknown parameter move kind {kind!r}")
         other_two(i)  # rejects anything but 1, 2 and 3
@@ -435,14 +435,14 @@ def verify_properties(max_sum: int) -> VerificationReport:
     largest :func:`~trisections.moves.capped_genus`, whose overshoot
     past max_sum is reported as the slack.
     """
-    if type(max_sum) is not int or max_sum < 0:
-        raise OutOfDomain(f"max_sum must be a nonnegative integer, got {max_sum!r}")
+    _check_count("max_sum", max_sum)
     nodes = feasible_nodes(max_sum)
     entries = (
         _check_feasibility_enumeration(max_sum, nodes),
-        _check_balance_postconditions(max_sum, nodes),
-        _check_built_splitting_counts(max_sum, nodes),
-        _check_trivial_only_moveless(max_sum, nodes),
+        _holds("balance-postconditions", max_sum, nodes, _balances),
+        _holds("built-splitting-counts", max_sum, nodes, _builds),
+        _holds("trivial-only-moveless", max_sum, nodes,
+               lambda node: (not node.successors()) == node.is_trivial),
         _check_common_stabilization(max_sum, nodes),
     )
     return VerificationReport(max_sum, entries)
@@ -476,47 +476,35 @@ def _check_feasibility_enumeration(
     return PropertyResult("feasibility-matches-enumeration", max_sum, ok, tuple(bad))
 
 
-def _check_balance_postconditions(
-    max_sum: int, nodes: list[MoveGraphNode]
-) -> PropertyResult:
-    def check(node: MoveGraphNode) -> bool:
-        top = max(node.heights())
-        before = node.to_state()
-        state, script = balance(before)
-        after = state.profile
-        return (
-            (after.h1, after.h2, after.h3) == (top, top, top)
-            and after.b <= max(before.b, 2)
-            and len(script) == balance_length(before)
-        )
-
+def _holds(name: str, max_sum: int, nodes: list[MoveGraphNode], check) -> PropertyResult:
+    # The property that check holds at every node; its counterexamples are
+    # the nodes where it does not.
     bad = tuple(node for node in nodes if not check(node))
-    return PropertyResult("balance-postconditions", max_sum, not bad, bad)
+    return PropertyResult(name, max_sum, not bad, bad)
 
 
-def _check_built_splitting_counts(
-    max_sum: int, nodes: list[MoveGraphNode]
-) -> PropertyResult:
-    def check(node: MoveGraphNode) -> bool:
-        before = node.to_state()
-        for i in (1, 2, 3):
-            j, k = other_two(i)
-            _, genus, script = build_heegaard(before, i)
-            if genus != before.handlebody_genus(j) + before.handlebody_genus(k):
-                return False
-            if len(script) != disk_length(before, i):
-                return False
-        return True
-
-    bad = tuple(node for node in nodes if not check(node))
-    return PropertyResult("built-splitting-counts", max_sum, not bad, bad)
+def _balances(node: MoveGraphNode) -> bool:
+    top = max(node.heights())
+    before = node.to_state()
+    state, script = balance(before)
+    after = state.profile
+    return (
+        (after.h1, after.h2, after.h3) == (top, top, top)
+        and after.b <= max(before.b, 2)
+        and len(script) == balance_length(before)
+    )
 
 
-def _check_trivial_only_moveless(
-    max_sum: int, nodes: list[MoveGraphNode]
-) -> PropertyResult:
-    bad = tuple(node for node in nodes if (not node.successors()) != node.is_trivial)
-    return PropertyResult("trivial-only-moveless", max_sum, not bad, bad)
+def _builds(node: MoveGraphNode) -> bool:
+    before = node.to_state()
+    for i in (1, 2, 3):
+        j, k = other_two(i)
+        _, genus, script = build_heegaard(before, i)
+        if genus != before.handlebody_genus(j) + before.handlebody_genus(k):
+            return False
+        if len(script) != disk_length(before, i):
+            return False
+    return True
 
 
 def _check_common_stabilization(

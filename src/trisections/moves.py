@@ -58,9 +58,9 @@ from .core import (
     STAB_DELTAS,
     LinkComponentSet,
     MoveGraphNode,
-    OutOfDomain,
     TrisectionError,
     TrisectionState,
+    _check_type,
     are_component_ids,
     component_label,
     component_labels,
@@ -135,12 +135,6 @@ class DistinctComponents(_DistinctFields):
 
 
 Arc = SameComponent | DistinctComponents
-
-
-def _check_state(state: TrisectionState) -> None:
-    # The one check of a state argument: a walk reads its link, genera and history.
-    if not isinstance(state, TrisectionState):
-        raise OutOfDomain(f"state must be a TrisectionState, got {state!r}")
 
 
 def _check_arc(arc: Arc) -> None:
@@ -298,7 +292,7 @@ class _Walk:
     __slots__ = ("labels", "next_id", "g12", "g13", "g23", "b", "base", "records", "label")
 
     def __init__(self, state: TrisectionState) -> None:
-        _check_state(state)
+        _check_type("state", state, TrisectionState)
         link = state.link
         self._start(sorted(link.components), link.next_id, state.genera, state.history, state.label)
 
@@ -539,6 +533,7 @@ def inverse_of(record: MoveRecord) -> StabMove | DestabMove:
     two labels it created, and vice versa.  Compound ``fake_stab`` records
     have no single inverse move.
     """
+    _check_type("record", record, MoveRecord)
     if record.op == "stab":
         if isinstance(record.arc, SameComponent):
             return DestabMove(record.handlebody, DistinctComponents(*record.created))
@@ -594,7 +589,7 @@ def balance(state: TrisectionState) -> tuple[TrisectionState, MoveScript]:
 
 def balance_length(state: TrisectionState) -> int:
     """The length of :func:`balance`'s script: 3*max(h1, h2, h3) - (h1+h2+h3)."""
-    _check_state(state)
+    _check_type("state", state, TrisectionState)
     profile = state.profile
     return 3 * max(profile.h1, profile.h2, profile.h3) - profile.sum_h()
 
@@ -617,7 +612,7 @@ def capped_genus(node: MoveGraphNode) -> int:
 
 def disk_length(state: TrisectionState, i: int) -> int:
     """The length of :func:`build_heegaard`'s script: 2*g_jk + b - 1."""
-    _check_state(state)
+    _check_type("state", state, TrisectionState)
     return 2 * state.genera.opposite(i) + state.b - 1
 
 

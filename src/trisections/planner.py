@@ -32,7 +32,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .core import (MoveGraphNode, OutOfDomain, Profile, TrisectionError, TrisectionState,
-                   _check_fields)
+                   _check_count, _check_fields, _check_type)
 from .moves import IllegalMove, MoveRecord, MoveScript, _Walk, capped_genus
 
 
@@ -117,11 +117,9 @@ def replay(state: TrisectionState, script: MoveScript) -> TrisectionState:
 
 def _check_arguments(kind: type, a, b, rs_bound: int) -> None:
     # A plan's two inputs, each a ``kind``, and its bound, each named when it is not.
-    for name, value in (("a", a), ("b", b)):
-        if not isinstance(value, kind):
-            raise OutOfDomain(f"{name} must be a {kind.__name__}, got {value!r}")
-    if type(rs_bound) is not int or rs_bound < 0:
-        raise OutOfDomain(f"rs_bound must be a nonnegative integer, got {rs_bound!r}")
+    _check_type("a", a, kind)
+    _check_type("b", b, kind)
+    _check_count("rs_bound", rs_bound)
 
 
 def plan_lengths(a: MoveGraphNode, b: MoveGraphNode, rs_bound: int) -> tuple[int, int]:

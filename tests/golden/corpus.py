@@ -95,6 +95,12 @@ GROUPS: dict[str, list] = {
         ["explore", "--start", "koda.json", "--max-sum", "36"],
         ["new", "connect-sum", "1000", "-o", "cs.json"],
         ["explore", "--start", "cs.json", "--max-sum", "3008"],
+        # Listings that a bound far above their length once refused.
+        ["explore", "--start", "cs.json", "--max-sum", "3010"],
+        ["new", "open-book", "200", "-o", "ob200.json"],
+        ["explore", "--start", "ob200.json", "--max-sum", "1230"],
+        ["new", "open-book", "2000", "-o", "ob2000.json"],
+        ["explore", "--start", "ob2000.json", "--max-sum", "12030"],
     ],
     "verify": [["verify", "--max-sum", str(n)] for n in range(7)] + [
         ["verify", "--max-sum", "6", "-o", "verify6.json"],
@@ -103,6 +109,20 @@ GROUPS: dict[str, list] = {
         ["new", "from-heegaard"],
         ["verify", "--max-sum", "-1"],
         ["new", "connect-sum", "100000"],
+        # Over the node limit: at its edge and far above it.
+        ["new", "koda-ozawa", "-o", "koda.json"],
+        ["explore", "--start", "koda.json", "--max-sum", "83"],
+        ["explore", "--start", "koda.json", "--max-sum", "10000000000"],
+        ["new", "open-book", "1", "-o", "ob.json"],
+        ["explore", "--start", "ob.json", "--max-sum", "1000000"],
+        ["verify", "--max-sum", "83"],
+        ["verify", "--max-sum", "1000000000"],
+    ],
+    # argparse's own errors, wrapped to the COLUMNS the runner pins.
+    "usage": [
+        ["frobnicate"],
+        ["verify"],
+        ["stab", "--handlebody", "4", "--arc", "same:c0"],
     ],
 }
 
@@ -119,11 +139,15 @@ def _invoke(argv: list[str]) -> tuple[int, str, str]:
 
 
 def run_group(name: str, directory: Path) -> dict[str, str]:
-    """Run one group in ``directory`` (the working directory meanwhile); its digests by id."""
+    """Run one group in ``directory`` (the working directory meanwhile); its digests by id.
+
+    ``COLUMNS`` is pinned meanwhile, since argparse wraps its usage text to it.
+    """
     digests = {}
     before = _files(directory)
-    cwd = os.getcwd()
+    cwd, columns = os.getcwd(), os.environ.get("COLUMNS")
     os.chdir(directory)
+    os.environ["COLUMNS"] = "80"
     try:
         for step in GROUPS[name]:
             if step[0] == "edit":
@@ -140,4 +164,8 @@ def run_group(name: str, directory: Path) -> dict[str, str]:
             digests[f"{name}: {' '.join(step)}"] = hashlib.sha256(blob).hexdigest()
     finally:
         os.chdir(cwd)
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
     return digests

@@ -1,0 +1,71 @@
+"""The mutant catalogue: small faults each of which some test must catch.
+
+An entry names a file of the repository, an exact text that occurs in it
+once, the text that replaces it and the tests expected to fail on the
+result.  ``tests/mutants/run.py`` applies each entry to a copy of the
+tree and runs its killers; ``tests/test_mutants.py`` checks in tier-1
+that every entry's text is still found, so a refactor that moves the
+code must move the entry too.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    id: str
+    file: str
+    old: str
+    new: str
+    killers: tuple[str, ...]
+
+
+_EXPLORER = "src/trisections/explorer.py"
+_LISTING = (
+    "tests/test_reachability.py::test_listing_matches_bfs_beyond_sum_15",
+    "tests/test_explorer.py::test_listing_count_is_the_listing_length_capped",
+    "tests/test_explorer.py::test_feasible_nodes_is_the_genus_enumeration",
+)
+_COUNTS = (
+    "tests/test_explorer.py::test_listing_count_is_the_listing_length_capped",
+    "tests/test_explorer.py::test_node_count_is_the_length_of_the_node_range_capped",
+    "tests/test_reachability.py::test_listing_count_matches_bfs_beyond_sum_15",
+)
+_JUNK = "tests/test_explorer.py::test_constructors_and_search_refuse_arguments_of_the_wrong_type"
+_NEGATIVE = "tests/test_explorer.py::test_a_count_argument_refuses_a_negative_int"
+_PATH = "tests/test_explorer.py::test_realize_path_refuses_a_path_that_is_no_iterable_of_pairs"
+_Z_RANGE = "range(max(0, 3 * p - r), min(r - 3 * a, 4 * r - 3 * q) // 2 + 1)"
+_B_LOW = "(q - 2 * z + 3) // 4) + 1"
+_B_HIGH = "(r - 2 * z) // 3 + 2)"
+_COUNT_CHECK = "    if type(value) is not int or value < 0:"
+
+CATALOGUE = (
+    # The cone walk: each end of the z and b intervals.
+    Mutant("cone-z-low-narrowed", _EXPLORER, _Z_RANGE,
+           "range(max(0, 3 * p - r + 1), min(r - 3 * a, 4 * r - 3 * q) // 2 + 1)", _LISTING),
+    Mutant("cone-z-high-narrowed", _EXPLORER, _Z_RANGE,
+           "range(max(0, 3 * p - r), min(r - 3 * a, 4 * r - 3 * q) // 2)", _LISTING),
+    Mutant("cone-b-low-narrowed", _EXPLORER, _B_LOW, "(q - 2 * z + 3) // 4) + 2", _LISTING),
+    Mutant("cone-b-low-widened", _EXPLORER, _B_LOW, "(q - 2 * z + 3) // 4)", _LISTING),
+    Mutant("cone-b-high-narrowed", _EXPLORER, _B_HIGH, "(r - 2 * z) // 3 + 1)", _LISTING),
+    Mutant("cone-b-high-widened", _EXPLORER, _B_HIGH, "(r - 2 * z) // 3 + 3)", _LISTING),
+    # The count: where it stops, and the start outside its own cone.
+    Mutant("count-stops-at-the-limit", _EXPLORER, "        if total > limit:",
+           "        if total >= limit:", _COUNTS),
+    Mutant("count-drops-the-start-outside-its-cone", _EXPLORER,
+           "    total = int(_outside(start, max_sum, least))", "    total = 0", _COUNTS),
+    # The argument checks of the library's API.
+    Mutant("counts-take-a-negative-int", "src/trisections/core.py", _COUNT_CHECK,
+           "    if type(value) is not int:", (_NEGATIVE,)),
+    Mutant("counts-take-any-number", "src/trisections/core.py", _COUNT_CHECK,
+           "    if value < 0:", (_JUNK,)),
+    Mutant("limit-unchecked", _EXPLORER, '    _check_count("limit", limit)\n', "", (_JUNK, _NEGATIVE)),
+    Mutant("fresh-unchecked", "src/trisections/core.py", '        _check_count("count", count)\n', "",
+           (_JUNK, _NEGATIVE)),
+    Mutant("inverse_of-unchecked", "src/trisections/moves.py",
+           '    _check_type("record", record, MoveRecord)\n', "", (_JUNK,)),
+    Mutant("realize_path-unchecked", _EXPLORER,
+           "        raise OutOfDomain(f\"path must be an iterable of (handlebody, kind) pairs, "
+           "got {path!r}\") from None", "        raise", (_PATH,)),
+)

@@ -13,6 +13,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -27,7 +28,7 @@ from trisections.core import (
     split_heegaard,
     tunnel_system,
 )
-from trisections.explorer import listing_bound, node_count
+from trisections.explorer import listing_count, node_count
 from trisections.moves import build_heegaard
 from trisections.planner import plan_lengths
 from trisections.serialize import state_to_text
@@ -625,26 +626,43 @@ def test_explore_refuses_a_huge_shortest_script(koda, tmp_path):
 
 
 def test_explore_refuses_a_huge_listing(koda, tmp_path):
-    proc = run_capped_cli("explore", "--start", str(koda), "--max-sum", "10000000000")
-    bound = listing_bound(koda_ozawa().genera, 10**10)
-    _assert_refused(proc, f"explore: a bound on the nodes listed would be {bound}, over")
-    # The edge: node_count(82) is the last count within the limit.
-    assert node_count(82) <= MAX_NODES < node_count(83)
-    _assert_refused(run_capped_cli("explore", "--start", str(koda), "--max-sum", "83"),
-                    f"explore: a bound on the nodes listed would be {node_count(83)}, over")
-    # A start high up lists few nodes, however large max_sum.
-    high = tmp_path / "high.json"
-    high.write_text(run_cli("new", "open-book", "100").stdout, encoding="utf-8")  # sum_h 600
-    proc = run_capped_cli("explore", "--start", str(high), "--max-sum", "606")
-    assert proc.returncode == 0, proc.stderr[-500:]
-    assert proc.stderr == "explore: 256 nodes reachable within sum_h <= 606\n"
+    over = f"explore: the nodes listed would be more than the limit of {MAX_NODES}"
+    book = tmp_path / "book.json"
+    book.write_text(run_cli("new", "open-book", "1").stdout, encoding="utf-8")
+    for start, max_sum in ((koda, "10000000000"), (book, "1000000")):
+        _assert_refused(run_capped_cli("explore", "--start", str(start), "--max-sum", max_sum), over)
+    # The edge: koda-ozawa lists 99,073 nodes at 82 and more than the limit at 83.
+    assert listing_count(koda_ozawa().genera, 82, MAX_NODES) == 99_073
+    assert listing_count(koda_ozawa().genera, 83, MAX_NODES) == MAX_NODES + 1
+    _assert_refused(run_capped_cli("explore", "--start", str(koda), "--max-sum", "83"), over)
+    # A start high up lists few nodes, however large max_sum, and so does a
+    # start at high b, since b moves by one a move.
+    for kind, param, max_sum, listed in (("open-book", "100", "606", 256),
+                                         ("connect-sum", "1000", "3010", 1_012)):
+        high = tmp_path / f"{kind}.json"
+        high.write_text(run_cli("new", kind, param).stdout, encoding="utf-8")
+        proc = run_capped_cli("explore", "--start", str(high), "--max-sum", max_sum)
+        assert proc.returncode == 0, proc.stderr[-500:]
+        assert proc.stderr == f"explore: {listed} nodes reachable within sum_h <= {max_sum}\n"
+
+
+def test_the_size_guards_stop_at_once_far_above_the_limit():
+    # Each count walks only until it passes the limit, so a request with D
+    # near the range of --max-sum is refused in well under a second.
+    started = time.perf_counter()
+    for start, max_sum in ((open_book(1), 10**6), (koda_ozawa(), 10**10)):
+        assert listing_count(start.genera, max_sum, MAX_NODES) == MAX_NODES + 1
+    assert node_count(10**9, MAX_NODES) == MAX_NODES + 1
+    assert time.perf_counter() - started < 1.0
 
 
 def test_verify_refuses_a_huge_node_range():
-    proc = run_capped_cli("verify", "--max-sum", "1000000000")
-    _assert_refused(proc, f"verify: the nodes with sum_h <= 1000000000 would be {node_count(10**9)}")
-    _assert_refused(run_capped_cli("verify", "--max-sum", "83"),
-                    f"verify: the nodes with sum_h <= 83 would be {node_count(83)}, over")
+    for max_sum in ("1000000000", "83"):
+        _assert_refused(run_capped_cli("verify", "--max-sum", max_sum),
+                        f"verify: the nodes with sum_h <= {max_sum} would be more than the limit "
+                        f"of {MAX_NODES}")
+    # The edge: 99,435 nodes at 82, more than the limit at 83.
+    assert node_count(82, MAX_NODES) <= MAX_NODES < node_count(83, MAX_NODES)
 
 
 def test_verify_holds_one_walk_at_a_time():
@@ -674,8 +692,8 @@ def test_benchmark_requests_are_well_under_the_node_limit():
     # benchmark runs, from its five starts.
     for start in (koda_ozawa(), tunnel_system(1), split_heegaard(2, 1), open_book(1),
                   connect_sum_equal_genus(1)):
-        assert listing_bound(start.genera, 36) <= MAX_NODES // 20
-    assert node_count(10) <= MAX_NODES // 1000
+        assert listing_count(start.genera, 36, MAX_NODES) <= MAX_NODES // 20
+    assert node_count(10, MAX_NODES) <= MAX_NODES // 1000
 
 
 def test_oversized_inputs_are_refused_before_reading(koda, tmp_path):

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 from dataclasses import replace
 from itertools import combinations
+from math import comb
 
 import pytest
 
 import bfs_oracle
 from trisections import cli, core, explorer
 from trisections.core import (
+    LinkComponentSet,
     OutOfDomain,
     Profile,
     TrisectionError,
@@ -32,7 +34,7 @@ from trisections.explorer import (
     bfs_reachable,
     common_stabilization_search,
     feasible_nodes,
-    listing_bound,
+    listing_count,
     node_count,
     realize_path,
     shortest_path,
@@ -51,6 +53,7 @@ from trisections.moves import (
     build_heegaard,
     disk_length,
     fake_heegaard_stab,
+    inverse_of,
 )
 from trisections.planner import plan_common_stabilization, plan_lengths, replay
 
@@ -158,19 +161,52 @@ def test_feasible_nodes_matches_profile_enumeration():
         assert all(node.sum_h() <= max_sum for node in nodes)
 
 
-def test_node_count_is_the_length_of_the_node_range():
+def _caps(length: int) -> list[int]:
+    # Limits that stop a count at once, one short of length, at it and past it.
+    return sorted({0, 1, *(limit for limit in (length - 1, length, length + 1) if limit >= 0)})
+
+
+def test_feasible_nodes_is_the_genus_enumeration():
+    # The node range against the plain loop over genera and b, node for
+    # node and in order, and its length against the closed form: the sum
+    # over u = b - 1 of C(floor((max_sum - 3u) / 2) + 3, 3) genus triples.
+    for max_sum in range(-2, 41):
+        top = max_sum // 2
+        assert feasible_nodes(max_sum) == [
+            MoveGraphNode(g12, g13, g23, b)
+            for g12 in range(top + 1)
+            for g13 in range(top - g12 + 1)
+            for g23 in range(top - g12 - g13 + 1)
+            for b in range(1, (max_sum - 2 * (g12 + g13 + g23)) // 3 + 2)
+        ], max_sum
     for max_sum in range(-2, 61):
-        assert node_count(max_sum) == len(feasible_nodes(max_sum))
+        closed = sum(comb((max_sum - 3 * u) // 2 + 3, 3) for u in range(max_sum // 3 + 1))
+        assert len(feasible_nodes(max_sum)) == closed
 
 
-def test_listing_bound_bounds_every_listing():
+def test_node_count_is_the_length_of_the_node_range_capped():
+    for max_sum in range(-2, 61):
+        length = len(feasible_nodes(max_sum))
+        for limit in _caps(length):
+            assert node_count(max_sum, limit) == min(length, limit + 1), (max_sum, limit)
+    # At the CLI's limit: the walk stops past it, however large max_sum.
+    assert node_count(82, cli.MAX_NODES) == 99_435
+    assert node_count(83, cli.MAX_NODES) == node_count(10**9, cli.MAX_NODES) == cli.MAX_NODES + 1
+
+
+def test_listing_count_is_the_listing_length_capped():
+    # Every start up to sum 10, the trivial one and those with a zero height
+    # among them, from one bound below the start.
     for start in feasible_nodes(10):
         for max_sum in range(start.sum_h() - 1, 23):
-            bound = listing_bound(start, max_sum)
-            assert len(bfs_reachable(start, max_sum)) <= bound <= node_count(max_sum)
-    # Far above the start only the height triples above it count.
+            length = len(bfs_reachable(start, max_sum))
+            for limit in _caps(length):
+                assert listing_count(start, max_sum, limit) == min(length, limit + 1), (
+                    start, max_sum, limit)
+    # Far above the trivial node the listing is a small part of the node range.
     start = MoveGraphNode(100, 100, 100, 1)  # sum_h 600
-    assert listing_bound(start, 606) == 84 * 102 < node_count(606)
+    assert listing_count(start, 606, cli.MAX_NODES) == len(bfs_reachable(start, 606)) == 256
+    assert node_count(606, cli.MAX_NODES) == cli.MAX_NODES + 1
 
 
 # -- breadth-first search ---------------------------------------------------------
@@ -445,14 +481,18 @@ _ARGUMENTS = {
         lambda x: common_stabilization_search(KODA, OPENBOOK1, x), "max_sum"),
     "bfs_reachable-start": (lambda x: bfs_reachable(x, 8), "start"),
     "bfs_reachable-max_sum": (lambda x: bfs_reachable(KODA, x), "max_sum"),
-    "listing_bound-start": (lambda x: listing_bound(x, 8), "start"),
-    "listing_bound-max_sum": (lambda x: listing_bound(KODA, x), "max_sum"),
-    "node_count": (node_count, "max_sum"),
+    "listing_count-start": (lambda x: listing_count(x, 8, 10), "start"),
+    "listing_count-max_sum": (lambda x: listing_count(KODA, x, 10), "max_sum"),
+    "listing_count-limit": (lambda x: listing_count(KODA, 8, x), "limit"),
+    "node_count-max_sum": (lambda x: node_count(x, 10), "max_sum"),
+    "node_count-limit": (lambda x: node_count(8, x), "limit"),
     "feasible_nodes": (feasible_nodes, "max_sum"),
     "shortest_path-start": (lambda x: shortest_path(x, OPENBOOK1), "start"),
     "shortest_path-goal": (lambda x: shortest_path(HEEGAARD2, x), "goal"),
     "reachable-start": (lambda x: reachable(x, OPENBOOK1), "start"),
     "reachable-goal": (lambda x: reachable(HEEGAARD2, x), "goal"),
+    "inverse_of": (inverse_of, "record"),
+    "LinkComponentSet.fresh": (LinkComponentSet.fresh, "count"),
 }
 
 
@@ -467,6 +507,26 @@ def test_constructors_and_search_refuse_arguments_of_the_wrong_type(argument, ju
     call, name = _ARGUMENTS[argument]
     with pytest.raises(OutOfDomain, match=f"^{name} must be "):
         call(junk)
+
+
+@pytest.mark.parametrize(("call", "name"), [
+    (lambda: listing_count(KODA, 8, -1), "limit"),
+    (lambda: node_count(8, -1), "limit"),
+    (lambda: LinkComponentSet.fresh(-1), "count"),
+], ids=["listing_count", "node_count", "fresh"])
+def test_a_count_argument_refuses_a_negative_int(call, name):
+    # fresh(-1) used to slice 1,023 labels and then blame the last one.
+    with pytest.raises(OutOfDomain, match=f"^{name} must be a nonnegative integer, got -1$"):
+        call()
+
+
+@pytest.mark.parametrize("path", [None, True, 2.0, "2", [None], [(1,)], [(1, "same", 0)]],
+                         ids=["none", "true", "float", "str", "none-step", "short-step", "long-step"])
+def test_realize_path_refuses_a_path_that_is_no_iterable_of_pairs(path):
+    # These used to raise TypeError or a ValueError from unpacking.
+    refusal = r"^path must be an iterable of \(handlebody, kind\) pairs, got "
+    with pytest.raises(OutOfDomain, match=refusal):
+        realize_path(koda_ozawa(), path)
 
 
 # Each walk entry point, length formula and planner function with a state,

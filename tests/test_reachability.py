@@ -1,7 +1,7 @@
 """The closed-form search, held to breadth-first search.
 
 ``reachable`` and everything built on it (the ``explore`` listing
-``bfs_reachable``, the greedy ``shortest_path`` and
+``bfs_reachable`` and its count, the greedy ``shortest_path`` and
 ``common_stabilization_search``) are checked here against the BFS in
 ``bfs_oracle``, which uses only ``successors``: exhaustive sweeps over
 small nodes, a property test over larger ones, and a BFS-intersection
@@ -104,6 +104,18 @@ def test_listing_matches_bfs_beyond_sum_15(case):
     listed = explorer.bfs_reachable(start, max_sum)
     expected = bfs_reachable(start, max_sum)
     assert list(listed.items()) == list(expected.items()), case
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_listing_cases())
+def test_listing_count_matches_bfs_beyond_sum_15(case):
+    # The count, capped at limits that stop it at once and around the
+    # listing's length, is the oracle's listing length.
+    start, max_sum = case
+    length = len(bfs_reachable(start, max_sum))
+    for limit in {0, 1, *(limit for limit in (length - 1, length, length + 1) if limit >= 0)}:
+        assert explorer.listing_count(start, max_sum, limit) == min(length, limit + 1), (case, limit)
 
 
 def test_shortest_path_matches_bfs_on_every_pair_up_to_sum_13():

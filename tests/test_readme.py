@@ -74,9 +74,9 @@ def test_the_stated_size_limits_are_the_cli_limits():
     assert _stated(r"`--rs-bound` over ([\d,]+) or a plan of more than ([\d,]+) records") == (
         cli.MAX_SCRIPT_MOVES, cli.MAX_SCRIPT_MOVES
     )
-    assert _stated(r"could pass ([\d,]+) nodes") == (cli.MAX_NODES,)
+    assert _stated(r"holds more than ([\d,]+) nodes") == (cli.MAX_NODES,)
     assert _stated(r"more than ([\d,]+) bytes \(room for ([\d,]+) records and ([\d,]+) labels") == (
         cli.MAX_INPUT_BYTES, cli.MAX_SCRIPT_MOVES, cli.MAX_COMPONENTS
     )
     (max_sum,) = _stated(r"`verify` accepts `--max-sum` up to (\d+)")
-    assert node_count(max_sum) <= cli.MAX_NODES < node_count(max_sum + 1)
+    assert node_count(max_sum, cli.MAX_NODES) <= cli.MAX_NODES < node_count(max_sum + 1, cli.MAX_NODES)
