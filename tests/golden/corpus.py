@@ -4,9 +4,12 @@ Each group is a run of steps in one fresh directory, so a later step
 reads the files an earlier one wrote.  A step is either a ``trisect``
 argument list, run in process through :func:`trisections.cli.main`, or
 an ``("edit", file, old, new)`` tuple that replaces the first ``old`` in
-a file, to mutate a document before a step reads it.  Each invocation
-has one SHA-256 over its exit code, standard output, standard error and
-the files it wrote or changed; ``digests.json`` holds them by id.
+a file, or the whole file when ``old`` is None, to change a document
+before a step reads it.  An argument list may hold ``"|"``: it is then a
+pipeline whose every stage after the first reads the standard output of
+the one before as its standard input.  Each invocation has one SHA-256
+over its exit code, standard output, standard error and the files it
+wrote or changed; ``digests.json`` holds them by id.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import contextlib
 import hashlib
 import io
 import os
+import sys
 from pathlib import Path
 
 from trisections import cli
@@ -26,6 +30,17 @@ _KINDS = [
     ["open-book", "1"], ["tunnel", "2"], ["connect-sum", "2"], ["connect-sum", "1100"],
     ["surface-bundle", "1"], ["surface-bundle", "2"], ["koda-ozawa"],
 ]
+
+# The state d1.json of the "layouts" group, as json.dumps writes it with
+# separators (",", ":"); and a label with every kind of escape.
+_MINIFIED = (
+    '{"version":1,"label":"from-heegaard(genus=2) | formal destab: parameter-level inverse only; '
+    'no destabilizing disk certified","genera":{"g12":2,"g13":0,"g23":0},"link":{"components":'
+    '["c3"],"next_id":4},"history":[{"op":"stab","handlebody":3,"arc":{"same":"c0"},"created":'
+    '["c1","c2"],"removed":["c0"]},{"op":"destab","handlebody":3,"arc":{"distinct":["c1","c2"]},'
+    '"created":["c3"],"removed":["c1","c2"]}]}'
+)
+_ESCAPED_LABEL = r'"tab\t quote\" slash\/ backslash\\ \u00e9 é \ud83d\ude00 \u0001 \u2028 \u0063"'
 
 GROUPS: dict[str, list] = {
     "new": [["new", *kind] for kind in _KINDS] + [
@@ -124,6 +139,29 @@ GROUPS: dict[str, list] = {
         ["verify"],
         ["stab", "--handlebody", "4", "--arc", "same:c0"],
     ],
+    # Documents in and out of the writer's layout: piped input through
+    # "-", a minified state and a label that needs escaping.
+    "layouts": [
+        ["new", "koda-ozawa", "|", "show", "-"],
+        ["new", "tunnel", "2", "-o", "tunnel.json"],
+        ["balance", "tunnel.json", "-o", "balanced.json", "--script", "balance.json"],
+        ["new", "tunnel", "2", "|", "replay", "-", "balance.json"],
+        ["new", "tunnel", "2", "|", "balance", "-", "|", "stab", "-", "--handlebody", "1", "--arc",
+         "distinct:c4,c5", "|", "destab", "-", "--handlebody", "1", "--arc", "same:c6", "|", "show", "-"],
+        ["new", "from-heegaard", "2", "-o", "h2.json"],
+        ["stab", "h2.json", "--handlebody", "3", "--arc", "same:c0", "-o", "s1.json"],
+        ["destab", "s1.json", "--handlebody", "3", "--arc", "distinct:c1,c2", "-o", "d1.json"],
+        ("edit", "d1.json", None, _MINIFIED),
+        ["show", "d1.json"],
+        ["stab", "d1.json", "--handlebody", "3", "--arc", "same:c3"],
+        ["destab", "s1.json", "--handlebody", "3", "--arc", "distinct:c1,c2", "-o", "d2.json"],
+        ("edit", "d2.json", '  "version": 1,\n', '  "version": 2,\n  "version": 1,\n'),
+        ["show", "d2.json"],
+        ("edit", "h2.json", '"from-heegaard(genus=2)"', _ESCAPED_LABEL),
+        ["show", "h2.json"],
+        ["stab", "h2.json", "--handlebody", "3", "--arc", "same:c0"],
+        ["new", "from-heegaard", "2", "|", "show", "-"],
+    ],
 }
 
 
@@ -131,11 +169,38 @@ def _files(directory: Path) -> dict[str, bytes]:
     return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
 
 
-def _invoke(argv: list[str]) -> tuple[int, str, str]:
+def _invoke(argv: list[str], stdin: str | None) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+    saved = sys.stdin
+    if stdin is not None:
+        sys.stdin = io.TextIOWrapper(io.BytesIO(stdin.encode("utf-8")), encoding="utf-8")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        sys.stdin = saved
     return code, out.getvalue(), err.getvalue()
+
+
+def _run(step: list[str]) -> tuple:
+    # One invocation as (exit code, stdout, stderr); a pipeline as the
+    # tuple of its exit codes, its last stdout and every stderr in turn.
+    stages, stage = [], []
+    for arg in step:
+        if arg == "|":
+            stages.append(stage)
+            stage = []
+        else:
+            stage.append(arg)
+    stages.append(stage)
+    codes, out, errs = [], None, []
+    for argv in stages:
+        code, out, err = _invoke(argv, out)
+        codes.append(code)
+        errs.append(err)
+    if len(stages) == 1:
+        return codes[0], out, errs[0]
+    return tuple(codes), out, "".join(errs)
 
 
 def run_group(name: str, directory: Path) -> dict[str, str]:
@@ -153,10 +218,13 @@ def run_group(name: str, directory: Path) -> dict[str, str]:
             if step[0] == "edit":
                 _, file, old, new = step
                 path = Path(file)
-                path.write_text(path.read_text(encoding="utf-8").replace(old, new, 1), encoding="utf-8")
+                text = path.read_text(encoding="utf-8")
+                if old is not None and old not in text:
+                    raise ValueError(f"{name}: {file} does not hold {old!r}")
+                path.write_text(new if old is None else text.replace(old, new, 1), encoding="utf-8")
                 before = _files(directory)
                 continue
-            code, out, err = _invoke(step)
+            code, out, err = _run(step)
             after = _files(directory)
             written = sorted((file, data) for file, data in after.items() if before.get(file) != data)
             before = after
