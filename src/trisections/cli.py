@@ -68,10 +68,13 @@ MAX_SCRIPT_MOVES = 100_000
 # The most nodes explore may list or verify check, counted exactly by a
 # walk that stops past this limit (verify accepts max_sum up to 82).
 MAX_NODES = 100_000
-# The largest document read: a history or script of MAX_SCRIPT_MOVES
-# records and a link of MAX_COMPONENTS labels, at up to 320 bytes a record
-# and 32 a label (this program writes a record with eight-character labels
-# in a state's history in at most 272 bytes, such a label in 16).
+# The largest document read, sized for a history or script of
+# MAX_SCRIPT_MOVES records and a link of MAX_COMPONENTS labels, at up to
+# 320 bytes a record and 32 a label (this program writes a record with
+# eight-character labels in a state's history in at most 272 bytes, such
+# a label in 16).  The reader does not count records: a state in this
+# program's layout packs about 148,000 records under the limit (about 237
+# bytes each at b = 1), and a minified one about 3 * MAX_SCRIPT_MOVES.
 MAX_INPUT_BYTES = 320 * MAX_SCRIPT_MOVES + 32 * MAX_COMPONENTS
 
 

@@ -4,12 +4,11 @@ All formats are UTF-8 JSON with fixed key order, so identical inputs
 produce byte-identical files.  Parsing is strict: unknown fields,
 missing fields, integers of more than :data:`MAX_DIGITS` digits,
 malformed identifiers and malformed records are all rejected with
-:class:`StateFormatError`.  A record of either shape a move makes
-passes one check, any other goes through the checks that name each
-fault.  This module checks the format only: whether legal moves make a
-state's history and reach its stored link and genera is checked in
-:mod:`trisections.moves`, whose ``IllegalMove`` the reader re-raises
-as a ``StateFormatError`` that starts with ``state:``.
+:class:`StateFormatError`.  This module checks the format only:
+whether legal moves make a state's history and reach its stored link
+and genera is checked in :mod:`trisections.moves`, whose
+``IllegalMove`` the reader re-raises as a ``StateFormatError`` that
+starts with ``state:``.
 
 A state file looks like::
 
@@ -32,21 +31,36 @@ also hold ``fake_stab`` records, replayed as the compound move.
 
 The ``*_to_text`` writers build every document from templates, in the
 bytes that ``json.dumps(value, indent=2, ensure_ascii=False) + "\n"``
-gives for its JSON value: strings go through the encoder's own
-``encode_basestring``, integers print as ints, ``pass`` as ``true`` or
-``false``, and an empty list as ``[]``.  ``json`` is used only to read.
+gives for its JSON value: integers print as ints, ``pass`` as ``true``
+or ``false``, and an empty list as ``[]``.  A record of either shape a
+move makes is written with its op and labels as they are, since
+``MoveRecord`` admits only an op of a fixed set and ``c<n>`` labels,
+which need no escape; a record built past those checks, with a string
+that is not alphanumeric, takes the general template instead.  Every
+other string goes through the encoder's own ``encode_basestring``.
+
+The readers first try that layout itself: a state's header by one
+pattern and its label by ``json``'s own string scanner, then the list
+of records one record at a time, by one pattern per list depth that
+admits only the two shapes a move makes.  A document with any byte
+outside that layout, or a record whose created labels are equal or
+whose pair is out of order, is read from the start by ``json.loads``
+and the checks below, so every other layout reads as before and every
+refused document keeps its message.  ``json`` is used only to read.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import re
 from dataclasses import fields
+from json.decoder import scanstring
 from json.encoder import encode_basestring
 from typing import Iterable
 
 from .core import (
     _ID_PATTERN,
-    LABELS,
     MoveGraphNode,
     TrisectionState,
     are_component_ids,
@@ -113,15 +127,35 @@ def _labels_text(labels: tuple[str, ...], pad: str) -> str:
     return _list_text([f"{pad}  {encode_basestring(label)}" for label in labels], pad)
 
 
+@functools.cache
+def _shape_templates(depth: int) -> tuple[str, str]:
+    # The two shapes a move makes, as %-templates of a record in a list at
+    # ``depth``: an arc that removes its one label and creates two, and an
+    # arc that removes its pair and creates one.  Each takes the op, the
+    # handlebody, the arc's labels, the created labels and the arc's
+    # labels again, as they are: their strings need no escape.
+    outer = "  " * depth
+    p, q, r, s = (outer + "  " * n for n in (1, 2, 3, 4))
+    head = f'{p}{{\n{q}"op": "%s",\n{q}"handlebody": %s,\n{q}"arc": {{\n{r}'
+    same = (f'{head}"same": "%s"\n{q}}},\n{q}"created": [\n{r}"%s",\n{r}"%s"\n{q}],\n'
+            f'{q}"removed": [\n{r}"%s"\n{q}]\n{p}}}')
+    distinct = (f'{head}"distinct": [\n{s}"%s",\n{s}"%s"\n{r}]\n{q}}},\n{q}"created": [\n'
+                f'{r}"%s"\n{q}],\n{q}"removed": [\n{r}"%s",\n{r}"%s"\n{q}]\n{p}}}')
+    return same, distinct
+
+
 def _records_text(script: Iterable[MoveRecord], depth: int) -> str:
     """A list of move records, indented as a list at ``depth``.
 
     ``depth`` is the nesting depth of the list itself (0 for a bare
     script).  Either shape a move makes (an arc that removes itself and
-    creates 3 - len(arc) labels) comes from one f-string, any other
-    record from the general template, and every string goes through the
-    encoder's own ``encode_basestring``.
+    creates 3 - len(arc) labels) fills its template with its strings as
+    they are when they are alphanumeric, as ``MoveRecord`` makes them (an
+    op of a fixed set and ``c<n>`` labels) and so need no escape.  Any
+    other record comes from the general template, whose strings go
+    through the encoder's own ``encode_basestring``.
     """
+    same, distinct = _shape_templates(depth)
     outer = "  " * depth
     p = outer + "  "  # the record's braces
     q = p + "  "  # the record's keys
@@ -132,19 +166,15 @@ def _records_text(script: Iterable[MoveRecord], depth: int) -> str:
     for op, handlebody, arc, created, removed in script:
         if removed == arc and len(created) == 3 - len(arc):
             if isinstance(arc, SameComponent):
-                x = encode_basestring(arc[0])
-                append(f'{p}{{\n{q}"op": {encode_basestring(op)},\n{q}"handlebody": {handlebody},\n'
-                       f'{q}"arc": {{\n{r}"same": {x}\n{q}}},\n'
-                       f'{q}"created": [\n{r}{encode_basestring(created[0])},\n'
-                       f'{r}{encode_basestring(created[1])}\n{q}],\n'
-                       f'{q}"removed": [\n{r}{x}\n{q}]\n{p}}}')
+                x, (y, z) = arc[0], created
+                if op.isalnum() and x.isalnum() and y.isalnum() and z.isalnum():
+                    append(same % (op, handlebody, x, y, z, x))
+                    continue
             else:
-                x, y = encode_basestring(arc[0]), encode_basestring(arc[1])
-                append(f'{p}{{\n{q}"op": {encode_basestring(op)},\n{q}"handlebody": {handlebody},\n'
-                       f'{q}"arc": {{\n{r}"distinct": [\n{s}{x},\n{s}{y}\n{r}]\n{q}}},\n'
-                       f'{q}"created": [\n{r}{encode_basestring(created[0])}\n{q}],\n'
-                       f'{q}"removed": [\n{r}{x},\n{r}{y}\n{q}]\n{p}}}')
-            continue
+                (x, y), z = arc, created[0]
+                if op.isalnum() and x.isalnum() and y.isalnum() and z.isalnum():
+                    append(distinct % (op, handlebody, x, y, z, x, y))
+                    continue
         if isinstance(arc, SameComponent):
             arc_text = f'{{\n{r}"same": {encode_basestring(arc[0])}\n{q}}}'
         else:
@@ -247,40 +277,11 @@ def _read_ids(value, context: str) -> tuple[str, ...]:
 
 
 _RECORD_FIELDS = frozenset(("op", "handlebody", "arc", "created", "removed"))
-_TABLE = frozenset(LABELS)
-_match_id = _ID_PATTERN.match
 
 
 def _read_record(item, ops: tuple[str, ...]) -> MoveRecord:
-    # A record as json.loads returns it.  Either shape a move makes passes
-    # one check, in which a label passes if the table holds it or, past
-    # the table, if the identifier pattern matches it.  Any other item
-    # goes through the checks below, in field order with exact types,
-    # which state what is valid and name each fault.
-    if type(item) is dict and item.keys() == _RECORD_FIELDS:
-        op, handlebody, arc = item["op"], item["handlebody"], item["arc"]
-        created, removed = item["created"], item["removed"]
-        if ((op == "stab" or op == "destab") and type(handlebody) is int and 0 < handlebody < 4
-                and type(arc) is dict and len(arc) == 1 and type(created) is list):
-            try:
-                if "same" in arc:  # creates two labels and removes its own
-                    label, (first, second) = arc["same"], created
-                    if (removed == [label] and first != second
-                            and (label in _TABLE or _match_id(label))
-                            and (first in _TABLE or _match_id(first))
-                            and (second in _TABLE or _match_id(second))):
-                        arc = _tuple(SameComponent, (label,))
-                        return _tuple(MoveRecord, (op, handlebody, arc, (first, second), (label,)))
-                elif type(removed) is list and removed == arc.get("distinct"):
-                    (first, second), (label,) = removed, created  # a pair in string order
-                    if (first < second and (first in _TABLE or _match_id(first))
-                            and (second in _TABLE or _match_id(second))
-                            and (label in _TABLE or _match_id(label))):
-                        pair = (first, second)
-                        arc = _tuple(DistinctComponents, pair)
-                        return _tuple(MoveRecord, (op, handlebody, arc, (label,), pair))
-            except (TypeError, ValueError):  # a label that does not hash or compare; a miscount
-                pass
+    # A record as json.loads returns it, through checks in field order
+    # with exact types, which state what is valid and name each fault.
     if type(item) is not dict or item.keys() != _RECORD_FIELDS:
         _as_object(item, "", _RECORD_FIELDS)
     op, handlebody, arc = item["op"], item["handlebody"], item["arc"]
@@ -302,7 +303,8 @@ def _read_record(item, ops: tuple[str, ...]) -> MoveRecord:
             raise StateFormatError(".arc.distinct: expected a list of two identifiers")
     else:
         raise StateFormatError(f".arc: unknown arc kind {sorted(arc)}")
-    _check_ids(ends, ".arc.same" if len(ends) == 1 else ".arc.distinct[{}]")
+    if not are_component_ids(ends):
+        _check_ids(ends, ".arc.same" if len(ends) == 1 else ".arc.distinct[{}]")
     if len(ends) == 1:
         arc = _tuple(SameComponent, ends)
     elif ends[0] == ends[1]:
@@ -332,6 +334,123 @@ def _read_records(items: list, context: str, ops: tuple[str, ...]) -> MoveScript
     return tuple(records)
 
 
+# ---------------------------------------------------------------------------
+# the writer's own layout
+
+# A label as core's identifier pattern reads it, and an integer of at most
+# MAX_DIGITS digits with no sign or leading zero.
+_ID = _ID_PATTERN.pattern.removesuffix(r"\Z").replace("(", "(?:")
+_NATURAL = rf"[1-9][0-9]{{0,{MAX_DIGITS - 1}}}"
+
+
+@functools.cache
+def _record_pattern(depth: int) -> re.Pattern[str]:
+    # _shape_templates(depth), either shape, and what follows the record:
+    # ",\n" or the list's close.  Its groups are op, handlebody, arc.same,
+    # created[0], created[1]; op, handlebody, arc.distinct[0],
+    # arc.distinct[1], created[0]; the end.
+    def pattern(template: str, groups: tuple[str, ...]) -> str:
+        pieces = re.escape(template).split("%s")
+        return "".join(piece + group for piece, group in zip(pieces, groups)) + pieces[-1]
+
+    label, op, handlebody = f'({_ID})', "(stab|destab)", "([123])"
+    same, distinct = _shape_templates(depth)
+    same = pattern(same, (op, handlebody, f"(?P<x>{_ID})", label, label, "(?P=x)"))
+    distinct = pattern(distinct, (op, handlebody, f"(?P<y>{_ID})", f"(?P<z>{_ID})", label,
+                                  "(?P=y)", "(?P=z)"))
+    return re.compile(f"(?:{same}|{distinct})(,\n|\n{'  ' * depth}\\])")
+
+
+@functools.cache
+def _state_patterns() -> tuple[re.Pattern[str], re.Pattern[str]]:
+    # A state up to its label's opening quote, and from its closing quote
+    # up to the history's first record or its empty list's close.
+    head = re.compile(rf'\{{\n  "version": {FORMAT_VERSION},\n  "label": "')
+    body = re.compile(
+        rf',\n  "genera": \{{\n    "g12": (0|{_NATURAL}),\n    "g13": (0|{_NATURAL}),\n'
+        rf'    "g23": (0|{_NATURAL})\n  \}},\n  "link": \{{\n    "components": \[\n'
+        rf'(      "{_ID}"(?:,\n      "{_ID}")*)\n    \],\n    "next_id": ({_NATURAL})\n  \}},\n'
+        rf'  "history": (\[\n|\[\]\n\}})')
+    return head, body
+
+
+def _layout_records(text: str, pos: int, depth: int) -> tuple[MoveScript, int] | None:
+    # The records of a list at ``depth`` whose first record starts at
+    # ``pos``, and the position past the list's close; None at the first
+    # byte outside the layout, or at a record the checked path refuses.
+    match = _record_pattern(depth).match
+    records: list = []
+    append = records.append
+    end = ",\n"
+    while end == ",\n":
+        found = match(text, pos)
+        if found is None:
+            return None
+        op, handlebody, label, first, second, pair_op, pair_handlebody, low, high, created, end = (
+            found.groups())
+        if op is not None:  # creates two labels and removes its own
+            if first == second:
+                return None
+            arc = _tuple(SameComponent, (label,))
+            append(_tuple(MoveRecord, (op, int(handlebody), arc, (first, second), (label,))))
+        else:  # removes a pair in string order and creates one label
+            if not low < high:
+                return None
+            pair = (low, high)
+            arc = _tuple(DistinctComponents, pair)
+            append(_tuple(MoveRecord, (pair_op, int(pair_handlebody), arc, (created,), pair)))
+        pos = found.end()
+    return tuple(records), pos
+
+
+def _layout_script(text: str) -> MoveScript | None:
+    # A script in the writer's layout, or None.
+    if text in ("[]\n", "[]"):
+        return ()
+    if text.startswith("[\n"):
+        read = _layout_records(text, 2, 0)
+        if read is not None and text[read[1]:] in ("\n", ""):
+            return read[0]
+    return None
+
+
+def _layout_state(text: str) -> TrisectionState | None:
+    # A state in the writer's layout, or None.  Its label is any JSON
+    # string, decoded as json.loads decodes it.
+    head, body = _state_patterns()
+    opened = head.match(text)
+    if opened is None:
+        return None
+    try:
+        label, pos = scanstring(text, opened.end())
+        label.encode("utf-8")
+    except ValueError:  # a malformed string; a lone surrogate (UnicodeEncodeError)
+        return None
+    found = body.match(text, pos)
+    if found is None:
+        return None
+    g12, g13, g23, listed, next_id, opening = found.groups()
+    components = tuple(listed[7:-1].split('",\n      "'))
+    if len(set(components)) < len(components):
+        return None
+    history, pos = (), found.end()
+    if opening == "[\n":
+        read = _layout_records(text, pos, 1)
+        if read is None or not text.startswith("\n}", read[1]):
+            return None
+        history, pos = read[0], read[1] + 2
+    if text[pos:] not in ("\n", ""):
+        return None
+    try:
+        return _stored_state(int(g12), int(g13), int(g23), components, int(next_id), history, label)
+    except IllegalMove as error:
+        raise StateFormatError(f"state: {error}") from None
+
+
+# ---------------------------------------------------------------------------
+# entry points
+
+
 def parse_script(payload) -> MoveScript:
     if not isinstance(payload, list):
         raise StateFormatError("script: expected a JSON array of move records")
@@ -339,7 +458,8 @@ def parse_script(payload) -> MoveScript:
 
 
 def script_from_text(text: str) -> MoveScript:
-    return parse_script(_loads(text, "script"))
+    script = _layout_script(text)
+    return parse_script(_loads(text, "script")) if script is None else script
 
 
 def parse_state(payload) -> TrisectionState:
@@ -371,4 +491,5 @@ def parse_state(payload) -> TrisectionState:
 
 
 def state_from_text(text: str) -> TrisectionState:
-    return parse_state(_loads(text, "state"))
+    state = _layout_state(text)
+    return parse_state(_loads(text, "state")) if state is None else state

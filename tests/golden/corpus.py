@@ -146,8 +146,9 @@ GROUPS: dict[str, list] = {
         ["new", "tunnel", "2", "-o", "tunnel.json"],
         ["balance", "tunnel.json", "-o", "balanced.json", "--script", "balance.json"],
         ["new", "tunnel", "2", "|", "replay", "-", "balance.json"],
-        ["new", "tunnel", "2", "|", "balance", "-", "|", "stab", "-", "--handlebody", "1", "--arc",
-         "distinct:c4,c5", "|", "destab", "-", "--handlebody", "1", "--arc", "same:c6", "|", "show", "-"],
+        ["new", "tunnel", "2", "|", "balance", "-", "|", "stab", "-", "--handlebody", "1",
+         "--arc", "distinct:c4,c5", "|", "destab", "-", "--handlebody", "1", "--arc", "same:c6",
+         "|", "show", "-"],
         ["new", "from-heegaard", "2", "-o", "h2.json"],
         ["stab", "h2.json", "--handlebody", "3", "--arc", "same:c0", "-o", "s1.json"],
         ["destab", "s1.json", "--handlebody", "3", "--arc", "distinct:c1,c2", "-o", "d1.json"],

@@ -39,6 +39,15 @@ _Z_RANGE = "range(max(0, 3 * p - r), min(r - 3 * a, 4 * r - 3 * q) // 2 + 1)"
 _B_LOW = "(q - 2 * z + 3) // 4) + 1"
 _B_HIGH = "(r - 2 * z) // 3 + 2)"
 _COUNT_CHECK = "    if type(value) is not int or value < 0:"
+_SERIALIZE = "src/trisections/serialize.py"
+_NEAR_MISSES = (
+    "tests/test_serialize.py::test_a_near_miss_of_the_layout_reads_as_the_json_path_reads_it",
+    "tests/test_reader_equivalence.py::test_reader_agrees_with_the_reference_parser_on_a_mutated_corpus",
+)
+_WRITER = (
+    "tests/test_serialize.py::test_writers_equal_canonical_dumps_of_their_payloads",
+    "tests/test_serialize.py::test_script_round_trips_including_fake_records",
+)
 
 CATALOGUE = (
     # The cone walk: each end of the z and b intervals.
@@ -68,4 +77,23 @@ CATALOGUE = (
     Mutant("realize_path-unchecked", _EXPLORER,
            "        raise OutOfDomain(f\"path must be an iterable of (handlebody, kind) pairs, "
            "got {path!r}\") from None", "        raise", (_PATH,)),
+    # The reader of the writer's own layout: each check it makes in code or
+    # pattern, and the writer's test for the two shapes a move makes.
+    Mutant("layout-takes-equal-created-labels", _SERIALIZE,
+           "            if first == second:\n                return None\n", "", _NEAR_MISSES),
+    Mutant("layout-takes-a-pair-out-of-order", _SERIALIZE,
+           "            if not low < high:\n                return None\n", "", _NEAR_MISSES),
+    Mutant("layout-takes-any-handlebody-digit", _SERIALIZE, '"([123])"', '"([0-9])"', _NEAR_MISSES),
+    Mutant("layout-takes-bytes-after-a-script", _SERIALIZE,
+           'if read is not None and text[read[1]:] in ("\\n", ""):', "if read is not None:",
+           _NEAR_MISSES),
+    Mutant("layout-takes-bytes-after-a-state", _SERIALIZE,
+           '    if text[pos:] not in ("\\n", ""):\n        return None\n', "", _NEAR_MISSES),
+    Mutant("writer-skips-its-shape-test", _SERIALIZE,
+           "        if removed == arc and len(created) == 3 - len(arc):\n", "        if True:\n",
+           _WRITER),
+    Mutant("writer-skips-its-escape-test", _SERIALIZE,
+           "x, (y, z) = arc[0], created\n                if op.isalnum() and x.isalnum() and "
+           "y.isalnum() and z.isalnum():", "x, (y, z) = arc[0], created\n                if True:",
+           _WRITER),
 )

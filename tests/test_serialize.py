@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -51,6 +52,7 @@ from trisections.moves import (
     build_heegaard,
     fake_heegaard_stab,
 )
+from trisections import serialize
 from trisections.planner import plan_common_stabilization, replay
 from trisections.serialize import (
     FORMAT_VERSION,
@@ -551,3 +553,153 @@ def test_verification_report_payload_shape():
         has_slack = entry["property"] == "common-stabilization-exists"
         assert ("slack" in entry["range"]) == has_slack
     assert verification_report_to_text(report).endswith("\n")
+
+
+# -- the writer's own layout against the json path ---------------------------------
+
+
+def _json_outcome(kind: str, text: str):
+    # What the json path alone makes of a document: json.loads and the checks.
+    parse = parse_state if kind == "state" else parse_script
+    try:
+        return "accepted", parse(serialize._loads(text, kind))
+    except StateFormatError as error:
+        return "rejected", str(error)
+
+
+def _read_outcome(kind: str, text: str):
+    read = state_from_text if kind == "state" else script_from_text
+    try:
+        return "accepted", read(text)
+    except StateFormatError as error:
+        return "rejected", str(error)
+
+
+def _in_records(pattern: str, new: str):
+    # A change of the first match of ``pattern`` at or after the first record.
+    def change(text: str) -> str:
+        start = text.index('"op"')
+        changed = text[:start] + re.sub(pattern, new, text[start:], count=1)
+        assert changed != text, pattern
+        return changed
+    return change
+
+
+def _once(old: str, new: str):
+    def change(text: str) -> str:
+        assert old in text, old
+        return text.replace(old, new, 1)
+    return change
+
+
+_LABEL = r'"c(\d+)"'
+# Documents one change away from the writer's layout.  Each is read by the
+# json path from the start, or by the layout reader to the same result.
+_RECORD_NEAR_MISSES = {
+    "extra space": _in_records('"op": ', '"op":  '),
+    "swapped keys": _in_records(r'( +"op": "\w+",\n)( +"handlebody": \d,\n)', r"\2\1"),
+    "escaped c": _in_records(_LABEL, r'"\\u0063\1"'),
+    "leading zero": _in_records(_LABEL, r'"c0\1"'),
+    "handlebody 1.0": _in_records(r'"handlebody": (\d)', r'"handlebody": \1.0'),
+    "handlebody true": _in_records(r'"handlebody": \d', '"handlebody": true'),
+    "handlebody 4": _in_records(r'"handlebody": \d', '"handlebody": 4'),
+    "handlebody 0": _in_records(r'"handlebody": \d', '"handlebody": 0'),
+    "duplicate key": _in_records(r'( +)"op": "(\w+)",\n', r'\1"op": "slide",\n\1"op": "\2",\n'),
+    "fake_stab op": _in_records(r'"op": "\w+"', '"op": "fake_stab"'),
+    "equal created labels": _in_records(r'("created": \[\n +)("c\d+"),\n( +)"c\d+"', r"\1\2,\n\3\2"),
+    "pair out of order in the arc": _in_records(
+        r'("distinct": \[\n +)("c\d+"),\n( +)("c\d+")', r"\1\4,\n\3\2"),
+    "pair out of order": _in_records(
+        r'("distinct": \[\n +)("c\d+"),\n( +)("c\d+")'
+        r'(\n(?:.*\n){5} +"removed": \[\n +)("c\d+"),\n( +)("c\d+")',
+        r"\1\4,\n\3\2\5\8,\n\7\6"),
+    "equal pair": _in_records(r'("distinct": \[\n +)("c\d+"),\n( +)"c\d+"', r"\1\2,\n\3\2"),
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "missing final newline": lambda text: text[:-1],
+    "two final newlines": lambda text: text + "\n",
+    "trailing space": lambda text: text + " ",
+    "trailing byte": lambda text: text + "x",
+    "trailing byte before the newline": lambda text: text[:-1] + "x\n",
+    "trailing bracket": lambda text: text[:-1] + "]\n",
+    "trailing brace": lambda text: text[:-1] + "}\n",
+}
+_STATE_NEAR_MISSES = {
+    "escaped label": lambda text: re.sub(
+        r'"label": ".*"', r'"label": "\\u0041 \\" \\\\ \\t é \\ud83d\\ude00"', text, count=1),
+    "lone surrogate label": lambda text: re.sub(
+        r'"label": ".*"', r'"label": "\\ud800"', text, count=1),
+    "control character in the label": _once('"label": "', '"label": "\x01'),
+    "version 01": _once('"version": 1', '"version": 01'),
+    "version 2": _once('"version": 1', '"version": 2'),
+    "genus 1.0": lambda text: re.sub(r'"g12": (\d+)', r'"g12": \1.0', text, count=1),
+    "genus -0": lambda text: re.sub(r'"g13": \d+', '"g13": -0', text, count=1),
+    "genus with a leading zero": lambda text: re.sub(r'"g23": (\d+)', r'"g23": 0\1', text, count=1),
+    f"genus of {serialize.MAX_DIGITS} digits": lambda text: re.sub(
+        r'"g23": (\d+)', f'"g23": {"9" * serialize.MAX_DIGITS}', text, count=1),
+    f"genus of {serialize.MAX_DIGITS + 1} digits": lambda text: re.sub(
+        r'"g23": (\d+)', f'"g23": 1{"0" * serialize.MAX_DIGITS}', text, count=1),
+    "next_id 0": lambda text: re.sub(r'"next_id": \d+', '"next_id": 0', text, count=1),
+    "next_id + 1": lambda text: re.sub(r'"next_id": (\d+)', lambda m: f'"next_id": {int(m[1]) + 1}',
+                                       text, count=1),
+    "duplicate component": lambda text: re.sub(r'("components": \[\n +)("c\d+"),\n( +)"c\d+"',
+                                               r"\1\2,\n\3\2", text, count=1),
+    "no components": lambda text: re.sub(
+        r'"components": \[\n[^\]]*\]', '"components": []', text, count=1),
+    "escaped component": lambda text: re.sub(
+        r'("components": \[\n +)"c', r'\1"\\u0063', text, count=1),
+    "swapped header keys": lambda text: re.sub(r'( +"g12": \d+),\n( +"g13": \d+)', r"\2,\n\1", text,
+                                               count=1),
+    "empty history in two lines": _once('"history": [\n', '"history": [\n\n'),
+}
+_SCRIPT_NEAR_MISSES = {
+    "empty list in two lines": lambda text: "[\n]\n",
+    "empty list with a space": lambda text: "[ ]\n",
+    "empty list": lambda text: "[]",
+}
+
+
+def _near_miss_documents():
+    walk = walk_at_b(1030, 14, seed=11)  # both shapes, labels past c1023
+    book = build_heegaard(open_book(3), 2)[0]
+    odd = replace(walk, label='odd "label" \\ é \u2028 \x01')
+    yield from (("state", state_to_text(state)) for state in (walk, book, odd, from_heegaard(2)))
+    yield from (("script", script_to_text(script)) for script in (walk.history, book.history, ()))
+
+
+def test_the_layout_reader_reads_what_the_writer_writes():
+    for kind, text in _near_miss_documents():
+        layout = serialize._layout_state if kind == "state" else serialize._layout_script
+        assert layout(text) is not None
+        assert ("accepted", layout(text)) == _json_outcome(kind, text)
+
+
+@pytest.mark.parametrize("change", [*_RECORD_NEAR_MISSES, *_STATE_NEAR_MISSES, *_SCRIPT_NEAR_MISSES])
+def test_a_near_miss_of_the_layout_reads_as_the_json_path_reads_it(change):
+    # The same verdict and result, or the same message, as json.loads and
+    # the checks give, whichever reader takes the document.
+    changes = {**_RECORD_NEAR_MISSES, **_STATE_NEAR_MISSES, **_SCRIPT_NEAR_MISSES}
+    tried = 0
+    for kind, text in _near_miss_documents():
+        if (change in _STATE_NEAR_MISSES and kind != "state"
+                or change in _SCRIPT_NEAR_MISSES and kind != "script"
+                or change in _RECORD_NEAR_MISSES and '"op"' not in text):
+            continue
+        try:
+            changed = changes[change](text)
+        except (AssertionError, ValueError):  # nothing to change in this document
+            continue
+        if changed == text:
+            continue
+        tried += 1
+        assert _read_outcome(kind, changed) == _json_outcome(kind, changed), (kind, changed[:600])
+    assert tried
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([2, 3, 1023, 1025, 2001, 2600]), st.integers(0, 30), st.integers(0, 10**6),
+       st.text(st.sampled_from([*_ODD_CHARACTERS, "a", "c", "1"]), max_size=8))
+def test_the_layout_reader_reads_random_walks_back(b, moves, seed, label):
+    # Merges and splits at b from 2 to past c2047, under any label.
+    state = replace(walk_at_b(b, moves, seed), label=label)
+    assert serialize._layout_state(state_to_text(state)) == state
+    assert serialize._layout_script(script_to_text(state.history)) == state.history
