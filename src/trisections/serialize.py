@@ -39,14 +39,15 @@ which need no escape; a record built past those checks, with a string
 that is not alphanumeric, takes the general template instead.  Every
 other string goes through the encoder's own ``encode_basestring``.
 
-The readers first try that layout itself: a state's header by one
-pattern and its label by ``json``'s own string scanner, then the list
-of records one record at a time, by one pattern per list depth that
-admits only the two shapes a move makes.  A document with any byte
-outside that layout, or a record whose created labels are equal or
-whose pair is out of order, is read from the start by ``json.loads``
-and the checks below, so every other layout reads as before and every
-refused document keeps its message.  ``json`` is used only to read.
+The readers first try that layout itself: a state's header by its
+fixed bytes and one pattern, its label by ``json``'s own string
+scanner, then the list of records one record at a time, by one pattern
+per list depth that admits only the two shapes a move makes.  A
+document with any byte outside that layout, or a record whose created
+labels are equal or whose pair is out of order, is read from the start
+by ``json.loads`` and the checks below, so every other layout reads as
+before and every refused document keeps its message.  ``json`` is used
+only to read.
 """
 
 from __future__ import annotations
@@ -361,17 +362,19 @@ def _record_pattern(depth: int) -> re.Pattern[str]:
     return re.compile(f"(?:{same}|{distinct})(,\n|\n{'  ' * depth}\\])")
 
 
+# A state up to its label's opening quote.
+_STATE_HEAD = f'{{\n  "version": {FORMAT_VERSION},\n  "label": "'
+
+
 @functools.cache
-def _state_patterns() -> tuple[re.Pattern[str], re.Pattern[str]]:
-    # A state up to its label's opening quote, and from its closing quote
-    # up to the history's first record or its empty list's close.
-    head = re.compile(rf'\{{\n  "version": {FORMAT_VERSION},\n  "label": "')
-    body = re.compile(
+def _state_pattern() -> re.Pattern[str]:
+    # A state from its label's closing quote up to the history's first
+    # record or its empty list's close.
+    return re.compile(
         rf',\n  "genera": \{{\n    "g12": (0|{_NATURAL}),\n    "g13": (0|{_NATURAL}),\n'
         rf'    "g23": (0|{_NATURAL})\n  \}},\n  "link": \{{\n    "components": \[\n'
         rf'(      "{_ID}"(?:,\n      "{_ID}")*)\n    \],\n    "next_id": ({_NATURAL})\n  \}},\n'
         rf'  "history": (\[\n|\[\]\n\}})')
-    return head, body
 
 
 def _layout_records(text: str, pos: int, depth: int) -> tuple[MoveScript, int] | None:
@@ -417,20 +420,18 @@ def _layout_script(text: str) -> MoveScript | None:
 def _layout_state(text: str) -> TrisectionState | None:
     # A state in the writer's layout, or None.  Its label is any JSON
     # string, decoded as json.loads decodes it.
-    head, body = _state_patterns()
-    opened = head.match(text)
-    if opened is None:
+    if not text.startswith(_STATE_HEAD):
         return None
     try:
-        label, pos = scanstring(text, opened.end())
+        label, pos = scanstring(text, len(_STATE_HEAD))
         label.encode("utf-8")
     except ValueError:  # a malformed string; a lone surrogate (UnicodeEncodeError)
         return None
-    found = body.match(text, pos)
+    found = _state_pattern().match(text, pos)
     if found is None:
         return None
     g12, g13, g23, listed, next_id, opening = found.groups()
-    components = tuple(listed[7:-1].split('",\n      "'))
+    components = tuple(listed[7:-1].split('",\n      "'))  # past the first indent and quote
     if len(set(components)) < len(components):
         return None
     history, pos = (), found.end()
