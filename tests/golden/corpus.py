@@ -31,6 +31,12 @@ _KINDS = [
     ["surface-bundle", "1"], ["surface-bundle", "2"], ["koda-ozawa"],
 ]
 
+# The starts of the benchmark's explore requests (CliIO.STARTS in bench/workloads.py).
+_BENCH_STARTS = [
+    ["koda-ozawa"], ["tunnel", "1"], ["split-heegaard", "2", "1"], ["open-book", "1"],
+    ["connect-sum", "1"],
+]
+
 # The state d1.json of the "layouts" group, as json.dumps writes it with
 # separators (",", ":"); and a label with every kind of escape.
 _MINIFIED = (
@@ -132,6 +138,17 @@ GROUPS: dict[str, list] = {
         ["explore", "--start", "ob.json", "--max-sum", "1000000"],
         ["verify", "--max-sum", "83"],
         ["verify", "--max-sum", "1000000000"],
+    ],
+    # The benchmark's exact explore and verify requests: its five starts
+    # at both of its bounds, and verify at its bound to stdout and to a file.
+    "bench": [
+        *(step for n, kind in enumerate(_BENCH_STARTS) for step in (
+            ["new", *kind, "-o", f"start{n}.json"],
+            ["explore", "--start", f"start{n}.json", "--max-sum", "30"],
+            ["explore", "--start", f"start{n}.json", "--max-sum", "36"],
+        )),
+        ["verify", "--max-sum", "10"],
+        ["verify", "--max-sum", "10", "-o", "verify10.json"],
     ],
     # argparse's own errors, wrapped to the COLUMNS the runner pins.
     "usage": [
