@@ -38,14 +38,7 @@ from .moves import (
     disk_length,
     fake_heegaard_stab,
 )
-from .explorer import (
-    bfs_reachable,
-    listing_count,
-    node_count,
-    realize_path,
-    shortest_path,
-    verify_properties,
-)
+from .explorer import _listing, node_count, realize_path, shortest_path, verify_properties
 from .planner import plan_common_stabilization, plan_lengths, replay
 from .serialize import (
     INT_BOUND,
@@ -270,11 +263,16 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         _write_text(None, script_to_text(script))
         _note(f"explore: shortest script has {len(script)} moves")
         return 0
-    _check_nodes("explore: the nodes listed", listing_count(start, args.max_sum, MAX_NODES))
-    reachable = bfs_reachable(start, args.max_sum)
-    _write_text(None, "".join(f"({node.g12},{node.g13},{node.g23};b={node.b}) depth={depth}\n"
-                              for node, depth in reachable.items()))
-    _note(f"explore: {len(reachable)} nodes reachable within sum_h <= {args.max_sum}")
+    # One walk counts the listing, stopping past the limit, and gives its
+    # blocks as ints; each line is formatted from them, one head a block.
+    count, blocks = _listing(start, args.max_sum, 1, MAX_NODES)
+    _check_nodes("explore: the nodes listed", count)
+    lines = []
+    for g12, g13, g23, values, depth in blocks:
+        head = f"({g12},{g13},{g23};b="
+        lines += [f"{head}{b}) depth={depth + 3 * b}\n" for b in values]
+    _write_text(None, "".join(lines))
+    _note(f"explore: {count} nodes reachable within sum_h <= {args.max_sum}")
     return 0
 
 

@@ -17,9 +17,11 @@ A state's ``history`` is the tuple of move records that produced it,
 and that history is also the whole past of the boundary link.  The move
 calculus applies a run of moves to one mutable list of labels and
 builds one state at the end (see :mod:`trisections.moves`), so a script
-costs one copy of the history however many moves it makes; the link it
-builds skips the full label check that every set built from outside
-gets.
+costs one copy of the history however many moves it makes.  What the
+engine builds from parts it has proven (a walk's result, a fresh link, a
+listed node) skips the checks that every value built from outside gets:
+:func:`_setters` sets each field through its slot, without
+``__post_init__``.
 """
 
 from __future__ import annotations
@@ -81,6 +83,30 @@ def _check_count(name: str, value: int) -> None:
     # The one check that an argument is a nonnegative int; True is no count.
     if type(value) is not int or value < 0:
         raise OutOfDomain(f"{name} must be a nonnegative integer, got {value!r}")
+
+
+def _check_label(label: str) -> str:
+    # The one check of a state's label: a str that encodes as UTF-8.
+    if not isinstance(label, str):
+        raise ValueError(f"label must be a str, got {label!r}")
+    if not label.isascii():  # an ASCII label encodes, and isascii() costs O(1)
+        try:
+            label.encode("utf-8")  # a lone surrogate does not, so no document carries it
+        except UnicodeEncodeError:
+            raise ValueError(f"label must encode as UTF-8, got {label!r}") from None
+    return label
+
+
+_new = object.__new__
+
+
+def _setters(cls: type) -> tuple:
+    """The slot setters of the frozen dataclass ``cls``, in field order.
+
+    A caller that has proven every field builds an instance by
+    ``_new(cls)`` and these, one call a field, skipping ``__post_init__``.
+    """
+    return tuple(cls.__dict__[name].__set__ for name in cls.__dataclass_fields__)
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -200,7 +226,8 @@ class MoveGraphNode:
 
     def to_state(self, label: str = "") -> TrisectionState:
         """The canonical labeled state for this node: components c0 .. c<b-1>."""
-        return TrisectionState(self, LinkComponentSet.fresh(self.b), label=label)
+        # The node is checked and its link fresh, so only the label can fail.
+        return _state(self, LinkComponentSet.fresh(self.b), (), _check_label(label))
 
     def successors(self) -> list[tuple[ParamMove, MoveGraphNode]]:
         """Legal parameter moves and their targets, in STAB_DELTAS row order."""
@@ -248,7 +275,14 @@ class LinkComponentSet:
     def fresh(cls, count: int) -> LinkComponentSet:
         """A brand new set of ``count`` components ``c0`` .. ``c<count-1>``."""
         _check_count("count", count)
-        return cls(component_labels(0, count), count)
+        if count < _LEAST_B:
+            raise ValueError("the boundary link must have at least one component")
+        # Labels c0 .. c<count-1> are well formed, unique, in creation order
+        # and below count, so the set is built without its label check.
+        link = _new(cls)
+        _SET_COMPONENTS(link, component_labels(0, count))
+        _SET_NEXT_ID(link, count)
+        return link
 
     @property
     def b(self) -> int:
@@ -298,14 +332,7 @@ class TrisectionState:
             raise ValueError(f"genera must be a MoveGraphNode, got {self.genera!r}")
         if not isinstance(self.link, LinkComponentSet):
             raise ValueError(f"link must be a LinkComponentSet, got {self.link!r}")
-        label = self.label
-        if not isinstance(label, str):
-            raise ValueError(f"label must be a str, got {label!r}")
-        if not label.isascii():  # an ASCII label encodes, and isascii() costs O(1)
-            try:
-                label.encode("utf-8")  # a lone surrogate does not, so no document carries it
-            except UnicodeEncodeError:
-                raise ValueError(f"label must encode as UTF-8, got {label!r}") from None
+        _check_label(self.label)
         if self.genera.b != self.link.b:
             raise ValueError(f"genera {self.genera} disagree with the link's b={self.link.b}")
         if type(self.history) is not tuple:
@@ -330,6 +357,33 @@ class TrisectionState:
     @property
     def is_trivial(self) -> bool:
         return self.genera.is_trivial
+
+
+_SET_G12, _SET_G13, _SET_G23, _SET_B = _setters(MoveGraphNode)
+_SET_COMPONENTS, _SET_NEXT_ID = _setters(LinkComponentSet)
+_SET_GENERA, _SET_LINK, _SET_HISTORY, _SET_LABEL = _setters(TrisectionState)
+
+
+def _node(g12: int, g13: int, g23: int, b: int) -> MoveGraphNode:
+    # A node from exact ints its caller has proven at or above PARAM_FLOORS.
+    node = _new(MoveGraphNode)
+    _SET_G12(node, g12)
+    _SET_G13(node, g13)
+    _SET_G23(node, g23)
+    _SET_B(node, b)
+    return node
+
+
+def _state(genera: MoveGraphNode, link: LinkComponentSet, history: tuple,
+           label: str) -> TrisectionState:
+    # A state from parts its caller has proven: a node and a link of the
+    # same b, a tuple of records and a checked label.
+    state = _new(TrisectionState)
+    _SET_GENERA(state, genera)
+    _SET_LINK(state, link)
+    _SET_HISTORY(state, history)
+    _SET_LABEL(state, label)
+    return state
 
 
 def _b_values(level: int, top: int, least: int, most: int) -> range:
@@ -372,7 +426,12 @@ def _genera(h1: int, h2: int, h3: int, b: int) -> tuple[int, int, int, int]:
 def is_feasible(profile: Profile) -> bool:
     """Whether some trisection state presents this profile: whether its b is
     one that :func:`_b_values` admits at its level and largest height."""
-    h1, h2, h3, b = profile.h1, profile.h2, profile.h3, profile.b
+    try:
+        h1, h2, h3, b = profile.h1, profile.h2, profile.h3, profile.b
+    except AttributeError:
+        # Checked only once the read has failed, so verify's calls cost no more.
+        _check_type("profile", profile, Profile)
+        raise
     return b in _b_values(h1 + h2 + h3, max(h1, h2, h3), b, b)
 
 

@@ -57,8 +57,12 @@ coordinates, where its conditions are linear.  With D = max_sum - S for
 the start's S, the (g12, g13) worth trying lie in a box of side at most
 2D + 1; at each of them the admitted g23 form one interval and, at each
 g23, the admitted b another, both found in O(1), in lexicographic order.
-It serves the ``explore`` listing, the node range and both counts, which
-sum the intervals of b and stop once past a given limit.  A shortest
+One private walk over it, :func:`_listing`, gives a listing as blocks of
+plain ints, each (g12, g13, g23) with its range of b and its depth, and
+counts them as it goes, stopping once past a given limit.  It feeds
+:func:`bfs_reachable`, :func:`feasible_nodes`, :func:`node_count` and
+the CLI's ``explore``, which counts, refuses and formats its lines from
+those ints without building a node.  A shortest
 path is walked greedily, one move per level, on the coordinates as plain
 ints: each step is the first legal row whose result can still reach the
 goal.  Breadth-first search survives only in the tests, as the reference
@@ -74,7 +78,9 @@ given state.
 
 from __future__ import annotations
 
+from bisect import insort_left
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .core import (
@@ -84,6 +90,9 @@ from .core import (
     _check_fields,
     _check_type,
     _genera,
+    _new,
+    _node,
+    _setters,
     MoveGraphNode,
     OutOfDomain,
     ParamMove,
@@ -97,13 +106,14 @@ from .moves import (MoveScript, _Walk, balance, balance_length, build_heegaard, 
                     disk_length)
 
 
-# A node's slots set without __post_init__, by a caller that has proven
-# every coordinate at or above PARAM_FLOORS, as moves._link builds links.
-_new = object.__new__
-_SET_G12, _SET_G13, _SET_G23, _SET_B = (
-    MoveGraphNode.__dict__[name].__set__ for name in ("g12", "g13", "g23", "b")
-)
+# A Profile's slots set without __post_init__, by verify's loops, which
+# range over exact ints at or above its floors.
+_SET_H1, _SET_H2, _SET_H3, _SET_PB = _setters(Profile)
 _TRIVIAL = MoveGraphNode(0, 0, 0, 1)  # whose cone at floors of 0 holds every node
+
+# A block of a listing: g12, g13, g23, the range of b and the depth at
+# b = 0, so that the node at b lies at depth + 3 * b.
+_Block = tuple[int, int, int, range, int]
 
 
 class WitnessNotFound(TrisectionError):
@@ -144,21 +154,14 @@ def reachable(start: MoveGraphNode, goal: MoveGraphNode) -> bool:
 def feasible_nodes(max_sum: int) -> list[MoveGraphNode]:
     """Every parameter node with h1 + h2 + h3 <= max_sum, lexicographic."""
     _check_arguments(max_sum)
-    return list(_listing(_TRIVIAL, max_sum, 0))
+    return [_node(x, y, z, b) for x, y, z, values, _ in _listing(_TRIVIAL, max_sum, 0)[1]
+            for b in values]
 
 
 def node_count(max_sum: int, limit: int) -> int:
     """``min(len(feasible_nodes(max_sum)), limit + 1)``, building no node."""
     _check_arguments(max_sum, limit)
-    return _count(_TRIVIAL, max_sum, 0, limit)
-
-
-def listing_count(start: MoveGraphNode, max_sum: int, limit: int) -> int:
-    """``min(len(bfs_reachable(start, max_sum)), limit + 1)``, building no node."""
-    _check_arguments(max_sum, limit, start=start)
-    if start.is_trivial and max_sum >= 0:  # the trivial node has no moves
-        return 1
-    return _count(start, max_sum, 1, limit)
+    return _listing(_TRIVIAL, max_sum, 0, limit)[0]
 
 
 def bfs_reachable(start: MoveGraphNode, max_sum: int) -> dict[MoveGraphNode, int]:
@@ -169,9 +172,41 @@ def bfs_reachable(start: MoveGraphNode, max_sum: int) -> dict[MoveGraphNode, int
     :func:`reachable` accepts, the start among them at depth 0.
     """
     _check_arguments(max_sum, start=start)
-    if start.is_trivial and max_sum >= 0:  # the trivial node has no moves
-        return {start: 0}
-    return _listing(start, max_sum, 1)
+    return {_node(x, y, z, b): depth + 3 * b
+            for x, y, z, values, depth in _listing(start, max_sum, 1)[1] for b in values}
+
+
+def _listing(start: MoveGraphNode, max_sum: int, least: int,
+             limit: int | None = None) -> tuple[int, list[_Block]]:
+    """The listing of ``start`` at floors of ``least`` as blocks, lexicographic, and its length.
+
+    With ``least = 1`` the listing is :func:`bfs_reachable`'s: the start
+    when sum_h <= max_sum and, unless it is trivial, its :func:`_cone`;
+    with ``least = 0``, from the trivial node, it is every node with
+    sum_h <= max_sum.  Each block holds one (g12, g13, g23) with its
+    range of b and its depth at b = 0.  A start outside its own cone (a
+    height of 0, so b = 1) is a block of its own, before any block of
+    the same genera.  Given a ``limit``, the walk stops once the length
+    passes it, and returns ``limit + 1`` with the blocks walked so far.
+    Everything is plain ints: a caller builds the nodes it needs.
+    """
+    level = start.sum_h()
+    blocks = []
+    outside = level <= max_sum and min(start.heights()) < least
+    # The start is counted first; if that alone passes a limit of 0, the
+    # total of 1 is already limit + 1.
+    total = int(outside)
+    if not (least and start.is_trivial):  # the trivial node has no moves
+        for x, y, z, values in _cone(start, max_sum, least):
+            total += len(values)
+            if limit is not None and total > limit:
+                return limit + 1, blocks
+            blocks.append((x, y, z, values, 2 * (x + y + z) - level - 3))
+    if outside:
+        b = start.b
+        block = (start.g12, start.g13, start.g23, range(b, b + 1), -3 * b)
+        insort_left(blocks, block, key=itemgetter(0, 1, 2))
+    return total, blocks
 
 
 def _cone(start: MoveGraphNode, max_sum: int, least: int) -> Iterator[tuple[int, int, int, range]]:
@@ -219,42 +254,6 @@ def _cone(start: MoveGraphNode, max_sum: int, least: int) -> Iterator[tuple[int,
             q, r = level + u_s - 2 * (x + y), max_sum - 2 * (x + y)
             for z in range(max(0, 3 * p - r), min(r - 3 * a, 4 * r - 3 * q) // 2 + 1):
                 yield x, y, z, range(max(a, p - z, (q - 2 * z + 3) // 4) + 1, (r - 2 * z) // 3 + 2)
-
-
-def _listing(start: MoveGraphNode, max_sum: int, least: int) -> dict[MoveGraphNode, int]:
-    # The start within max_sum and its _cone, each node built unchecked and
-    # mapped to its depth, in lexicographic order.
-    level = start.sum_h()
-    # As locals, since the innermost loop reads them once a node.
-    new, set12, set13, set23, set_b = _new, _SET_G12, _SET_G13, _SET_G23, _SET_B
-    listing = {}
-    for x, y, z, values in _cone(start, max_sum, least):
-        depth = 2 * (x + y + z) - level - 3  # L - S at b = 0
-        for b in values:
-            node = new(MoveGraphNode)
-            set12(node, x)
-            set13(node, y)
-            set23(node, z)
-            set_b(node, b)
-            listing[node] = depth + 3 * b
-    if _outside(start, max_sum, least):
-        listing = dict(sorted([(start, 0), *listing.items()]))
-    return listing
-
-
-def _count(start: MoveGraphNode, max_sum: int, least: int, limit: int) -> int:
-    # len(_listing(start, max_sum, least)), or limit + 1 once it passes limit.
-    total = int(_outside(start, max_sum, least))
-    for _, _, _, values in _cone(start, max_sum, least):
-        total += len(values)
-        if total > limit:
-            return limit + 1
-    return total
-
-
-def _outside(start: MoveGraphNode, max_sum: int, least: int) -> bool:
-    # Whether the start is listed but, with a height below least, not in its cone.
-    return start.sum_h() <= max_sum and min(start.heights()) < least
 
 
 def realize_path(
@@ -454,19 +453,27 @@ def _check_feasibility_enumeration(
     # is_feasible must agree with "some genera quadruple presents this
     # profile" over every profile in range, and with the closed-form
     # balanced characterization (h + b odd and b <= h + 1).  A profile it
-    # wrongly accepts fails the property without naming a node.
-    presented = {node.profile(): node for node in nodes}
+    # wrongly accepts fails the property without naming a node.  The first
+    # loop ranges over exact ints at or above Profile's floors, so each of
+    # its profiles is built without the check, and nodes are keyed by ints.
+    presented = {(*node.heights(), node.b): node for node in nodes}
+    new, set1, set2, set3, set_b = _new, _SET_H1, _SET_H2, _SET_H3, _SET_PB
     bad: list[MoveGraphNode] = []
     ok = True
     for h1 in range(max_sum + 1):
         for h2 in range(max_sum - h1 + 1):
             for h3 in range(max_sum - h1 - h2 + 1):
                 for b in range(1, max_sum + 3):
-                    profile = Profile(h1, h2, h3, b)
-                    if is_feasible(profile) != (profile in presented):
+                    profile = new(Profile)
+                    set1(profile, h1)
+                    set2(profile, h2)
+                    set3(profile, h3)
+                    set_b(profile, b)
+                    node = presented.get((h1, h2, h3, b))
+                    if is_feasible(profile) != (node is not None):
                         ok = False
-                        if profile in presented:
-                            bad.append(presented[profile])
+                        if node is not None:
+                            bad.append(node)
     for h in range(max_sum + 1):
         for b in range(1, max_sum + 2):
             profile = Profile(h, h, h, b)

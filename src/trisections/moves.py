@@ -60,7 +60,12 @@ from .core import (
     MoveGraphNode,
     TrisectionError,
     TrisectionState,
+    _SET_COMPONENTS,
+    _SET_NEXT_ID,
     _check_type,
+    _new,
+    _node,
+    _state,
     are_component_ids,
     component_label,
     component_labels,
@@ -238,16 +243,12 @@ _MOVE_RULES = {
 }
 
 
-_new = object.__new__
-_set = object.__setattr__
-
-
 def _link(components: tuple[str, ...], next_id: int) -> LinkComponentSet:
     # A link built from parts the caller has proven, without __post_init__:
     # at least one label, unique, in creation order and below next_id.
     link = _new(LinkComponentSet)
-    _set(link, "components", components)
-    _set(link, "next_id", next_id)
+    _SET_COMPONENTS(link, components)
+    _SET_NEXT_ID(link, next_id)
     return link
 
 
@@ -439,14 +440,17 @@ class _Walk:
     def state(self) -> TrisectionState:
         """The state the walk has reached, its records appended to its input's history."""
         history = self.base + tuple(self.records)
-        # The link skips its label check: the labels are unique and below
-        # next_id, since each move removes live labels and adds c<next_id>
-        # and up.  Sorting the string order by length gives creation order:
-        # labels have no leading zeros, so within one length string order
-        # is number order.
+        # Nothing is checked again, since the walk has proven every part.
+        # The labels are unique and below next_id, since each move removes
+        # live labels and adds c<next_id> and up.  Sorting the string order
+        # by length gives creation order: labels have no leading zeros, so
+        # within one length string order is number order.  Each move has
+        # kept the genera at or above PARAM_FLOORS and b the number of
+        # labels.  The label is the input state's, checked when it was
+        # built, or that with the ASCII caveat of a destab appended.
         link = _link(tuple(sorted(self.labels, key=len)), self.next_id)
-        genera = MoveGraphNode(self.g12, self.g13, self.g23, self.b)
-        return TrisectionState(genera, link, history, self.label)
+        genera = _node(self.g12, self.g13, self.g23, self.b)
+        return _state(genera, link, history, self.label)
 
 
 def _stored_state(g12: int, g13: int, g23: int, components: tuple[str, ...], next_id: int,

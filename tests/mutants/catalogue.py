@@ -32,6 +32,12 @@ _COUNTS = (
     "tests/test_explorer.py::test_node_count_is_the_length_of_the_node_range_capped",
     "tests/test_reachability.py::test_listing_count_matches_bfs_beyond_sum_15",
 )
+_FEASIBILITY = (
+    "tests/test_explorer.py::test_verify_fails_rather_than_raises_when_feasibility_lies",
+    "tests/test_explorer.py::test_verify_checks_feasibility_on_every_profile_in_range",
+)
+_REBUILT = ("tests/test_moves.py::test_the_states_built_without_checks_pass_every_check",)
+_GOLDEN = ("tests/test_golden.py::test_the_corpus_outputs_are_unchanged",)
 _JUNK = "tests/test_explorer.py::test_constructors_and_search_refuse_arguments_of_the_wrong_type"
 _NEGATIVE = "tests/test_explorer.py::test_a_count_argument_refuses_a_negative_int"
 _PATH = "tests/test_explorer.py::test_realize_path_refuses_a_path_that_is_no_iterable_of_pairs"
@@ -59,11 +65,25 @@ CATALOGUE = (
     Mutant("cone-b-low-widened", _EXPLORER, _B_LOW, "(q - 2 * z + 3) // 4)", _LISTING),
     Mutant("cone-b-high-narrowed", _EXPLORER, _B_HIGH, "(r - 2 * z) // 3 + 1)", _LISTING),
     Mutant("cone-b-high-widened", _EXPLORER, _B_HIGH, "(r - 2 * z) // 3 + 3)", _LISTING),
-    # The count: where it stops, and the start outside its own cone.
-    Mutant("count-stops-at-the-limit", _EXPLORER, "        if total > limit:",
-           "        if total >= limit:", _COUNTS),
+    # The listing walk's count: where it stops, and the start outside its
+    # own cone; and the depth explore prints from a block.
+    Mutant("count-stops-at-the-limit", _EXPLORER,
+           "            if limit is not None and total > limit:",
+           "            if limit is not None and total >= limit:", _COUNTS),
     Mutant("count-drops-the-start-outside-its-cone", _EXPLORER,
-           "    total = int(_outside(start, max_sum, least))", "    total = 0", _COUNTS),
+           "    total = int(outside)", "    total = 0", _COUNTS),
+    Mutant("explore-line-depth-off-by-one", "src/trisections/cli.py",
+           "depth={depth + 3 * b}", "depth={depth + 3 * b - 1}", _GOLDEN),
+    # Verify's feasibility loop: the unchecked profile, and the b it starts at.
+    Mutant("feasibility-profile-swaps-h2-and-h3", _EXPLORER,
+           "set2(profile, h2)\n                    set3(profile, h3)",
+           "set2(profile, h3)\n                    set3(profile, h2)", _FEASIBILITY),
+    Mutant("feasibility-skips-b-1", _EXPLORER, "                for b in range(1, max_sum + 3):",
+           "                for b in range(2, max_sum + 3):", _FEASIBILITY),
+    # A walk's unchecked state: its node must have the link's b.
+    Mutant("walk-state-b-from-the-labels", "src/trisections/moves.py",
+           "genera = _node(self.g12, self.g13, self.g23, self.b)",
+           "genera = _node(self.g12, self.g13, self.g23, len(self.labels) + 1)", _REBUILT),
     # The argument checks of the library's API.
     Mutant("counts-take-a-negative-int", "src/trisections/core.py", _COUNT_CHECK,
            "    if type(value) is not int:", (_NEGATIVE,)),

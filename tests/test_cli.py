@@ -28,7 +28,7 @@ from trisections.core import (
     split_heegaard,
     tunnel_system,
 )
-from trisections.explorer import listing_count, node_count
+from trisections.explorer import _listing, node_count
 from trisections.moves import build_heegaard
 from trisections.planner import plan_lengths
 from trisections.serialize import state_to_text
@@ -625,6 +625,11 @@ def test_explore_refuses_a_huge_shortest_script(koda, tmp_path):
     _assert_refused(proc, f"explore: the script length would be {MAX_SCRIPT_MOVES + 1}")
 
 
+def _listed(start, max_sum: int) -> int:
+    # The count of explore's listing from a state, capped as explore caps it.
+    return _listing(start.genera, max_sum, 1, MAX_NODES)[0]
+
+
 def test_explore_refuses_a_huge_listing(koda, tmp_path):
     over = f"explore: the nodes listed would be more than the limit of {MAX_NODES}"
     book = tmp_path / "book.json"
@@ -632,8 +637,8 @@ def test_explore_refuses_a_huge_listing(koda, tmp_path):
     for start, max_sum in ((koda, "10000000000"), (book, "1000000")):
         _assert_refused(run_capped_cli("explore", "--start", str(start), "--max-sum", max_sum), over)
     # The edge: koda-ozawa lists 99,073 nodes at 82 and more than the limit at 83.
-    assert listing_count(koda_ozawa().genera, 82, MAX_NODES) == 99_073
-    assert listing_count(koda_ozawa().genera, 83, MAX_NODES) == MAX_NODES + 1
+    assert _listed(koda_ozawa(), 82) == 99_073
+    assert _listed(koda_ozawa(), 83) == MAX_NODES + 1
     _assert_refused(run_capped_cli("explore", "--start", str(koda), "--max-sum", "83"), over)
     # A start high up lists few nodes, however large max_sum, and so does a
     # start at high b, since b moves by one a move.
@@ -651,7 +656,7 @@ def test_the_size_guards_stop_at_once_far_above_the_limit():
     # near the range of --max-sum is refused in well under a second.
     started = time.perf_counter()
     for start, max_sum in ((open_book(1), 10**6), (koda_ozawa(), 10**10)):
-        assert listing_count(start.genera, max_sum, MAX_NODES) == MAX_NODES + 1
+        assert _listed(start, max_sum) == MAX_NODES + 1
     assert node_count(10**9, MAX_NODES) == MAX_NODES + 1
     assert time.perf_counter() - started < 1.0
 
@@ -709,7 +714,7 @@ def test_benchmark_requests_are_well_under_the_node_limit():
     # benchmark runs, from its five starts.
     for start in (koda_ozawa(), tunnel_system(1), split_heegaard(2, 1), open_book(1),
                   connect_sum_equal_genus(1)):
-        assert listing_count(start.genera, 36, MAX_NODES) <= MAX_NODES // 20
+        assert _listed(start, 36) <= MAX_NODES // 20
     assert node_count(10, MAX_NODES) <= MAX_NODES // 1000
 
 

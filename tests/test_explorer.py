@@ -7,6 +7,7 @@ to canonically labeled states.
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 from itertools import combinations
 from math import comb
@@ -34,7 +35,6 @@ from trisections.explorer import (
     bfs_reachable,
     common_stabilization_search,
     feasible_nodes,
-    listing_count,
     node_count,
     realize_path,
     shortest_path,
@@ -194,6 +194,11 @@ def test_node_count_is_the_length_of_the_node_range_capped():
     assert node_count(83, cli.MAX_NODES) == node_count(10**9, cli.MAX_NODES) == cli.MAX_NODES + 1
 
 
+def _listing_count(start: MoveGraphNode, max_sum: int, limit: int) -> int:
+    # The count of the walk behind bfs_reachable and explore, capped at limit + 1.
+    return explorer._listing(start, max_sum, 1, limit)[0]
+
+
 def test_listing_count_is_the_listing_length_capped():
     # Every start up to sum 10, the trivial one and those with a zero height
     # among them, from one bound below the start.
@@ -201,12 +206,22 @@ def test_listing_count_is_the_listing_length_capped():
         for max_sum in range(start.sum_h() - 1, 23):
             length = len(bfs_reachable(start, max_sum))
             for limit in _caps(length):
-                assert listing_count(start, max_sum, limit) == min(length, limit + 1), (
+                assert _listing_count(start, max_sum, limit) == min(length, limit + 1), (
                     start, max_sum, limit)
     # Far above the trivial node the listing is a small part of the node range.
     start = MoveGraphNode(100, 100, 100, 1)  # sum_h 600
-    assert listing_count(start, 606, cli.MAX_NODES) == len(bfs_reachable(start, 606)) == 256
+    assert _listing_count(start, 606, cli.MAX_NODES) == len(bfs_reachable(start, 606)) == 256
     assert node_count(606, cli.MAX_NODES) == cli.MAX_NODES + 1
+
+
+def test_the_listing_walk_holds_the_blocks_it_counts():
+    # Without a limit, or under one it does not pass, the walk's blocks hold
+    # as many nodes as it counts, the start's own block among them.
+    for start in [*feasible_nodes(8), MoveGraphNode(3, 0, 0, 1)]:
+        for max_sum in range(start.sum_h() - 1, 15):
+            count, blocks = explorer._listing(start, max_sum, 1)
+            assert count == sum(len(values) for _, _, _, values, _ in blocks), (start, max_sum)
+            assert explorer._listing(start, max_sum, 1, count) == (count, blocks)
 
 
 # -- breadth-first search ---------------------------------------------------------
@@ -446,6 +461,27 @@ def test_verify_fails_rather_than_raises_when_feasibility_lies(monkeypatch, caps
     assert "FAIL feasibility-matches-enumeration" in capsys.readouterr().err
 
 
+def test_verify_checks_feasibility_on_every_profile_in_range(monkeypatch):
+    # Each (h1, h2, h3; b) with sum h <= max_sum and b <= max_sum + 2, in
+    # loop order, then each balanced (h, h, h; b) with b <= max_sum + 1,
+    # every one an exact Profile that passes the checking constructor.
+    seen = []
+
+    def recording(profile: Profile) -> bool:
+        seen.append(profile)
+        return is_feasible(profile)
+
+    monkeypatch.setattr(explorer, "is_feasible", recording)
+    max_sum = 5
+    assert verify_properties(max_sum).entries[0].passed
+    expected = [
+        Profile(h1, h2, h3, b) for h1 in range(max_sum + 1) for h2 in range(max_sum + 1 - h1)
+        for h3 in range(max_sum + 1 - h1 - h2) for b in range(1, max_sum + 3)
+    ] + [Profile(h, h, h, b) for h in range(max_sum + 1) for b in range(1, max_sum + 2)]
+    assert all(type(profile) is Profile for profile in seen)
+    assert [Profile(*profile.as_tuple()) for profile in seen] == expected
+
+
 def test_verify_reports_hub_slack_only_for_common_stabilization():
     report = verify_properties(6)
     for entry in report.entries:
@@ -481,9 +517,6 @@ _ARGUMENTS = {
         lambda x: common_stabilization_search(KODA, OPENBOOK1, x), "max_sum"),
     "bfs_reachable-start": (lambda x: bfs_reachable(x, 8), "start"),
     "bfs_reachable-max_sum": (lambda x: bfs_reachable(KODA, x), "max_sum"),
-    "listing_count-start": (lambda x: listing_count(x, 8, 10), "start"),
-    "listing_count-max_sum": (lambda x: listing_count(KODA, x, 10), "max_sum"),
-    "listing_count-limit": (lambda x: listing_count(KODA, 8, x), "limit"),
     "node_count-max_sum": (lambda x: node_count(x, 10), "max_sum"),
     "node_count-limit": (lambda x: node_count(8, x), "limit"),
     "feasible_nodes": (feasible_nodes, "max_sum"),
@@ -493,6 +526,9 @@ _ARGUMENTS = {
     "reachable-goal": (lambda x: reachable(HEEGAARD2, x), "goal"),
     "inverse_of": (inverse_of, "record"),
     "LinkComponentSet.fresh": (LinkComponentSet.fresh, "count"),
+    "is_feasible": (is_feasible, "profile"),
+    "genera_from_profile": (genera_from_profile, "profile"),
+    "state_from_profile": (state_from_profile, "profile"),
 }
 
 
@@ -509,11 +545,18 @@ def test_constructors_and_search_refuse_arguments_of_the_wrong_type(argument, ju
         call(junk)
 
 
+@pytest.mark.parametrize("call", [is_feasible, genera_from_profile, state_from_profile])
+@pytest.mark.parametrize("junk", [(1, 2, 2, 2), None, "x"], ids=["tuple", "none", "str"])
+def test_the_profile_functions_refuse_what_is_no_profile(call, junk):
+    # These used to raise a raw AttributeError.
+    with pytest.raises(OutOfDomain, match=f"^profile must be a Profile, got {re.escape(repr(junk))}$"):
+        call(junk)
+
+
 @pytest.mark.parametrize(("call", "name"), [
-    (lambda: listing_count(KODA, 8, -1), "limit"),
     (lambda: node_count(8, -1), "limit"),
     (lambda: LinkComponentSet.fresh(-1), "count"),
-], ids=["listing_count", "node_count", "fresh"])
+], ids=["node_count", "fresh"])
 def test_a_count_argument_refuses_a_negative_int(call, name):
     # fresh(-1) used to slice 1,023 labels and then blame the last one.
     with pytest.raises(OutOfDomain, match=f"^{name} must be a nonnegative integer, got -1$"):

@@ -595,6 +595,48 @@ def test_balance_postconditions_everywhere():
         assert all(record.op == "stab" for record in script)
 
 
+def _rebuilt(state: TrisectionState) -> TrisectionState:
+    # The state built again through the checking constructors, part by part.
+    genera, link = state.genera, state.link
+    return TrisectionState(MoveGraphNode(genera.g12, genera.g13, genera.g23, genera.b),
+                           LinkComponentSet(link.components, link.next_id), state.history,
+                           state.label)
+
+
+def test_the_states_built_without_checks_pass_every_check():
+    # feasible_nodes, to_state (through LinkComponentSet.fresh) and every
+    # walk's state() build their nodes, links and states without
+    # __post_init__, from parts the engine has proven.  Each one, for every
+    # node with sum_h <= 12 and the states every move function reaches from
+    # it, rebuilds through the checking constructors to an equal value.
+    for node in feasible_nodes(12):
+        assert MoveGraphNode(node.g12, node.g13, node.g23, node.b) == node
+        start = node.to_state()
+        balanced, script = balance(start)
+        reached = [start, balanced, replay(start, script)]
+        for i in (1, 2, 3):
+            built, _, disk = build_heegaard(start, i)
+            reached += [built, replay(start, disk)]
+            if disk:
+                reached.append(apply_destabilization(built, inverse_of(disk[-1])))
+        if script:
+            reached.append(apply_destabilization(balanced, inverse_of(script[-1])))
+        if start.b > 1 or start.genera.g13 > 0:
+            reached.append(fake_heegaard_stab(start))
+        for state in reached:
+            assert type(state.history) is tuple and _rebuilt(state) == state, state
+
+
+def test_the_unchecked_builders_still_refuse_what_can_fail():
+    # fresh(0) has no component, and a label from the caller may not encode.
+    with pytest.raises(ValueError, match="^the boundary link must have at least one component$"):
+        LinkComponentSet.fresh(0)
+    with pytest.raises(ValueError, match="^label must encode as UTF-8, got "):
+        MoveGraphNode(1, 1, 1, 1).to_state("lone \ud800 surrogate")
+    with pytest.raises(ValueError, match="^label must be a str, got 3$"):
+        MoveGraphNode(1, 1, 1, 1).to_state(3)
+
+
 def test_capped_genus_is_where_cap_ends_everywhere():
     # The planner sizes step 1 by capped_genus and walks both sides there,
     # and verify's hub is the largest capped_genus; neither runs the walk

@@ -115,7 +115,7 @@ def test_listing_count_matches_bfs_beyond_sum_15(case):
     start, max_sum = case
     length = len(bfs_reachable(start, max_sum))
     for limit in {0, 1, *(limit for limit in (length - 1, length, length + 1) if limit >= 0)}:
-        assert explorer.listing_count(start, max_sum, limit) == min(length, limit + 1), (case, limit)
+        assert explorer._listing(start, max_sum, 1, limit)[0] == min(length, limit + 1), (case, limit)
 
 
 def test_shortest_path_matches_bfs_on_every_pair_up_to_sum_13():
@@ -305,7 +305,8 @@ def test_common_stabilization_enumerates_nothing_at_any_distance(monkeypatch):
         raise AssertionError("the search enumerated the listing's cone")
 
     monkeypatch.setattr(explorer, "bfs_reachable", refuse)
-    monkeypatch.setattr(explorer, "_SET_G12", refuse)  # the listing's trusted node builder
+    monkeypatch.setattr(explorer, "_cone", refuse)  # the one walk behind every listing and count
+    monkeypatch.setattr(explorer, "_node", refuse)  # the listings' trusted node builder
     g = 1_000
     a = genera_from_profile(Profile(g, g, g, g + 1))
     b = genera_from_profile(Profile(g, g, g, 1))

@@ -233,7 +233,10 @@ _STARTS = [
 ]
 # Characters that JSON escapes, or that need more than one UTF-8 byte.
 _ODD_CHARACTERS = ['"', "\\", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", "é", "☃", "\u2028", "𝄞"]
-_LABELS = st.text(st.one_of(st.sampled_from(_ODD_CHARACTERS), st.characters()), max_size=12)
+# Labels a state can carry: no lone surrogate (category Cs), which a state
+# refuses since it does not encode; the refusal has tests of its own.
+_LABELS = st.text(st.one_of(st.sampled_from(_ODD_CHARACTERS),
+                            st.characters(exclude_categories=("Cs",))), max_size=12)
 
 
 def _destabs(state):
