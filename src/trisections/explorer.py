@@ -190,18 +190,17 @@ def _listing(start: MoveGraphNode, max_sum: int, least: int,
     passes it, and returns ``limit + 1`` with the blocks walked so far.
     Everything is plain ints: a caller builds the nodes it needs.
     """
-    level = start.sum_h()
     blocks = []
-    outside = level <= max_sum and min(start.heights()) < least
+    outside = start.sum_h() <= max_sum and min(start.heights()) < least
     # The start is counted first; if that alone passes a limit of 0, the
     # total of 1 is already limit + 1.
     total = int(outside)
     if not (least and start.is_trivial):  # the trivial node has no moves
-        for x, y, z, values in _cone(start, max_sum, least):
-            total += len(values)
+        for block in _cone(start, max_sum, least):
+            total += len(block[3])
             if limit is not None and total > limit:
                 return limit + 1, blocks
-            blocks.append((x, y, z, values, 2 * (x + y + z) - level - 3))
+            blocks.append(block)
     if outside:
         b = start.b
         block = (start.g12, start.g13, start.g23, range(b, b + 1), -3 * b)
@@ -209,8 +208,11 @@ def _listing(start: MoveGraphNode, max_sum: int, least: int,
     return total, blocks
 
 
-def _cone(start: MoveGraphNode, max_sum: int, least: int) -> Iterator[tuple[int, int, int, range]]:
-    """The cone of ``start`` at floors of ``least``, as (x, y, z, range of b), lexicographic.
+def _cone(start: MoveGraphNode, max_sum: int, least: int) -> Iterator[_Block]:
+    """The cone of ``start`` at floors of ``least`` as blocks, lexicographic.
+
+    Each block is (x, y, z, range of b, depth at b = 0), the depth
+    L - S of the node at b being that plus 3b.
 
     With ``least = 1`` it holds the nodes :func:`reachable` accepts from
     a non-trivial ``start``, less ``start`` itself if a height of it is 0;
@@ -252,8 +254,10 @@ def _cone(start: MoveGraphNode, max_sum: int, least: int) -> Iterator[tuple[int,
             a = f1 - x - y if f1 > x + y else 0
             p = max(f2 - x, f3 - y, half - x - y)
             q, r = level + u_s - 2 * (x + y), max_sum - 2 * (x + y)
+            depth = 2 * (x + y) - level - 3  # L - S at z = 0 and b = 0
             for z in range(max(0, 3 * p - r), min(r - 3 * a, 4 * r - 3 * q) // 2 + 1):
-                yield x, y, z, range(max(a, p - z, (q - 2 * z + 3) // 4) + 1, (r - 2 * z) // 3 + 2)
+                yield (x, y, z, range(max(a, p - z, (q - 2 * z + 3) // 4) + 1, (r - 2 * z) // 3 + 2),
+                       depth + 2 * z)
 
 
 def realize_path(
