@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 from pathlib import Path
@@ -47,6 +48,38 @@ _MINIFIED = (
     '"created":["c3"],"removed":["c1","c2"]}]}'
 )
 _ESCAPED_LABEL = r'"tab\t quote\" slash\/ backslash\\ \u00e9 é \ud83d\ude00 \u0001 \u2028 \u0063"'
+
+
+def _script_text(records: list[str]) -> str:
+    # A script in the writer's layout from records written as
+    # "op handlebody arc created removed", each list of labels comma-joined;
+    # an arc of one label is a one-component arc.
+    items = []
+    for record in records:
+        op, handlebody, arc, created, removed = record.split()
+        ends = arc.split(",")
+        items.append({"op": op, "handlebody": int(handlebody),
+                      "arc": {"same": ends[0]} if len(ends) == 1 else {"distinct": ends},
+                      "created": created.split(","), "removed": removed.split(",")})
+    return json.dumps(items, indent=2) + "\n"
+
+
+# Side a of the plan from koda-ozawa to from-heegaard 2 at rs_bound 3, by
+# hand: step 1's merge, step 2's split and merge, three fake stabilizations
+# (the second on the pair c9, c10, of two lengths and in string order), and
+# the split/merge pairs that make S12 and then S13 disks.
+_PLAN_RECORDS = [
+    "stab 1 c0,c1 c2 c0,c1",
+    "stab 1 c2 c3,c4 c2",
+    "stab 1 c3,c4 c5 c3,c4",
+    "fake_stab 1 c6,c7 c8 c5",
+    "fake_stab 1 c10,c9 c11 c8",
+    "fake_stab 1 c12,c13 c14 c11",
+    *(pair for i, first, count in ((3, 14, 5), (2, 29, 7)) for n in range(first, first + 3 * count, 3)
+      for pair in (f"stab {i} c{n} c{n + 1},c{n + 2} c{n}",
+                   f"stab {i} c{n + 1},c{n + 2} c{n + 3} c{n + 1},c{n + 2}")),
+]
+_PLAN_SCRIPT = _script_text(_PLAN_RECORDS)
 
 GROUPS: dict[str, list] = {
     "new": [["new", *kind] for kind in _KINDS] + [
@@ -180,6 +213,37 @@ GROUPS: dict[str, list] = {
         ["stab", "h2.json", "--handlebody", "3", "--arc", "same:c0"],
         ["new", "from-heegaard", "2", "|", "show", "-"],
     ],
+    # Scripts replayed a run at a time: refused replays of mutated balance
+    # and plan scripts, a plan script by hand with fake stabilizations,
+    # and an H1 build at b = 1 whose split/merge pairs cross c99/c100,
+    # c999/c1000 and the end of core.LABELS (c1023/c1024).
+    "replays": [
+        ["new", "tunnel", "2", "-o", "tunnel.json"],
+        ["balance", "tunnel.json", "-o", "balanced.json", "--script", "balance.json"],
+        ("edit", "balance.json", '"handlebody": 1', '"handlebody": 3'),
+        ["replay", "tunnel.json", "balance.json"],
+        ["balance", "tunnel.json", "--script", "balance2.json"],
+        ("edit", "balance2.json", '"c3"', '"c4"'),
+        ["replay", "tunnel.json", "balance2.json"],
+        ["new", "koda-ozawa", "-o", "koda.json"],
+        ("edit", "plan.json", None, _PLAN_SCRIPT),
+        ["replay", "koda.json", "plan.json"],
+        ["replay", "koda.json", "plan.json", "-o", "planned.json"],
+        ["show", "planned.json"],
+        ("edit", "plan1.json", None, _PLAN_SCRIPT),
+        ("edit", "plan1.json", '"c11"', '"c12"'),
+        ["replay", "koda.json", "plan1.json"],
+        ("edit", "plan2.json", None, _PLAN_SCRIPT),
+        ("edit", "plan2.json", '"handlebody": 3', '"handlebody": 1'),
+        ["replay", "koda.json", "plan2.json"],
+        # Without step 27, the split of c44, the pair of the next is not live.
+        ("edit", "plan3.json", None, _script_text(_PLAN_RECORDS[:26] + _PLAN_RECORDS[27:])),
+        ["replay", "koda.json", "plan3.json"],
+        ["new", "open-book", "400", "-o", "ob.json"],
+        ["build-heegaard", "ob.json", "--handlebody", "1", "--script", "build.json",
+         "-o", "built.json"],
+        ["replay", "ob.json", "build.json"],
+    ],
 }
 
 
@@ -236,7 +300,7 @@ def run_group(name: str, directory: Path) -> dict[str, str]:
             if step[0] == "edit":
                 _, file, old, new = step
                 path = Path(file)
-                text = path.read_text(encoding="utf-8")
+                text = "" if old is None else path.read_text(encoding="utf-8")
                 if old is not None and old not in text:
                     raise ValueError(f"{name}: {file} does not hold {old!r}")
                 path.write_text(new if old is None else text.replace(old, new, 1), encoding="utf-8")
