@@ -18,28 +18,35 @@ destabilizing disk, and every destabilized state carries that caveat in
 its label.
 
 Moves run in walks (``_Walk``).  A walk copies a state's labels into one
-list in string order, applies a run of moves to it in place, each with
-one legality check and one record appended to the walk's own list, and
-builds one state at the end, whose history is the input's tuple followed
-by the walk's records.  Every script runs as one walk (a plan as one a
-side), and a single move is a walk of one.  There are two kernels.  A
-canonical move (``_Walk.canonical``) takes the least label or pair from
-the head of the list, checks legality on the walk's ints alone and
-builds its arc and record by one ``tuple.__new__`` each.  Every move
-along a given arc goes through ``_Walk.follow``: it finds the arc's
-labels by ``index`` (which stops at once on the labels of a canonical
-script), checks the floors, and checks that the record creates the next
-labels and removes the arc's, before it edits the list, so a record
-that passes is kept as it is; ``move`` builds the record a move would
-make and follows it.  Both kernels read their rule as
-``_MOVE_RULES[op][same][i]`` and their created labels from
-:data:`~trisections.core.LABELS` (``c0`` .. ``c1023``, formatted once),
-formatting only labels past it, and put each one in by ``insort``.
-Python-level work a move is constant; what grows with b is the C-level
-shift of the list on each insert and delete, and the ``index`` of a
-given arc deep in the list.  Each walk copies the history's pointers
-once, which a single move on a long history pays.  The measured costs
-are in ROADMAP's Baseline and the ``BENCH_*.json`` files.
+list in string order, applies runs of moves to it in place, each move
+with at most one legality check and one record appended to the walk's
+own list, and builds one state at the end, whose history is the input's
+tuple followed by the walk's records.  Every script runs as one walk (a
+plan as one a side), and a single move is a walk of one.  A run of n
+moves is one call in one Python frame, not n.  There are three kernels.
+``_Walk.to_disk`` makes the canonical run that turns S_jk into a disk
+in closed form: b - 1 merges of the pair that leads the list, then
+g_jk split/merge pairs on the one live label, which take their labels
+straight from :data:`~trisections.core.LABELS` (``c0`` .. ``c1023``,
+formatted once; labels past it are formatted) and touch no list.  Such
+a run is always legal, so it checks nothing, and it moves the genera
+and b once, by the sum of its rows.  ``_Walk.canonical`` makes one
+canonical move of ``balance``, ``cap`` and ``fake_stab``: it takes the
+least label or pair from the head of the list and checks legality on
+the walk's ints alone.  Every record along a given arc goes through
+``_Walk.follow``, which runs a whole script with the walk's ints in
+locals: it finds each arc's labels by ``index`` (which stops at once on
+the labels of a canonical script), checks the floors, and checks that
+the record creates the next labels and removes the arc's, before it
+edits the list, so a record that passes is kept as it is; ``move``
+builds the record a move would make and follows it.  Each kernel reads
+its rule as ``_MOVE_RULES[op][same][i]`` and puts each created label in
+the list by ``insort``.  Python-level work a move is constant; what
+grows with b is the C-level shift of the list on each insert and
+delete, and the ``index`` of a given arc deep in the list.  Each walk
+copies the history's pointers once, which a single move on a long
+history pays.  The measured costs are in ROADMAP's Baseline and the
+``BENCH_*.json`` files.
 
 A stored history is checked here too: once :mod:`trisections.serialize`
 has checked a document's format, ``_stored_state`` replays its records
@@ -49,7 +56,9 @@ on a dict of live labels and walks its genera back through the rules.
 from __future__ import annotations
 
 from bisect import insort
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 from .core import (
@@ -277,20 +286,28 @@ class _Walk:
     It holds the live labels as a list in string order, so the least
     label or pair leads it, the next label number, the node's coordinates
     as plain ints, the input's history (``base``), the records of its own
-    moves as a list and the label.  :meth:`canonical` makes its one
-    legality check on the row ``_MOVE_RULES["stab"][same][i]``, edits the
-    list and appends one record, built with its arc by one
-    ``tuple.__new__`` each.  :meth:`follow` is the one kernel for a given
-    arc: it finds the arc's labels, checks the floors and then the
-    record's created labels against the next ones of ``core.LABELS`` and
-    its removed labels against the arc, and only then edits the list and
-    appends the record itself; :meth:`move` builds the record a move
-    would make and follows it.  :meth:`state` builds the node, link
-    (in creation order) and state once.  Every labeled move goes through a
-    walk, so a script of n moves costs n records and one state.
+    moves as a list, the label, and ``taken``: how many records of a
+    refused :meth:`follow` were applied before the refused one.  Each
+    method applies its whole run in one frame.  :meth:`to_disk` makes the
+    b - 1 merges and g_jk split/merge pairs of a disk run with no check,
+    since every such run is legal, and sets the genera and b once.
+    :meth:`canonical` makes one canonical move with its one legality check
+    on the row ``_MOVE_RULES["stab"][same][i]``; ``balance``, ``cap`` and
+    ``fake_stab`` are made of it.  :meth:`follow` is the one kernel for a
+    given arc, and runs a whole script: for each record it finds the
+    arc's labels, checks the floors and then the record's created labels
+    against the next ones of ``core.LABELS`` and its removed labels
+    against the arc, and only then edits the list and appends the record
+    itself; a ``fake_stab`` record is applied by :meth:`fake_stab` and
+    must equal its compound record.  :meth:`move` builds the record a move
+    would make and follows it.  Every record is built, with its arc, by
+    one ``tuple.__new__`` each.  :meth:`state` builds the node, link (in
+    creation order) and state once.  Every labeled move goes through a
+    walk, so a script of n moves costs one call, n records and one state.
     """
 
-    __slots__ = ("labels", "next_id", "g12", "g13", "g23", "b", "base", "records", "label")
+    __slots__ = ("labels", "next_id", "g12", "g13", "g23", "b", "base", "records", "label",
+                 "taken")
 
     def __init__(self, state: TrisectionState) -> None:
         _check_type("state", state, TrisectionState)
@@ -321,50 +338,74 @@ class _Walk:
         n = self.next_id
         created = component_labels(n, n + 2 if isinstance(arc, SameComponent) else n + 1)
         record = _tuple(MoveRecord, (op, i, arc, created, tuple(arc)))
-        self.follow(record)
+        self.follow((record,))
         return record
 
-    def follow(self, record: MoveRecord) -> None:
-        """Apply a stab or destab record, which must name the labels its move turns over."""
-        # The one legality check, in this order: the arc's labels must be
-        # live, the genera must clear PARAM_FLOORS (b does: every rule
-        # lowering it merges two live labels), and the record must create
-        # the next labels and remove the arc's.  Only then is the list edited.
-        op, i, arc, created, removed = record
-        labels = self.labels
-        same = isinstance(arc, SameComponent)
+    def follow(self, records: Iterable[MoveRecord]) -> None:
+        """Apply a run of records in turn, each of which must be the move it names.
+
+        A stab or destab record must name the labels its move turns over; a
+        fake_stab record must be the compound record :meth:`fake_stab` makes.
+        When a record is refused, ``taken`` holds the number applied before it.
+        """
+        # One frame for the run: the walk's ints live in locals, written back
+        # before a fake_stab record (fake_stab reads and moves them) and at
+        # the end.  A refused record leaves them unwritten, so a refused run
+        # of one record leaves the walk as it was; a longer refused run keeps
+        # the moves before it in its list and records only, and its caller
+        # drops the walk.  Each stab or destab record gets the one legality
+        # check, in this order: the arc's labels must be live, the genera
+        # must clear PARAM_FLOORS (b does: every rule lowering it merges two
+        # live labels), and the record must create the next labels and remove
+        # the arc's.  Only then is the list edited and the record appended.
+        labels, append = self.labels, self.records.append
+        g12, g13, g23, b, n = self.g12, self.g13, self.g23, self.b, self.next_id
+        taken = 0
         try:
-            spot = labels.index(arc[0])
-            if not same:
-                other = labels.index(arc[1], spot)
-        except ValueError:
-            missing = next(label for label in arc if label not in labels)
-            raise IllegalMove(f"component {missing!r} is not in the boundary link") from None
-        (d12, d13, d23, db), message = _MOVE_RULES[op][same][i]
-        g12, g13, g23 = self.g12 + d12, self.g13 + d13, self.g23 + d23
-        if g12 < _LEAST_G12 or g13 < _LEAST_G13 or g23 < _LEAST_G23:
-            raise IllegalMove(message)
-        n = self.next_id
-        if n + 2 <= _TABLE_END:
-            expected = (LABELS[n], LABELS[n + 1]) if same else (LABELS[n],)
-        else:
-            expected = component_labels(n, n + 2 if same else n + 1)
-        if created != expected or removed != arc:
-            applied = _tuple(MoveRecord, (op, i, arc, expected, tuple(arc)))
-            raise IllegalMove(f"the move applies as {applied}, not as recorded {record}")
-        self.g12, self.g13, self.g23, self.b = g12, g13, g23, self.b + db
-        if same:
-            del labels[spot]
-            insort(labels, created[0])
-            insort(labels, created[1])
-            self.next_id = n + 2
-        else:
-            del labels[other], labels[spot]
-            insort(labels, created[0])
-            self.next_id = n + 1
-        if op == "destab" and DESTAB_CAVEAT not in self.label:
-            self.label = f"{self.label} | {DESTAB_CAVEAT}" if self.label else DESTAB_CAVEAT
-        self.records.append(record)
+            for taken, record in enumerate(records):
+                op = record.op  # by attribute, so that a plain tuple is no record
+                if op == "fake_stab":
+                    self.g12, self.g13, self.g23, self.b, self.next_id = g12, g13, g23, b, n
+                    if (applied := self.fake_stab()) != record:
+                        raise IllegalMove(f"the move applies as {applied}, not as recorded {record}")
+                    g12, g13, g23, b, n = self.g12, self.g13, self.g23, self.b, self.next_id
+                    continue
+                _, i, arc, created, removed = record
+                same = isinstance(arc, SameComponent)
+                try:
+                    spot = labels.index(arc[0])
+                    if not same:
+                        other = labels.index(arc[1], spot)
+                except ValueError:
+                    missing = next(label for label in arc if label not in labels)
+                    raise IllegalMove(f"component {missing!r} is not in the boundary link") from None
+                (d12, d13, d23, db), message = _MOVE_RULES[op][same][i]
+                g12, g13, g23, b = g12 + d12, g13 + d13, g23 + d23, b + db
+                if g12 < _LEAST_G12 or g13 < _LEAST_G13 or g23 < _LEAST_G23:
+                    raise IllegalMove(message)
+                if n + 2 <= _TABLE_END:
+                    expected = (LABELS[n], LABELS[n + 1]) if same else (LABELS[n],)
+                else:
+                    expected = component_labels(n, n + 2 if same else n + 1)
+                if created != expected or removed != arc:
+                    applied = _tuple(MoveRecord, (op, i, arc, expected, tuple(arc)))
+                    raise IllegalMove(f"the move applies as {applied}, not as recorded {record}")
+                if same:
+                    del labels[spot]
+                    insort(labels, created[0])
+                    insort(labels, created[1])
+                    n += 2
+                else:
+                    del labels[other], labels[spot]
+                    insort(labels, created[0])
+                    n += 1
+                if op == "destab" and DESTAB_CAVEAT not in self.label:
+                    self.label = f"{self.label} | {DESTAB_CAVEAT}" if self.label else DESTAB_CAVEAT
+                append(record)
+        except Exception:
+            self.taken = taken
+            raise
+        self.g12, self.g13, self.g23, self.b, self.next_id = g12, g13, g23, b, n
 
     def canonical(self, i: int, same: bool) -> MoveRecord:
         """Stabilize H_i along the smallest label (``same``) or pair; return the record."""
@@ -419,11 +460,43 @@ class _Walk:
             self.balance()
 
     def to_disk(self, i: int) -> None:
-        """Stabilize H_i until S_jk is a disk: 2*g_jk + b - 1 canonical moves."""
-        # Each move lowers that count by one: a two-component arc lowers b,
-        # a one-component arc (b == 1, so g_jk >= 1) trades a genus for a b.
-        for _ in range(2 * self.opposite(i) + self.b - 1):
-            self.canonical(i, self.b < 2)
+        """Stabilize H_i until S_jk is a disk: 2*g_jk + b - 1 canonical moves, as one run."""
+        # The canonical run has a fixed shape: b - 1 merges of the least
+        # pair, then g_jk pairs of a split of the one live label and the
+        # merge of its halves.  Every move of it is legal (a merge needs
+        # b >= 2, a split at b = 1 needs g_jk >= 1, and neither row lowers
+        # another coordinate), so the run checks nothing, and the genera and
+        # b move once, by the sum of its rows.
+        pairs, merges = self.opposite(i), self.b - 1
+        (s12, s13, s23, sb), _ = _MOVE_RULES["stab"][True][i]
+        (m12, m13, m23, mb), _ = _MOVE_RULES["stab"][False][i]
+        total = merges + pairs
+        self.g12 += pairs * s12 + total * m12
+        self.g13 += pairs * s13 + total * m13
+        self.g23 += pairs * s23 + total * m23
+        self.b += pairs * sb + total * mb
+        labels, append, n = self.labels, self.records.append, self.next_id
+        self.next_id = stop = n + merges + 3 * pairs
+        fresh = iter(component_labels(n, stop))
+        # Each merge takes the pair that leads the list.
+        for new in islice(fresh, merges):
+            removed = labels[0], labels[1]
+            del labels[:2]
+            insort(labels, new)
+            append(_tuple(MoveRecord, ("stab", i, _tuple(DistinctComponents, removed), (new,),
+                                       removed)))
+        # Then one label is live.  Each split of it makes c<n> and c<n+1>,
+        # and their merge, in string order, makes c<n+2>: the list is not
+        # touched until the last label is put in.
+        live = labels[0]
+        for x, y, z in zip(fresh, fresh, fresh):
+            removed = (live,)
+            append(_tuple(MoveRecord, ("stab", i, _tuple(SameComponent, removed), (x, y), removed)))
+            removed = (x, y) if x < y else (y, x)
+            append(_tuple(MoveRecord, ("stab", i, _tuple(DistinctComponents, removed), (z,),
+                                       removed)))
+            live = z
+        labels[0] = live
 
     def fake_stab(self) -> MoveRecord:
         """The two moves of :func:`fake_heegaard_stab`; returns their compound record."""

@@ -37,6 +37,17 @@ _FEASIBILITY = (
     "tests/test_explorer.py::test_verify_checks_feasibility_on_every_profile_in_range",
 )
 _REBUILT = ("tests/test_moves.py::test_the_states_built_without_checks_pass_every_check",)
+_MOVES = "src/trisections/moves.py"
+_KERNEL = "tests/test_move_kernel.py"
+_BUILDS = (f"{_KERNEL}::test_balance_and_build_match_the_fold",)
+_MUTATED = (
+    f"{_KERNEL}::test_mutated_scripts_fail_with_the_same_message",
+    f"{_KERNEL}::test_single_moves_fail_with_the_same_message",
+)
+_FAKES = (
+    f"{_KERNEL}::test_replay_matches_the_fold_on_random_scripts",
+    "tests/test_planner.py::test_plan_scripts_replay_to_the_reported_endpoint",
+)
 _GOLDEN = ("tests/test_golden.py::test_the_corpus_outputs_are_unchanged",)
 _JUNK = "tests/test_explorer.py::test_constructors_and_search_refuse_arguments_of_the_wrong_type"
 _NEGATIVE = "tests/test_explorer.py::test_a_count_argument_refuses_a_negative_int"
@@ -81,9 +92,32 @@ CATALOGUE = (
     Mutant("feasibility-skips-b-1", _EXPLORER, "                for b in range(1, max_sum + 3):",
            "                for b in range(2, max_sum + 3):", _FEASIBILITY),
     # A walk's unchecked state: its node must have the link's b.
-    Mutant("walk-state-b-from-the-labels", "src/trisections/moves.py",
+    Mutant("walk-state-b-from-the-labels", _MOVES,
            "genera = _node(self.g12, self.g13, self.g23, self.b)",
            "genera = _node(self.g12, self.g13, self.g23, len(self.labels) + 1)", _REBUILT),
+    # A disk run in closed form: the order of each merged pair, and the
+    # number of merges before the pairs.
+    Mutant("disk-run-pair-out-of-string-order", _MOVES,
+           "removed = (x, y) if x < y else (y, x)", "removed = (x, y)", _BUILDS),
+    Mutant("disk-run-one-merge-short", _MOVES,
+           "pairs, merges = self.opposite(i), self.b - 1",
+           "pairs, merges = self.opposite(i), self.b - 2", _BUILDS),
+    # The one-frame given-arc kernel: its floor check, its created-label
+    # check, the walk's ints a fake_stab record reads, and the record test.
+    Mutant("follow-skips-the-floors", _MOVES,
+           "                if g12 < _LEAST_G12 or g13 < _LEAST_G13 or g23 < _LEAST_G23:\n"
+           "                    raise IllegalMove(message)\n", "", _MUTATED),
+    Mutant("follow-takes-any-created-labels", _MOVES,
+           "if created != expected or removed != arc:", "if removed != arc:",
+           (f"{_KERNEL}::test_mutated_scripts_fail_with_the_same_message",
+            f"{_KERNEL}::test_mutated_records_at_the_table_end_fail_with_the_same_message")),
+    Mutant("follow-fakes-from-stale-ints", _MOVES,
+           "                    self.g12, self.g13, self.g23, self.b, self.next_id = "
+           "g12, g13, g23, b, n\n                    if (applied := self.fake_stab())",
+           "                    if (applied := self.fake_stab())", _FAKES),
+    Mutant("follow-takes-a-plain-tuple", _MOVES,
+           "op = record.op  # by attribute", "op = record[0]  # by attribute",
+           ("tests/test_explorer.py::test_replay_names_a_step_that_is_no_record",)),
     # The argument checks of the library's API.
     Mutant("counts-take-a-negative-int", "src/trisections/core.py", _COUNT_CHECK,
            "    if type(value) is not int:", (_NEGATIVE,)),
@@ -92,7 +126,7 @@ CATALOGUE = (
     Mutant("limit-unchecked", _EXPLORER, '    _check_count("limit", limit)\n', "", (_JUNK, _NEGATIVE)),
     Mutant("fresh-unchecked", "src/trisections/core.py", '        _check_count("count", count)\n', "",
            (_JUNK, _NEGATIVE)),
-    Mutant("inverse_of-unchecked", "src/trisections/moves.py",
+    Mutant("inverse_of-unchecked", _MOVES,
            '    _check_type("record", record, MoveRecord)\n', "", (_JUNK,)),
     Mutant("realize_path-unchecked", _EXPLORER,
            "        raise OutOfDomain(f\"path must be an iterable of (handlebody, kind) pairs, "

@@ -601,8 +601,9 @@ def test_replay_refuses_a_script_that_is_no_sequence(script):
         replay(KODA.to_state(), script)
 
 
-@pytest.mark.parametrize("script", ["2", [None], [("stab",)], [2.0], [[]]],
-                         ids=["str", "none", "tuple", "float", "list"])
+@pytest.mark.parametrize("script", [
+    "2", [None], [("stab",)], [2.0], [[]], [tuple(balance(KODA.to_state())[1][0])],
+], ids=["str", "none", "tuple", "float", "list", "plain-record-tuple"])
 def test_replay_names_a_step_that_is_no_record(script):
     state = KODA.to_state()
     first = balance(state)[1][:1]

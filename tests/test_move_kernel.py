@@ -65,8 +65,14 @@ def test_the_states_cover_b_one_and_higher():
 # Its H1 build merges c1020 .. c2038 into being, across the end of core.LABELS.
 _TABLE_EDGE = MoveGraphNode(0, 0, 0, 1020).to_state("table-edge")
 
+# Their H1 builds make b - 1 merges and then 350 split/merge pairs from
+# next_id 1, 3 and 5, so a pair's labels cross c9/c10, c99/c100, c999/c1000
+# and c1023/c1024 at each offset mod 3 of its split.
+_RUN_EDGES = [MoveGraphNode(0, 0, 350, b).to_state(f"run-edge-b{b}") for b in (1, 2, 3)]
 
-@pytest.mark.parametrize("state", [*_STATES, _BIG, _TABLE_EDGE], ids=lambda s: s.label[:24])
+
+@pytest.mark.parametrize("state", [*_STATES, _BIG, _TABLE_EDGE, *_RUN_EDGES],
+                         ids=lambda s: s.label[:24])
 def test_balance_and_build_match_the_fold(state):
     after, script = balance(state)
     expected, expected_script = oracle.balance(state)
