@@ -25,12 +25,13 @@ tuple followed by the walk's records.  Every script runs as one walk (a
 plan as one a side), and a single move is a walk of one.  A run of n
 moves is one call in one Python frame, not n.  There are three kernels.
 ``_Walk.to_disk`` makes the canonical run that turns S_jk into a disk
-in closed form: b - 1 merges of the pair that leads the list, then
-g_jk split/merge pairs on the one live label, which take their labels
-straight from :data:`~trisections.core.LABELS` (``c0`` .. ``c1023``,
-formatted once; labels past it are formatted) and touch no list.  Such
-a run is always legal, so it checks nothing, and it moves the genera
-and b once, by the sum of its rows.  ``_Walk.canonical`` makes one
+in closed form: b - 1 merges of the least pair, each taken from the
+list as a heap in O(log b), then g_jk split/merge pairs on the one live
+label, which take their labels straight from
+:data:`~trisections.core.LABELS` (``c0`` .. ``c1023``, formatted once;
+labels past it are formatted) and touch no list.  Such a run is always
+legal, so it checks nothing, and it moves the genera and b once, by the
+sum of its rows.  ``_Walk.canonical`` makes one
 canonical move of ``balance``, ``cap`` and ``fake_stab``: it takes the
 least label or pair from the head of the list and checks legality on
 the walk's ints alone.  Every record along a given arc goes through
@@ -40,10 +41,11 @@ the labels of a canonical script), checks the floors, and checks that
 the record creates the next labels and removes the arc's, before it
 edits the list, so a record that passes is kept as it is; ``move``
 builds the record a move would make and follows it.  Each kernel reads
-its rule as ``_MOVE_RULES[op][same][i]`` and puts each created label in
-the list by ``insort``.  Python-level work a move is constant; what
-grows with b is the C-level shift of the list on each insert and
-delete, and the ``index`` of a given arc deep in the list.  Each walk
+its rule as ``_MOVE_RULES[op][same][i]``, and ``canonical`` and
+``follow`` put each created label in the list by ``insort``.
+Python-level work a move is constant; what grows with b is the C-level
+shift of the list on each of their inserts and deletes, and the
+``index`` of a given arc deep in the list.  Each walk
 copies the history's pointers once, which a single move on a long
 history pays.  The measured costs are in ROADMAP's Baseline and the
 ``BENCH_*.json`` files.
@@ -58,6 +60,7 @@ from __future__ import annotations
 from bisect import insort
 from collections.abc import Iterable
 from dataclasses import dataclass
+from heapq import heappop, heapreplace
 from itertools import islice
 from typing import NamedTuple
 
@@ -289,8 +292,9 @@ class _Walk:
     moves as a list, the label, and ``taken``: how many records of a
     refused :meth:`follow` were applied before the refused one.  Each
     method applies its whole run in one frame.  :meth:`to_disk` makes the
-    b - 1 merges and g_jk split/merge pairs of a disk run with no check,
-    since every such run is legal, and sets the genera and b once.
+    b - 1 merges (on the list as a heap) and g_jk split/merge pairs of a
+    disk run with no check, since every such run is legal, and sets the
+    genera and b once.
     :meth:`canonical` makes one canonical move with its one legality check
     on the row ``_MOVE_RULES["stab"][same][i]``; ``balance``, ``cap`` and
     ``fake_stab`` are made of it.  :meth:`follow` is the one kernel for a
@@ -478,11 +482,12 @@ class _Walk:
         labels, append, n = self.labels, self.records.append, self.next_id
         self.next_id = stop = n + merges + 3 * pairs
         fresh = iter(component_labels(n, stop))
-        # Each merge takes the pair that leads the list.
+        # Each merge takes the least pair.  A list in string order is a
+        # heap, which hands over that pair and takes the new label in
+        # O(log b), with no shift of the list; it is in string order again
+        # once one label is left, at the end.
         for new in islice(fresh, merges):
-            removed = labels[0], labels[1]
-            del labels[:2]
-            insort(labels, new)
+            removed = heappop(labels), heapreplace(labels, new)
             append(_tuple(MoveRecord, ("stab", i, _tuple(DistinctComponents, removed), (new,),
                                        removed)))
         # Then one label is live.  Each split of it makes c<n> and c<n+1>,

@@ -382,8 +382,9 @@ def test_fake_stab_replay_at_high_b_is_linear():
 
 
 def test_a_build_and_its_replay_at_high_b_take_seconds():
-    # 20,000 merges at b = 20,001, across five digit lengths: each arc
-    # leads the walk's list, for the build and for the replay alike.
+    # 20,000 merges at b = 20,001, across five digit lengths: the build
+    # takes each pair from the walk's list as a heap, and the replay finds
+    # each arc at the head of the list.
     state = connect_sum_equal_genus(20_000)
     started = time.perf_counter()
     built, _, script = build_heegaard(state, 1)
