@@ -81,6 +81,11 @@ _PLAN_RECORDS = [
 ]
 _PLAN_SCRIPT = _script_text(_PLAN_RECORDS)
 
+# Two fake stabilizations of connect-sum 1100 (b = 1,101), whose labels
+# lie past c1023.
+_FAKE_SCRIPT = _script_text(["fake_stab 1 c1101 c1102,c1103 c0,c1",
+                             "fake_stab 1 c1104 c1105,c1106 c10,c100"])
+
 GROUPS: dict[str, list] = {
     "new": [["new", *kind] for kind in _KINDS] + [
         ["new", "open-book", "1", "-o", "open-book.json"],
@@ -243,6 +248,36 @@ GROUPS: dict[str, list] = {
         ["build-heegaard", "ob.json", "--handlebody", "1", "--script", "build.json",
          "-o", "built.json"],
         ["replay", "ob.json", "build.json"],
+        # A fake_stab record at b = 2 and then a destab at b = 2 (a merge),
+        # both in one replayed script; and fake_stab records whose labels lie
+        # past c1023, the second on the pair c10, c100 of two lengths, replayed
+        # as written and with a created label off by one.
+        ("edit", "koda2.json", None, _script_text(["fake_stab 1 c2 c3,c4 c0,c1",
+                                                    "destab 1 c3,c4 c5 c3,c4"])),
+        ["replay", "koda.json", "koda2.json"],
+        ["new", "connect-sum", "1100", "-o", "cs.json"],
+        ("edit", "fakes.json", None, _FAKE_SCRIPT),
+        ["replay", "cs.json", "fakes.json"],
+        ("edit", "fakes1.json", None, _FAKE_SCRIPT),
+        ("edit", "fakes1.json", '"c1106"', '"c1107"'),
+        ["replay", "cs.json", "fakes1.json"],
+    ],
+    # Shortest scripts from explore: one from b = 99 to b = 1,021 whose
+    # created labels cross c99/c100 and c1023/c1024, a short one at high b,
+    # a goal out of reach only by b, and a goal above --max-sum.
+    "shortest": [
+        ["new", "connect-sum", "98", "-o", "cs98.json"],
+        ["new", "connect-sum", "1020", "-o", "cs1020.json"],
+        ["new", "connect-sum", "1021", "-o", "cs1021.json"],
+        ["explore", "--start", "cs98.json", "--max-sum", "3060", "--shortest-to", "cs1020.json"],
+        ["explore", "--start", "cs1020.json", "--max-sum", "3063", "--shortest-to", "cs1021.json"],
+        ["new", "connect-sum", "5", "-o", "cs5.json"],
+        ["new", "open-book", "3", "-o", "ob3.json"],
+        ["explore", "--start", "cs5.json", "--max-sum", "30", "--shortest-to", "ob3.json"],
+        ["new", "from-heegaard", "2", "-o", "h2.json"],
+        ["new", "open-book", "1", "-o", "ob1.json"],
+        ["explore", "--start", "h2.json", "--max-sum", "5", "--shortest-to", "ob1.json"],
+        ["explore", "--start", "h2.json", "--max-sum", "6", "--shortest-to", "ob1.json"],
     ],
 }
 
