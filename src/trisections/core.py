@@ -386,14 +386,18 @@ def _state(genera: MoveGraphNode, link: LinkComponentSet, history: tuple,
     return state
 
 
-def _b_values(level: int, top: int, least: int, most: int) -> range:
-    """The b in [least, most] of a node at ``level`` whose largest height is ``top``.
+def _last_b(level: int, top: int) -> int:
+    """The largest b of a node at ``level`` whose largest height is ``top``: its
+    genera g_ij = M - h_k, M = (level + 1 - b) / 2, are nonnegative integers
+    exactly when b >= 1, level + b is odd and b <= level + 1 - 2 top."""
+    return level + 1 - 2 * top
 
-    Its genera g_ij = M - h_k, M = (level + 1 - b) / 2, are nonnegative
-    integers exactly when b >= 1, level + b is odd and b <= level + 1 - 2 top.
-    """
-    # Conditionals, not max() and min(): verify calls this per profile, through is_feasible.
-    last = level + 1 - 2 * top
+
+def _b_values(level: int, top: int, least: int, most: int) -> range:
+    """The b in [least, most] of a node at ``level`` whose largest height is
+    ``top``: b >= 1, level + b odd and b <= :func:`_last_b`."""
+    # Conditionals, not max() and min(): search calls this per level.
+    last = _last_b(level, top)
     least = least if least > _LEAST_B else _LEAST_B
     least += 1 - (level + least) % 2
     return range(least, (most if most < last else last) + 1, 2)
@@ -424,15 +428,17 @@ def _genera(h1: int, h2: int, h3: int, b: int) -> tuple[int, int, int, int]:
 
 
 def is_feasible(profile: Profile) -> bool:
-    """Whether some trisection state presents this profile: whether its b is
-    one that :func:`_b_values` admits at its level and largest height."""
+    """Whether some trisection state presents this profile: whether b >= 1,
+    h1 + h2 + h3 + b is odd and b is at most :func:`_last_b` of its level
+    and largest height."""
     try:
         h1, h2, h3, b = profile.h1, profile.h2, profile.h3, profile.b
     except AttributeError:
         # Checked only once the read has failed, so verify's calls cost no more.
         _check_type("profile", profile, Profile)
         raise
-    return b in _b_values(h1 + h2 + h3, max(h1, h2, h3), b, b)
+    level = h1 + h2 + h3
+    return b >= _LEAST_B and (level + b) % 2 == 1 and b <= _last_b(level, max(h1, h2, h3))
 
 
 def state_from_profile(profile: Profile, label: str = "") -> TrisectionState:

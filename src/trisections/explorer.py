@@ -62,28 +62,30 @@ plain ints, each (g12, g13, g23) with its range of b and its depth, and
 counts them as it goes, stopping once past a given limit.  It feeds
 :func:`bfs_reachable`, :func:`feasible_nodes`, :func:`node_count` and
 the CLI's ``explore``, which counts, refuses and formats its lines from
-those ints without building a node.  A shortest
-path is walked greedily, one move per level, on the coordinates as plain
-ints: each step is the first legal row whose result can still reach the
-goal.  Breadth-first search survives only in the tests, as the reference
-they hold the rule to, next to an enumeration of the common nodes level
-by level.
+those ints without building a node.  Breadth-first search survives
+only in the tests, as the reference they hold the rule to, next to an
+enumeration of the common nodes level by level.
 
-The full labeled engine reappears only when a parameter path is realized
-as a replayable :class:`~trisections.moves.MoveScript` on canonical
-labels: the witnesses of :func:`common_stabilization_search` run one
-walk from a node's canonical labels, and :func:`realize_path` one from a
-given state.
+A shortest path and its script on canonical labels are one call of one
+kernel, :func:`_witness`.  It climbs greedily on plain ints, one move a
+level, taking the first legal row whose result can still reach the goal,
+and in the same loop makes that row's canonical move on a list of the
+start's labels in string order, with the row's floor test as its one
+legality check.  Its records are the witnesses of
+:func:`common_stabilization_search`, and :func:`shortest_path` reads its
+moves off them.  A walk of :mod:`~trisections.moves` reappears only in
+:func:`realize_path`, which realizes a given path on a given state.
 """
 
 from __future__ import annotations
 
-from bisect import insort_left
+from bisect import insort, insort_left
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .core import (
+    _LABEL_COUNT,
     _SUCCESSOR_ROWS,
     _b_values,
     _check_count,
@@ -93,17 +95,19 @@ from .core import (
     _new,
     _node,
     _setters,
+    LABELS,
     MoveGraphNode,
     OutOfDomain,
     ParamMove,
     Profile,
     TrisectionError,
     TrisectionState,
+    component_labels,
     is_feasible,
     other_two,
 )
-from .moves import (MoveScript, _Walk, balance, balance_length, build_heegaard, capped_genus,
-                    disk_length)
+from .moves import (DistinctComponents, MoveRecord, MoveScript, SameComponent, _tuple, _Walk,
+                    balance, balance_length, build_heegaard, capped_genus, disk_length)
 
 
 # A Profile's slots set without __post_init__, by verify's loops, which
@@ -285,51 +289,62 @@ def shortest_path(start: MoveGraphNode, goal: MoveGraphNode) -> list[ParamMove] 
     """A shortest parameter-move path from ``start`` to ``goal``, or None.
 
     None exactly when ``goal`` is not :func:`reachable`; otherwise the
-    path has goal.sum_h() - start.sum_h() moves.  It is a greedy walk, one
-    move per level: each step takes the first row of
-    :data:`~trisections.core.STAB_DELTAS`, in row order, that is legal
-    and whose result can still reach ``goal`` (else
+    path has goal.sum_h() - start.sum_h() moves.  It is the greedy walk
+    of :func:`_witness`, one move per level: each step takes the first
+    row of :data:`~trisections.core.STAB_DELTAS`, in row order, that is
+    legal and whose result can still reach ``goal`` (else
     :class:`WitnessNotFound`).  By the proof above every such prefix
     extends to ``goal``, so this is the least shortest path in row order,
-    the one breadth-first search returns.  The walk keeps the coordinates
-    as plain ints and builds no node: a row raises one height by 1 and
-    moves b by 1, so its result can still reach ``goal`` exactly when that
-    height stays at or below goal's and b stays within the moves left of
-    b(goal).  Realize the path against a labeled state with
+    the one breadth-first search returns.  Each move is read off the
+    record the walk makes: its handlebody, and "same" when it removed one
+    label.  Realize the path against a labeled state with
     :func:`realize_path`.
     """
     if not reachable(start, goal):
         return None
-    return list(_climb(start, goal, start.heights(), goal.heights()))
+    return [(record.handlebody, "same" if len(record.removed) == 1 else "distinct")
+            for record in _witness(start, goal, start.heights(), goal.heights())]
 
 
-def _climb(
-    start: MoveGraphNode, goal: MoveGraphNode, h_start: tuple[int, ...], h_goal: tuple[int, ...]
-) -> Iterator[ParamMove]:
-    # shortest_path's greedy walk on ints, yielding each move as it is chosen,
-    # from a start that reaches goal: the first row of _SUCCESSOR_ROWS that is
-    # legal and keeps goal in reach.
-    b_goal = goal.b
-    params = (start.g12, start.g13, start.g23, start.b)
-    heights = list(h_start)
-    for left in range(sum(h_goal) - sum(h_start) - 1, -1, -1):
-        gap = b_goal - params[3]
-        for move, delta, falling, least, i in _SUCCESSOR_ROWS:
-            if params[falling] >= least and heights[i] < h_goal[i] and abs(gap - delta[3]) <= left:
+def _witness(start: MoveGraphNode, goal: MoveGraphNode, h_start: tuple[int, ...],
+             h_goal: tuple[int, ...]) -> MoveScript:
+    # realize_path(start.to_state(), shortest_path(start, goal))[1] for a goal
+    # that start reaches, with no walk and no state.  A row keeps goal in reach
+    # when its height stays at or below goal's and b within the moves left of
+    # b(goal); it lowers one coordinate, so its floor test is the move's one
+    # legality check.  The move's arc, the least label or pair, heads the list.
+    b_goal, rows, n = goal.b, _SUCCESSOR_ROWS, start.b
+    params = g12, g13, g23, b = start.g12, start.g13, start.g23, n
+    (g1, g2, g3), (s1, s2, s3) = h_goal, h_start
+    room = [g1 - s1, g2 - s2, g3 - s3]  # each height's moves left
+    labels, records = sorted(component_labels(0, n)), []
+    for left in range(g1 + g2 + g3 - s1 - s2 - s3 - 1, -1, -1):
+        gap = b_goal - b
+        for (i, kind), delta, falling, least, k in rows:
+            if params[falling] >= least and room[k] > 0 and abs(gap - delta[3]) <= left:
                 break
         else:
             node = MoveGraphNode(*params)
             raise WitnessNotFound(f"no stabilization of {node} can still reach {goal}")
-        params = tuple(map(int.__add__, params, delta))
-        heights[i] += 1
-        yield move
-
-
-def _canonical_script(start: MoveGraphNode, path: Iterable[ParamMove]) -> MoveScript:
-    # realize_path(start.to_state(), path)[1], by one walk from start's
-    # canonical labels that builds no state, taking each move as it comes.
-    canonical = _Walk._at_node(start).canonical
-    return tuple([canonical(i, kind == "same") for i, kind in path])
+        d12, d13, d23, db = delta
+        params = g12, g13, g23, b = g12 + d12, g13 + d13, g23 + d23, b + db
+        room[k] -= 1
+        if kind == "same":
+            removed = (labels.pop(0),)
+            arc = _tuple(SameComponent, removed)
+            created = (LABELS[n], LABELS[n + 1]) if n + 2 <= _LABEL_COUNT else component_labels(n, n + 2)
+            insort(labels, created[0])
+            insort(labels, created[1])
+            n += 2
+        else:
+            removed = labels[0], labels[1]
+            del labels[:2]
+            arc = _tuple(DistinctComponents, removed)  # in string order already
+            created = (LABELS[n],) if n < _LABEL_COUNT else component_labels(n, n + 1)
+            insort(labels, created[0])
+            n += 1
+        records.append(_tuple(MoveRecord, ("stab", i, arc, created, removed)))
+    return tuple(records)
 
 
 def common_stabilization_search(
@@ -346,8 +361,8 @@ def common_stabilization_search(
     The node is built, not searched for, by the least-node rule of the
     module docstring: the greedy heights at the largest b of the first
     level whose interval of b is not empty, with O(1) work a level.  The
-    node is common by construction, so each witness is realized straight
-    from :func:`shortest_path`'s climb, which raises
+    node is common by construction, so each witness is one call of the
+    greedy kernel :func:`_witness`, with no walk and no state, which raises
     :class:`WitnessNotFound` if the move graph disagrees with the rule.
     """
     if type(max_sum) is not int or type(a) is not MoveGraphNode or type(b) is not MoveGraphNode:
@@ -377,12 +392,9 @@ def common_stabilization_search(
     h3 = min(half, level - f1 - f2)
     h2 = min(half, level - h3 - f1)
     heights = (level - h3 - h2, h2, h3)
-    node = MoveGraphNode(*_genera(*heights, count))
-    return (
-        node,
-        _canonical_script(a, _climb(a, node, (a1, a2, a3), heights)),
-        _canonical_script(b, _climb(b, node, (b1, b2, b3), heights)),
-    )
+    # Its heights lie in [F, M], so every g_ij >= 0, and b >= 1.
+    node = _node(*_genera(*heights, count))
+    return node, _witness(a, node, (a1, a2, a3), heights), _witness(b, node, (b1, b2, b3), heights)
 
 
 @dataclass(frozen=True, slots=True)

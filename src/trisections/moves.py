@@ -31,8 +31,9 @@ label, which take their labels straight from
 :data:`~trisections.core.LABELS` (``c0`` .. ``c1023``, formatted once;
 labels past it are formatted) and touch no list.  Such a run is always
 legal, so it checks nothing, and it moves the genera and b once, by the
-sum of its rows.  ``_Walk.canonical`` makes one
-canonical move of ``balance``, ``cap`` and ``fake_stab``: it takes the
+sum of its rows.  ``_Walk.canonical`` makes one canonical move of
+``balance``, ``cap``, ``fake_stab`` and ``explorer.realize_path`` (search's
+witnesses make theirs in ``explorer._witness``, with no walk): it takes the
 least label or pair from the head of the list and checks legality on
 the walk's ints alone.  Every record along a given arc goes through
 ``_Walk.follow``, which runs a whole script with the walk's ints in

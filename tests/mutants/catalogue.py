@@ -36,6 +36,12 @@ _FEASIBILITY = (
     "tests/test_explorer.py::test_verify_fails_rather_than_raises_when_feasibility_lies",
     "tests/test_explorer.py::test_verify_checks_feasibility_on_every_profile_in_range",
 )
+_REACH = "tests/test_reachability.py"
+_WITNESSES = (
+    f"{_REACH}::test_witnesses_match_the_successor_walk_on_every_pair_up_to_sum_13",
+    f"{_REACH}::test_common_stabilization_matches_the_enumeration_on_every_pair_up_to_sum_13",
+)
+_TABLE_EDGE = (f"{_REACH}::test_search_witnesses_match_the_successor_walk_across_the_label_table_end",)
 _REBUILT = ("tests/test_moves.py::test_the_states_built_without_checks_pass_every_check",)
 _MOVES = "src/trisections/moves.py"
 _KERNEL = "tests/test_move_kernel.py"
@@ -91,6 +97,24 @@ CATALOGUE = (
            "set2(profile, h3)\n                    set3(profile, h2)", _FEASIBILITY),
     Mutant("feasibility-skips-b-1", _EXPLORER, "                for b in range(1, max_sum + 3):",
            "                for b in range(2, max_sum + 3):", _FEASIBILITY),
+    # is_feasible by arithmetic: its parity test, and the last b it admits.
+    Mutant("feasibility-ignores-parity", "src/trisections/core.py",
+           "b >= _LEAST_B and (level + b) % 2 == 1 and b <=", "b >= _LEAST_B and b <=", _FEASIBILITY),
+    Mutant("feasibility-last-b-two-high", "src/trisections/core.py",
+           "    return level + 1 - 2 * top\n", "    return level + 3 - 2 * top\n",
+           _FEASIBILITY[1:]),
+    # The witness kernel: the greedy row's floor and reach tests, the pair a
+    # merge takes, and the labels it creates past the end of core.LABELS.
+    Mutant("witness-skips-the-floor-test", _EXPLORER,
+           "if params[falling] >= least and room[k] > 0", "if room[k] > 0", _WITNESSES),
+    Mutant("witness-drops-the-reach-test", _EXPLORER,
+           "room[k] > 0 and abs(gap - delta[3]) <= left:", "room[k] > 0:", _WITNESSES),
+    Mutant("witness-merges-the-first-and-third-labels", _EXPLORER,
+           "removed = labels[0], labels[1]\n", "removed = labels[0], labels[2]\n", _WITNESSES),
+    Mutant("witness-merge-label-off-by-one-past-the-table", _EXPLORER,
+           "else component_labels(n, n + 1)", "else component_labels(n + 1, n + 2)", _TABLE_EDGE),
+    Mutant("witness-split-labels-off-by-one-past-the-table", _EXPLORER,
+           "else component_labels(n, n + 2)", "else component_labels(n + 1, n + 3)", _TABLE_EDGE),
     # A walk's unchecked state: its node must have the link's b.
     Mutant("walk-state-b-from-the-labels", _MOVES,
            "genera = _node(self.g12, self.g13, self.g23, self.b)",

@@ -324,7 +324,7 @@ def test_shortest_path_builds_no_node_per_move(monkeypatch):
     ):
         built.clear()
         path = shortest_path(start, goal)
-        script = explorer._canonical_script(start, path)
+        script = explorer._witness(start, goal, start.heights(), goal.heights())
         counts.append(len(built))
         assert len(path) == len(script) == moves
     monkeypatch.undo()
@@ -343,7 +343,7 @@ def test_shortest_path_never_loops_when_no_row_qualifies(monkeypatch):
 def test_shortest_script_replays_to_the_goal():
     # The shortest path realized on canonical labels, as search's witnesses are.
     path = shortest_path(HEEGAARD2, OPENBOOK1)
-    script = explorer._canonical_script(HEEGAARD2, path)
+    script = explorer._witness(HEEGAARD2, OPENBOOK1, HEEGAARD2.heights(), OPENBOOK1.heights())
     assert len(script) == 2 and script == realize_path(HEEGAARD2.to_state(), path)[1]
     assert _replay_records(HEEGAARD2, script) == OPENBOOK1
 

@@ -6,11 +6,13 @@
 ``bfs_oracle``, which uses only ``successors``: exhaustive sweeps over
 small nodes, a property test over larger ones, and a BFS-intersection
 search written out in this file.  The witnesses, ``shortest_path`` and
-its script on canonical labels (``explorer._canonical_script``, which
-search's witnesses use), are also held to the oracle's walk on nodes and
-to ``realize_path`` on the state it starts from.  The closed-form least
-common node is held to the oracle's level-by-level enumeration, node and
-witnesses alike, and shown to enumerate nothing at any distance.
+its script on canonical labels (``explorer._witness``, the one kernel
+behind both and behind search's witnesses), are also held to the
+oracle's walk on nodes and to ``realize_path`` on the state it starts
+from, also where their labels cross the end of ``core.LABELS``.  The
+closed-form least common node is held to the oracle's level-by-level
+enumeration, node and witnesses alike, and shown to enumerate nothing
+at any distance.
 """
 
 from __future__ import annotations
@@ -136,7 +138,7 @@ def _assert_witnesses_match_the_oracle(start, goal) -> bool:
     assert shortest_path(start, goal) == expected, (start, goal)
     if expected is None:
         return False
-    script = explorer._canonical_script(start, expected)
+    script = explorer._witness(start, goal, start.heights(), goal.heights())
     _, realized = realize_path(start.to_state(), expected)
     assert script == realized, (start, goal)
     assert script_to_text(script) == script_to_text(realized), (start, goal)
@@ -155,6 +157,28 @@ def test_witnesses_match_the_successor_walk_to_a_far_goal():
     start, goal = MoveGraphNode(0, 1, 0, 1), MoveGraphNode(50, 50, 48, 3)
     assert _assert_witnesses_match_the_oracle(start, goal)
     assert len(shortest_path(start, goal)) == 300
+
+
+@pytest.mark.parametrize("a, b, edge", [
+    (MoveGraphNode(0, 0, 1, 99), MoveGraphNode(0, 3, 0, 98), ("c99", "c100")),
+    (MoveGraphNode(0, 0, 2, 98), MoveGraphNode(0, 3, 0, 99), ("c99", "c100")),
+    (MoveGraphNode(0, 0, 1, 1023), MoveGraphNode(0, 3, 0, 1022), ("c1023", "c1024")),
+    (MoveGraphNode(0, 0, 2, 1022), MoveGraphNode(0, 3, 0, 1023), ("c1023", "c1024")),
+    (MoveGraphNode(3, 0, 2, 1023), MoveGraphNode(0, 0, 0, 1030), ("c1023", "c1024")),
+    # A far goal: a's witness makes 2,766 moves, from b = 99 up to b = 1,021.
+    (MoveGraphNode(0, 0, 0, 99), MoveGraphNode(0, 0, 0, 1021), ("c99", "c100", "c1023", "c1024")),
+])
+def test_search_witnesses_match_the_successor_walk_across_the_label_table_end(a, b, edge):
+    # Each witness is the oracle's path realized from its input's canonical
+    # state, and replays to the node.  a's creates the labels on both sides
+    # of each edge: c99/c100, where labels grow a digit, and c1023/c1024,
+    # the end of core.LABELS, past which labels are formatted.
+    node, *scripts = common_stabilization_search(a, b, 10**6)
+    for start, script in zip((a, b), scripts):
+        path = greedy_shortest_path(start, node, node.sum_h() - start.sum_h())
+        assert script == realize_path(start.to_state(), path)[1], (start, node)
+        assert replay(start.to_state(), script).genera == node, (start, node)
+    assert set(edge) <= {label for record in scripts[0] for label in record.created}
 
 
 @st.composite
@@ -306,7 +330,9 @@ def test_common_stabilization_enumerates_nothing_at_any_distance(monkeypatch):
 
     monkeypatch.setattr(explorer, "bfs_reachable", refuse)
     monkeypatch.setattr(explorer, "_cone", refuse)  # the one walk behind every listing and count
-    monkeypatch.setattr(explorer, "_node", refuse)  # the listings' trusted node builder
+    # The listings' trusted node builder builds the answer, and nothing else.
+    built = []
+    monkeypatch.setattr(explorer, "_node", lambda *params: built.append(params) or MoveGraphNode(*params))
     g = 1_000
     a = genera_from_profile(Profile(g, g, g, g + 1))
     b = genera_from_profile(Profile(g, g, g, 1))
@@ -314,6 +340,7 @@ def test_common_stabilization_enumerates_nothing_at_any_distance(monkeypatch):
     assert found is not None
     node, script_a, script_b = found
     assert node == MoveGraphNode(0, g // 2, g // 2, g // 2 + 1)
+    assert built == [(0, g // 2, g // 2, g // 2 + 1)]
     assert node.heights() == (g, g, 3 * g // 2)
     for start, script in ((a, script_a), (b, script_b)):
         assert len(script) == g // 2
