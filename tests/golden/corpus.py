@@ -279,6 +279,24 @@ GROUPS: dict[str, list] = {
         ["explore", "--start", "h2.json", "--max-sum", "5", "--shortest-to", "ob1.json"],
         ["explore", "--start", "h2.json", "--max-sum", "6", "--shortest-to", "ob1.json"],
     ],
+    # Canonical runs from states with a history, whose labels are not
+    # c0 .. c<b-1> and whose next_id is above b: a shortest script whose
+    # labels cross c9/c10, balance at b >= 2 and at b = 1 past c1023, a
+    # fake stabilization at b = 1 past c1023, and a plan at high b.
+    "histories": [
+        ["new", "connect-sum", "5", "-o", "cs5.json"],
+        ["stab", "cs5.json", "--handlebody", "1", "--arc", "distinct:c0,c1", "-o", "s.json"],
+        ["new", "connect-sum", "8", "-o", "cs8.json"],
+        ["explore", "--start", "s.json", "--max-sum", "40", "--shortest-to", "cs8.json"],
+        ["balance", "s.json", "--script", "balance.json"],
+        ["new", "connect-sum", "1100", "-o", "cs1100.json"],
+        ["build-heegaard", "cs1100.json", "--handlebody", "1", "-o", "built.json"],
+        ["balance", "built.json", "--script", "balance2.json"],
+        ["fake-stab", "built.json"],
+        ["new", "connect-sum", "40", "-o", "cs40.json"],
+        ["new", "koda-ozawa", "-o", "koda.json"],
+        ["plan", "cs40.json", "koda.json", "--rs-bound", "1"],
+    ],
 }
 
 
