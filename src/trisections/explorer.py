@@ -66,26 +66,22 @@ those ints without building a node.  Breadth-first search survives
 only in the tests, as the reference they hold the rule to, next to an
 enumeration of the common nodes level by level.
 
-A shortest path and its script on canonical labels are one call of one
-kernel, :func:`_witness`.  It climbs greedily on plain ints, one move a
-level, taking the first legal row whose result can still reach the goal,
-and in the same loop makes that row's canonical move on a list of the
-start's labels in string order, with the row's floor test as its one
-legality check.  Its records are the witnesses of
-:func:`common_stabilization_search`, and :func:`shortest_path` reads its
-moves off them.  A walk of :mod:`~trisections.moves` reappears only in
-:func:`realize_path`, which realizes a given path on a given state.
+A shortest path is a greedy climb on plain ints, :func:`_climb`, one
+move a level, taking the first legal row whose result can still reach
+the goal; it makes no labels.  The moves' labels are made in one place,
+the canonical run of :mod:`~trisections.moves`: on the start's canonical
+labels for search's witnesses (:func:`_witness`, with no walk and no
+state), and on a given state, in a walk, by :func:`realize_path`.
 """
 
 from __future__ import annotations
 
-from bisect import insort, insort_left
+from bisect import insort_left
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .core import (
-    _LABEL_COUNT,
     _SUCCESSOR_ROWS,
     _b_values,
     _check_count,
@@ -95,7 +91,6 @@ from .core import (
     _new,
     _node,
     _setters,
-    LABELS,
     MoveGraphNode,
     OutOfDomain,
     ParamMove,
@@ -106,8 +101,8 @@ from .core import (
     is_feasible,
     other_two,
 )
-from .moves import (DistinctComponents, MoveRecord, MoveScript, SameComponent, _tuple, _Walk,
-                    balance, balance_length, build_heegaard, capped_genus, disk_length)
+from .moves import (MoveScript, _canonical_run, _Walk, balance, balance_length, build_heegaard,
+                    capped_genus, disk_length)
 
 
 # A Profile's slots set without __post_init__, by verify's loops, which
@@ -270,18 +265,16 @@ def realize_path(
     """Apply a parameter path to a labeled state with canonical arc choices.
 
     SameComponent moves take the lexicographically smallest component,
-    DistinctComponents moves the smallest pair.
+    DistinctComponents moves the smallest pair.  Each step's kind,
+    handlebody and legality are checked in turn before any label is made,
+    and the first faulty step raises.
     """
     walk = _Walk(state)
     try:
         steps = [(i, kind) for i, kind in path]
     except (TypeError, ValueError):  # a path or a step that does not unpack
         raise OutOfDomain(f"path must be an iterable of (handlebody, kind) pairs, got {path!r}") from None
-    for i, kind in steps:
-        if kind not in ("same", "distinct"):
-            raise ValueError(f"unknown parameter move kind {kind!r}")
-        other_two(i)  # rejects anything but 1, 2 and 3
-        walk.canonical(i, kind == "same")
+    walk.stabs(steps)
     return walk.state(), tuple(walk.records)
 
 
@@ -289,38 +282,34 @@ def shortest_path(start: MoveGraphNode, goal: MoveGraphNode) -> list[ParamMove] 
     """A shortest parameter-move path from ``start`` to ``goal``, or None.
 
     None exactly when ``goal`` is not :func:`reachable`; otherwise the
-    path has goal.sum_h() - start.sum_h() moves.  It is the greedy walk
-    of :func:`_witness`, one move per level: each step takes the first
-    row of :data:`~trisections.core.STAB_DELTAS`, in row order, that is
-    legal and whose result can still reach ``goal`` (else
+    path has goal.sum_h() - start.sum_h() moves.  It is the greedy climb
+    of :func:`_climb` on plain ints, one move per level: each step takes
+    the first row of :data:`~trisections.core.STAB_DELTAS`, in row order,
+    that is legal and whose result can still reach ``goal`` (else
     :class:`WitnessNotFound`).  By the proof above every such prefix
     extends to ``goal``, so this is the least shortest path in row order,
-    the one breadth-first search returns.  Each move is read off the
-    record the walk makes: its handlebody, and "same" when it removed one
-    label.  Realize the path against a labeled state with
-    :func:`realize_path`.
+    the one breadth-first search returns.  It makes no labels: realize the
+    path against a labeled state with :func:`realize_path`.
     """
     if not reachable(start, goal):
         return None
-    return [(record.handlebody, "same" if len(record.removed) == 1 else "distinct")
-            for record in _witness(start, goal, start.heights(), goal.heights())]
+    return _climb(start, goal, start.heights(), goal.heights())
 
 
-def _witness(start: MoveGraphNode, goal: MoveGraphNode, h_start: tuple[int, ...],
-             h_goal: tuple[int, ...]) -> MoveScript:
-    # realize_path(start.to_state(), shortest_path(start, goal))[1] for a goal
-    # that start reaches, with no walk and no state.  A row keeps goal in reach
-    # when its height stays at or below goal's and b within the moves left of
-    # b(goal); it lowers one coordinate, so its floor test is the move's one
-    # legality check.  The move's arc, the least label or pair, heads the list.
-    b_goal, rows, n = goal.b, _SUCCESSOR_ROWS, start.b
-    params = g12, g13, g23, b = start.g12, start.g13, start.g23, n
+def _climb(start: MoveGraphNode, goal: MoveGraphNode, h_start: tuple[int, ...],
+           h_goal: tuple[int, ...]) -> list[ParamMove]:
+    # shortest_path(start, goal) for a goal that start reaches, on plain ints.
+    # A row keeps goal in reach when its height stays at or below goal's and
+    # b within the moves left of b(goal); it lowers one coordinate, so its
+    # floor test is the move's one legality check.
+    b_goal, rows = goal.b, _SUCCESSOR_ROWS
+    params = g12, g13, g23, b = start.g12, start.g13, start.g23, start.b
     (g1, g2, g3), (s1, s2, s3) = h_goal, h_start
     room = [g1 - s1, g2 - s2, g3 - s3]  # each height's moves left
-    labels, records = sorted(component_labels(0, n)), []
+    path = []
     for left in range(g1 + g2 + g3 - s1 - s2 - s3 - 1, -1, -1):
         gap = b_goal - b
-        for (i, kind), delta, falling, least, k in rows:
+        for move, delta, falling, least, k in rows:
             if params[falling] >= least and room[k] > 0 and abs(gap - delta[3]) <= left:
                 break
         else:
@@ -329,21 +318,18 @@ def _witness(start: MoveGraphNode, goal: MoveGraphNode, h_start: tuple[int, ...]
         d12, d13, d23, db = delta
         params = g12, g13, g23, b = g12 + d12, g13 + d13, g23 + d23, b + db
         room[k] -= 1
-        if kind == "same":
-            removed = (labels.pop(0),)
-            arc = _tuple(SameComponent, removed)
-            created = (LABELS[n], LABELS[n + 1]) if n + 2 <= _LABEL_COUNT else component_labels(n, n + 2)
-            insort(labels, created[0])
-            insort(labels, created[1])
-            n += 2
-        else:
-            removed = labels[0], labels[1]
-            del labels[:2]
-            arc = _tuple(DistinctComponents, removed)  # in string order already
-            created = (LABELS[n],) if n < _LABEL_COUNT else component_labels(n, n + 1)
-            insort(labels, created[0])
-            n += 1
-        records.append(_tuple(MoveRecord, ("stab", i, arc, created, removed)))
+        path.append(move)
+    return path
+
+
+def _witness(start: MoveGraphNode, goal: MoveGraphNode, h_start: tuple[int, ...],
+             h_goal: tuple[int, ...]) -> MoveScript:
+    # realize_path(start.to_state(), shortest_path(start, goal))[1] for a goal
+    # that start reaches, with no walk and no state: the climb's moves on the
+    # start's canonical labels, in string order.
+    path, records = _climb(start, goal, h_start, h_goal), []
+    if path:  # a fifth of search's witnesses have no moves, and need no labels
+        _canonical_run(sorted(component_labels(0, start.b)), start.b, path, records.append)
     return tuple(records)
 
 
@@ -361,8 +347,9 @@ def common_stabilization_search(
     The node is built, not searched for, by the least-node rule of the
     module docstring: the greedy heights at the largest b of the first
     level whose interval of b is not empty, with O(1) work a level.  The
-    node is common by construction, so each witness is one call of the
-    greedy kernel :func:`_witness`, with no walk and no state, which raises
+    node is common by construction, so each witness is the greedy climb
+    of :func:`shortest_path` made on the input's canonical labels in one
+    canonical run, with no walk and no state; the climb raises
     :class:`WitnessNotFound` if the move graph disagrees with the rule.
     """
     if type(max_sum) is not int or type(a) is not MoveGraphNode or type(b) is not MoveGraphNode:

@@ -31,19 +31,19 @@ label, which take their labels straight from
 :data:`~trisections.core.LABELS` (``c0`` .. ``c1023``, formatted once;
 labels past it are formatted) and touch no list.  Such a run is always
 legal, so it checks nothing, and it moves the genera and b once, by the
-sum of its rows.  ``_Walk.canonical`` makes one canonical move of
-``balance``, ``cap``, ``fake_stab`` and ``explorer.realize_path`` (search's
-witnesses make theirs in ``explorer._witness``, with no walk): it takes the
-least label or pair from the head of the list and checks legality on
-the walk's ints alone.  Every record along a given arc goes through
-``_Walk.follow``, which runs a whole script with the walk's ints in
-locals: it finds each arc's labels by ``index`` (which stops at once on
-the labels of a canonical script), checks the floors, and checks that
+sum of its rows.  Every other canonical run, a path of (handlebody,
+kind) moves, makes its labels in ``_canonical_run``, which checks
+nothing: ``_Walk.cap`` (``balance`` too) picks its rows on the walk's
+ints, ``_Walk.stabs`` checks a given path on them first, and search's
+witnesses run it with no walk.  Every record along a given arc goes
+through ``_Walk.follow``, which runs a whole script with the walk's ints
+in locals: it finds each arc's labels by ``index`` (which stops at once
+on the labels of a canonical script), checks the floors, and checks that
 the record creates the next labels and removes the arc's, before it
 edits the list, so a record that passes is kept as it is; ``move``
-builds the record a move would make and follows it.  Each kernel reads
-its rule as ``_MOVE_RULES[op][same][i]``, and ``canonical`` and
-``follow`` put each created label in the list by ``insort``.
+builds the record a move would make and follows it.  Each reads its rule
+as ``_MOVE_RULES[op][same][i]``, and puts each created label in the list
+by ``insort``.
 Python-level work a move is constant; what grows with b is the C-level
 shift of the list on each of their inserts and deletes, and the
 ``index`` of a given arc deep in the list.  Each walk
@@ -71,6 +71,7 @@ from .core import (
     STAB_DELTAS,
     LinkComponentSet,
     MoveGraphNode,
+    ParamMove,
     TrisectionError,
     TrisectionState,
     _SET_COMPONENTS,
@@ -284,6 +285,30 @@ def _balance_target(h1: int, h2: int, h3: int) -> int:
     return 2 if h2 <= h1 else 1
 
 
+def _canonical_run(labels: list[str], n: int, path: Iterable[ParamMove], append) -> int:
+    # The one place a canonical move makes its labels: each move of path takes
+    # the least label or pair, which heads labels (live, in string order,
+    # edited in place), creates the next ones from n on and appends its
+    # record; returns the next n.  It checks nothing: callers prove each move.
+    for i, kind in path:
+        if kind == "same":
+            removed = (labels.pop(0),)
+            arc = _tuple(SameComponent, removed)
+            created = (LABELS[n], LABELS[n + 1]) if n + 2 <= _TABLE_END else component_labels(n, n + 2)
+            insort(labels, created[0])
+            insort(labels, created[1])
+            n += 2
+        else:
+            removed = labels[0], labels[1]
+            del labels[:2]
+            arc = _tuple(DistinctComponents, removed)  # in string order already
+            created = (LABELS[n],) if n < _TABLE_END else component_labels(n, n + 1)
+            insort(labels, created[0])
+            n += 1
+        append(_tuple(MoveRecord, ("stab", i, arc, created, removed)))
+    return n
+
+
 class _Walk:
     """A run of labeled moves on mutable parts, built into one state at the end.
 
@@ -292,23 +317,15 @@ class _Walk:
     as plain ints, the input's history (``base``), the records of its own
     moves as a list, the label, and ``taken``: how many records of a
     refused :meth:`follow` were applied before the refused one.  Each
-    method applies its whole run in one frame.  :meth:`to_disk` makes the
-    b - 1 merges (on the list as a heap) and g_jk split/merge pairs of a
-    disk run with no check, since every such run is legal, and sets the
-    genera and b once.
-    :meth:`canonical` makes one canonical move with its one legality check
-    on the row ``_MOVE_RULES["stab"][same][i]``; ``balance``, ``cap`` and
-    ``fake_stab`` are made of it.  :meth:`follow` is the one kernel for a
-    given arc, and runs a whole script: for each record it finds the
-    arc's labels, checks the floors and then the record's created labels
-    against the next ones of ``core.LABELS`` and its removed labels
-    against the arc, and only then edits the list and appends the record
-    itself; a ``fake_stab`` record is applied by :meth:`fake_stab` and
-    must equal its compound record.  :meth:`move` builds the record a move
-    would make and follows it.  Every record is built, with its arc, by
-    one ``tuple.__new__`` each.  :meth:`state` builds the node, link (in
-    creation order) and state once.  Every labeled move goes through a
-    walk, so a script of n moves costs one call, n records and one state.
+    method applies its whole run in one frame, as the module docstring
+    says: :meth:`to_disk` in closed form, :meth:`cap` and :meth:`stabs`
+    through one ``_canonical_run``, :meth:`fake_stab` through ``stabs``,
+    and :meth:`move` through :meth:`follow`, the one kernel for a given
+    arc; a ``fake_stab`` record must equal the compound record
+    :meth:`fake_stab` makes.  Every record is built, with its arc, by one
+    ``tuple.__new__`` each, and :meth:`state` builds the node, link (in
+    creation order) and state once, so a script of n moves costs one
+    call, n records and one state.
     """
 
     __slots__ = ("labels", "next_id", "g12", "g13", "g23", "b", "base", "records", "label",
@@ -412,57 +429,49 @@ class _Walk:
             raise
         self.g12, self.g13, self.g23, self.b, self.next_id = g12, g13, g23, b, n
 
-    def canonical(self, i: int, same: bool) -> MoveRecord:
-        """Stabilize H_i along the smallest label (``same``) or pair; return the record."""
-        # The arc's labels are live, so the one legality check is that the
-        # result clears PARAM_FLOORS, b included: a pair needs b >= 2.
-        (d12, d13, d23, db), message = _MOVE_RULES["stab"][same][i]
-        g12, g13, g23, b = self.g12 + d12, self.g13 + d13, self.g23 + d23, self.b + db
-        if g12 < _LEAST_G12 or g13 < _LEAST_G13 or g23 < _LEAST_G23 or b < _LEAST_B:
-            raise IllegalMove(message)
+    def stabs(self, path: list[ParamMove]) -> None:
+        """Stabilize along each (handlebody, kind) move of ``path`` on the least label or pair."""
+        # Each step's kind, handlebody and floors (a pair needs b >= 2) are
+        # checked on ints in turn, before one run makes every label.
+        rules = _MOVE_RULES["stab"]
+        g12, g13, g23, b = self.g12, self.g13, self.g23, self.b
+        for i, kind in path:
+            if kind not in ("same", "distinct"):
+                raise ValueError(f"unknown parameter move kind {kind!r}")
+            other_two(i)  # rejects anything but 1, 2 and 3
+            (d12, d13, d23, db), message = rules[kind == "same"][i]
+            g12, g13, g23, b = g12 + d12, g13 + d13, g23 + d23, b + db
+            if g12 < _LEAST_G12 or g13 < _LEAST_G13 or g23 < _LEAST_G23 or b < _LEAST_B:
+                raise IllegalMove(message)
         self.g12, self.g13, self.g23, self.b = g12, g13, g23, b
-        # The labels are in string order, so the arc leads the list.
-        labels, n = self.labels, self.next_id
-        if same:
-            removed = (labels.pop(0),)
-            arc = _tuple(SameComponent, removed)
-            created = (LABELS[n], LABELS[n + 1]) if n + 2 <= _TABLE_END else component_labels(n, n + 2)
-            insort(labels, created[0])
-            insort(labels, created[1])
-            self.next_id = n + 2
-        else:
-            removed = labels[0], labels[1]
-            del labels[:2]
-            arc = _tuple(DistinctComponents, removed)  # in string order already
-            created = (LABELS[n] if n < _TABLE_END else component_label(n),)
-            insort(labels, created[0])
-            self.next_id = n + 1
-        record = _tuple(MoveRecord, ("stab", i, arc, created, removed))
-        self.records.append(record)
-        return record
+        self.next_id = _canonical_run(self.labels, self.next_id, path, self.records.append)
 
     # The genus formula and the opposite surface, read off the walk's own
     # g12, g13, g23 and b.
     heights = MoveGraphNode.heights
     opposite = MoveGraphNode.opposite
 
-    def balance(self) -> None:
-        """Stabilize the smallest handlebody until all three genera agree."""
-        h1, h2, h3 = self.heights()
-        while not h1 == h2 == h3:
-            self.canonical(_balance_target(h1, h2, h3), self.b < 2)
-            h1, h2, h3 = self.heights()
-
-    def cap(self, genus: int) -> None:
-        """Balance, then raise the balanced genus until b <= 2 and it is at least ``genus``."""
-        # While b >= 3 each round starts with a two-component arc and the
-        # re-balance keeps b' <= max(b, 2), so b falls every round and then
-        # stays at most 2.  The walk ends at the larger of ``genus`` and its
-        # start's capped_genus.
-        self.balance()
-        while self.b > 2 or self.heights()[0] < genus:
-            self.canonical(_balance_target(*self.heights()), self.b < 2)
-            self.balance()
+    def cap(self, genus: int | None) -> None:
+        """Balance; then, given a ``genus``, climb until b <= 2 and the genus is at least it."""
+        # Every row is picked on ints and unchecked, and one run makes the
+        # labels.  A row stabilizes the smallest handlebody, merging while
+        # b >= 2: legal by balance's docstring, or, balanced at b = 1 and not
+        # trivial (no caller climbs from it), by g_ij = h/2 >= 1.  Each round
+        # from b >= 3 merges first and ends at b' <= max(b, 2), so b falls to
+        # 2 or less and stays; the walk ends at max(genus, capped_genus).
+        rules, moves = _MOVE_RULES["stab"], []
+        g12, g13, g23, b = self.g12, self.g13, self.g23, self.b
+        while True:
+            extra = b - 1
+            h1, h2, h3 = g12 + g13 + extra, g12 + g23 + extra, g13 + g23 + extra
+            if h1 == h2 == h3 and (genus is None or b <= 2 and h1 >= genus):
+                break
+            i, same = _balance_target(h1, h2, h3), b < 2
+            (d12, d13, d23, db), _ = rules[same][i]
+            g12, g13, g23, b = g12 + d12, g13 + d13, g23 + d23, b + db
+            moves.append((i, "same" if same else "distinct"))
+        self.g12, self.g13, self.g23, self.b = g12, g13, g23, b
+        self.next_id = _canonical_run(self.labels, self.next_id, moves, self.records.append)
 
     def to_disk(self, i: int) -> None:
         """Stabilize H_i until S_jk is a disk: 2*g_jk + b - 1 canonical moves, as one run."""
@@ -509,10 +518,12 @@ class _Walk:
         if self.b == 1:
             if self.g13 < 1:
                 raise IllegalMove("fake Heegaard stabilization with b == 1 needs g13 >= 1")
-            first = self.canonical(2, True)
-            second = self.canonical(1, False)
+            self.stabs(((2, "same"), (1, "distinct")))
+            first, second = self.records[-2:]
         else:
-            first = self.canonical(2, False)
+            # The split of the merged label is no canonical move once b >= 2.
+            self.stabs(((2, "distinct"),))
+            first = self.records[-1]
             second = self.move("stab", 1, _tuple(SameComponent, first.created[:1]))
         return _compound_record(first, second)
 
@@ -666,7 +677,7 @@ def balance(state: TrisectionState) -> tuple[TrisectionState, MoveScript]:
     # for every state with sum_h <= 12 by
     # tests/test_moves.py::test_balance_postconditions_everywhere.
     walk = _Walk(state)
-    walk.balance()
+    walk.cap(None)
     return walk.state(), tuple(walk.records)
 
 

@@ -20,10 +20,11 @@ identical genera and profile.  The per-step scripts are packaged in a
 :class:`PlanReport`.
 
 Each side runs as one walk (see :mod:`trisections.moves`) from its input
-to its endpoint.  Step 1 and step 3 are canonical moves, one call each,
-except the second half of a fake stabilization.  Steps 2, 4 and 5, about
-seven tenths of a plan's records, are each one closed-form run of
-``_Walk.to_disk``, which checks nothing since every such run is legal.
+to its endpoint.  Step 1 and each fake stabilization of step 3 are one
+canonical run each, but for the second half of a fake one at b >= 2.
+Steps 2, 4 and 5, about seven tenths of a plan's records, are each one
+closed-form run of ``_Walk.to_disk``, which checks nothing since every
+such run is legal.
 A step is cut from the walk's records by their count before and after
 it, and the endpoint's node is read off the walk's ints: planning builds
 no state.  :func:`replay` hands a whole script to ``_Walk.follow`` in one

@@ -46,6 +46,8 @@ _REBUILT = ("tests/test_moves.py::test_the_states_built_without_checks_pass_ever
 _MOVES = "src/trisections/moves.py"
 _KERNEL = "tests/test_move_kernel.py"
 _BUILDS = (f"{_KERNEL}::test_balance_and_build_match_the_fold",)
+_CANONICAL = (*_BUILDS, f"{_KERNEL}::test_the_canonical_move_is_a_move_along_the_least_arc")
+_CAPPED = "tests/test_moves.py::test_capped_genus_is_where_cap_ends_everywhere"
 _MUTATED = (
     f"{_KERNEL}::test_mutated_scripts_fail_with_the_same_message",
     f"{_KERNEL}::test_single_moves_fail_with_the_same_message",
@@ -103,18 +105,37 @@ CATALOGUE = (
     Mutant("feasibility-last-b-two-high", "src/trisections/core.py",
            "    return level + 1 - 2 * top\n", "    return level + 3 - 2 * top\n",
            _FEASIBILITY[1:]),
-    # The witness kernel: the greedy row's floor and reach tests, the pair a
-    # merge takes, and the labels it creates past the end of core.LABELS.
+    # The witness climb: the greedy row's floor and reach tests.
     Mutant("witness-skips-the-floor-test", _EXPLORER,
            "if params[falling] >= least and room[k] > 0", "if room[k] > 0", _WITNESSES),
     Mutant("witness-drops-the-reach-test", _EXPLORER,
            "room[k] > 0 and abs(gap - delta[3]) <= left:", "room[k] > 0:", _WITNESSES),
-    Mutant("witness-merges-the-first-and-third-labels", _EXPLORER,
-           "removed = labels[0], labels[1]\n", "removed = labels[0], labels[2]\n", _WITNESSES),
-    Mutant("witness-merge-label-off-by-one-past-the-table", _EXPLORER,
-           "else component_labels(n, n + 1)", "else component_labels(n + 1, n + 2)", _TABLE_EDGE),
-    Mutant("witness-split-labels-off-by-one-past-the-table", _EXPLORER,
-           "else component_labels(n, n + 2)", "else component_labels(n + 1, n + 3)", _TABLE_EDGE),
+    # The canonical run, which makes every canonical move's labels: the pair
+    # a merge takes, the labels it creates past the end of core.LABELS and
+    # the order of a split's two.
+    Mutant("witness-merges-the-first-and-third-labels", _MOVES,
+           "removed = labels[0], labels[1]\n", "removed = labels[0], labels[2]\n",
+           (*_WITNESSES, *_CANONICAL)),
+    Mutant("witness-merge-label-off-by-one-past-the-table", _MOVES,
+           "else component_labels(n, n + 1)", "else component_labels(n + 1, n + 2)",
+           (*_TABLE_EDGE, *_CANONICAL)),
+    Mutant("witness-split-labels-off-by-one-past-the-table", _MOVES,
+           "else component_labels(n, n + 2)", "else component_labels(n + 1, n + 3)",
+           (*_TABLE_EDGE, *_CANONICAL)),
+    Mutant("canonical-split-labels-swapped", _MOVES,
+           "created = (LABELS[n], LABELS[n + 1]) if n + 2 <= _TABLE_END",
+           "created = (LABELS[n + 1], LABELS[n]) if n + 2 <= _TABLE_END", (*_WITNESSES, *_CANONICAL)),
+    # The one int loop of balance and cap: the b at which it stops merging,
+    # and its stop test; and the floor test of a given canonical path.
+    Mutant("cap-merges-at-b-2", _MOVES, "i, same = _balance_target(h1, h2, h3), b < 2",
+           "i, same = _balance_target(h1, h2, h3), b < 3", (*_BUILDS, _CAPPED)),
+    Mutant("cap-stops-one-row-short", _MOVES, "if h1 == h2 == h3 and (genus is None",
+           "if 3 * max(h1, h2, h3) - h1 - h2 - h3 <= 1 and (genus is None", (*_BUILDS, _CAPPED)),
+    Mutant("stabs-skips-its-floor-test", _MOVES,
+           "            if g12 < _LEAST_G12 or g13 < _LEAST_G13 or g23 < _LEAST_G23 or b < _LEAST_B:\n"
+           "                raise IllegalMove(message)\n", "",
+           (*_CANONICAL[1:],
+            "tests/test_explorer.py::test_realize_path_refuses_the_first_faulty_step_first")),
     # A walk's unchecked state: its node must have the link's b.
     Mutant("walk-state-b-from-the-labels", _MOVES,
            "genera = _node(self.g12, self.g13, self.g23, self.b)",

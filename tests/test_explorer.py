@@ -299,6 +299,34 @@ def test_realize_path_refuses_a_two_component_arc_at_one_component(i):
     assert str(refused.value) == message
 
 
+def test_realize_path_refuses_the_first_faulty_step_first():
+    # Each step is checked in turn, kind, handlebody and then the move's
+    # rule: an illegal move before a bad kind or index is refused as itself,
+    # and a bad kind before an illegal move as a bad kind.
+    start = MoveGraphNode(1, 0, 0, 1).to_state()
+    illegal = "stabilizing H1 along a two-component arc needs b >= 2"
+    for later in ((1, "both"), (4, "same")):
+        with pytest.raises(IllegalMove) as refused:
+            realize_path(start, [(1, "distinct"), later])
+        assert str(refused.value) == illegal
+    with pytest.raises(ValueError, match="^unknown parameter move kind 'both'$"):
+        realize_path(start, [(1, "both"), (1, "distinct")])
+    with pytest.raises(ValueError, match="^handlebody index must be 1, 2 or 3, got 4$"):
+        realize_path(start, [(3, "same"), (4, "same"), (1, "both")])
+
+
+def test_shortest_path_makes_no_labels(monkeypatch):
+    # The path is read off the climb on ints; labels are made only when a
+    # path is realized on a state.
+    def refuse(*args):
+        raise AssertionError("shortest_path made labels")
+
+    monkeypatch.setattr(explorer, "component_labels", refuse)
+    start, goal = MoveGraphNode(0, 1, 0, 1), MoveGraphNode(50, 50, 48, 3)
+    assert len(shortest_path(start, goal)) == 300
+    assert shortest_path(HEEGAARD2, OPENBOOK1) == [(3, "same"), (3, "distinct")]
+
+
 def test_shortest_path_between_equal_nodes_is_empty():
     assert shortest_path(KODA, KODA) == []
 

@@ -4,8 +4,10 @@ No guarantee of the library may depend on ``assert``, which ``python -O``
 strips: every check that can fail raises a domain error instead.  No
 module imports a name it does not read.  Only ``core`` writes a
 component label ``c<n>``, so that its label table is the one source of
-fresh labels.  Only ``moves`` reads the move tables, so that how a
-move changes labels and genera is stated in one module.  And the library
+fresh labels, and only ``core`` and ``moves`` read that table, so that
+the canonical run in ``moves`` is the one place outside ``core`` that
+takes a move's new labels.  Only ``moves`` reads the move tables, so that
+how a move changes labels and genera is stated in one module.  And the library
 writes JSON only from its templates, never through ``json``'s encoder,
 so that every document has one writer.  Every name the package exports
 has a reader outside the tests, so that no public function lives only
@@ -108,6 +110,37 @@ def test_only_moves_reads_the_move_tables(path):
     lines = _move_table_reads(tree)
     assert lines == [], (f"{path.name} reads the move tables on lines {lines}; "
                          "check moves through a function of moves")
+
+
+_LABEL_TABLE = frozenset(("LABELS", "_LABEL_COUNT"))
+
+
+def _label_table_reads(tree: ast.AST) -> list[int]:
+    # The lines that import or read core's label table by name or attribute.
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if (isinstance(node, ast.alias) and node.name in _LABEL_TABLE)
+        or (isinstance(node, ast.Name) and node.id in _LABEL_TABLE)
+        or (isinstance(node, ast.Attribute) and node.attr in _LABEL_TABLE)
+    )
+
+
+def test_the_label_table_check_finds_a_read():
+    source = ("from .core import (\n  LABELS,\n  component_labels,\n)\n"
+              "x = core._LABEL_COUNT\ny = LABELS[0]\n")
+    assert _label_table_reads(ast.parse(source)) == [2, 5, 6]
+    assert _label_table_reads(ast.parse("from .core import component_labels\nx = labels\n")) == []
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in SOURCES if path.name not in ("core.py", "moves.py")],
+    ids=lambda path: path.name,
+)
+def test_only_core_and_moves_read_the_label_table(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = _label_table_reads(tree)
+    assert lines == [], (f"{path.name} reads core.LABELS on lines {lines}; make a move's "
+                         "labels through moves, or others through core.component_labels")
 
 
 _ENCODER_NAMES = frozenset(("dump", "dumps", "JSONEncoder"))

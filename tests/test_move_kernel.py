@@ -212,7 +212,7 @@ def _canonical_cases():
 
 
 def test_the_canonical_move_is_a_move_along_the_least_arc():
-    # The fused canonical move against move() on the least label or pair
+    # A one-step canonical path against move() on the least label or pair
     # found by a plain sort: the same record and walk, or the same refusal,
     # which leaves the walk as it was.  At b = 1 there is no pair, and the
     # rule itself refuses the move.
@@ -224,7 +224,8 @@ def test_the_canonical_move_is_a_move_along_the_least_arc():
             for same in (True, False):
                 fused, plain = moves._Walk(state), moves._Walk(state)
                 try:
-                    got = fused.canonical(i, same)
+                    fused.stabs([(i, "same" if same else "distinct")])
+                    got, = fused.records
                 except IllegalMove as error:
                     got = str(error)
                 if not same and len(ordered) < 2:
