@@ -5,11 +5,12 @@
 ``common_stabilization_search``) are checked here against the BFS in
 ``bfs_oracle``, which uses only ``successors``: exhaustive sweeps over
 small nodes, a property test over larger ones, and a BFS-intersection
-search written out in this file.  The witnesses, ``shortest_path`` and
-its script on canonical labels (``explorer._witness``, the one kernel
-behind both and behind search's witnesses), are also held to the
-oracle's walk on nodes and to ``realize_path`` on the state it starts
-from, also where their labels cross the end of ``core.LABELS``.  The
+search written out in this file.  The witnesses, ``shortest_path`` (the
+climb on ints, ``explorer._climb``) and its script on canonical labels
+(``explorer._witness``, that climb made in the canonical run of
+``moves``), are also held to the oracle's walk on nodes and to
+``realize_path`` on the state it starts from, also where their labels
+cross the end of ``core.LABELS``.  The
 closed-form least common node is held to the oracle's level-by-level
 enumeration, node and witnesses alike, and shown to enumerate nothing
 at any distance.
