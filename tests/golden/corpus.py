@@ -86,6 +86,32 @@ _PLAN_SCRIPT = _script_text(_PLAN_RECORDS)
 _FAKE_SCRIPT = _script_text(["fake_stab 1 c1101 c1102,c1103 c0,c1",
                              "fake_stab 1 c1104 c1105,c1106 c10,c100"])
 
+# The merge of c1999 and c2000 in the history of the H1 build of open-book
+# 700, as the writer lays it out.
+_MERGE_2001 = (
+    '    {\n      "op": "stab",\n      "handlebody": 1,\n      "arc": {\n        "distinct": [\n'
+    '          "c1999",\n          "c2000"\n        ]\n      },\n      "created": [\n'
+    '        "c2001"\n      ],\n      "removed": [\n        "c1999",\n        "c2000"\n      ]\n'
+    "    },\n"
+)
+
+# Copies of that build, each with (old, new) edits that fail one check of
+# the stored history: a created label off by one past c1023; a split of
+# c5, long dead; components and next_id that the replay does not reach;
+# g12 too low for the 700 merges, so that the genera start below zero at
+# step 400, or at steps 2 and 4, of which the walk back names 4; and a
+# merge dropped, so that the history implies no initial component.
+_STORED_FAULTS = (
+    ("created", [('"c1999",\n        "c2000"', '"c1999",\n        "c2001"')]),
+    ("removed", [('"same": "c1998"', '"same": "c5"'),
+                 ('"removed": [\n        "c1998"', '"removed": [\n        "c5"')]),
+    ("components", [('"components": [\n      "c2100"', '"components": [\n      "c2099"')]),
+    ("next_id", [('"next_id": 2101', '"next_id": 2102')]),
+    ("middle", [('"g12": 1400', '"g12": 500')]),
+    ("twice", [('"g12": 1400', '"g12": 698')]),
+    ("initial", [(_MERGE_2001, "")]),
+)
+
 GROUPS: dict[str, list] = {
     "new": [["new", *kind] for kind in _KINDS] + [
         ["new", "open-book", "1", "-o", "open-book.json"],
@@ -296,6 +322,19 @@ GROUPS: dict[str, list] = {
         ["new", "connect-sum", "40", "-o", "cs40.json"],
         ["new", "koda-ozawa", "-o", "koda.json"],
         ["plan", "cs40.json", "koda.json", "--rs-bound", "1"],
+    ],
+    # A stored history past c1023 (the H1 build of open-book 700: labels up
+    # to c2100, g12 and g13 rising by one at each merge), read as built and
+    # in copies edited to fail each check of the history in turn.
+    "stored": [
+        ["new", "open-book", "700", "-o", "ob.json"],
+        ["build-heegaard", "ob.json", "--handlebody", "1", "-o", "built.json"],
+        ["show", "built.json"],
+        *(step for name, edits in _STORED_FAULTS for step in (
+            ["build-heegaard", "ob.json", "--handlebody", "1", "-o", f"{name}.json"],
+            *(("edit", f"{name}.json", old, new) for old, new in edits),
+            ["show", f"{name}.json"],
+        )),
     ],
 }
 
