@@ -43,7 +43,9 @@ the record creates the next labels and removes the arc's, before it
 edits the list, so a record that passes is kept as it is; ``move``
 builds the record a move would make and follows it.  Each reads its rule
 as ``_MOVE_RULES[op][same][i]``, and puts each created label in the list
-by ``insort``.
+by ``insort``.  Past ``c1023``, ``_canonical_run``, ``follow`` and the
+history check below make a record's new labels one
+``core.component_label`` call (a bound ``str.format``) each.
 Python-level work a move is constant; what grows with b is the C-level
 shift of the list on each of their inserts and deletes, and the
 ``index`` of a given arc deep in the list.  Each walk
@@ -53,7 +55,11 @@ history pays.  The measured costs are in ROADMAP's Baseline and the
 
 A stored history is checked here too: once :mod:`trisections.serialize`
 has checked a document's format, ``_stored_state`` replays its records
-on a dict of live labels and walks its genera back through the rules.
+in one pass, on a dict of live labels, and sums each record's genera
+row as it goes.  A step starts from the stored genera less the sum plus
+the sum before the step, so the lowest running sum gives the lowest
+start.  Only when that is below zero is the history walked back, from
+its end, to name the last step that starts below zero.
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from heapq import heappop, heapreplace
 from itertools import islice
+from operator import itemgetter
 from typing import NamedTuple
 
 from .core import (
@@ -255,6 +262,13 @@ _MOVE_RULES = {
     op: tuple((None, *(_move_rule(op, i, same) for i in (1, 2, 3))) for same in (False, True))
     for op in ("stab", "destab")
 }
+# The genera part of each rule's row, in the same form, as the history check
+# sums it; and the created and removed labels of a record.
+_GENERA_ROWS = {
+    op: tuple((None, *(rule[0][:3] for rule in rules[1:])) for rules in by_kind)
+    for op, by_kind in _MOVE_RULES.items()
+}
+_CREATED, _REMOVED = itemgetter(3), itemgetter(4)
 
 
 def _link(components: tuple[str, ...], next_id: int) -> LinkComponentSet:
@@ -294,7 +308,8 @@ def _canonical_run(labels: list[str], n: int, path: Iterable[ParamMove], append)
         if kind == "same":
             removed = (labels.pop(0),)
             arc = _tuple(SameComponent, removed)
-            created = (LABELS[n], LABELS[n + 1]) if n + 2 <= _TABLE_END else component_labels(n, n + 2)
+            created = ((LABELS[n], LABELS[n + 1]) if n + 2 <= _TABLE_END
+                       else (component_label(n), component_label(n + 1)))
             insort(labels, created[0])
             insort(labels, created[1])
             n += 2
@@ -302,7 +317,7 @@ def _canonical_run(labels: list[str], n: int, path: Iterable[ParamMove], append)
             removed = labels[0], labels[1]
             del labels[:2]
             arc = _tuple(DistinctComponents, removed)  # in string order already
-            created = (LABELS[n],) if n < _TABLE_END else component_labels(n, n + 1)
+            created = (LABELS[n] if n < _TABLE_END else component_label(n),)
             insort(labels, created[0])
             n += 1
         append(_tuple(MoveRecord, ("stab", i, arc, created, removed)))
@@ -407,8 +422,10 @@ class _Walk:
                     raise IllegalMove(message)
                 if n + 2 <= _TABLE_END:
                     expected = (LABELS[n], LABELS[n + 1]) if same else (LABELS[n],)
+                elif same:
+                    expected = component_label(n), component_label(n + 1)
                 else:
-                    expected = component_labels(n, n + 2 if same else n + 1)
+                    expected = (component_label(n),)
                 if created != expected or removed != arc:
                     applied = _tuple(MoveRecord, (op, i, arc, expected, tuple(arc)))
                     raise IllegalMove(f"the move applies as {applied}, not as recorded {record}")
@@ -546,42 +563,60 @@ class _Walk:
 def _stored_state(g12: int, g13: int, g23: int, components: tuple[str, ...], next_id: int,
                   history: MoveScript, label: str) -> TrisectionState:
     # A stored state, or IllegalMove if no legal moves make its history.
-    # Replay on an insertion-ordered dict of live labels, from the fresh link.
-    fresh = len(components) - sum([len(r.created) - len(r.removed) for r in history])
+    # Replay on an insertion-ordered dict of live labels, from the fresh link,
+    # summing each record's genera row as it goes.
+    fresh = (len(components) - sum(map(len, map(_CREATED, history)))
+             + sum(map(len, map(_REMOVED, history))))
     if fresh < 1:
         raise IllegalMove(f"the history implies {fresh} initial components "
                           "(need at least one component)")
     live = dict.fromkeys(component_labels(0, fresh))
-    for step, record in enumerate(history, start=1):
+    # The sums of the rows so far, and the lowest each has been.
+    s12 = s13 = s23 = low12 = low13 = low23 = 0
+    for step, (op, i, _, created, removed) in enumerate(history, start=1):
         try:
-            for removed in record.removed:
-                del live[removed]
+            for name in removed:
+                del live[name]
         except KeyError:
-            raise IllegalMove(f"history step {step}: unknown component {removed!r}") from None
-        stop = fresh + 3 - len(record.removed)  # two labels for a split, one for a merge
-        created = LABELS[fresh:stop] if stop <= _TABLE_END else component_labels(fresh, stop)
-        if record.created != created:
-            raise IllegalMove(f"history step {step} must create {list(created)}, "
-                              f"got {list(record.created)}")
-        fresh += len(created)
+            raise IllegalMove(f"history step {step}: unknown component {name!r}") from None
+        if same := len(removed) == 1:  # a split creates two labels, a merge one
+            expected = ((LABELS[fresh], LABELS[fresh + 1]) if fresh + 2 <= _TABLE_END
+                        else (component_label(fresh), component_label(fresh + 1)))
+            fresh += 2
+        else:
+            expected = (LABELS[fresh] if fresh < _TABLE_END else component_label(fresh),)
+            fresh += 1
+        if created != expected:
+            raise IllegalMove(f"history step {step} must create {list(expected)}, "
+                              f"got {list(created)}")
         for name in created:
             live[name] = None
+        d12, d13, d23 = _GENERA_ROWS[op][same][i]
+        s12, s13, s23 = s12 + d12, s13 + d13, s23 + d23
+        if s12 < low12:
+            low12 = s12
+        if s13 < low13:
+            low13 = s13
+        if s23 < low23:
+            low23 = s23
     if tuple(live) != components:
         raise IllegalMove(f"stored components {list(components)} do not match the "
                           f"history replay {list(live)}")
     if fresh != next_id:
         raise IllegalMove(f"next_id is {next_id} but the history consumed labels "
                           f"up to {component_label(fresh - 1)}")
-    # Walk the genera back from the stored ones through each record's row;
-    # b needs no check, since the replay has kept it at 1 or more.
-    h12, h13, h23 = g12, g13, g23
-    for step in range(len(history), 0, -1):
-        record = history[step - 1]
-        (d12, d13, d23, _), _ = _MOVE_RULES[record.op][len(record.removed) == 1][record.handlebody]
-        h12, h13, h23 = h12 - d12, h13 - d13, h23 - d23
-        if h12 < 0 or h13 < 0 or h23 < 0:
-            raise IllegalMove(f"history step {step} would start from genera "
-                              f"(g12, g13, g23) = ({h12}, {h13}, {h23}), below zero")
+    # A step starts from the stored genera less the sum plus the sum before
+    # the step; b needs no check, since the replay has kept it at 1 or more.
+    # Only a start below zero makes the walk back, which names the last one.
+    if g12 - s12 + low12 < 0 or g13 - s13 + low13 < 0 or g23 - s23 + low23 < 0:
+        h12, h13, h23 = g12, g13, g23
+        for step in range(len(history), 0, -1):
+            record = history[step - 1]
+            d12, d13, d23 = _GENERA_ROWS[record.op][len(record.removed) == 1][record.handlebody]
+            h12, h13, h23 = h12 - d12, h13 - d13, h23 - d23
+            if h12 < 0 or h13 < 0 or h23 < 0:
+                raise IllegalMove(f"history step {step} would start from genera "
+                                  f"(g12, g13, g23) = ({h12}, {h13}, {h23}), below zero")
     # The replay has proven the link: tuple(live) == components makes its
     # labels well formed, unique and in creation order, and fresh ==
     # next_id puts each of them below next_id.

@@ -33,16 +33,22 @@ The ``*_to_text`` writers build every document from templates, in the
 bytes that ``json.dumps(value, indent=2, ensure_ascii=False) + "\n"``
 gives for its JSON value: integers print as ints, ``pass`` as ``true``
 or ``false``, and an empty list as ``[]``.  A record of either shape a
-move makes is written with its op and labels as they are, since
-``MoveRecord`` admits only an op of a fixed set and ``c<n>`` labels,
-which need no escape; a record built past those checks, with a string
-that is not alphanumeric, takes the general template instead.  Every
-other string goes through the encoder's own ``encode_basestring``.
+move makes is written as pieces of its template: a head up to its first
+label, made once for each op and handlebody a move makes, then its
+labels as they are, between the template's fixed pieces.  Every record
+of a list goes into one list of pieces, joined once.  The labels need no
+escape, since ``MoveRecord`` admits only ``c<n>`` labels; a record built
+past those checks, with a label that is not alphanumeric or an op or
+handlebody that has no head (a ``bool`` among them), takes the general
+template instead.  Every other string goes through the encoder's own
+``encode_basestring``.
 
 The readers first try that layout itself: a state's header by its
 fixed bytes and one pattern, its label by ``json``'s own string
 scanner, then the list of records one record at a time, by one pattern
-per list depth that admits only the two shapes a move makes.  A
+per list depth that admits only the two shapes a move makes, with the
+text they share up to the arc's key matched once, through one scanner
+whose every match starts where the last one ended.  A
 document with any byte outside that layout, or a record whose created
 labels are equal or whose pair is out of order, is read from the start
 by ``json.loads`` and the checks below, so every other layout reads as
@@ -145,6 +151,19 @@ def _shape_templates(depth: int) -> tuple[str, str]:
     return same, distinct
 
 
+@functools.cache
+def _shape_pieces(depth: int) -> tuple[dict, list[str], list[str]]:
+    # _shape_templates(depth) cut at each %s: the text of either shape up to
+    # its first label for each op and handlebody a move makes, keyed by
+    # (op, handlebody), and the fixed pieces after each label, the last
+    # followed by the ",\n" that ends a record in a list.
+    same, distinct = (template.split("%s") for template in _shape_templates(depth))
+    heads = {(op, i): (f"{same[0]}{op}{same[1]}{i}{same[2]}",
+                       f"{distinct[0]}{op}{distinct[1]}{i}{distinct[2]}")
+             for op in ("stab", "destab") for i in (1, 2, 3)}
+    return heads, [*same[3:-1], same[-1] + ",\n"], [*distinct[3:-1], distinct[-1] + ",\n"]
+
+
 def _records_text(script: Iterable[MoveRecord], depth: int) -> str:
     """A list of move records, indented as a list at ``depth``.
 
@@ -156,35 +175,41 @@ def _records_text(script: Iterable[MoveRecord], depth: int) -> str:
     other record comes from the general template, whose strings go
     through the encoder's own ``encode_basestring``.
     """
-    same, distinct = _shape_templates(depth)
+    # Only an int handlebody takes a head: True == 1 hashes as 1 but is
+    # written True.
+    heads, (s1, s2, s3, s4), (d1, d2, d3, d4, d5) = _shape_pieces(depth)
     outer = "  " * depth
     p = outer + "  "  # the record's braces
     q = p + "  "  # the record's keys
     r = q + "  "  # the arc's key
     s = r + "  "  # the labels of a two-component arc
-    texts = []
-    append = texts.append
+    pieces: list[str] = []
+    extend = pieces.extend
     for op, handlebody, arc, created, removed in script:
-        if removed == arc and len(created) == 3 - len(arc):
+        head = heads.get((op, handlebody)) if type(handlebody) is int else None
+        if head is not None and removed == arc and len(created) == 3 - len(arc):
             if isinstance(arc, SameComponent):
                 x, (y, z) = arc[0], created
-                if op.isalnum() and x.isalnum() and y.isalnum() and z.isalnum():
-                    append(same % (op, handlebody, x, y, z, x))
+                if x.isalnum() and y.isalnum() and z.isalnum():
+                    extend((head[0], x, s1, y, s2, z, s3, x, s4))
                     continue
             else:
                 (x, y), z = arc, created[0]
-                if op.isalnum() and x.isalnum() and y.isalnum() and z.isalnum():
-                    append(distinct % (op, handlebody, x, y, z, x, y))
+                if x.isalnum() and y.isalnum() and z.isalnum():
+                    extend((head[1], x, d1, y, d2, z, d3, x, d4, y, d5))
                     continue
         if isinstance(arc, SameComponent):
             arc_text = f'{{\n{r}"same": {encode_basestring(arc[0])}\n{q}}}'
         else:
             arc_text = (f'{{\n{r}"distinct": [\n{s}{encode_basestring(arc[0])},\n'
                         f"{s}{encode_basestring(arc[1])}\n{r}]\n{q}}}")
-        append(f'{p}{{\n{q}"op": {encode_basestring(op)},\n{q}"handlebody": {handlebody},\n'
-               f'{q}"arc": {arc_text},\n{q}"created": {_labels_text(created, q)},\n'
-               f'{q}"removed": {_labels_text(removed, q)}\n{p}}}')
-    return _list_text(texts, outer)
+        extend((f'{p}{{\n{q}"op": {encode_basestring(op)},\n{q}"handlebody": {handlebody},\n'
+                f'{q}"arc": {arc_text},\n{q}"created": {_labels_text(created, q)},\n'
+                f'{q}"removed": {_labels_text(removed, q)}\n{p}}}', ",\n"))
+    if not pieces:
+        return "[]"
+    pieces[-1] = pieces[-1][:-2]  # the last record ends the list
+    return "[\n" + "".join(pieces) + f"\n{outer}]"
 
 
 def state_to_text(state: TrisectionState) -> str:
@@ -347,19 +372,23 @@ _NATURAL = rf"[1-9][0-9]{{0,{MAX_DIGITS - 1}}}"
 @functools.cache
 def _record_pattern(depth: int) -> re.Pattern[str]:
     # _shape_templates(depth), either shape, and what follows the record:
-    # ",\n" or the list's close.  Its groups are op, handlebody, arc.same,
-    # created[0], created[1]; op, handlebody, arc.distinct[0],
-    # arc.distinct[1], created[0]; the end.
+    # ",\n" or the list's close.  The shapes agree up to the arc's key, which
+    # is matched once.  Its groups are op, handlebody; arc.same, created[0],
+    # created[1]; arc.distinct[0], arc.distinct[1], created[0]; the end.
     def pattern(template: str, groups: tuple[str, ...]) -> str:
         pieces = re.escape(template).split("%s")
         return "".join(piece + group for piece, group in zip(pieces, groups)) + pieces[-1]
 
-    label, op, handlebody = f'({_ID})', "(stab|destab)", "([123])"
+    label = f'({_ID})'
     same, distinct = _shape_templates(depth)
-    same = pattern(same, (op, handlebody, f"(?P<x>{_ID})", label, label, "(?P=x)"))
-    distinct = pattern(distinct, (op, handlebody, f"(?P<y>{_ID})", f"(?P<z>{_ID})", label,
-                                  "(?P=y)", "(?P=z)"))
-    return re.compile(f"(?:{same}|{distinct})(,\n|\n{'  ' * depth}\\])")
+    cut = same.index('"same"')
+    head = pattern(same[:cut], ("(stab|destab)", "([123])"))
+    same = pattern(same[cut:], (f"(?P<x>{_ID})", label, label, "(?P=x)"))
+    distinct = pattern(distinct[cut:], (f"(?P<y>{_ID})", f"(?P<z>{_ID})", label, "(?P=y)", "(?P=z)"))
+    return re.compile(f"{head}(?:{same}|{distinct})(,\n|\n{'  ' * depth}\\])")
+
+
+_HANDLEBODIES = {"1": 1, "2": 2, "3": 3}
 
 
 # A state up to its label's opening quote.
@@ -380,30 +409,30 @@ def _state_pattern() -> re.Pattern[str]:
 def _layout_records(text: str, pos: int, depth: int) -> tuple[MoveScript, int] | None:
     # The records of a list at ``depth`` whose first record starts at
     # ``pos``, and the position past the list's close; None at the first
-    # byte outside the layout, or at a record the checked path refuses.
-    match = _record_pattern(depth).match
+    # byte outside the layout, or at a record the checked path refuses.  A
+    # scanner's match starts where its last one ended.
+    match = _record_pattern(depth).scanner(text, pos).match
     records: list = []
     append = records.append
     end = ",\n"
     while end == ",\n":
-        found = match(text, pos)
+        found = match()
         if found is None:
             return None
-        op, handlebody, label, first, second, pair_op, pair_handlebody, low, high, created, end = (
-            found.groups())
-        if op is not None:  # creates two labels and removes its own
+        op, handlebody, label, first, second, low, high, created, end = found.groups()
+        if label is not None:  # creates two labels and removes its own
             if first == second:
                 return None
             arc = _tuple(SameComponent, (label,))
-            append(_tuple(MoveRecord, (op, int(handlebody), arc, (first, second), (label,))))
+            append(_tuple(MoveRecord, (op, _HANDLEBODIES[handlebody], arc, (first, second),
+                                       (label,))))
         else:  # removes a pair in string order and creates one label
             if not low < high:
                 return None
             pair = (low, high)
             arc = _tuple(DistinctComponents, pair)
-            append(_tuple(MoveRecord, (pair_op, int(pair_handlebody), arc, (created,), pair)))
-        pos = found.end()
-    return tuple(records), pos
+            append(_tuple(MoveRecord, (op, _HANDLEBODIES[handlebody], arc, (created,), pair)))
+    return tuple(records), found.end()
 
 
 def _layout_script(text: str) -> MoveScript | None:

@@ -69,6 +69,10 @@ _NEAR_MISSES = (
     "tests/test_serialize.py::test_a_near_miss_of_the_layout_reads_as_the_json_path_reads_it",
     "tests/test_reader_equivalence.py::test_reader_agrees_with_the_reference_parser_on_a_mutated_corpus",
 )
+_STORED = (
+    "tests/test_reader_equivalence.py::"
+    "test_reader_agrees_with_the_reference_parser_on_each_check_of_a_stored_history",
+)
 _WRITER = (
     "tests/test_serialize.py::test_writers_equal_canonical_dumps_of_their_payloads",
     "tests/test_serialize.py::test_script_round_trips_including_fake_records",
@@ -117,14 +121,15 @@ CATALOGUE = (
            "removed = labels[0], labels[1]\n", "removed = labels[0], labels[2]\n",
            (*_WITNESSES, *_CANONICAL)),
     Mutant("witness-merge-label-off-by-one-past-the-table", _MOVES,
-           "else component_labels(n, n + 1)", "else component_labels(n + 1, n + 2)",
-           (*_TABLE_EDGE, *_CANONICAL)),
+           "if n < _TABLE_END else component_label(n),)",
+           "if n < _TABLE_END else component_label(n + 1),)", (*_TABLE_EDGE, *_CANONICAL[1:])),
     Mutant("witness-split-labels-off-by-one-past-the-table", _MOVES,
-           "else component_labels(n, n + 2)", "else component_labels(n + 1, n + 3)",
-           (*_TABLE_EDGE, *_CANONICAL)),
+           "else (component_label(n), component_label(n + 1)))",
+           "else (component_label(n + 1), component_label(n + 2)))", (*_TABLE_EDGE, *_CANONICAL[1:])),
     Mutant("canonical-split-labels-swapped", _MOVES,
-           "created = (LABELS[n], LABELS[n + 1]) if n + 2 <= _TABLE_END",
-           "created = (LABELS[n + 1], LABELS[n]) if n + 2 <= _TABLE_END", _CANONICAL),
+           "created = ((LABELS[n], LABELS[n + 1]) if n + 2 <= _TABLE_END",
+           "created = ((LABELS[n + 1], LABELS[n]) if n + 2 <= _TABLE_END",
+           (*_WITNESSES[:1], *_CANONICAL)),
     # The one int loop of balance and cap: the b at which it stops merging,
     # and its stop test; and the floor test of a given canonical path.
     Mutant("cap-merges-at-b-2", _MOVES, "i, same = _balance_target(h1, h2, h3), b < 2",
@@ -189,10 +194,28 @@ CATALOGUE = (
     Mutant("layout-takes-bytes-after-a-state", _SERIALIZE,
            '    if text[pos:] not in ("\\n", ""):\n        return None\n', "", _NEAR_MISSES),
     Mutant("writer-skips-its-shape-test", _SERIALIZE,
-           "        if removed == arc and len(created) == 3 - len(arc):\n", "        if True:\n",
-           _WRITER),
+           "        if head is not None and removed == arc and len(created) == 3 - len(arc):\n",
+           "        if head is not None:\n", _WRITER[:1]),
     Mutant("writer-skips-its-escape-test", _SERIALIZE,
-           "x, (y, z) = arc[0], created\n                if op.isalnum() and x.isalnum() and "
-           "y.isalnum() and z.isalnum():", "x, (y, z) = arc[0], created\n                if True:",
-           _WRITER),
+           "x, (y, z) = arc[0], created\n                if x.isalnum() and y.isalnum() and "
+           "z.isalnum():", "x, (y, z) = arc[0], created\n                if True:", _WRITER[:1]),
+    Mutant("writer-head-keyed-to-the-wrong-handlebody", _SERIALIZE, "    heads = {(op, i): (",
+           "    heads = {(op, 4 - i): (", _WRITER),
+    Mutant("layout-takes-any-label-as-the-removed-one", _SERIALIZE,
+           '(f"(?P<x>{_ID})", label, label, "(?P=x)")', '(f"(?P<x>{_ID})", label, label, _ID)',
+           _NEAR_MISSES),
+    # The stored-history check: its walk back, a created label past the end
+    # of core.LABELS, the initial count and the components test.
+    Mutant("stored-never-walks-back", _MOVES,
+           "    if g12 - s12 + low12 < 0 or g13 - s13 + low13 < 0 or g23 - s23 + low23 < 0:\n",
+           "    if False:\n", _STORED),
+    Mutant("stored-split-label-off-by-one-past-the-table", _MOVES,
+           "else (component_label(fresh), component_label(fresh + 1)))",
+           "else (component_label(fresh), component_label(fresh + 2)))", _STORED),
+    Mutant("stored-initial-count-ignores-removed", _MOVES,
+           "    fresh = (len(components) - sum(map(len, map(_CREATED, history)))\n"
+           "             + sum(map(len, map(_REMOVED, history))))\n",
+           "    fresh = len(components) - sum(map(len, map(_CREATED, history)))\n", _STORED),
+    Mutant("stored-components-unchecked", _MOVES, "    if tuple(live) != components:\n",
+           "    if False:\n", _STORED),
 )

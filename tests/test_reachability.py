@@ -8,9 +8,10 @@ small nodes, a property test over larger ones, and a BFS-intersection
 search written out in this file.  The witnesses, ``shortest_path`` (the
 climb on ints, ``explorer._climb``) and its script on canonical labels
 (``explorer._witness``, that climb made in the canonical run of
-``moves``), are also held to the oracle's walk on nodes and to
-``realize_path`` on the state it starts from, also where their labels
-cross the end of ``core.LABELS``.  The
+``moves``), are also held to the oracle's walk on nodes and to the
+oracle's path realized move by move by ``move_oracle``, or to
+``realize_path`` and a replay, on the state it starts from, also where
+their labels cross the end of ``core.LABELS``.  The
 closed-form least common node is held to the oracle's level-by-level
 enumeration, node and witnesses alike, and shown to enumerate nothing
 at any distance.
@@ -24,6 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import move_oracle
 from bfs_oracle import (
     bfs_reachable,
     bfs_shortest_path,
@@ -134,13 +136,15 @@ def test_shortest_path_matches_bfs_on_every_pair_up_to_sum_13():
 
 def _assert_witnesses_match_the_oracle(start, goal) -> bool:
     # shortest_path is the oracle's path, and its canonical script is that
-    # path realized from start.to_state(), record for record and byte for byte.
+    # path realized from start.to_state() by the per-move fold of
+    # move_oracle, which makes its labels apart from moves' canonical run,
+    # record for record and byte for byte.
     expected = greedy_shortest_path(start, goal, goal.sum_h() - start.sum_h())
     assert shortest_path(start, goal) == expected, (start, goal)
     if expected is None:
         return False
     script = explorer._witness(start, goal, start.heights(), goal.heights())
-    _, realized = realize_path(start.to_state(), expected)
+    _, realized = move_oracle.realize_path(start.to_state(), expected)
     assert script == realized, (start, goal)
     assert script_to_text(script) == script_to_text(realized), (start, goal)
     return True

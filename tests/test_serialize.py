@@ -209,6 +209,37 @@ def test_writers_equal_canonical_dumps_of_their_payloads():
     assert script_to_text(records) == canonical_dumps(script_to_payload(records))
     state = replace(koda_ozawa(), history=records)
     assert state_to_text(state) == canonical_dumps(state_to_payload(state))
+    # Every op, handlebody and shape of a record a move makes, first, among
+    # the records above and last in its list, in a script, a state's
+    # history and a plan report's steps (lists at depths 0, 1 and 3).
+    shapes = tuple(
+        _tuple(MoveRecord, (op, i, arc, created, tuple(arc)))
+        for op in ("stab", "destab") for i in (1, 2, 3)
+        for arc, created in ((SameComponent("c7"), ("c8", "c9")),
+                             (DistinctComponents("c10", "c9"), ("c11",)))
+    )
+    report = plan_common_stabilization(koda_ozawa(), open_book(1), 1)
+    for script in (shapes, shapes[::-1], shapes[:1], shapes[1:2], shapes + records,
+                   records + shapes, records[:4] + shapes + records[4:]):
+        assert script_to_text(script) == canonical_dumps(script_to_payload(script))
+        state = replace(koda_ozawa(), history=script)
+        assert state_to_text(state) == canonical_dumps(state_to_payload(state))
+        steps = replace(report.a, step2_build=script, step4_s12_to_disk=script[::-1])
+        planned = replace(report, a=steps)
+        assert plan_report_to_text(planned) == canonical_dumps(plan_report_to_payload(planned))
+    # A record of either shape built past MoveRecord's checks with a
+    # handlebody that equals 1 but is no int, or one outside 1-3, or an op
+    # outside the fixed set, writes each as the general template does.
+    for handlebody, written in ((True, "True"), (1.0, "1.0"), (4, "4")):
+        for record in shapes[:2]:
+            odd_record = _tuple(MoveRecord, ("stab", handlebody, *record[2:]))
+            text = script_to_text((odd_record,))
+            assert f'"handlebody": {written},' in text
+            assert text == script_to_text((record,)).replace('"handlebody": 1,',
+                                                            f'"handlebody": {written},')
+    for record in shapes[:2]:
+        odd_record = _tuple(MoveRecord, ("slide", *record[1:]))
+        assert script_to_text((odd_record,)) == canonical_dumps(script_to_payload((odd_record,)))
     # Verify reports: every check passing, a failing one built by hand with
     # counterexamples and both kinds of slack, and one with no entries.
     nodes = (MoveGraphNode(0, 0, 0, 1), MoveGraphNode(2, 0, 1, 3))
@@ -617,6 +648,8 @@ _RECORD_NEAR_MISSES = {
         r'(\n(?:.*\n){5} +"removed": \[\n +)("c\d+"),\n( +)("c\d+")',
         r"\1\4,\n\3\2\5\8,\n\7\6"),
     "equal pair": _in_records(r'("distinct": \[\n +)("c\d+"),\n( +)"c\d+"', r"\1\2,\n\3\2"),
+    "split removing another label": _in_records(
+        r'("same": "c(\d+)"\n(?:.*\n){5} +"removed": \[\n +)"c\d+"', r'\1"c\g<2>0"'),
     "crlf": lambda text: text.replace("\n", "\r\n"),
     "missing final newline": lambda text: text[:-1],
     "two final newlines": lambda text: text + "\n",
