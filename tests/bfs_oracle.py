@@ -16,7 +16,9 @@ found by enumeration: every feasible (heights, b) above both inputs,
 level by level, each made a node through ``genera_from_profile`` and kept
 when :func:`explorer.reachable` accepts it from both sides.  It holds the
 closed-form least node of ``common_stabilization_search`` to the nodes it
-stands for.
+stands for, and its witnesses to the scripts that ``move_oracle``'s
+per-move fold makes along those paths, whose labels owe nothing to the
+engine's canonical run.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterator
 
+from move_oracle import realize_path
 from trisections.core import MoveGraphNode, ParamMove, Profile, genera_from_profile
-from trisections.explorer import reachable, realize_path
+from trisections.explorer import reachable
 from trisections.moves import MoveScript
 
 
@@ -114,7 +117,7 @@ def enumerated_common_stabilization(
     The node is the least, by (sum_h, node), that both inputs reach, found
     by enumerating the feasible (heights, b) above both inputs' heights,
     level by level.  Each witness is ``greedy_shortest_path`` realized
-    from the input's canonical state with ``realize_path``.
+    from the input's canonical state by ``move_oracle.realize_path``.
     """
     if a == b:
         return (a, (), ()) if a.sum_h() <= max_sum else None

@@ -129,7 +129,7 @@ CATALOGUE = (
     Mutant("canonical-split-labels-swapped", _MOVES,
            "created = ((LABELS[n], LABELS[n + 1]) if n + 2 <= _TABLE_END",
            "created = ((LABELS[n + 1], LABELS[n]) if n + 2 <= _TABLE_END",
-           (*_WITNESSES[:1], *_CANONICAL)),
+           (*_WITNESSES, *_CANONICAL)),
     # The one int loop of balance and cap: the b at which it stops merging,
     # and its stop test; and the floor test of a given canonical path.
     Mutant("cap-merges-at-b-2", _MOVES, "i, same = _balance_target(h1, h2, h3), b < 2",

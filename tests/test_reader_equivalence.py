@@ -311,13 +311,14 @@ def _two_dips():
     state = connect_sum_equal_genus(4)
     for merge in (True, False, True, True, False, False, True):
         labels = state.link.components
-        move = StabMove(1, DistinctComponents(*labels[:2])) if merge else StabMove(3, SameComponent(labels[0]))
-        state = apply_stabilization(state, move)
+        arc = DistinctComponents(*labels[:2]) if merge else SameComponent(labels[0])
+        state = apply_stabilization(state, StabMove(1 if merge else 3, arc))
     return state
 
 
 def _stored_faults():
-    """(name, payload) of states that fail each check of a stored history, or just pass it."""
+    """(name, payload, the start of its message) for states that fail each
+    check of a stored history, or None for one that just passes it."""
     two_dips = json.loads(state_to_text(_two_dips()))
     # b = 1,021 with 30 moves, whose labels cross c1023/c1024; g13 rises from
     # 0 by one at each merge, steps 1, 3, .. 29, to 15.
@@ -327,51 +328,64 @@ def _stored_faults():
                  if "same" in record["arc"] and component_number(record["created"][0]) >= 1024)
     merge = next(n for n, record in enumerate(history) if "distinct" in record["arc"])
     created, dead = history[split]["created"], history[merge]["removed"][0]
-    assert merge < split
+    assert merge < split and "distinct" in history[-2]["arc"]
 
     def relabel(record, arc, removed):
         return record | {"arc": arc, "removed": removed}
 
+    def below_zero(step):
+        return f"state: history step {step} would start from genera"
+
     return [
-        ("passes at its lowest start", two_dips),
-        ("g12 below zero at steps 1, 3 and 7", _with(two_dips, ("genera", "g12"), lambda g: g - 1)),
-        ("g13 below zero at step 1", _with(edge, ("genera", "g13"), lambda g: g - 1)),
-        ("g13 below zero from a middle step", _with(edge, ("genera", "g13"), lambda g: g - 8)),
-        ("g13 below zero before every merge", _with(edge, ("genera", "g13"), lambda g: g - 15)),
+        ("passes at its lowest start", two_dips, None),
+        ("g12 below zero at steps 1, 3 and 7",
+         _with(two_dips, ("genera", "g12"), lambda g: g - 1), below_zero(7)),
+        ("g13 below zero at step 1", _with(edge, ("genera", "g13"), lambda g: g - 1), below_zero(1)),
+        ("g13 below zero from a middle step",
+         _with(edge, ("genera", "g13"), lambda g: g - 8), below_zero(15)),
+        ("g13 below zero before every merge",
+         _with(edge, ("genera", "g13"), lambda g: g - 15), below_zero(29)),
         ("a created label off by one past c1023",
          _with(edge, ("history", split, "created"),
-               lambda labels: [labels[0], f"c{component_number(labels[1]) + 1}"])),
+               lambda labels: [labels[0], f"c{component_number(labels[1]) + 1}"]),
+         f"state: history step {split + 1} must create"),
         ("a merged label off by one past c1023",
          _with(edge, ("history", len(history) - 2, "created"),
-               lambda labels: [f"c{component_number(labels[0]) + 1}"])),
+               lambda labels: [f"c{component_number(labels[0]) + 1}"]),
+         f"state: history step {len(history) - 1} must create"),
         ("a split of a dead label",
-         _with(edge, ("history", split), lambda record: relabel(record, {"same": dead}, [dead]))),
+         _with(edge, ("history", split), lambda record: relabel(record, {"same": dead}, [dead])),
+         f"state: history step {split + 1}: unknown component {dead!r}"),
         ("a merge with a label not yet made",
          _with(edge, ("history", merge), lambda record: relabel(
              record, {"distinct": [record["removed"][0], created[1]]},
-             sorted([record["removed"][0], created[1]])))),
+             sorted([record["removed"][0], created[1]]))),
+         f"state: history step {merge + 1}: unknown component {created[1]!r}"),
         ("components the replay does not reach",
-         _with(edge, ("link", "components"), lambda labels: labels[:-1] + ["c2000"])),
-        ("a next_id past the last label", _with(edge, ("link", "next_id"), lambda n: n + 1)),
-        ("the first merge dropped", _with(two_dips, ("history",), lambda records: records[1:])),
+         _with(edge, ("link", "components"), lambda labels: labels[:-1] + ["c2000"]),
+         "state: stored components"),
+        ("a next_id past the last label", _with(edge, ("link", "next_id"), lambda n: n + 1),
+         "state: next_id is"),
+        ("the first merge dropped", _with(two_dips, ("history",), lambda records: records[1:]),
+         "state: history step 1 must create"),
         ("no initial component", _with(
             _with(two_dips, ("history",), lambda records: records[1:2] * 6 + records),
-            ("link", "components"), lambda labels: labels[:1])),
+            ("link", "components"), lambda labels: labels[:1]),
+         "state: the history implies -4 initial components"),
     ]
 
 
-@pytest.mark.parametrize("name, payload", _stored_faults(), ids=[name for name, _ in _stored_faults()])
-def test_reader_agrees_with_the_reference_parser_on_each_check_of_a_stored_history(name, payload):
+@pytest.mark.parametrize("payload, message", [pytest.param(payload, message, id=name)
+                                              for name, payload, message in _stored_faults()])
+def test_reader_agrees_with_the_reference_parser_on_each_check_of_a_stored_history(payload, message):
     # Each document in the writer's layout and minified, through the layout
     # and json paths, gets the same verdict and message as the reference
     # parser, whose walk back through the genera names the last step that
     # starts below zero.
     for text in (json.dumps(payload, indent=2, ensure_ascii=False) + "\n", json.dumps(payload)):
-        got = _outcome(state_from_text, text)
-        assert got == _outcome(reference_parser.state_from_text, text)
-        assert (got[0] == "accepted") == (name == "passes at its lowest start"), got
-    if "below zero" in name:
-        steps = {"steps 1, 3 and 7": 7, "at step 1": 1, "before every merge": 29}
-        step = next((n for key, n in steps.items() if name.endswith(key)), None)
-        if step is not None:
-            assert got[1].startswith(f"state: history step {step} would start from genera"), got
+        verdict, value = _outcome(state_from_text, text)
+        assert (verdict, value) == _outcome(reference_parser.state_from_text, text)
+        if message is None:
+            assert verdict == "accepted", value
+        else:
+            assert verdict == "rejected" and value.startswith(message), value
