@@ -27,15 +27,19 @@ moves is one call in one Python frame, not n.  There are three kernels.
 ``_Walk.to_disk`` makes the canonical run that turns S_jk into a disk
 in closed form: b - 1 merges of the least pair, each taken from the
 list as a heap in O(log b), then g_jk split/merge pairs on the one live
-label, which take their labels straight from
+label, which touch no list.  Once the live label is ``c<n-1>`` (after a
+merge, and on a fresh link) a pair's two records depend on i and n
+only, so the pairs up to ``c255`` are one C-level slice of H_i's table
+of them, built once a pair as runs first reach it; a first pair from
+another label, and the pairs past ``c255``, take their labels from
 :data:`~trisections.core.LABELS` (``c0`` .. ``c1023``, formatted once;
-labels past it are formatted) and touch no list.  Such a run is always
-legal, so it checks nothing, and it moves the genera and b once, by the
-sum of its rows.  Every other canonical run, a path of (handlebody,
-kind) moves, makes its labels in ``_canonical_run``, which checks
-nothing: ``_Walk.cap`` (``balance`` too) picks its rows on the walk's
-ints, ``_Walk.stabs`` checks a given path on them first, and search's
-witnesses run it with no walk.  Every record along a given arc goes
+labels past it are formatted).  Such a run is always legal, so it checks
+nothing, and it moves the genera and b once, by the sum of its rows.
+Every other canonical run, a path of (handlebody, kind) moves, makes its
+labels in ``_canonical_run``, which checks nothing: ``_Walk.cap``
+(``balance`` too) picks its rows on the walk's ints, ``_Walk.stabs``
+checks a given path on them first, and search's witnesses run it with no
+walk.  Every record along a given arc goes
 through ``_Walk.follow``, which runs a whole script with the walk's ints
 in locals: it finds each arc's labels by ``index`` (which stops at once
 on the labels of a canonical script), checks the floors, and checks that
@@ -68,7 +72,7 @@ from bisect import insort
 from collections.abc import Iterable
 from dataclasses import dataclass
 from heapq import heappop, heapreplace
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -324,6 +328,30 @@ def _canonical_run(labels: list[str], n: int, path: Iterable[ParamMove], append)
     return n
 
 
+# _DISK_PAIRS[i][k]: the two records of a to_disk pair of H_i on the live label
+# c<k>, the split into c<k+1> and c<k+2> and their merge into c<k+3>.  Each
+# table grows on demand, up to _DISK_REACH pairs (labels up to c255); a run
+# shares its records, which are immutable.
+_DISK_PAIRS = (None, [], [], [])
+_DISK_REACH = 253
+
+
+def _disk_pairs(i: int, stop: int) -> list[tuple[MoveRecord, MoveRecord]]:
+    # H_i's table, grown to reach the pairs that make labels below c<stop>.
+    # A split removes what the merge three labels back created, and a merge
+    # removes what its split created when that is in string order; those
+    # tuples are shared: a pair takes about 470 bytes (tracemalloc).
+    table = _DISK_PAIRS[i]
+    for k in range(len(table), min(stop - 3, _DISK_REACH)):
+        live, x, y, z = LABELS[k:k + 4]
+        removed, created = table[k - 3][1].created if k >= 3 else (live,), (x, y)
+        split = _tuple(MoveRecord, ("stab", i, _tuple(SameComponent, removed), created, removed))
+        removed = created if x < y else (y, x)
+        table.append((split, _tuple(MoveRecord, ("stab", i, _tuple(DistinctComponents, removed),
+                                                 (z,), removed))))
+    return table
+
+
 class _Walk:
     """A run of labeled moves on mutable parts, built into one state at the end.
 
@@ -338,9 +366,10 @@ class _Walk:
     and :meth:`move` through :meth:`follow`, the one kernel for a given
     arc; a ``fake_stab`` record must equal the compound record
     :meth:`fake_stab` makes.  Every record is built, with its arc, by one
-    ``tuple.__new__`` each, and :meth:`state` builds the node, link (in
-    creation order) and state once, so a script of n moves costs one
-    call, n records and one state.
+    ``tuple.__new__`` each (a disk run's pairs within its table's reach
+    are built once and shared), and :meth:`state` builds the node, link
+    (in creation order) and state once, so a script of n moves costs one
+    call, at most n records and one state.
     """
 
     __slots__ = ("labels", "next_id", "g12", "g13", "g23", "b", "base", "records", "label",
@@ -519,15 +548,28 @@ class _Walk:
                                        removed)))
         # Then one label is live.  Each split of it makes c<n> and c<n+1>,
         # and their merge, in string order, makes c<n+2>: the list is not
-        # touched until the last label is put in.
-        live = labels[0]
+        # touched until the last label is put in.  Once the live label is
+        # c<n-1>, as it is after a merge and on a fresh link, a pair's records
+        # depend on i and n only, and the pairs within _DISK_REACH are one
+        # slice of H_i's table, taken on the run's first pair or, after a
+        # first pair from another label, its second.  This loop makes that
+        # first pair and the pairs past the reach.
+        live, n, extend = labels[0], n + merges, self.records.extend
         for x, y, z in zip(fresh, fresh, fresh):
+            if n <= _DISK_REACH and live == LABELS[n - 1]:
+                chunk = _disk_pairs(i, stop)[n - 1:stop - 3:3]
+                extend(chain.from_iterable(chunk))
+                skip = 3 * len(chunk) - 3  # the labels of the pairs after this one
+                next(islice(fresh, skip, skip), None)
+                n += skip + 3
+                live = LABELS[n - 1]
+                continue
             removed = (live,)
             append(_tuple(MoveRecord, ("stab", i, _tuple(SameComponent, removed), (x, y), removed)))
             removed = (x, y) if x < y else (y, x)
             append(_tuple(MoveRecord, ("stab", i, _tuple(DistinctComponents, removed), (z,),
                                        removed)))
-            live = z
+            live, n = z, n + 3
         labels[0] = live
 
     def fake_stab(self) -> MoveRecord:

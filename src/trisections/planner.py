@@ -24,7 +24,8 @@ to its endpoint.  Step 1 and each fake stabilization of step 3 are one
 canonical run each, but for the second half of a fake one at b >= 2.
 Steps 2, 4 and 5, about seven tenths of a plan's records, are each one
 closed-form run of ``_Walk.to_disk``, which checks nothing since every
-such run is legal.
+such run is legal, and which takes its split/merge pairs up to ``c255``
+as one slice of a table of shared records.
 A step is cut from the walk's records by their count before and after
 it, and the endpoint's node is read off the walk's ints: planning builds
 no state.  :func:`replay` hands a whole script to ``_Walk.follow`` in one

@@ -48,6 +48,12 @@ _KERNEL = "tests/test_move_kernel.py"
 _BUILDS = (f"{_KERNEL}::test_balance_and_build_match_the_fold",)
 _CANONICAL = (*_BUILDS, f"{_KERNEL}::test_the_canonical_move_is_a_move_along_the_least_arc")
 _CAPPED = "tests/test_moves.py::test_capped_genus_is_where_cap_ends_everywhere"
+_DISK_TABLE = (
+    f"{_KERNEL}::test_disk_runs_through_the_tables_match_the_fold",
+    f"{_KERNEL}::test_plans_across_the_reach_of_the_tables_match_the_fold",
+)
+_DISK_MEMORY = (*_DISK_TABLE[:1],
+                f"{_KERNEL}::test_long_builds_fill_each_table_to_its_reach_and_no_further")
 _MUTATED = (
     f"{_KERNEL}::test_mutated_scripts_fail_with_the_same_message",
     f"{_KERNEL}::test_single_moves_fail_with_the_same_message",
@@ -152,6 +158,25 @@ CATALOGUE = (
     Mutant("disk-run-one-merge-short", _MOVES,
            "pairs, merges = self.opposite(i), self.b - 1",
            "pairs, merges = self.opposite(i), self.b - 2", _BUILDS),
+    # A disk run's pairs from H_i's table: the slice's first pair, the live
+    # label it needs, the labels skipped after it and the reach it stops at;
+    # and the records the table holds, with the tuples they share.
+    Mutant("disk-table-slice-one-pair-late", _MOVES, "[n - 1:stop - 3:3]", "[n + 2:stop - 3:3]",
+           _DISK_TABLE),
+    Mutant("disk-table-ignores-the-live-label", _MOVES,
+           "if n <= _DISK_REACH and live == LABELS[n - 1]:", "if n <= _DISK_REACH:", _DISK_TABLE),
+    Mutant("disk-table-skips-one-pair-short", _MOVES, "skip = 3 * len(chunk) - 3",
+           "skip = 3 * len(chunk) - 6", _DISK_TABLE),
+    Mutant("disk-table-reach-test-one-past", _MOVES, "if n <= _DISK_REACH and",
+           "if n <= _DISK_REACH + 1 and", _DISK_TABLE),
+    Mutant("disk-table-grows-one-pair-past-its-reach", _MOVES, "min(stop - 3, _DISK_REACH)",
+           "min(stop - 3, _DISK_REACH + 1)", _DISK_MEMORY),
+    Mutant("disk-table-split-labels-swapped", _MOVES, "else (live,), (x, y)",
+           "else (live,), (y, x)", _DISK_TABLE),
+    Mutant("disk-table-pair-out-of-string-order", _MOVES,
+           "removed = created if x < y else (y, x)", "removed = created", _DISK_TABLE),
+    Mutant("disk-table-split-removes-the-wrong-label", _MOVES, "table[k - 3][1].created",
+           "table[k - 3][0].created", _DISK_TABLE),
     # The one-frame given-arc kernel: its floor check, its created-label
     # check, the walk's ints a fake_stab record reads, and the record test.
     Mutant("follow-skips-the-floors", _MOVES,

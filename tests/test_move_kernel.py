@@ -190,6 +190,91 @@ def test_plans_match_the_fold(rs_bound):
         assert plan_lengths(a.genera, b.genera, rs_bound) == lengths
 
 
+_REACH = moves._DISK_REACH  # to_disk's tables hold the pairs on c0 .. c<_REACH - 1>
+
+
+def _at_labels(genera: int, first: int, next_id: int, b: int = 1) -> TrisectionState:
+    # g12 = g13 = g23 = genera on the labels c<first> .. c<first + b - 1>.
+    return TrisectionState(MoveGraphNode(genera, genera, genera, b),
+                           LinkComponentSet(tuple(f"c{first + k}" for k in range(b)), next_id))
+
+
+# Disk runs that meet the tables every way: fresh links, at b = 1 and
+# after b - 1 merges, one of them through the table's pair on c8, whose
+# halves c9 and c10 merge out of creation order; a first pair from a live
+# label other than c<n-1>; runs from c<n-1> that cross the reach with
+# their first pair past it on c253, c254 and c255, at b = 1 and after two
+# merges, and the same after a first pair from c0 or c1; the table's last
+# pair alone, and a first pair from c0 at the reach; and runs past the
+# reach and across c1023.
+_DISK_RUNS = [
+    MoveGraphNode(3, 3, 3, 1).to_state(), MoveGraphNode(4, 4, 4, 3).to_state(),
+    _at_labels(4, 5, 9), _at_labels(3, 1, 5, b=2), _at_labels(30, 5, 9),
+    *(_at_labels(10, _REACH - 12 + offset, _REACH - 11 + offset) for offset in range(3)),
+    *(_at_labels(10, _REACH - 16 + offset, _REACH - 13 + offset, b=3) for offset in range(3)),
+    *(_at_labels(10, live, _REACH - 13 + offset) for offset in range(3) for live in (0, 1)),
+    _at_labels(3, _REACH - 1, _REACH), *(_at_labels(3, 0, _REACH - 2 + k) for k in range(3)),
+    _at_labels(5, 298, 299), _at_labels(4, 1009, 1010),
+]
+
+
+def test_disk_runs_through_the_tables_match_the_fold():
+    # The tables are filled as this test needs them, from empty, so that
+    # a run grows a table some earlier run has grown in part.  A second
+    # build reads what the first one grew and must make the same script.
+    for table in moves._DISK_PAIRS[1:]:
+        table.clear()
+    crossed = set()
+    for state in _DISK_RUNS:
+        for i in (1, 2, 3):
+            after, genus, script = build_heegaard(state, i)
+            expected, expected_genus, expected_script = oracle.build_heegaard(state, i)
+            _same(after, expected)
+            assert (genus, script) == (expected_genus, expected_script)
+            assert build_heegaard(state, i) == (after, genus, script)
+            crossed.update(int(record.arc[0][1:]) for record in script
+                           if isinstance(record.arc, SameComponent))
+    assert {_REACH - 1, _REACH, _REACH + 1, _REACH + 2} <= crossed
+    assert all(0 < len(table) <= _REACH for table in moves._DISK_PAIRS[1:])
+
+
+def test_plans_across_the_reach_of_the_tables_match_the_fold():
+    # Inputs whose labels start just below the reach, so that steps 2, 4
+    # and 5 each start within it or cross it; the last one's step 2 makes
+    # a first pair from c0, not from c<n-1>.
+    near = [_at_labels(genera, live, live + 1) for genera, live in ((1, 200), (2, 230), (3, 244))]
+    near += [_at_labels(1, _REACH - 30, _REACH - 20, b=2), _at_labels(2, 0, _REACH - 13)]
+    crossing = 0
+    for a in near:
+        for b in (*near, koda_ozawa(), open_book(2)):
+            for rs_bound in (0, 2):
+                report = plan_common_stabilization(a, b, rs_bound)
+                for start, steps, (expected_steps, expected_end) in zip(
+                    (a, b), (report.a, report.b), oracle.plan_scripts(a, b, rs_bound)
+                ):
+                    assert (
+                        steps.step1_balance, steps.step2_build, steps.step3_fake,
+                        steps.step4_s12_to_disk, steps.step5_s13_to_disk,
+                    ) == expected_steps
+                    _same(replay(start, steps.concatenated()), expected_end)
+                    for run in (steps.step2_build, steps.step4_s12_to_disk,
+                                steps.step5_s13_to_disk):
+                        splits = [int(record.arc[0][1:]) for record in run
+                                  if isinstance(record.arc, SameComponent)]
+                        crossing += bool(splits) and splits[0] < _REACH <= splits[-1]
+                assert plan_common_stabilization(a, b, rs_bound) == report
+    assert crossing >= 10
+
+
+def test_long_builds_fill_each_table_to_its_reach_and_no_further():
+    # The H_i builds of open-book 600 make 600 pairs each from c0, to c1800.
+    state = open_book(600)
+    for i in (1, 2, 3):
+        after, _, script = build_heegaard(state, i)
+        assert len(script) == 1_200 and after.link.components == ("c1800",)
+    assert [len(table) for table in moves._DISK_PAIRS[1:]] == [_REACH] * 3
+
+
 def _relabeled(state: TrisectionState, numbers) -> TrisectionState:
     # The state's node on the labels c<n>, n in ``numbers`` (ascending).
     labels = tuple(f"c{n}" for n in numbers)

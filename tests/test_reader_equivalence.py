@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import reference_parser
 from test_serialize import walk_at_b
 from trisections.core import (
+    _ID_PATTERN,
     are_component_ids,
     component_number,
     connect_sum_equal_genus,
@@ -122,6 +123,7 @@ _BAD_LABELS = [
     "c01", "C1", "c", "x1", " c1", "c1 ", "c-1", "c1.0", "c1\n", "c1\n\n", "c1,c2", "c١",
     "c1\x00", "", ",",
 ]
+_OTHER_TEXTS = ["stab", "destab", "fake_stab", "slide", "Stab", "", "same", "c3"]
 
 
 def _revalue(value, rng: random.Random):
@@ -130,12 +132,21 @@ def _revalue(value, rng: random.Random):
     if isinstance(value, int):
         return rng.choice([value - 1, value + 1, 0, 4, -value, 10**4000, value * 1000 + 7])
     if isinstance(value, str):
-        if value.startswith("c") and value[1:].isdigit():
+        if _ID_PATTERN.match(value):
             n = component_number(value)
             return rng.choice([f"c{n + 1}", f"c{max(n - 1, 0)}", f"c{n + 1000}", "c0"]
                               + _BAD_LABELS)
-        return rng.choice(["stab", "destab", "fake_stab", "slide", "Stab", "", "same", "c3"])
+        return rng.choice(_OTHER_TEXTS)
     return rng.choice(_OTHER_VALUES)
+
+
+def test_revalue_takes_every_bad_label_as_a_leaf():
+    # A leaf that is no label, "c01" and "c١" among them, gets another
+    # text; only a label gets a label's neighbours.
+    rng = random.Random(3)
+    for leaf in _BAD_LABELS:
+        assert {_revalue(leaf, rng) for _ in range(40)} <= set(_OTHER_TEXTS), leaf
+    assert {_revalue("c9", rng) for _ in range(40)} >= {"c10", "c8", "c1009", "c0"}
 
 
 def _places(payload) -> tuple[list, list, list, list]:
