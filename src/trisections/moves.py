@@ -23,38 +23,41 @@ with at most one legality check and one record appended to the walk's
 own list, and builds one state at the end, whose history is the input's
 tuple followed by the walk's records.  Every script runs as one walk (a
 plan as one a side), and a single move is a walk of one.  A run of n
-moves is one call in one Python frame, not n.  There are three kernels.
-``_Walk.to_disk`` makes the canonical run that turns S_jk into a disk
-in closed form: b - 1 merges of the least pair, each taken from the
-list as a heap in O(log b), then g_jk split/merge pairs on the one live
-label, which touch no list.  Once the live label is ``c<n-1>`` (after a
-merge, and on a fresh link) a pair's two records depend on i and n
-only, so the pairs up to ``c255`` are one C-level slice of H_i's table
-of them, built once a pair as runs first reach it; a first pair from
-another label, and the pairs past ``c255``, take their labels from
-:data:`~trisections.core.LABELS` (``c0`` .. ``c1023``, formatted once;
-labels past it are formatted).  Such a run is always legal, so it checks
-nothing, and it moves the genera and b once, by the sum of its rows.
-Every other canonical run, a path of (handlebody, kind) moves, makes its
-labels in ``_canonical_run``, which checks nothing: ``_Walk.cap``
-(``balance`` too) picks its rows on the walk's ints, ``_Walk.stabs``
-checks a given path on them first, and search's witnesses run it with no
-walk.  Every record along a given arc goes
-through ``_Walk.follow``, which runs a whole script with the walk's ints
-in locals: it finds each arc's labels by ``index`` (which stops at once
-on the labels of a canonical script), checks the floors, and checks that
-the record creates the next labels and removes the arc's, before it
-edits the list, so a record that passes is kept as it is; ``move``
-builds the record a move would make and follows it.  Each reads its rule
-as ``_MOVE_RULES[op][same][i]``, and puts each created label in the list
-by ``insort``.  Past ``c1023``, ``_canonical_run``, ``follow`` and the
-history check below make a record's new labels one
-``core.component_label`` call (a bound ``str.format``) each.
+moves is one call in one Python frame, not n.  There are two kernels,
+and one builder of split/merge pairs.  Every canonical run, a path of
+(handlebody, kind) moves each on the least label or pair, makes its
+labels in ``_canonical_run``, which checks nothing and takes each label
+or pair off the walk's list as a heap, in O(log b) with no shift of the
+list: ``_Walk.cap`` (``balance`` too) picks its rows on the walk's ints,
+``_Walk.stabs`` checks a given path on them first, and each sorts the
+list once after the run, so that it is in string order between runs;
+search's witnesses run it with no walk.  ``_Walk.to_disk`` makes the
+canonical run that turns S_jk into a disk, which is always legal, so it
+checks nothing and moves the genera and b once, by the sum of its rows:
+its b - 1 merges of the least pair are one ``_canonical_run``, which
+leaves one label, and its g_jk split/merge pairs on that live label,
+which touch no list, are made by ``_pairs``.  From the live label
+``c<n-1>`` (after a merge, and on a fresh link) a pair's two records
+depend on i and n only, so a run of them below ``c256`` is one C-level
+slice of one of H_i's three tables of pairs, one per live-label number
+mod 3, which ``_pairs`` grows as runs first reach them; every other run
+of pairs is made whole.  Labels come from :data:`~trisections.core.LABELS`
+(``c0`` .. ``c1023``, formatted once); past it ``_canonical_run``,
+``follow`` and the history check below make a record's new labels one
+``core.component_label`` call (an f-string) each.  Every
+record along a given arc goes through ``_Walk.follow``, which runs a
+whole script with the walk's ints in locals: it finds each arc's labels
+by ``index`` (which stops at once on the labels of a canonical script),
+checks the floors, and checks that the record creates the next labels
+and removes the arc's, before it edits the list, so a record that passes
+is kept as it is; ``move`` builds the record a move would make and
+follows it.  Each reads its rule as ``_MOVE_RULES[op][same][i]``, and
+``follow`` puts each created label in the list by ``insort``.
 Python-level work a move is constant; what grows with b is the C-level
-shift of the list on each of their inserts and deletes, and the
-``index`` of a given arc deep in the list.  Each walk
-copies the history's pointers once, which a single move on a long
-history pays.  The measured costs are in ROADMAP's Baseline and the
+shift of the list on each of ``follow``'s inserts and deletes, the
+``index`` of a given arc deep in the list, and the sort after a run.
+Each walk copies the history's pointers once, which a single move on a
+long history pays.  The measured costs are in ROADMAP's Baseline and the
 ``BENCH_*.json`` files.
 
 A stored history is checked here too: once :mod:`trisections.serialize`
@@ -71,8 +74,8 @@ from __future__ import annotations
 from bisect import insort
 from collections.abc import Iterable
 from dataclasses import dataclass
-from heapq import heappop, heapreplace
-from itertools import chain, islice
+from heapq import heappop, heappush, heapreplace
+from itertools import repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -305,71 +308,76 @@ def _balance_target(h1: int, h2: int, h3: int) -> int:
 
 def _canonical_run(labels: list[str], n: int, path: Iterable[ParamMove], append) -> int:
     # The one place a canonical move makes its labels: each move of path takes
-    # the least label or pair, which heads labels (live, in string order,
-    # edited in place), creates the next ones from n on and appends its
-    # record; returns the next n.  It checks nothing: callers prove each move.
+    # the least label or pair off labels (live, a heap in string order, edited
+    # in place; a list in string order is one), creates the next ones from n
+    # on and appends its record; returns the next n.  The heap hands over a
+    # label and takes a new one in O(log b), with no shift of the list.  It
+    # checks nothing: callers prove each move.
     for i, kind in path:
         if kind == "same":
-            removed = (labels.pop(0),)
-            arc = _tuple(SameComponent, removed)
             created = ((LABELS[n], LABELS[n + 1]) if n + 2 <= _TABLE_END
                        else (component_label(n), component_label(n + 1)))
-            insort(labels, created[0])
-            insort(labels, created[1])
+            removed = (heapreplace(labels, created[0]),)
+            heappush(labels, created[1])
+            arc = _tuple(SameComponent, removed)
             n += 2
         else:
-            removed = labels[0], labels[1]
-            del labels[:2]
-            arc = _tuple(DistinctComponents, removed)  # in string order already
             created = (LABELS[n] if n < _TABLE_END else component_label(n),)
-            insort(labels, created[0])
+            removed = heappop(labels), heapreplace(labels, created[0])
+            arc = _tuple(DistinctComponents, removed)  # in string order already
             n += 1
         append(_tuple(MoveRecord, ("stab", i, arc, created, removed)))
     return n
 
 
-# _DISK_PAIRS[i][k]: the two records of a to_disk pair of H_i on the live label
-# c<k>, the split into c<k+1> and c<k+2> and their merge into c<k+3>.  Each
-# table grows on demand, up to _DISK_REACH pairs (labels up to c255); a run
-# shares its records, which are immutable.
-_DISK_PAIRS = (None, [], [], [])
-_DISK_REACH = 253
-
-
-def _disk_pairs(i: int, stop: int) -> list[tuple[MoveRecord, MoveRecord]]:
-    # H_i's table, grown to reach the pairs that make labels below c<stop>.
-    # A split removes what the merge three labels back created, and a merge
-    # removes what its split created when that is in string order; those
-    # tuples are shared: a pair takes about 470 bytes (tracemalloc).
-    table = _DISK_PAIRS[i]
-    for k in range(len(table), min(stop - 3, _DISK_REACH)):
-        live, x, y, z = LABELS[k:k + 4]
-        removed, created = table[k - 3][1].created if k >= 3 else (live,), (x, y)
-        split = _tuple(MoveRecord, ("stab", i, _tuple(SameComponent, removed), created, removed))
+def _pairs(i: int, live: str, fresh, append) -> str:
+    # The records of a to_disk run's split/merge pairs of H_i from the live
+    # label, each split into the next two labels of fresh (an iterator) and
+    # their merge into the third; returns the last live label.  A split
+    # removes what the merge before it created, and a merge removes what its
+    # split created when that is in string order; those tuples are shared.
+    removed = (live,)
+    for x, y, z in zip(fresh, fresh, fresh):
+        created = (x, y)
+        append(_tuple(MoveRecord, ("stab", i, _tuple(SameComponent, removed), created, removed)))
         removed = created if x < y else (y, x)
-        table.append((split, _tuple(MoveRecord, ("stab", i, _tuple(DistinctComponents, removed),
-                                                 (z,), removed))))
-    return table
+        created = (z,)
+        append(_tuple(MoveRecord, ("stab", i, _tuple(DistinctComponents, removed), created,
+                                   removed)))
+        removed = created
+    return removed[0]
+
+
+# _DISK_PAIRS[i][r]: the records of H_i's to_disk pairs on the live labels
+# c<r>, c<r+3>, .., two a pair, so that the pairs from c<k> on are one slice
+# of _DISK_PAIRS[i][k % 3] from 2 * (k // 3).  Each table grows on demand,
+# with pairs that make labels below c<_DISK_REACH> only; a run shares its
+# records, which are immutable.
+_DISK_PAIRS = (None, *([[], [], []] for _ in range(3)))
+_DISK_REACH = 256
 
 
 class _Walk:
     """A run of labeled moves on mutable parts, built into one state at the end.
 
-    It holds the live labels as a list in string order, so the least
-    label or pair leads it, the next label number, the node's coordinates
+    It holds the live labels as a list, in string order between runs so
+    that the least label or pair leads it, and a heap in string order
+    during a canonical run; the next label number, the node's coordinates
     as plain ints, the input's history (``base``), the records of its own
     moves as a list, the label, and ``taken``: how many records of a
     refused :meth:`follow` were applied before the refused one.  Each
     method applies its whole run in one frame, as the module docstring
-    says: :meth:`to_disk` in closed form, :meth:`cap` and :meth:`stabs`
-    through one ``_canonical_run``, :meth:`fake_stab` through ``stabs``,
-    and :meth:`move` through :meth:`follow`, the one kernel for a given
-    arc; a ``fake_stab`` record must equal the compound record
-    :meth:`fake_stab` makes.  Every record is built, with its arc, by one
-    ``tuple.__new__`` each (a disk run's pairs within its table's reach
-    are built once and shared), and :meth:`state` builds the node, link
-    (in creation order) and state once, so a script of n moves costs one
-    call, at most n records and one state.
+    says: :meth:`cap` and :meth:`stabs` through one ``_canonical_run``
+    each, then one sort; :meth:`to_disk` through one ``_canonical_run``
+    for its merges and one table slice or one ``_pairs`` call for its
+    pairs; :meth:`fake_stab` through ``stabs``, and :meth:`move` through
+    :meth:`follow`, the one kernel for a given arc; a ``fake_stab``
+    record must equal the compound record :meth:`fake_stab` makes.  Every
+    record is built, with its arc, by one ``tuple.__new__`` each (a disk
+    run's pairs within its table's reach are built once and shared), and
+    :meth:`state` builds the node, link (in creation order) and state
+    once, so a script of n moves costs one call, at most n records and
+    one state.
     """
 
     __slots__ = ("labels", "next_id", "g12", "g13", "g23", "b", "base", "records", "label",
@@ -491,6 +499,7 @@ class _Walk:
                 raise IllegalMove(message)
         self.g12, self.g13, self.g23, self.b = g12, g13, g23, b
         self.next_id = _canonical_run(self.labels, self.next_id, path, self.records.append)
+        self.labels.sort()
 
     # The genus formula and the opposite surface, read off the walk's own
     # g12, g13, g23 and b.
@@ -518,6 +527,7 @@ class _Walk:
             moves.append((i, "same" if same else "distinct"))
         self.g12, self.g13, self.g23, self.b = g12, g13, g23, b
         self.next_id = _canonical_run(self.labels, self.next_id, moves, self.records.append)
+        self.labels.sort()
 
     def to_disk(self, i: int) -> None:
         """Stabilize H_i until S_jk is a disk: 2*g_jk + b - 1 canonical moves, as one run."""
@@ -535,42 +545,25 @@ class _Walk:
         self.g13 += pairs * s13 + total * m13
         self.g23 += pairs * s23 + total * m23
         self.b += pairs * sb + total * mb
-        labels, append, n = self.labels, self.records.append, self.next_id
-        self.next_id = stop = n + merges + 3 * pairs
-        fresh = iter(component_labels(n, stop))
-        # Each merge takes the least pair.  A list in string order is a
-        # heap, which hands over that pair and takes the new label in
-        # O(log b), with no shift of the list; it is in string order again
-        # once one label is left, at the end.
-        for new in islice(fresh, merges):
-            removed = heappop(labels), heapreplace(labels, new)
-            append(_tuple(MoveRecord, ("stab", i, _tuple(DistinctComponents, removed), (new,),
-                                       removed)))
-        # Then one label is live.  Each split of it makes c<n> and c<n+1>,
-        # and their merge, in string order, makes c<n+2>: the list is not
-        # touched until the last label is put in.  Once the live label is
-        # c<n-1>, as it is after a merge and on a fresh link, a pair's records
-        # depend on i and n only, and the pairs within _DISK_REACH are one
-        # slice of H_i's table, taken on the run's first pair or, after a
-        # first pair from another label, its second.  This loop makes that
-        # first pair and the pairs past the reach.
-        live, n, extend = labels[0], n + merges, self.records.extend
-        for x, y, z in zip(fresh, fresh, fresh):
-            if n <= _DISK_REACH and live == LABELS[n - 1]:
-                chunk = _disk_pairs(i, stop)[n - 1:stop - 3:3]
-                extend(chain.from_iterable(chunk))
-                skip = 3 * len(chunk) - 3  # the labels of the pairs after this one
-                next(islice(fresh, skip, skip), None)
-                n += skip + 3
-                live = LABELS[n - 1]
-                continue
-            removed = (live,)
-            append(_tuple(MoveRecord, ("stab", i, _tuple(SameComponent, removed), (x, y), removed)))
-            removed = (x, y) if x < y else (y, x)
-            append(_tuple(MoveRecord, ("stab", i, _tuple(DistinctComponents, removed), (z,),
-                                       removed)))
-            live, n = z, n + 3
-        labels[0] = live
+        labels, append = self.labels, self.records.append
+        n = _canonical_run(labels, self.next_id, repeat((i, "distinct"), merges), append)
+        # Then one label is live, and the pairs touch no list until the last
+        # label is put in.  From c<k> = c<n-1>, as after a merge and on a
+        # fresh link, a pair's records depend on i and k only, so a run
+        # below c<_DISK_REACH> is one slice of H_i's table for k mod 3,
+        # which _pairs first grows when it is short; any other run is made
+        # whole.
+        self.next_id = stop = n + 3 * pairs
+        k = n - 1
+        if stop <= _DISK_REACH and labels[0] == LABELS[k]:
+            table, first = _DISK_PAIRS[i][k % 3], 2 * (k // 3)
+            if len(table) < first + 2 * pairs:
+                grown = k % 3 + 3 * len(table) // 2
+                _pairs(i, LABELS[grown], iter(LABELS[grown + 1:stop]), table.append)
+            self.records += table[first:first + 2 * pairs]
+            labels[0] = LABELS[stop - 1]
+        else:
+            labels[0] = _pairs(i, labels[0], iter(component_labels(n, stop)), append)
 
     def fake_stab(self) -> MoveRecord:
         """The two moves of :func:`fake_heegaard_stab`; returns their compound record."""

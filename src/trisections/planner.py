@@ -23,9 +23,10 @@ Each side runs as one walk (see :mod:`trisections.moves`) from its input
 to its endpoint.  Step 1 and each fake stabilization of step 3 are one
 canonical run each, but for the second half of a fake one at b >= 2.
 Steps 2, 4 and 5, about seven tenths of a plan's records, are each one
-closed-form run of ``_Walk.to_disk``, which checks nothing since every
-such run is legal, and which takes its split/merge pairs up to ``c255``
-as one slice of a table of shared records.
+run of ``_Walk.to_disk``, which checks nothing since every such run is
+legal: its merges are one canonical run, and its split/merge pairs from
+the last label made are, below ``c256`` as in plans of small inputs,
+one slice of a table of shared records.
 A step is cut from the walk's records by their count before and after
 it, and the endpoint's node is read off the walk's ints: planning builds
 no state.  :func:`replay` hands a whole script to ``_Walk.follow`` in one

@@ -52,8 +52,14 @@ _DISK_TABLE = (
     f"{_KERNEL}::test_disk_runs_through_the_tables_match_the_fold",
     f"{_KERNEL}::test_plans_across_the_reach_of_the_tables_match_the_fold",
 )
-_DISK_MEMORY = (*_DISK_TABLE[:1],
-                f"{_KERNEL}::test_long_builds_fill_each_table_to_its_reach_and_no_further")
+_DISK_MEMORY = (f"{_KERNEL}::test_long_builds_fill_each_table_to_its_reach_and_no_further",)
+_STABS_SORT = (
+    f"{_KERNEL}::test_realize_path_matches_the_fold",
+    f"{_KERNEL}::test_replay_matches_the_fold_on_random_scripts",
+    _CANONICAL[1],
+)
+_PAIR_ORDER = "removed = created if x < y else (y, x)"
+_MERGE = "removed = heappop(labels), heapreplace(labels, created[0])\n"
 _MUTATED = (
     f"{_KERNEL}::test_mutated_scripts_fail_with_the_same_message",
     f"{_KERNEL}::test_single_moves_fail_with_the_same_message",
@@ -100,7 +106,7 @@ CATALOGUE = (
            "            if limit is not None and total > limit:",
            "            if limit is not None and total >= limit:", _COUNTS),
     Mutant("count-drops-the-start-outside-its-cone", _EXPLORER,
-           "    total = int(outside)", "    total = 0", _COUNTS),
+           "    total = int(outside)", "    total = 0", (_COUNTS[0], _COUNTS[2])),
     Mutant("explore-line-depth-off-by-one", "src/trisections/cli.py",
            "depth={depth + 3 * b}", "depth={depth + 3 * b - 1}", _GOLDEN),
     # Verify's feasibility loop: the unchecked profile, and the b it starts at.
@@ -120,12 +126,16 @@ CATALOGUE = (
            "if params[falling] >= least and room[k] > 0", "if room[k] > 0", _WITNESSES),
     Mutant("witness-drops-the-reach-test", _EXPLORER,
            "room[k] > 0 and abs(gap - delta[3]) <= left:", "room[k] > 0:", _WITNESSES),
-    # The canonical run, which makes every canonical move's labels: the pair
-    # a merge takes, the labels it creates past the end of core.LABELS and
-    # the order of a split's two.
-    Mutant("witness-merges-the-first-and-third-labels", _MOVES,
-           "removed = labels[0], labels[1]\n", "removed = labels[0], labels[2]\n",
+    # The canonical run, which makes every canonical move's labels off the
+    # walk's list as a heap: the pair a merge takes (the third least, when
+    # the new label is not less, in place of the second, or the second with
+    # no new label put in), the labels it creates past the end of
+    # core.LABELS, the order of a split's two and the second of them put in.
+    Mutant("witness-merges-the-first-and-third-labels", _MOVES, _MERGE,
+           "removed = heappop(labels), heapreplace(labels, heapreplace(labels, created[0]))\n",
            (*_WITNESSES, *_CANONICAL)),
+    Mutant("canonical-merge-takes-its-second-label-by-heappop", _MOVES, _MERGE,
+           "removed = heappop(labels), heappop(labels)\n", (*_WITNESSES, *_CANONICAL)),
     Mutant("witness-merge-label-off-by-one-past-the-table", _MOVES,
            "if n < _TABLE_END else component_label(n),)",
            "if n < _TABLE_END else component_label(n + 1),)", (*_TABLE_EDGE, *_CANONICAL[1:])),
@@ -136,6 +146,16 @@ CATALOGUE = (
            "created = ((LABELS[n], LABELS[n + 1]) if n + 2 <= _TABLE_END",
            "created = ((LABELS[n + 1], LABELS[n]) if n + 2 <= _TABLE_END",
            (*_WITNESSES, *_CANONICAL)),
+    Mutant("canonical-split-drops-its-second-half", _MOVES, "            heappush(labels, created[1])\n",
+           "", (*_WITNESSES, *_CANONICAL)),
+    # The walk's list is in string order between runs: each caller of the
+    # kernel but to_disk (one label is left there) sorts the heap it leaves.
+    Mutant("stabs-skips-its-sort", _MOVES,
+           "path, self.records.append)\n        self.labels.sort()\n",
+           "path, self.records.append)\n", _STABS_SORT),
+    Mutant("cap-skips-its-sort", _MOVES,
+           "moves, self.records.append)\n        self.labels.sort()\n",
+           "moves, self.records.append)\n", _BUILDS),
     # The one int loop of balance and cap: the b at which it stops merging,
     # and its stop test; and the floor test of a given canonical path.
     Mutant("cap-merges-at-b-2", _MOVES, "i, same = _balance_target(h1, h2, h3), b < 2",
@@ -153,30 +173,35 @@ CATALOGUE = (
            "genera = _node(self.g12, self.g13, self.g23, len(self.labels) + 1)", _REBUILT),
     # A disk run in closed form: the order of each merged pair, and the
     # number of merges before the pairs.
-    Mutant("disk-run-pair-out-of-string-order", _MOVES,
-           "removed = (x, y) if x < y else (y, x)", "removed = (x, y)", _BUILDS),
+    Mutant("disk-run-pair-out-of-string-order", _MOVES, _PAIR_ORDER, "removed = created", _BUILDS),
     Mutant("disk-run-one-merge-short", _MOVES,
            "pairs, merges = self.opposite(i), self.b - 1",
            "pairs, merges = self.opposite(i), self.b - 2", _BUILDS),
-    # A disk run's pairs from H_i's table: the slice's first pair, the live
-    # label it needs, the labels skipped after it and the reach it stops at;
-    # and the records the table holds, with the tuples they share.
-    Mutant("disk-table-slice-one-pair-late", _MOVES, "[n - 1:stop - 3:3]", "[n + 2:stop - 3:3]",
+    # A disk run's pairs, made by _pairs or sliced from H_i's table: the
+    # slice's first and last pair, the live label it needs, the pairs the
+    # table grows by and the reach it stops at; and the records _pairs makes,
+    # with the tuples they share.
+    Mutant("disk-table-slice-one-pair-late", _MOVES, "2 * (k // 3)\n", "2 * (k // 3) + 2\n",
            _DISK_TABLE),
+    Mutant("disk-table-slice-one-pair-long", _MOVES, "self.records += table[first:first + 2 * pairs]",
+           "self.records += table[first:first + 2 * pairs + 2]", _DISK_TABLE),
     Mutant("disk-table-ignores-the-live-label", _MOVES,
-           "if n <= _DISK_REACH and live == LABELS[n - 1]:", "if n <= _DISK_REACH:", _DISK_TABLE),
-    Mutant("disk-table-skips-one-pair-short", _MOVES, "skip = 3 * len(chunk) - 3",
-           "skip = 3 * len(chunk) - 6", _DISK_TABLE),
-    Mutant("disk-table-reach-test-one-past", _MOVES, "if n <= _DISK_REACH and",
-           "if n <= _DISK_REACH + 1 and", _DISK_TABLE),
-    Mutant("disk-table-grows-one-pair-past-its-reach", _MOVES, "min(stop - 3, _DISK_REACH)",
-           "min(stop - 3, _DISK_REACH + 1)", _DISK_MEMORY),
-    Mutant("disk-table-split-labels-swapped", _MOVES, "else (live,), (x, y)",
-           "else (live,), (y, x)", _DISK_TABLE),
-    Mutant("disk-table-pair-out-of-string-order", _MOVES,
-           "removed = created if x < y else (y, x)", "removed = created", _DISK_TABLE),
-    Mutant("disk-table-split-removes-the-wrong-label", _MOVES, "table[k - 3][1].created",
-           "table[k - 3][0].created", _DISK_TABLE),
+           "if stop <= _DISK_REACH and labels[0] == LABELS[k]:", "if stop <= _DISK_REACH:",
+           _DISK_TABLE),
+    Mutant("disk-table-skips-one-pair-short", _MOVES, "if len(table) < first + 2 * pairs:",
+           "if len(table) < first + 2 * pairs - 2:", _DISK_TABLE),
+    Mutant("disk-table-reach-test-one-past", _MOVES, "if stop <= _DISK_REACH and",
+           "if stop <= _DISK_REACH + 3 and", _DISK_MEMORY),
+    Mutant("disk-table-grows-one-pair-past-its-reach", _MOVES, "iter(LABELS[grown + 1:stop])",
+           "iter(LABELS[grown + 1:stop + 3])", _DISK_MEMORY),
+    Mutant("disk-table-split-labels-swapped", _MOVES, "created = (x, y)\n", "created = (y, x)\n",
+           _DISK_TABLE),
+    Mutant("disk-table-pair-out-of-string-order", _MOVES, _PAIR_ORDER,
+           "removed = (y, x) if x < y else created", _DISK_TABLE),
+    Mutant("disk-table-split-removes-the-wrong-label", _MOVES,
+           "_tuple(SameComponent, removed), created, removed)))",
+           "_tuple(SameComponent, removed), created, created[:1])))",
+           _DISK_TABLE),
     # The one-frame given-arc kernel: its floor check, its created-label
     # check, the walk's ints a fake_stab record reads, and the record test.
     Mutant("follow-skips-the-floors", _MOVES,
@@ -215,9 +240,9 @@ CATALOGUE = (
     Mutant("layout-takes-any-handlebody-digit", _SERIALIZE, '"([123])"', '"([0-9])"', _NEAR_MISSES),
     Mutant("layout-takes-bytes-after-a-script", _SERIALIZE,
            'if read is not None and text[read[1]:] in ("\\n", ""):', "if read is not None:",
-           _NEAR_MISSES),
+           _NEAR_MISSES[:1]),
     Mutant("layout-takes-bytes-after-a-state", _SERIALIZE,
-           '    if text[pos:] not in ("\\n", ""):\n        return None\n', "", _NEAR_MISSES),
+           '    if text[pos:] not in ("\\n", ""):\n        return None\n', "", _NEAR_MISSES[:1]),
     Mutant("writer-skips-its-shape-test", _SERIALIZE,
            "        if head is not None and removed == arc and len(created) == 3 - len(arc):\n",
            "        if head is not None:\n", _WRITER[:1]),

@@ -70,8 +70,15 @@ _TABLE_EDGE = MoveGraphNode(0, 0, 0, 1020).to_state("table-edge")
 # and c1023/c1024 at each offset mod 3 of its split.
 _RUN_EDGES = [MoveGraphNode(0, 0, 350, b).to_state(f"run-edge-b{b}") for b in (1, 2, 3)]
 
+# Their balance merges a few of the labels c0 .. c<b-1>, b = 12 .. 40, and
+# leaves at least three of them on each side of c9/c10.  A merge takes its
+# pair off the walk's list as a heap, which leaves the list out of string
+# order until the walk sorts it.
+_WIDE = [MoveGraphNode(*genera).to_state(f"wide-{n}")
+         for n, genera in enumerate(((2, 0, 0, 13), (0, 3, 1, 16), (1, 0, 4, 20), (5, 2, 0, 40)))]
 
-@pytest.mark.parametrize("state", [*_STATES, _BIG, _TABLE_EDGE, *_RUN_EDGES],
+
+@pytest.mark.parametrize("state", [*_STATES, _BIG, _TABLE_EDGE, *_RUN_EDGES, *_WIDE],
                          ids=lambda s: s.label[:24])
 def test_balance_and_build_match_the_fold(state):
     after, script = balance(state)
@@ -190,7 +197,19 @@ def test_plans_match_the_fold(rs_bound):
         assert plan_lengths(a.genera, b.genera, rs_bound) == lengths
 
 
-_REACH = moves._DISK_REACH  # to_disk's tables hold the pairs on c0 .. c<_REACH - 1>
+_REACH = moves._DISK_REACH - 3  # to_disk's tables hold the pairs on c0 .. c<_REACH - 1>
+
+
+def _clear_tables() -> None:
+    for tables in moves._DISK_PAIRS[1:]:
+        for table in tables:
+            table.clear()
+
+
+def _table_tops() -> list[int]:
+    # The number of the last label each table's pairs make, -1 for an empty table.
+    return [int(table[-1].created[0][1:]) if table else -1
+            for tables in moves._DISK_PAIRS[1:] for table in tables]
 
 
 def _at_labels(genera: int, first: int, next_id: int, b: int = 1) -> TrisectionState:
@@ -201,14 +220,16 @@ def _at_labels(genera: int, first: int, next_id: int, b: int = 1) -> TrisectionS
 
 # Disk runs that meet the tables every way: fresh links, at b = 1 and
 # after b - 1 merges, one of them through the table's pair on c8, whose
-# halves c9 and c10 merge out of creation order; a first pair from a live
-# label other than c<n-1>; runs from c<n-1> that cross the reach with
-# their first pair past it on c253, c254 and c255, at b = 1 and after two
-# merges, and the same after a first pair from c0 or c1; the table's last
-# pair alone, and a first pair from c0 at the reach; and runs past the
-# reach and across c1023.
+# halves c9 and c10 merge out of creation order; runs that grow a table by
+# one pair, and one from c3 that reads fewer pairs than its table holds;
+# runs from a live label other than c<n-1>, which are made whole; runs
+# from c<n-1> that cross the reach with their first pair past it on c253,
+# c254 and c255, at b = 1 and after two merges, and the same from c0 or
+# c1; the table's last pair alone, and runs from c0 at the reach; and
+# runs past the reach and across c1023.
 _DISK_RUNS = [
-    MoveGraphNode(3, 3, 3, 1).to_state(), MoveGraphNode(4, 4, 4, 3).to_state(),
+    *(MoveGraphNode(genera, genera, genera, 1).to_state() for genera in (1, 2, 3)),
+    _at_labels(1, 3, 4), MoveGraphNode(4, 4, 4, 3).to_state(),
     _at_labels(4, 5, 9), _at_labels(3, 1, 5, b=2), _at_labels(30, 5, 9),
     *(_at_labels(10, _REACH - 12 + offset, _REACH - 11 + offset) for offset in range(3)),
     *(_at_labels(10, _REACH - 16 + offset, _REACH - 13 + offset, b=3) for offset in range(3)),
@@ -222,8 +243,7 @@ def test_disk_runs_through_the_tables_match_the_fold():
     # The tables are filled as this test needs them, from empty, so that
     # a run grows a table some earlier run has grown in part.  A second
     # build reads what the first one grew and must make the same script.
-    for table in moves._DISK_PAIRS[1:]:
-        table.clear()
+    _clear_tables()
     crossed = set()
     for state in _DISK_RUNS:
         for i in (1, 2, 3):
@@ -235,7 +255,8 @@ def test_disk_runs_through_the_tables_match_the_fold():
             crossed.update(int(record.arc[0][1:]) for record in script
                            if isinstance(record.arc, SameComponent))
     assert {_REACH - 1, _REACH, _REACH + 1, _REACH + 2} <= crossed
-    assert all(0 < len(table) <= _REACH for table in moves._DISK_PAIRS[1:])
+    assert all(0 <= top < moves._DISK_REACH for top in _table_tops())
+    assert all(len(table) >= 2 for tables in moves._DISK_PAIRS[1:] for table in tables)
 
 
 def test_plans_across_the_reach_of_the_tables_match_the_fold():
@@ -267,12 +288,31 @@ def test_plans_across_the_reach_of_the_tables_match_the_fold():
 
 
 def test_long_builds_fill_each_table_to_its_reach_and_no_further():
-    # The H_i builds of open-book 600 make 600 pairs each from c0, to c1800.
-    state = open_book(600)
+    # Runs from c<k> that end exactly at c255 (k = 0 mod 3) or at the last
+    # label below c256 of their table (c253, c254) fill each table to its
+    # reach; runs one pair longer are made whole and grow no table.
+    _clear_tables()
     for i in (1, 2, 3):
-        after, _, script = build_heegaard(state, i)
-        assert len(script) == 1_200 and after.link.components == ("c1800",)
-    assert [len(table) for table in moves._DISK_PAIRS[1:]] == [_REACH] * 3
+        for k in (255, 252, 0, 1, 2, 130):
+            pairs = (255 - k) // 3
+            for extra in (0, 1):
+                state = _at_labels(pairs + extra, k, k + 1)
+                after, _, script = build_heegaard(state, i)
+                assert (after, script) == oracle.build_heegaard(state, i)[::2]
+    assert _table_tops() == [255, 253, 254] * 3
+    # The H_i builds of open-book 600 make 600 pairs each from c0, to
+    # c1800, all past the reach: they leave the tables as they were, even
+    # empty ones.
+    state = open_book(600)
+    for cleared in (False, True):
+        if cleared:
+            _clear_tables()
+        tops = _table_tops()
+        for i in (1, 2, 3):
+            after, _, script = build_heegaard(state, i)
+            assert len(script) == 1_200 and after.link.components == ("c1800",)
+        assert _table_tops() == tops
+    assert tops == [-1] * 9
 
 
 def _relabeled(state: TrisectionState, numbers) -> TrisectionState:
