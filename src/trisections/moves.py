@@ -40,19 +40,27 @@ which touch no list, are made by ``_pairs``.  From the live label
 ``c<n-1>`` (after a merge, and on a fresh link) a pair's two records
 depend on i and n only, so a run of them below ``c256`` is one C-level
 slice of one of H_i's three tables of pairs, one per live-label number
-mod 3, which ``_pairs`` grows as runs first reach them; every other run
-of pairs is made whole.  Labels come from :data:`~trisections.core.LABELS`
-(``c0`` .. ``c1023``, formatted once); past it ``_canonical_run``,
-``follow`` and the history check below make a record's new labels one
-``core.component_label`` call (an f-string) each.  Every
-record along a given arc goes through ``_Walk.follow``, which runs a
-whole script with the walk's ints in locals: it finds each arc's labels
-by ``index`` (which stops at once on the labels of a canonical script),
-checks the floors, and checks that the record creates the next labels
-and removes the arc's, before it edits the list, so a record that passes
-is kept as it is; ``move`` builds the record a move would make and
-follows it.  Each reads its rule as ``_MOVE_RULES[op][same][i]``, and
-``follow`` puts each created label in the list by ``insort``.
+mod 3, which ``_disk_run`` grows (by ``_pairs``) as runs first reach
+them and slices; every other run of pairs is made whole.  Labels come
+from :data:`~trisections.core.LABELS` (``c0`` .. ``c1023``, formatted
+once); past it ``_canonical_run``, ``follow`` and the history check
+below make a record's new labels one ``core.component_label`` call (an
+f-string) each.  Every record along a given arc goes through
+``_Walk.follow``, which runs a whole script with the walk's ints in
+locals.  A split of the one live label ``c<n-1>`` that opens a run of
+disk pairs is checked with the next p pairs (at most g_jk and below
+``c256``, and at least two) as one C-level comparison with the ``_disk_run`` slice that
+``to_disk`` takes, plus one pass that each record is exactly a
+``MoveRecord``; on a match the walk moves by p times the pair's rows
+and keeps the script's records, and on any mismatch the record takes
+the per-record check, the only code that names a refused record.  That
+check finds each arc's labels by ``index`` (which stops at once on the
+labels of a canonical script), checks the floors, and checks that the
+record creates the next labels and removes the arc's, before it edits
+the list, so a record that passes is kept as it is; ``move`` builds the
+record a move would make and follows it.  Each reads its rule as
+``_MOVE_RULES[op][same][i]``, and ``follow`` puts each created label in
+the list by ``insort``.
 Python-level work a move is constant; what grows with b is the C-level
 shift of the list on each of ``follow``'s inserts and deletes, the
 ``index`` of a given arc deep in the list, and the sort after a run.
@@ -72,10 +80,10 @@ its end, to name the last step that starts below zero.
 from __future__ import annotations
 
 from bisect import insort
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from heapq import heappop, heappush, heapreplace
-from itertools import repeat
+from itertools import islice, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -357,6 +365,17 @@ _DISK_PAIRS = (None, *([[], [], []] for _ in range(3)))
 _DISK_REACH = 256
 
 
+def _disk_run(i: int, k: int, pairs: int) -> list[MoveRecord]:
+    # The records of H_i's first ``pairs`` to_disk pairs from the live label
+    # c<k>, one slice of its table, which _pairs first grows when it is
+    # short; the caller keeps the run below c<_DISK_REACH> (k + 3 * pairs < it).
+    table, first = _DISK_PAIRS[i][k % 3], 2 * (k // 3)
+    if len(table) < first + 2 * pairs:
+        grown, stop = k % 3 + 3 * len(table) // 2, k + 1 + 3 * pairs
+        _pairs(i, LABELS[grown], iter(LABELS[grown + 1:stop]), table.append)
+    return table[first:first + 2 * pairs]
+
+
 class _Walk:
     """A run of labeled moves on mutable parts, built into one state at the end.
 
@@ -369,8 +388,8 @@ class _Walk:
     method applies its whole run in one frame, as the module docstring
     says: :meth:`cap` and :meth:`stabs` through one ``_canonical_run``
     each, then one sort; :meth:`to_disk` through one ``_canonical_run``
-    for its merges and one table slice or one ``_pairs`` call for its
-    pairs; :meth:`fake_stab` through ``stabs``, and :meth:`move` through
+    for its merges and one ``_disk_run`` slice or one ``_pairs`` call for
+    its pairs; :meth:`fake_stab` through ``stabs``, and :meth:`move` through
     :meth:`follow`, the one kernel for a given arc; a ``fake_stab``
     record must equal the compound record :meth:`fake_stab` makes.  Every
     record is built, with its arc, by one ``tuple.__new__`` each (a disk
@@ -415,7 +434,7 @@ class _Walk:
         self.follow((record,))
         return record
 
-    def follow(self, records: Iterable[MoveRecord]) -> None:
+    def follow(self, records: Sequence[MoveRecord]) -> None:
         """Apply a run of records in turn, each of which must be the move it names.
 
         A stab or destab record must name the labels its move turns over; a
@@ -427,16 +446,18 @@ class _Walk:
         # the end.  A refused record leaves them unwritten, so a refused run
         # of one record leaves the walk as it was; a longer refused run keeps
         # the moves before it in its list and records only, and its caller
-        # drops the walk.  Each stab or destab record gets the one legality
-        # check, in this order: the arc's labels must be live, the genera
-        # must clear PARAM_FLOORS (b does: every rule lowering it merges two
-        # live labels), and the record must create the next labels and remove
-        # the arc's.  Only then is the list edited and the record appended.
+        # drops the walk.  A run of disk pairs within the tables' reach is
+        # taken whole when it equals the table's slice; every other record,
+        # and the first of a run that differs, gets the one legality check,
+        # in this order: the arc's labels must be live, the genera must clear
+        # PARAM_FLOORS (b does: every rule lowering it merges two live
+        # labels), and the record must create the next labels and remove the
+        # arc's.  Only then is the list edited and the record appended.
         labels, append = self.labels, self.records.append
         g12, g13, g23, b, n = self.g12, self.g13, self.g23, self.b, self.next_id
-        taken = 0
+        taken, steps = 0, enumerate(records)
         try:
-            for taken, record in enumerate(records):
+            for taken, record in steps:
                 op = record.op  # by attribute, so that a plain tuple is no record
                 if op == "fake_stab":
                     self.g12, self.g13, self.g23, self.b, self.next_id = g12, g13, g23, b, n
@@ -446,6 +467,33 @@ class _Walk:
                     continue
                 _, i, arc, created, removed = record
                 same = isinstance(arc, SameComponent)
+                if same and b == 1 and taken + 3 < len(records) and type(i) is int and 0 < i < 4:
+                    # A split of the one live label on H_i opens a run of
+                    # disk pairs when the next p pairs equal to_disk's slice
+                    # of H_i's table from c<n-1> (which holds stab records
+                    # only), each of exactly MoveRecord's type (a plain tuple
+                    # equals one).  p is at most g_jk, since each split
+                    # lowers it by one, and keeps every label below the
+                    # reach; it is at least 2, since one pair costs less on
+                    # the per-record check.  A first merge on another
+                    # handlebody (as balance's) is turned away before the
+                    # table is read.
+                    # i must be the int 1, 2 or 3, since _disk_run grows
+                    # H_i's table with it (a record built unchecked by
+                    # tuple.__new__ can hold True or -1, which index one).
+                    p = min((g23, g13, g12)[i - 1], (len(records) - taken) // 2, (_DISK_REACH - n) // 3)
+                    run = records[taken:taken + 2 * p] if p > 1 else ()
+                    if (run and labels[0] == LABELS[n - 1] and type(run[1]) is MoveRecord
+                            and run[1].handlebody == i and _disk_run(i, n - 1, p) == list(run)
+                            and {*map(type, run)} == {MoveRecord}):
+                        (s12, s13, s23, _), _ = _MOVE_RULES["stab"][True][i]
+                        (m12, m13, m23, _), _ = _MOVE_RULES["stab"][False][i]
+                        g12, g13 = g12 + p * (s12 + m12), g13 + p * (s13 + m13)
+                        g23, n = g23 + p * (s23 + m23), n + 3 * p
+                        labels[0] = LABELS[n - 1]
+                        self.records += run
+                        next(islice(steps, 2 * p - 2, None), None)  # past the run's other records
+                        continue
                 try:
                     spot = labels.index(arc[0])
                     if not same:
@@ -550,17 +598,12 @@ class _Walk:
         # Then one label is live, and the pairs touch no list until the last
         # label is put in.  From c<k> = c<n-1>, as after a merge and on a
         # fresh link, a pair's records depend on i and k only, so a run
-        # below c<_DISK_REACH> is one slice of H_i's table for k mod 3,
-        # which _pairs first grows when it is short; any other run is made
+        # below c<_DISK_REACH> is one _disk_run slice; any other run is made
         # whole.
         self.next_id = stop = n + 3 * pairs
         k = n - 1
         if stop <= _DISK_REACH and labels[0] == LABELS[k]:
-            table, first = _DISK_PAIRS[i][k % 3], 2 * (k // 3)
-            if len(table) < first + 2 * pairs:
-                grown = k % 3 + 3 * len(table) // 2
-                _pairs(i, LABELS[grown], iter(LABELS[grown + 1:stop]), table.append)
-            self.records += table[first:first + 2 * pairs]
+            self.records += _disk_run(i, k, pairs)
             labels[0] = LABELS[stop - 1]
         else:
             labels[0] = _pairs(i, labels[0], iter(component_labels(n, stop)), append)

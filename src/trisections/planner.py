@@ -30,8 +30,9 @@ one slice of a table of shared records.
 A step is cut from the walk's records by their count before and after
 it, and the endpoint's node is read off the walk's ints: planning builds
 no state.  :func:`replay` hands a whole script to ``_Walk.follow`` in one
-call, which checks every record and names the first it refuses by its
-step.
+call, which checks each run of disk pairs within that table's reach as
+one comparison with the table's slice and every other record on its own,
+and names the first record it refuses by its step.
 """
 
 from __future__ import annotations

@@ -52,6 +52,10 @@ _DISK_TABLE = (
     f"{_KERNEL}::test_disk_runs_through_the_tables_match_the_fold",
     f"{_KERNEL}::test_plans_across_the_reach_of_the_tables_match_the_fold",
 )
+_DISK_REPLAY = (
+    f"{_KERNEL}::test_replayed_disk_runs_take_the_table_comparison",
+    f"{_KERNEL}::test_replayed_plans_read_from_text_take_the_table_comparison",
+)
 _DISK_MEMORY = (f"{_KERNEL}::test_long_builds_fill_each_table_to_its_reach_and_no_further",)
 _STABS_SORT = (
     f"{_KERNEL}::test_realize_path_matches_the_fold",
@@ -80,6 +84,11 @@ _SERIALIZE = "src/trisections/serialize.py"
 _NEAR_MISSES = (
     "tests/test_serialize.py::test_a_near_miss_of_the_layout_reads_as_the_json_path_reads_it",
     "tests/test_reader_equivalence.py::test_reader_agrees_with_the_reference_parser_on_a_mutated_corpus",
+)
+_TRAILING = (
+    _NEAR_MISSES[0],
+    "tests/test_reader_equivalence.py::"
+    "test_reader_agrees_with_the_reference_parser_on_bytes_after_a_document",
 )
 _STORED = (
     "tests/test_reader_equivalence.py::"
@@ -183,8 +192,8 @@ CATALOGUE = (
     # with the tuples they share.
     Mutant("disk-table-slice-one-pair-late", _MOVES, "2 * (k // 3)\n", "2 * (k // 3) + 2\n",
            _DISK_TABLE),
-    Mutant("disk-table-slice-one-pair-long", _MOVES, "self.records += table[first:first + 2 * pairs]",
-           "self.records += table[first:first + 2 * pairs + 2]", _DISK_TABLE),
+    Mutant("disk-table-slice-one-pair-long", _MOVES, "return table[first:first + 2 * pairs]",
+           "return table[first:first + 2 * pairs + 2]", _DISK_TABLE),
     Mutant("disk-table-ignores-the-live-label", _MOVES,
            "if stop <= _DISK_REACH and labels[0] == LABELS[k]:", "if stop <= _DISK_REACH:",
            _DISK_TABLE),
@@ -202,6 +211,27 @@ CATALOGUE = (
            "_tuple(SameComponent, removed), created, removed)))",
            "_tuple(SameComponent, removed), created, created[:1])))",
            _DISK_TABLE),
+    # A replayed run of disk pairs, taken whole when it equals the table's
+    # slice: the slice it compares with, its cap at g_jk, its least length,
+    # the genera and live label it moves on to, and the type test of its
+    # records.
+    Mutant("disk-replay-slice-one-pair-late", _MOVES, "_disk_run(i, n - 1, p) == list(run)",
+           "_disk_run(i, n + 2, p) == list(run)", _DISK_REPLAY),
+    Mutant("disk-replay-pairs-past-g-jk", _MOVES,
+           "p = min((g23, g13, g12)[i - 1], (len(records) - taken) // 2, (_DISK_REACH - n) // 3)",
+           "p = min((len(records) - taken) // 2, (_DISK_REACH - n) // 3)",
+           (*_DISK_REPLAY[1:], f"{_KERNEL}::test_a_disk_run_longer_than_g_jk_is_refused_at_its_last_split")),
+    Mutant("disk-replay-takes-one-pair", _MOVES, "if p > 1 else ()", "if p > 0 else ()",
+           _DISK_REPLAY[:1]),
+    Mutant("disk-replay-keeps-the-genera", _MOVES,
+           "                        g12, g13 = g12 + p * (s12 + m12), g13 + p * (s13 + m13)\n"
+           "                        g23, n = g23 + p * (s23 + m23), n + 3 * p\n",
+           "                        n += 3 * p\n", _DISK_REPLAY),
+    Mutant("disk-replay-keeps-the-live-label", _MOVES, "                        labels[0] = LABELS[n - 1]\n",
+           "", _DISK_REPLAY),
+    Mutant("disk-replay-takes-a-plain-tuple", _MOVES,
+           "list(run)\n                            and {*map(type, run)} == {MoveRecord}):",
+           "list(run)):", (f"{_KERNEL}::test_mutated_disk_runs_fail_with_the_same_message",)),
     # The one-frame given-arc kernel: its floor check, its created-label
     # check, the walk's ints a fake_stab record reads, and the record test.
     Mutant("follow-skips-the-floors", _MOVES,
@@ -240,9 +270,9 @@ CATALOGUE = (
     Mutant("layout-takes-any-handlebody-digit", _SERIALIZE, '"([123])"', '"([0-9])"', _NEAR_MISSES),
     Mutant("layout-takes-bytes-after-a-script", _SERIALIZE,
            'if read is not None and text[read[1]:] in ("\\n", ""):', "if read is not None:",
-           _NEAR_MISSES[:1]),
+           _TRAILING),
     Mutant("layout-takes-bytes-after-a-state", _SERIALIZE,
-           '    if text[pos:] not in ("\\n", ""):\n        return None\n', "", _NEAR_MISSES[:1]),
+           '    if text[pos:] not in ("\\n", ""):\n        return None\n', "", _TRAILING),
     Mutant("writer-skips-its-shape-test", _SERIALIZE,
            "        if head is not None and removed == arc and len(created) == 3 - len(arc):\n",
            "        if head is not None:\n", _WRITER[:1]),

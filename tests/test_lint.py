@@ -83,7 +83,9 @@ def test_only_core_formats_component_labels(path):
     assert lines == [], f"{path.name} formats c<n> labels on lines {lines}; use core.LABELS"
 
 
-_MOVE_TABLES = frozenset(("_MOVE_RULES", "_GENERA_ROWS", "_TABLE_END", "_link"))
+_MOVE_TABLES = frozenset((
+    "_MOVE_RULES", "_GENERA_ROWS", "_TABLE_END", "_link", "_DISK_PAIRS", "_DISK_REACH", "_disk_run",
+))
 
 
 def _move_table_reads(tree: ast.AST) -> list[int]:
@@ -98,8 +100,9 @@ def _move_table_reads(tree: ast.AST) -> list[int]:
 
 def test_the_move_table_check_finds_a_read():
     source = ("from .moves import (\n  _link,\n  _tuple,\n)\nx = moves._TABLE_END + 1\ny = _MOVE_RULES\n"
-              "z = moves._GENERA_ROWS\n")
-    assert _move_table_reads(ast.parse(source)) == [2, 5, 6, 7]
+              "z = moves._GENERA_ROWS\nrun = moves._DISK_PAIRS[1][0][:2]\nfrom .moves import _DISK_REACH\n"
+              "records = _disk_run(1, 0, 3)\n")
+    assert _move_table_reads(ast.parse(source)) == [2, 5, 6, 7, 8, 9, 10]
     assert _move_table_reads(ast.parse("from .moves import _tuple\nlink = x.link\n")) == []
 
 

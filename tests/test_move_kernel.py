@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import time
 from functools import cache
+from operator import is_not
 
 import pytest
 
@@ -40,7 +41,7 @@ from trisections.moves import (
     fake_heegaard_stab,
 )
 from trisections.planner import plan_common_stabilization, plan_lengths, replay
-from trisections.serialize import state_from_text, state_to_text
+from trisections.serialize import script_from_text, script_to_text, state_from_text, state_to_text
 
 _STATES = [node.to_state(f"n{n}") for n, node in enumerate(feasible_nodes(12))]
 _BIG = connect_sum_equal_genus(500)  # b = 501
@@ -313,6 +314,156 @@ def test_long_builds_fill_each_table_to_its_reach_and_no_further():
             assert len(script) == 1_200 and after.link.components == ("c1800",)
         assert _table_tops() == tops
     assert tops == [-1] * 9
+
+
+def _watched_replay(monkeypatch, state: TrisectionState, script):
+    # replay's outcome, with follow watched: the runs it asks _disk_run for,
+    # and the labels its per-record path puts in, one insort each; a run of
+    # pairs taken whole by the table comparison puts in none.
+    asked, inserted = [], []
+    disk_run, insort = moves._disk_run, moves.insort
+
+    def ask(i, k, pairs):
+        asked.append((i, k, pairs))
+        return disk_run(i, k, pairs)
+
+    def put(labels, label):
+        inserted.append(label)
+        insort(labels, label)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(moves, "_disk_run", ask)
+        patch.setattr(moves, "insort", put)
+        return _outcome(replay, state, script), asked, set(inserted)
+
+
+def _disk_pair_labels(run) -> tuple[set[str], set[str]]:
+    # The labels of a disk run's split/merge pairs (the records after its
+    # merges), in two sets: those of the pairs replay takes by the table
+    # comparison, split from the last label made, c<k> with k + 1 = the
+    # next label, and merged below the reach, when at least two such pairs
+    # follow one another; and those of the other pairs.
+    start = next((n for n, record in enumerate(run) if isinstance(record.arc, SameComponent)),
+                 len(run))
+    fast, slow = [], set()
+    for split, merge in zip(run[start::2], run[start + 1::2]):
+        (live,), (first, _), (last,) = split.removed, split.created, merge.created
+        taken = int(live[1:]) + 1 == int(first[1:]) and int(last[1:]) < moves._DISK_REACH
+        (fast.append if taken else slow.update)((*split.created, last))
+    if len(fast) < 2:
+        slow.update(*fast)
+        fast = []
+    return {label for labels in fast for label in labels}, slow
+
+
+def _check_watched(got, expected, inserted, runs, alone=True) -> int:
+    # The replay equals the fold's; the pairs of each disk run that the
+    # comparison takes put in no label, and, for a run alone in its script,
+    # the others each of theirs (in a plan, a run of one pair can be taken
+    # with the pairs on the same handlebody before it).
+    _same(got, expected)
+    fast = set()
+    for run in runs:
+        taken, made = _disk_pair_labels(run)
+        assert not taken & inserted and (made <= inserted or not alone)
+        fast |= taken
+    return len(fast)
+
+
+def test_replayed_disk_runs_take_the_table_comparison(monkeypatch):
+    # Every disk run of _DISK_RUNS from each handlebody: whole, as read back
+    # from text (records equal to the table's, but other objects), and cut
+    # to fewer pairs than g_jk; runs from another live label take the
+    # comparison from their second pair, and runs across c255 up to it.
+    taken = cut = 0
+    for state in (*_DISK_RUNS, *_RUN_EDGES):
+        for i in (1, 2, 3):
+            script = build_heegaard(state, i)[2]
+            merges = state.b - 1
+            pairs = (len(script) - merges) // 2
+            cuts = {script[:merges + 2 * q] for q in (1, pairs // 2, pairs - 1) if 0 < q < pairs}
+            for run in (script, script_from_text(script_to_text(script)), *cuts):
+                got, asked, inserted = _watched_replay(monkeypatch, state, run)
+                taken += _check_watched(got, oracle.replay(state, run), inserted, [run])
+                cut += len(run) < len(script)
+                assert asked or not _disk_pair_labels(run)[0]
+    assert taken > 3_000 and cut > 100
+
+
+def test_replayed_plans_read_from_text_take_the_table_comparison(monkeypatch):
+    # Plans of small inputs and of inputs near the reach, each side read
+    # back from text, against the fold: their steps 2, 4 and 5 take the
+    # comparison wherever the build took the table.
+    near = [_at_labels(genera, live, live + 1) for genera, live in ((1, 200), (2, 230), (3, 244))]
+    near += [_at_labels(1, _REACH - 30, _REACH - 20, b=2), _at_labels(2, 0, _REACH - 13)]
+    pairs = _plan_pairs()[::40] + [(a, b) for a in near for b in (*near, koda_ozawa())]
+    taken = 0
+    for a, b in pairs:
+        for rs_bound in (0, 2):
+            report = plan_common_stabilization(a, b, rs_bound)
+            for start, steps, (_, expected) in zip((a, b), (report.a, report.b),
+                                                   oracle.plan_scripts(a, b, rs_bound)):
+                made = steps.concatenated()
+                script = script_from_text(script_to_text(made))
+                assert script == made and all(map(is_not, script, made))
+                got, _, inserted = _watched_replay(monkeypatch, start, script)
+                runs = (steps.step2_build, steps.step4_s12_to_disk, steps.step5_s13_to_disk)
+                taken += _check_watched(got, expected, inserted, runs, alone=False)
+    assert taken > 5_000
+
+
+def _pair_steps(script, merges: int) -> list[int]:
+    # The steps of a disk run's first, middle and last pair, both records.
+    pairs = (len(script) - merges) // 2
+    return [merges + 2 * q + half for q in sorted({0, pairs // 2, pairs - 1}) for half in (0, 1)]
+
+
+def test_mutated_disk_runs_fail_with_the_same_message(monkeypatch):
+    # Each _mutants record, and a plain tuple equal to the record, at the
+    # first, middle and last pair of disk runs within the reach: refused
+    # as the fold refuses them, step included.  Past the first pair, the
+    # comparison was asked for the run first.
+    states = [MoveGraphNode(g, g, g, 1).to_state() for g in (1, 2, 5)]
+    states += [MoveGraphNode(3, 3, 3, 3).to_state(), _at_labels(4, 5, 9), _at_labels(6, 230, 231)]
+    refused = plain = places = 0
+    for state in states:
+        for i in (1, 2, 3):
+            script = build_heegaard(state, i)[2]
+            for step in _pair_steps(script, state.b - 1):
+                record = script[step]
+                places += 1
+                for mutant in (*_mutants(record), tuple(record)):
+                    mutated = script[:step] + (mutant,) + script[step + 1:]
+                    got, asked, _ = _watched_replay(monkeypatch, state, mutated)
+                    assert asked or step <= state.b
+                    if type(mutant) is tuple:
+                        assert got == (f"IllegalMove: script step {step + 1}: expected a "
+                                       f"MoveRecord, got {mutant!r}")
+                        plain += 1
+                        continue
+                    expected = _outcome(oracle.replay, state, mutated)
+                    if isinstance(expected, str):
+                        assert got == expected
+                        refused += 1
+                    else:
+                        _same(got, expected)
+    assert refused > 300 and plain == places == 90
+
+
+def test_a_disk_run_longer_than_g_jk_is_refused_at_its_last_split(monkeypatch):
+    # A run of g + 1 pairs on a state with g_jk = g: the comparison must not
+    # take it whole, and the last split is refused by the floor check.
+    for g in (0, 1, 3, 8):
+        for i in (1, 2, 3):
+            genera = [4, 4, 4]
+            genera[3 - i] = g  # g_jk, the genus the run lowers
+            state = MoveGraphNode(*genera, 1).to_state()
+            genera[3 - i] = g + 1
+            script = build_heegaard(MoveGraphNode(*genera, 1).to_state(), i)[2]
+            got, _, _ = _watched_replay(monkeypatch, state, script)
+            assert got == _outcome(oracle.replay, state, script)
+            assert got.startswith(f"IllegalMove: script step {2 * g + 1}: stabilizing H{i} along a "
+                                  "one-component arc needs")
 
 
 def _relabeled(state: TrisectionState, numbers) -> TrisectionState:

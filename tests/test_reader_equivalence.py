@@ -43,6 +43,7 @@ from trisections.moves import (
     build_heegaard,
     fake_heegaard_stab,
 )
+from trisections import serialize
 from trisections.planner import plan_common_stabilization, replay
 from trisections.serialize import (
     StateFormatError,
@@ -280,6 +281,26 @@ def test_reader_agrees_with_the_reference_parser_on_the_unmutated_documents():
         text = json.dumps(payload)
         assert _outcome(new_read, text) == _outcome(reference_read, text)
         assert _outcome(new_read, text)[0] == "accepted"
+
+
+@pytest.mark.parametrize("trailer", ["x", "\n]", "0", " {}", "\n", "\n\n"])
+def test_reader_agrees_with_the_reference_parser_on_bytes_after_a_document(trailer):
+    # Each document in the writer's own layout that the layout reader
+    # takes (a compound fake_stab record is outside it), then with bytes
+    # after its close: the layout reader must leave it to json.loads, which
+    # refuses anything but whitespace there, as the reference parser does.
+    layout = {"state": serialize._layout_state, "script": serialize._layout_script}
+    tried = set()
+    for kind, payload in _base_documents():
+        text = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+        if layout[kind](text) is None:
+            continue
+        new_read, reference_read = _READERS[kind]
+        verdict, value = _outcome(new_read, text + trailer)
+        assert (verdict, value) == _outcome(reference_read, text + trailer)
+        assert verdict == ("accepted" if trailer.isspace() else "rejected"), value
+        tried.add(kind)
+    assert tried == {"state", "script"}
 
 
 # -- the batch label check ---------------------------------------------------------
